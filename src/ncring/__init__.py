@@ -11,7 +11,6 @@ from ncring.model import (
     eigenenergy,
     ground_state_energy,
     lambda_signature,
-    noncommutative_flux,
     persistent_current,
     reduce_to_zone,
     sigma_signature,
@@ -23,9 +22,7 @@ from ncring.oracle import (
     signature_by_finite_difference,
 )
 from ncring.pipeline import (
-    AnalysisOptions,
     AnalysisResult,
-    ClassifyThresholds,
     CurrentTrace,
     NcEstimate,
     PowerLawFit,

@@ -44,7 +44,7 @@ from ncring.errors import (
 )
 from ncring.model import eigenenergy, lambda_signature, sigma_signature
 from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
-from ncring.pipeline import CurrentTrace, TraceMeta, analyze_trace, synthesize_trace
+from ncring.pipeline import analyze_trace, flux_grid, synthesize_trace
 from ncring.svgplot import emit_plot
 
 _INPUT_ERRORS = (
@@ -147,10 +147,22 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
-def _flux_grid(config: RunConfig) -> np.ndarray:
-    if config.grid == "log":
-        return np.geomspace(config.f_min, config.f_max, config.n_points)
-    return np.linspace(config.f_min, config.f_max, config.n_points)
+def _write_signatures(
+    table: Path, svg: Path, f: np.ndarray, lam: np.ndarray, sig: np.ndarray, header: str = ""
+) -> Path:
+    """Write the f,lambda,sigma table and the |lambda|, |sigma| log-log plot."""
+    with open(table, "w", newline="\n") as fh:
+        fh.write(header + "f,lambda,sigma\n")
+        for fv, lv, sv in zip(f, lam, sig):
+            fh.write(f"{float(fv)!r},{float(lv)!r},{float(sv)!r}\n")
+    return emit_plot(
+        [
+            ("|lambda|", list(zip(f.tolist(), np.abs(lam).tolist()))),
+            ("|sigma|", list(zip(f.tolist(), np.abs(sig).tolist()))),
+        ],
+        {"x_log": True, "y_log": True},
+        svg,
+    )
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
@@ -190,7 +202,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if k < 0:
         raise InvalidRange("--n-levels must be non-negative")
     out = _out_dir(args) / "spectrum.csv"
-    grid = _flux_grid(config)
+    grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
     with open(out, "w", newline="\n") as fh:
         fh.write("f,n,E_reduced\n")
         for f in grid:
@@ -200,38 +212,37 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_current(args: argparse.Namespace) -> int:
+def _write_synthetic(args: argparse.Namespace, filename: str, noisy: bool) -> int:
     config = _load_config(args)
     ring = config.ring()
     trace = synthesize_trace(
         ring, config.f_min, config.f_max, config.n_points,
-        noise_sigma=0.0, seed=None, grid=config.grid,
+        noise_sigma=config.noise_sigma if noisy else 0.0,
+        seed=config.seed if noisy else None,
+        grid=config.grid,
     )
-    out = _out_dir(args) / "current.csv"
+    out = _out_dir(args) / filename
     write_trace_csv(trace, out, units=config.units, ring=ring)
     print(f"wrote {out}")
     return 0
+
+
+def cmd_current(args: argparse.Namespace) -> int:
+    return _write_synthetic(args, "current.csv", noisy=False)
 
 
 def cmd_signatures(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ring = config.ring()
     out_dir = _out_dir(args)
-    grid = _flux_grid(config)
-    lam = lambda_signature(ring, grid)
-    sig = sigma_signature(ring, grid)
+    grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
     table = out_dir / "signatures.csv"
-    with open(table, "w", newline="\n") as fh:
-        fh.write("f,lambda,sigma\n")
-        for f, lv, sv in zip(grid, lam, sig):
-            fh.write(f"{float(f)!r},{float(lv)!r},{float(sv)!r}\n")
-    svg = emit_plot(
-        [
-            ("|lambda|", list(zip(grid.tolist(), np.abs(lam).tolist()))),
-            ("|sigma|", list(zip(grid.tolist(), np.abs(sig).tolist()))),
-        ],
-        {"x_log": True, "y_log": True},
+    svg = _write_signatures(
+        table,
         out_dir / "signatures_loglog.svg",
+        grid,
+        lambda_signature(ring, grid),
+        sigma_signature(ring, grid),
     )
     print(f"wrote {table}")
     print(f"wrote {svg} (+ csv twin)")
@@ -239,50 +250,22 @@ def cmd_signatures(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    ring = config.ring()
-    trace = synthesize_trace(
-        ring, config.f_min, config.f_max, config.n_points,
-        noise_sigma=config.noise_sigma, seed=config.seed, grid=config.grid,
-    )
-    out = _out_dir(args) / "trace.csv"
-    write_trace_csv(trace, out, units=config.units, ring=ring)
-    print(f"wrote {out}")
-    return 0
+    return _write_synthetic(args, "trace.csv", noisy=True)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args)
     trace = read_trace_csv(args.trace, ring=config.ring())
-    if args.blind and trace.meta.ring_hint is not None:
-        trace = CurrentTrace(
-            f=trace.f,
-            j=trace.j,
-            meta=TraceMeta(
-                source=trace.meta.source,
-                seed=trace.meta.seed,
-                noise_sigma=trace.meta.noise_sigma,
-                ring_hint=None,
-            ),
-        )
-    result = analyze_trace(trace, options=config.analysis_options(blind=args.blind))
+    result = analyze_trace(trace, config, blind=args.blind)
     out_dir = _out_dir(args)
-
     signatures = result.signatures
-    derived = out_dir / "derived_signatures.csv"
-    with open(derived, "w", newline="\n") as fh:
-        fh.write(f"# method: {signatures.method}\n")
-        fh.write("f,lambda,sigma\n")
-        for f, lv, sv in zip(signatures.f, signatures.lam, signatures.sig):
-            fh.write(f"{float(f)!r},{float(lv)!r},{float(sv)!r}\n")
-
-    emit_plot(
-        [
-            ("|lambda|", list(zip(signatures.f.tolist(), np.abs(signatures.lam).tolist()))),
-            ("|sigma|", list(zip(signatures.f.tolist(), np.abs(signatures.sig).tolist()))),
-        ],
-        {"x_log": True, "y_log": True},
+    _write_signatures(
+        out_dir / "derived_signatures.csv",
         out_dir / "derived_loglog.svg",
+        signatures.f,
+        signatures.lam,
+        signatures.sig,
+        header=f"# method: {signatures.method}\n",
     )
 
     report = out_dir / "report.txt"

@@ -4,12 +4,14 @@ All writers are deterministic functions of their inputs: no timestamps, no
 locale-dependent formatting, `.` as the decimal separator, LF endings.
 Data files use the shortest round-trip float representation (Python repr);
 human-facing reports use %.4e.  SI-to-reduced conversion happens here and
-nowhere else.
+nowhere else.  :class:`RunConfig` is defined in :mod:`ncring.pipeline` and
+re-exported here, where its file form is parsed and serialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +19,7 @@ import numpy as np
 from ncring.constants import CODATA2018, PhysConstants
 from ncring.errors import NonMonotonicFlux, ParseError, UnitMismatch
 from ncring.model import RingSystem, SwParams
-from ncring.pipeline import (
-    MIN_TRACE_POINTS,
-    AnalysisOptions,
-    CurrentTrace,
-    TraceMeta,
-    Verdict,
-)
+from ncring.pipeline import MIN_TRACE_POINTS, CurrentTrace, RunConfig, TraceMeta, Verdict
 
 __all__ = [
     "RunConfig",
@@ -40,78 +36,6 @@ _HEADER_REDUCED = "f,J"
 _HEADER_SI = "phi_wb,J_A"
 
 _RING_HINT_KEYS = ("n_electrons", "radius_m", "alpha", "theta_tilde")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's worth of parameters, round-trippable through a config file."""
-
-    radius_m: float = 1e-6
-    n_electrons: int = 10000
-    alpha: float = 1.0
-    theta_tilde: float = 1.76e-61
-    mass_kg: float = CODATA2018.m_electron
-    f_min: float = 1e-3
-    f_max: float = 0.4
-    n_points: int = 256
-    grid: str = "log"
-    noise_sigma: float = 0.0
-    seed: int = 42
-    smoothing_window: int = 1
-    fit_f_lo: float = 1e-3
-    fit_f_hi: float = 1e-1
-    exponent_tol: float = 0.3
-    amplitude_floor_mult: float = 3.0
-    units: str = "reduced"
-
-    def __post_init__(self):
-        for name in ("radius_m", "alpha", "mass_kg", "f_min", "f_max",
-                     "fit_f_lo", "fit_f_hi", "exponent_tol", "amplitude_floor_mult"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.theta_tilde < 0.0:
-            raise ValueError("theta_tilde must be non-negative")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.n_electrons < 1:
-            raise ValueError("n_electrons must be a positive integer")
-        if self.n_points < MIN_TRACE_POINTS:
-            raise ValueError(f"n_points must be at least {MIN_TRACE_POINTS}")
-        if not self.f_min < self.f_max:
-            raise ValueError("f_min must be smaller than f_max")
-        if not self.fit_f_lo < self.fit_f_hi:
-            raise ValueError("fit_f_lo must be smaller than fit_f_hi")
-        if self.grid not in ("log", "uniform"):
-            raise ValueError(f"grid must be 'log' or 'uniform', got {self.grid!r}")
-        if self.units not in ("reduced", "si"):
-            raise ValueError(f"units must be 'reduced' or 'si', got {self.units!r}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing_window must be an odd integer >= 1")
-
-    @property
-    def fit_window(self) -> tuple[float, float]:
-        return (self.fit_f_lo, self.fit_f_hi)
-
-    def ring(self, constants: PhysConstants = CODATA2018) -> RingSystem:
-        return RingSystem(
-            radius=self.radius_m,
-            n_electrons=self.n_electrons,
-            sw=SwParams(alpha=self.alpha, theta_tilde=self.theta_tilde),
-            mass=self.mass_kg,
-            constants=constants,
-        )
-
-    def analysis_options(self, blind: bool = True) -> AnalysisOptions:
-        return AnalysisOptions(
-            fit_window=self.fit_window,
-            smoothing_window=self.smoothing_window,
-            exponent_tol=self.exponent_tol,
-            amplitude_floor_mult=self.amplitude_floor_mult,
-            radius=self.radius_m,
-            alpha=self.alpha,
-            blind=blind,
-        )
-
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _INT_FIELDS = {"n_electrons", "n_points", "seed", "smoothing_window"}
@@ -242,7 +166,7 @@ def read_trace_csv(
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
     is converted on load, which requires a ring (passed in, or reconstructed
     from the file's own metadata comments).  Raises ParseError with a line
-    number for malformed content, NonMonotonicFlux for unsorted flux, and
+    number for malformed or non-finite content, NonMonotonicFlux for unsorted flux, and
     UnitMismatch when SI data has no usable scales.
     """
     path = Path(path)
@@ -273,9 +197,12 @@ def read_trace_csv(
             if len(parts) != 2:
                 raise ParseError(f"expected two comma-separated fields, got {line!r}", line=lineno)
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                f_val, j_val = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ParseError(f"bad float in {line!r}", line=lineno) from None
+            if not (math.isfinite(f_val) and math.isfinite(j_val)):
+                raise ParseError(f"non-finite value in {line!r}", line=lineno)
+            rows.append((f_val, j_val))
     if header is None:
         raise ParseError("no header line found (empty file?)")
     if len(rows) < MIN_TRACE_POINTS:

@@ -32,17 +32,12 @@ __all__ = [
     "RingSystem",
     "check_sw_constraint",
     "effective_field",
-    "noncommutative_flux",
     "reduce_to_zone",
     "eigenenergy",
     "ground_state_energy",
     "persistent_current",
     "lambda_signature",
     "sigma_signature",
-    "energy_to_si",
-    "current_to_si",
-    "flux_to_reduced",
-    "flux_to_si",
 ]
 
 
@@ -178,11 +173,6 @@ class RingSystem:
         return effective_field(self.sw, self.constants)
 
 
-def noncommutative_flux(ring: RingSystem) -> float:
-    """Reduced effective flux f_nc of the ring (phi_nc/phi0); see RingSystem.f_nc."""
-    return ring.f_nc
-
-
 def _maybe_scalar(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
@@ -307,23 +297,3 @@ def sigma_signature(ring: RingSystem, f):
     else:
         out = (-2.0 * n * ring.f_nc) / (f_arr * f_arr)
     return _maybe_scalar(out, scalar)
-
-
-def energy_to_si(ring: RingSystem, e_reduced):
-    """Convert an energy from units of epsilon0 to joules."""
-    return e_reduced * ring.epsilon0
-
-
-def current_to_si(ring: RingSystem, j_reduced):
-    """Convert a current from units of j0 to amperes."""
-    return j_reduced * ring.j0
-
-
-def flux_to_reduced(phi_wb, constants: PhysConstants = CODATA2018):
-    """Convert an absolute flux in Wb to flux-quantum units."""
-    return phi_wb / constants.flux_quantum
-
-
-def flux_to_si(f, constants: PhysConstants = CODATA2018):
-    """Convert a reduced flux to Wb."""
-    return f * constants.flux_quantum

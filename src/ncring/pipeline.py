@@ -5,11 +5,15 @@ The stages mirror how the measurement side would proceed:
 
 1. obtain a current-versus-flux trace (here synthesized from the closed
    form, optionally with seeded Gaussian noise),
-2. estimate the electron number from the trace alone,
+2. fit one straight line for the electron number, parity and noise level,
 3. differentiate J/f and (J - N)/f numerically to get the two signatures,
 4. fit |signature| against f on log-log axes,
 5. classify the pair of fits (divergence pattern decides the verdict),
 6. invert the fitted amplitudes into f_nc and theta_tilde.
+
+:class:`RunConfig` is the one configuration type (ring, grid, thresholds);
+:func:`analyze_trace` takes it plus ``blind=``, which decides whether ring
+metadata in the trace may supply the electron number.
 """
 
 from __future__ import annotations
@@ -28,20 +32,20 @@ from ncring.errors import (
     NotDetected,
     TooFewPoints,
 )
-from ncring.model import Parity, RingSystem, persistent_current
+from ncring.model import Parity, RingSystem, SwParams, persistent_current
 
 __all__ = [
     "MIN_TRACE_POINTS",
+    "RunConfig",
     "TraceMeta",
     "CurrentTrace",
     "SignatureTrace",
     "PowerLawFit",
     "VerdictKind",
-    "ClassifyThresholds",
     "Verdict",
     "NcEstimate",
-    "AnalysisOptions",
     "AnalysisResult",
+    "flux_grid",
     "synthesize_trace",
     "estimate_electron_number",
     "trace_noise_rms",
@@ -53,6 +57,67 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8  # minimum for differentiation plus a 5-point fit
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's worth of parameters, round-trippable through a config file.
+
+    A fit counts as 1/f^2-divergent when its exponent lies within
+    exponent_tol of -2 and its |amplitude| exceeds amplitude_floor_mult
+    times the recorded residual floor.
+    """
+
+    radius_m: float = 1e-6
+    n_electrons: int = 10000
+    alpha: float = 1.0
+    theta_tilde: float = 1.76e-61
+    mass_kg: float = CODATA2018.m_electron
+    f_min: float = 1e-3
+    f_max: float = 0.4
+    n_points: int = 256
+    grid: str = "log"
+    noise_sigma: float = 0.0
+    seed: int = 42
+    smoothing_window: int = 1
+    fit_f_lo: float = 1e-3
+    fit_f_hi: float = 1e-1
+    exponent_tol: float = 0.3
+    amplitude_floor_mult: float = 3.0
+    units: str = "reduced"
+
+    def __post_init__(self):
+        self.ring()  # RingSystem and SwParams validate the ring fields
+        for name in ("f_min", "f_max", "fit_f_lo", "fit_f_hi",
+                     "exponent_tol", "amplitude_floor_mult"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be strictly positive")
+        if self.noise_sigma < 0.0:
+            raise ValueError("noise_sigma must be non-negative")
+        if self.n_points < MIN_TRACE_POINTS:
+            raise ValueError(f"n_points must be at least {MIN_TRACE_POINTS}")
+        if not self.f_min < self.f_max:
+            raise ValueError("f_min must be smaller than f_max")
+        if not self.fit_f_lo < self.fit_f_hi:
+            raise ValueError("fit_f_lo must be smaller than fit_f_hi")
+        if self.grid not in ("log", "uniform"):
+            raise ValueError(f"grid must be 'log' or 'uniform', got {self.grid!r}")
+        if self.units not in ("reduced", "si"):
+            raise ValueError(f"units must be 'reduced' or 'si', got {self.units!r}")
+        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+            raise ValueError("smoothing_window must be an odd integer >= 1")
+
+    @property
+    def fit_window(self) -> tuple[float, float]:
+        return (self.fit_f_lo, self.fit_f_hi)
+
+    def ring(self) -> RingSystem:
+        return RingSystem(
+            radius=self.radius_m,
+            n_electrons=self.n_electrons,
+            sw=SwParams(alpha=self.alpha, theta_tilde=self.theta_tilde),
+            mass=self.mass_kg,
+        )
 
 
 @dataclass(frozen=True)
@@ -118,6 +183,15 @@ class SignatureTrace:
         return mask
 
 
+def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
+    """n_points flux values from f_min to f_max, log- or uniformly spaced."""
+    if grid == "log":
+        return np.geomspace(f_min, f_max, n_points)
+    if grid == "uniform":
+        return np.linspace(f_min, f_max, n_points)
+    raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
+
+
 def synthesize_trace(
     ring: RingSystem,
     f_min: float,
@@ -150,12 +224,7 @@ def synthesize_trace(
         raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
     if noise_sigma < 0.0:
         raise InvalidRange(f"noise_sigma must be non-negative, got {noise_sigma}")
-    if grid == "log":
-        f = np.geomspace(f_min, f_max, n_points)
-    elif grid == "uniform":
-        f = np.linspace(f_min, f_max, n_points)
-    else:
-        raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
+    f = flux_grid(f_min, f_max, n_points, grid)
     j = persistent_current(ring, f)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -175,21 +244,26 @@ def _linear_fit(f: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), float(np.sqrt(res @ res / dof))
 
 
-def estimate_electron_number(trace: CurrentTrace) -> tuple[int, Parity]:
-    """Electron number and parity from the trace alone.
+def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
+    """Electron number and parity from the straight-line fit of a trace.
 
     Both parities of the closed-form current have slope -2N, so
     N = round(-slope/2).  The intercept separates them: an odd ring's
     intercept is ~2 N f_nc (tiny), an even ring's is ~N.
     """
-    a, b, _ = _linear_fit(trace.f, trace.j)
-    if b >= 0.0:
-        raise DegenerateFit(f"trace slope {b:g} is not negative")
-    n = int(round(-b / 2.0))
+    if not slope < 0.0:
+        raise DegenerateFit(f"trace slope {slope:g} is not negative")
+    n = int(round(-slope / 2.0))
     if n < 1:
-        raise DegenerateFit(f"slope {b:g} implies a non-physical electron count")
-    parity: Parity = "odd" if abs(a) < n / 2.0 else "even"
+        raise DegenerateFit(f"slope {slope:g} implies a non-physical electron count")
+    parity: Parity = "odd" if abs(intercept) < n / 2.0 else "even"
     return n, parity
+
+
+def estimate_electron_number(trace: CurrentTrace) -> tuple[int, Parity]:
+    """Electron number and parity from the trace alone."""
+    a, b, _ = _linear_fit(trace.f, trace.j)
+    return _electron_number(a, b)
 
 
 def trace_noise_rms(trace: CurrentTrace) -> float:
@@ -343,19 +417,6 @@ class VerdictKind(Enum):
 
 
 @dataclass(frozen=True)
-class ClassifyThresholds:
-    """Decidable version of the qualitative divergence criterion.
-
-    A fit counts as 1/f^2-divergent when its exponent lies within
-    exponent_tol of -2 and its |amplitude| exceeds amplitude_floor_mult
-    times the recorded residual floor.
-    """
-
-    exponent_tol: float = 0.3
-    amplitude_floor_mult: float = 3.0
-
-
-@dataclass(frozen=True)
 class Verdict:
     kind: VerdictKind
     lambda_fit: PowerLawFit | None
@@ -368,13 +429,13 @@ class Verdict:
 
 
 def _divergence(
-    fit: PowerLawFit | None, thresholds: ClassifyThresholds, name: str
+    fit: PowerLawFit | None, config: RunConfig, name: str
 ) -> tuple[bool, bool, str]:
     """(divergent-negative, divergent-positive, human-readable summary)."""
     if fit is None:
         return False, False, f"{name}: no usable signal above the noise floor"
-    exponent_ok = abs(fit.exponent + 2.0) <= thresholds.exponent_tol
-    amplitude_ok = abs(fit.amplitude) > thresholds.amplitude_floor_mult * fit.residual_floor
+    exponent_ok = abs(fit.exponent + 2.0) <= config.exponent_tol
+    amplitude_ok = abs(fit.amplitude) > config.amplitude_floor_mult * fit.residual_floor
     divergent = exponent_ok and amplitude_ok
     note = (
         f"{name}: amplitude {fit.amplitude:.4e}, exponent {fit.exponent:.4f}, "
@@ -389,7 +450,7 @@ def classify(
     sigma_fit: PowerLawFit | None,
     n_electrons: int,
     parity: Parity,
-    thresholds: ClassifyThresholds = ClassifyThresholds(),
+    config: RunConfig = RunConfig(),
 ) -> Verdict:
     """Apply the divergence criterion to a pair of signature fits.
 
@@ -399,8 +460,8 @@ def classify(
     while the other shows its parity's persistent divergence means no
     effect was detected; anything else is inconclusive.
     """
-    lam_neg, lam_pos, lam_note = _divergence(lambda_fit, thresholds, "lambda")
-    sig_neg, sig_pos, sig_note = _divergence(sigma_fit, thresholds, "sigma")
+    lam_neg, lam_pos, lam_note = _divergence(lambda_fit, config, "lambda")
+    sig_neg, sig_pos, sig_note = _divergence(sigma_fit, config, "sigma")
     diagnostics = [lam_note, sig_note, f"electron number estimate: {n_electrons} ({parity})"]
 
     estimated_f_nc: float | None = None
@@ -490,19 +551,6 @@ def estimate_theta_tilde(
 
 
 @dataclass(frozen=True)
-class AnalysisOptions:
-    """Knobs for :func:`analyze_trace`; defaults match the run configuration."""
-
-    fit_window: tuple[float, float] = (1e-3, 1e-1)
-    smoothing_window: int = 1
-    exponent_tol: float = 0.3
-    amplitude_floor_mult: float = 3.0
-    radius: float = 1e-6
-    alpha: float = 1.0
-    blind: bool = True
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
     verdict: Verdict
     signatures: SignatureTrace
@@ -540,43 +588,39 @@ def _noise_floor(
 
 def analyze_trace(
     trace: CurrentTrace,
-    options: AnalysisOptions = AnalysisOptions(),
-    constants: PhysConstants = CODATA2018,
+    config: RunConfig = RunConfig(),
+    blind: bool = True,
 ) -> AnalysisResult:
     """Run the full detection chain on a current trace.
 
-    In blind mode (default) the electron number is estimated from the data;
-    otherwise a ring hint in the trace metadata short-circuits the
-    estimator.  All thresholds come from `options`.
+    One straight-line fit gives the electron number, the parity and the
+    noise level.  In blind mode (default) the electron number comes from
+    that fit; otherwise a ring hint in the trace metadata supplies it.
+    Windows, thresholds and the ring scales come from `config`.
     """
-    hint: int | None = None
+    intercept, slope, sigma_j = _linear_fit(trace.f, trace.j)
+    hint = None if blind else trace.meta.ring_hint
     parity: Parity
-    if not options.blind and trace.meta.ring_hint is not None:
-        hint = trace.meta.ring_hint.n_electrons
-        n_est, parity = hint, trace.meta.ring_hint.parity
+    if hint is not None:
+        n_est, parity = hint.n_electrons, hint.parity
     else:
-        n_est, parity = estimate_electron_number(trace)
-    sigma_j = trace_noise_rms(trace)
+        n_est, parity = _electron_number(intercept, slope)
     signatures = differentiate_trace(
-        trace, n_electrons_hint=n_est, smoothing_window=options.smoothing_window
+        trace, n_electrons_hint=n_est, smoothing_window=config.smoothing_window
     )
-    floor = _noise_floor(signatures, sigma_j, options.smoothing_window, options.fit_window)
+    floor = _noise_floor(signatures, sigma_j, config.smoothing_window, config.fit_window)
 
     keep = signatures.interior_mask()
     fits: dict[str, PowerLawFit | None] = {}
     for name, values in (("lambda", signatures.lam), ("sigma", signatures.sig)):
         try:
             fits[name] = fit_power_law(
-                signatures.f[keep], values[keep], options.fit_window, noise_floor=floor
+                signatures.f[keep], values[keep], config.fit_window, noise_floor=floor
             )
         except InsufficientSignal:
             fits[name] = None
 
-    thresholds = ClassifyThresholds(
-        exponent_tol=options.exponent_tol,
-        amplitude_floor_mult=options.amplitude_floor_mult,
-    )
-    verdict = classify(fits["lambda"], fits["sigma"], n_est, parity, thresholds)
+    verdict = classify(fits["lambda"], fits["sigma"], n_est, parity, config)
 
     estimate: NcEstimate | None = None
     if verdict.kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
@@ -585,9 +629,8 @@ def analyze_trace(
             verdict.lambda_fit,
             verdict.sigma_fit,
             n_est,
-            radius=options.radius,
-            alpha=options.alpha,
-            constants=constants,
+            radius=config.radius_m,
+            alpha=config.alpha,
         )
         verdict = replace(
             verdict,

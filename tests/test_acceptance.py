@@ -22,7 +22,6 @@ from ncring.model import (
     RingSystem,
     SwParams,
     lambda_signature,
-    noncommutative_flux,
     sigma_signature,
 )
 from ncring.oracle import current_sweep, ground_state_sweep, signature_by_finite_difference
@@ -42,7 +41,7 @@ def test_criterion_1_reference_flux_value():
     ring = RingSystem(
         radius=1e-6, n_electrons=3, sw=SwParams(alpha=1.0, theta_tilde=1.76e-61)
     )
-    f_nc = noncommutative_flux(ring)
+    f_nc = ring.f_nc
     rel = abs(f_nc - 1.5828e-5) / 1.5828e-5
     assert rel <= 1e-3, f"f_nc = {f_nc} deviates {rel:.2e} from 1.5828e-5"
     _report(1, f"f_nc = {f_nc:.6e} matches 1.5828e-5 within {rel:.1e} (tol 1e-3)")

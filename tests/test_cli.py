@@ -32,11 +32,23 @@ class TestExitCodes:
     def test_missing_trace_exits_two(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
 
-    def test_invalid_range_exits_two(self, tmp_path):
+    def test_invalid_range_exits_two(self, tmp_path, capsys):
         # f_max beyond the zone boundary is an input error
         assert (
             run_cli("simulate", "--f-max", "0.9", "--out", str(tmp_path)) == 2
         )
+        # so is an alpha outside the map's (0, 1], caught by the ring's own check
+        assert run_cli("constants", "--alpha", "1.5") == 2
+        assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_non_finite_trace_exits_two(self, tmp_path, capsys):
+        assert run_cli("simulate", "--n-electrons", "3", "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        row = lines.index("f,J") + 5
+        lines[row] = lines[row].split(",")[0] + ",nan"
+        (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("analyze", str(tmp_path / "trace.csv"), "--out", str(tmp_path)) == 2
+        assert f"line {row + 1}: non-finite value" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -133,6 +133,16 @@ class TestTraceCsv:
             read_trace_csv(path)
         assert err.value.line == 11
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "inf,-3.0", "0.5,-inf"])
+    def test_non_finite_value_carries_line_number(self, tmp_path, row):
+        rows = [f"0.{i + 1},-0.{i + 1}" for i in range(9)]
+        rows[4] = row
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("f,J\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_trace_csv(path)
+        assert err.value.line == 6
+
     def test_non_monotonic_flux(self, tmp_path):
         rows = "\n".join(f"{f},-1.0" for f in (0.1, 0.2, 0.15, 0.3, 0.4, 0.5, 0.6, 0.7))
         path = tmp_path / "nm.csv"
@@ -186,6 +196,8 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ParseError):
             parse_config("f_min = 0.4\nf_max = 0.1\n")
+        with pytest.raises(ParseError):  # the ring's own check: alpha in (0, 1]
+            parse_config("alpha = 1.5\n")
         with pytest.raises(ValueError):
             RunConfig(smoothing_window=4)
         with pytest.raises(ValueError):
@@ -201,8 +213,6 @@ class TestRunConfig:
         config = RunConfig(n_electrons=3, alpha=0.5)
         ring = config.ring()
         assert ring.n_electrons == 3 and ring.sw.alpha == 0.5
-        options = config.analysis_options(blind=False)
-        assert options.alpha == 0.5 and options.blind is False
 
 
 def _verdict(kind=VerdictKind.NO_NC_DETECTED, f_nc=None, theta=None):

@@ -18,7 +18,6 @@ from ncring.model import (
     eigenenergy,
     ground_state_energy,
     lambda_signature,
-    noncommutative_flux,
     persistent_current,
     reduce_to_zone,
     sigma_signature,
@@ -110,7 +109,7 @@ class TestNoncommutativeFlux:
             n_electrons=3,
             sw=SwParams(alpha=1.0, theta_tilde=THETA_TILDE_REF),
         )
-        assert noncommutative_flux(ring) == pytest.approx(1.5828e-5, rel=1e-3)
+        assert ring.f_nc == pytest.approx(1.5828e-5, rel=1e-3)
 
     def test_zero_theta_tilde(self):
         ring = RingSystem(radius=1e-6, n_electrons=3, sw=SwParams())

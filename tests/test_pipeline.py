@@ -14,10 +14,9 @@ from ncring.errors import (
 )
 from ncring.model import RingSystem, lambda_signature, sigma_signature
 from ncring.pipeline import (
-    AnalysisOptions,
-    ClassifyThresholds,
     CurrentTrace,
     PowerLawFit,
+    RunConfig,
     TraceMeta,
     VerdictKind,
     analyze_trace,
@@ -300,7 +299,7 @@ class TestClassify:
         assert v.kind is VerdictKind.INCONCLUSIVE
 
     def test_thresholds_are_configurable(self):
-        tight = ClassifyThresholds(exponent_tol=0.01)
+        tight = RunConfig(exponent_tol=0.01)
         v = classify(_fit(-6e-5, -2.2), _fit(3.0, -2.0), 3, "odd", tight)
         assert v.kind is not VerdictKind.ODD_NC_DETECTED
 
@@ -378,8 +377,8 @@ class TestAnalyzeTrace:
     def test_blind_ignores_hint(self):
         ring = ring_with(3, 1e-5)
         trace = make_trace(ring)
-        blind = analyze_trace(trace, AnalysisOptions(blind=True))
-        informed = analyze_trace(trace, AnalysisOptions(blind=False))
+        blind = analyze_trace(trace, blind=True)
+        informed = analyze_trace(trace, blind=False)
         assert blind.verdict.estimated_n == informed.verdict.estimated_n == 3
 
     def test_seed_determinism(self):
