@@ -58,25 +58,13 @@ _INPUT_ERRORS = (
     IsADirectoryError,
 )
 
-_OVERRIDE_FLAGS = {
-    "radius": "radius_m",
-    "n_electrons": "n_electrons",
-    "theta_tilde": "theta_tilde",
-    "alpha": "alpha",
-    "seed": "seed",
-    "noise_sigma": "noise_sigma",
-    "f_min": "f_min",
-    "f_max": "f_max",
-    "points": "n_points",
-    "grid": "grid",
-    "smoothing_window": "smoothing_window",
-}
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="configuration file (key = value lines)")
     parser.add_argument("--out", help="output directory (default: $NCRING_OUT or ./out)")
-    parser.add_argument("--radius", type=float, help="ring radius in m")
+    parser.add_argument(
+        "--radius", dest="radius_m", metavar="RADIUS", type=float, help="ring radius in m"
+    )
     parser.add_argument("--n-electrons", type=int, help="electron count N")
     parser.add_argument("--theta-tilde", type=float, help="momentum noncommutativity scale")
     parser.add_argument("--alpha", type=float, help="map scaling alpha in (0, 1]")
@@ -84,7 +72,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-sigma", type=float, help="noise sigma in j0 units")
     parser.add_argument("--f-min", type=float, help="lower flux bound (phi0 units)")
     parser.add_argument("--f-max", type=float, help="upper flux bound (phi0 units)")
-    parser.add_argument("--points", type=int, help="number of grid points")
+    parser.add_argument(
+        "--points", dest="n_points", metavar="POINTS", type=int, help="number of grid points"
+    )
     parser.add_argument("--grid", choices=("log", "uniform"), help="grid spacing")
     parser.add_argument("--smoothing-window", type=int, help="odd moving-average width")
 
@@ -127,11 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = read_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for flag, field in _OVERRIDE_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if overrides:
         try:
             config = dataclasses.replace(config, **overrides)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,9 +38,7 @@ _HEADER_SI = "phi_wb,J_A"
 
 _RING_HINT_KEYS = ("n_electrons", "radius_m", "alpha", "theta_tilde")
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-_INT_FIELDS = {"n_electrons", "n_points", "seed", "smoothing_window"}
-_STR_FIELDS = {"grid", "units"}
+_CONFIG_TYPES = get_type_hints(RunConfig)  # field name -> int, float or str
 
 
 def parse_config(text: str) -> RunConfig:
@@ -52,17 +51,12 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw!r}", line=lineno)
         key, _, token = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ParseError(f"unknown configuration key {key!r}", line=lineno)
         if key in values:
             raise ParseError(f"duplicate configuration key {key!r}", line=lineno)
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(token)
-            elif key in _STR_FIELDS:
-                values[key] = token
-            else:
-                values[key] = float(token)
+            values[key] = _CONFIG_TYPES[key](token)
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}", line=lineno) from None
     try:
@@ -164,10 +158,11 @@ def read_trace_csv(
     """Parse a trace CSV written by :func:`write_trace_csv` (or compatible).
 
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
-    is converted on load, which requires a ring (passed in, or reconstructed
-    from the file's own metadata comments).  Raises ParseError with a line
-    number for malformed or non-finite content, NonMonotonicFlux for unsorted flux, and
-    UnitMismatch when SI data has no usable scales.
+    is converted on load with the current scale j0 of `ring`, or of the
+    ring in the file's own metadata comments when no ring is passed.  Raises
+    ParseError with a line number for malformed or non-finite content,
+    NonMonotonicFlux for unsorted flux, and UnitMismatch when SI data has no
+    usable scale or when the two rings give different scales.
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -216,6 +211,11 @@ def read_trace_csv(
         if scale_ring is None:
             raise UnitMismatch(
                 "SI trace has no current scale: pass a ring or include ring metadata"
+            )
+        if ring_hint is not None and not math.isclose(ring_hint.j0, scale_ring.j0, rel_tol=1e-9):
+            raise UnitMismatch(
+                f"SI trace metadata gives current scale j0 = {ring_hint.j0!r} A, "
+                f"but the configured ring gives j0 = {scale_ring.j0!r} A"
             )
         f = f / constants.flux_quantum
         j = j / scale_ring.j0
@@ -273,16 +273,9 @@ def write_results_report(
         "residual_floor": residual_floor,
     }
     for name, fit in (("lambda", verdict.lambda_fit), ("sigma", verdict.sigma_fit)):
-        if fit is None:
-            entries[f"{name}_amplitude"] = None
-            entries[f"{name}_exponent"] = None
-            entries[f"{name}_r_squared"] = None
-            entries[f"{name}_points_used"] = 0
-        else:
-            entries[f"{name}_amplitude"] = fit.amplitude
-            entries[f"{name}_exponent"] = fit.exponent
-            entries[f"{name}_r_squared"] = fit.r_squared
-            entries[f"{name}_points_used"] = fit.n_points_used
+        for key in ("amplitude", "exponent", "r_squared"):
+            entries[f"{name}_{key}"] = None if fit is None else getattr(fit, key)
+        entries[f"{name}_points_used"] = 0 if fit is None else fit.n_points_used
     for i, note in enumerate(verdict.diagnostics, start=1):
         entries[f"diagnostic_{i:02d}"] = note
 

@@ -19,7 +19,7 @@ metadata in the trace may supply the electron number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -235,13 +235,18 @@ def synthesize_trace(
     return CurrentTrace(f=f, j=j, meta=meta)
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Least-squares line y ~ intercept + slope * x; returns (intercept, slope, residuals)."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(coef[0]), float(coef[1]), y - design @ coef
+
+
 def _linear_fit(f: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
     """OLS of j on f; returns (intercept, slope, rms residual)."""
-    design = np.column_stack([np.ones_like(f), f])
-    coef, *_ = np.linalg.lstsq(design, j, rcond=None)
-    res = j - design @ coef
+    intercept, slope, res = _line_fit(f, j)
     dof = max(len(f) - 2, 1)
-    return float(coef[0]), float(coef[1]), float(np.sqrt(res @ res / dof))
+    return intercept, slope, float(np.sqrt(res @ res / dof))
 
 
 def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
@@ -388,10 +393,7 @@ def fit_power_law(
         )
     x = np.log10(f[mask])
     y = np.log10(np.abs(values[mask]))
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, slope = float(coef[0]), float(coef[1])
-    res = y - design @ coef
+    intercept, slope, res = _line_fit(x, y)
     ss_res = float(res @ res)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot > 0.0:
@@ -458,14 +460,14 @@ def classify(
     odd ring; case 2 (both divergent-negative with lambda's amplitude below
     sigma's) detects an even ring.  One commutative-limit signature absent
     while the other shows its parity's persistent divergence means no
-    effect was detected; anything else is inconclusive.
+    effect was detected; anything else is inconclusive.  A detection also
+    carries :func:`estimate_theta_tilde`'s f_nc and theta_tilde for `config`'s
+    ring, and ends its diagnostics with the f_nc cross-check.
     """
     lam_neg, lam_pos, lam_note = _divergence(lambda_fit, config, "lambda")
     sig_neg, sig_pos, sig_note = _divergence(sigma_fit, config, "sigma")
     diagnostics = [lam_note, sig_note, f"electron number estimate: {n_electrons} ({parity})"]
 
-    estimated_f_nc: float | None = None
-    estimated_theta_tilde: float | None = None
     if lam_neg and sig_pos:
         kind = VerdictKind.ODD_NC_DETECTED
         diagnostics.append("criterion case 1: odd-ring divergence pattern")
@@ -475,16 +477,23 @@ def classify(
     elif not (lam_neg or lam_pos) and sig_pos:
         kind = VerdictKind.NO_NC_DETECTED
         diagnostics.append("commutative odd pattern: lambda absent, sigma ~ +N/f^2")
-        estimated_f_nc = 0.0
-        estimated_theta_tilde = 0.0
     elif not (sig_neg or sig_pos) and lam_neg:
         kind = VerdictKind.NO_NC_DETECTED
         diagnostics.append("commutative even pattern: sigma absent, lambda ~ -N/f^2")
-        estimated_f_nc = 0.0
-        estimated_theta_tilde = 0.0
     else:
         kind = VerdictKind.INCONCLUSIVE
         diagnostics.append("no criterion case matches the observed divergence pattern")
+    estimated_f_nc = estimated_theta_tilde = 0.0 if kind is VerdictKind.NO_NC_DETECTED else None
+    if kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
+        estimate = estimate_theta_tilde(
+            kind, lambda_fit, sigma_fit, n_electrons, radius=config.radius_m, alpha=config.alpha
+        )
+        estimated_f_nc = estimate.f_nc_hat
+        estimated_theta_tilde = estimate.theta_tilde_hat
+        diagnostics.append(
+            f"f_nc cross-check: primary {estimate.f_nc_hat:.4e}, "
+            f"cross {estimate.f_nc_hat_cross:.4e}, relative gap {estimate.cross_gap:.4e}"
+        )
     return Verdict(
         kind=kind,
         lambda_fit=lambda_fit,
@@ -554,13 +563,12 @@ def estimate_theta_tilde(
 class AnalysisResult:
     verdict: Verdict
     signatures: SignatureTrace
-    estimate: NcEstimate | None
     trace_noise_rms: float
     residual_floor: float
 
 
 def _noise_floor(
-    signatures: SignatureTrace,
+    f: np.ndarray,
     sigma_j: float,
     smoothing_window: int,
     f_window: tuple[float, float],
@@ -573,9 +581,6 @@ def _noise_floor(
     divergence.  Scaling by f^2 and taking the window median therefore
     yields a floor directly comparable with a fitted 1/f^2 amplitude.
     """
-    f = signatures.f
-    if len(f) < 3:
-        return 0.0
     d2 = f[2:] - f[:-2]
     f_int = f[1:-1]
     s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * d2)
@@ -608,7 +613,10 @@ def analyze_trace(
     signatures = differentiate_trace(
         trace, n_electrons_hint=n_est, smoothing_window=config.smoothing_window
     )
-    floor = _noise_floor(signatures, sigma_j, config.smoothing_window, config.fit_window)
+    # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
+    # signatures still carry the rounding of J; the floor never goes below it.
+    sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(trace.j))))
+    floor = _noise_floor(trace.f, sigma_floor, config.smoothing_window, config.fit_window)
 
     keep = signatures.interior_mask()
     fits: dict[str, PowerLawFit | None] = {}
@@ -620,32 +628,9 @@ def analyze_trace(
         except InsufficientSignal:
             fits[name] = None
 
-    verdict = classify(fits["lambda"], fits["sigma"], n_est, parity, config)
-
-    estimate: NcEstimate | None = None
-    if verdict.kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
-        estimate = estimate_theta_tilde(
-            verdict.kind,
-            verdict.lambda_fit,
-            verdict.sigma_fit,
-            n_est,
-            radius=config.radius_m,
-            alpha=config.alpha,
-        )
-        verdict = replace(
-            verdict,
-            estimated_f_nc=estimate.f_nc_hat,
-            estimated_theta_tilde=estimate.theta_tilde_hat,
-            diagnostics=verdict.diagnostics
-            + (
-                f"f_nc cross-check: primary {estimate.f_nc_hat:.4e}, "
-                f"cross {estimate.f_nc_hat_cross:.4e}, relative gap {estimate.cross_gap:.4e}",
-            ),
-        )
     return AnalysisResult(
-        verdict=verdict,
+        verdict=classify(fits["lambda"], fits["sigma"], n_est, parity, config),
         signatures=signatures,
-        estimate=estimate,
         trace_noise_rms=sigma_j,
         residual_floor=floor,
     )

@@ -1,17 +1,31 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ncring
 from ncring.cli import main
 from ncring.dataio import RunConfig, write_config
 
 
 def run_cli(*args: str) -> int:
     return main(list(args))
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m ncring ...` in a child that imports the same package as the tests."""
+    src = str(Path(ncring.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ncring", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -24,10 +38,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 class TestExitCodes:
     def test_unknown_command_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncring", "frobnicate"], capture_output=True
-        )
-        assert proc.returncode == 2
+        assert run_module("frobnicate").returncode == 2
 
     def test_missing_trace_exits_two(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
@@ -50,12 +61,20 @@ class TestExitCodes:
         assert run_cli("analyze", str(tmp_path / "trace.csv"), "--out", str(tmp_path)) == 2
         assert f"line {row + 1}: non-finite value" in capsys.readouterr().err
 
+    def test_si_ring_mismatch_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "si.cfg"
+        write_config(RunConfig(radius_m=2e-6, n_electrons=3, units="si"), cfg)
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        trace = str(tmp_path / "trace.csv")
+        # the default config's ring (R = 1 um) disagrees with the file's
+        assert run_cli("analyze", trace, "--out", str(tmp_path)) == 2
+        assert "current scale" in capsys.readouterr().err
+        # with the file's radius the scales agree and N is recovered
+        assert run_cli("analyze", trace, "--radius", "2e-6", "--out", str(tmp_path)) == 0
+        assert "estimated_n: 3\n" in (tmp_path / "report.txt").read_text()
+
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncring", "constants", "--n-electrons", "3"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("constants", "--n-electrons", "3")
         assert proc.returncode == 0
         assert "flux_quantum_Wb" in proc.stdout
 

@@ -100,6 +100,17 @@ class TestTraceCsv:
         assert np.allclose(back.f, trace.f, rtol=1e-12)
         assert np.allclose(back.j, trace.j, rtol=1e-12)
 
+    def test_si_read_refuses_disagreeing_rings(self, tmp_path):
+        # the file's ring (R = 2 um) and the passed ring (R = 1 um) give
+        # different current scales: rescaling with either would be a guess
+        ring = RunConfig(radius_m=2e-6, n_electrons=3).ring()
+        trace = synthesize_trace(ring, 1e-3, 0.4, 16)
+        path = tmp_path / "si.csv"
+        write_trace_csv(trace, path, units="si", ring=ring)
+        with pytest.raises(UnitMismatch, match=repr(ring.j0)):
+            read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
+        assert read_trace_csv(path, ring=ring).meta.ring_hint.radius == 2e-6
+
     def test_hand_written_odd_trace(self, tmp_path):
         # a bare f,J file with slope -6 reads as an N=3 odd ring's trace
         from ncring.pipeline import estimate_electron_number

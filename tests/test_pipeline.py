@@ -265,10 +265,16 @@ class TestClassify:
     def test_case_one_odd_detection(self):
         v = classify(_fit(-6e-5, -2.0), _fit(3.0, -2.0), 3, "odd")
         assert v.kind is VerdictKind.ODD_NC_DETECTED
+        # the verdict comes finished: f_nc = -A_lambda / 2N, then the cross-check
+        assert v.estimated_f_nc == pytest.approx(1e-5, rel=1e-12)
+        assert v.diagnostics[-1].startswith("f_nc cross-check")
 
     def test_case_two_even_detection(self):
         v = classify(_fit(-4.08, -2.0), _fit(-8e-2, -2.0), 4, "even")
         assert v.kind is VerdictKind.EVEN_NC_DETECTED
+        # f_nc = -A_sigma / 2N
+        assert v.estimated_f_nc == pytest.approx(1e-2, rel=1e-12)
+        assert v.diagnostics[-1].startswith("f_nc cross-check")
 
     def test_commutative_odd(self):
         v = classify(None, _fit(3.0, -2.0), 3, "odd")
@@ -387,6 +393,24 @@ class TestAnalyzeTrace:
         b = analyze_trace(make_trace(ring, noise_sigma=0.001, seed=9))
         assert a.verdict == b.verdict
         assert np.array_equal(a.signatures.lam, b.signatures.lam)
+
+    @pytest.mark.parametrize(
+        "n, n_points, grid, f_max",
+        [(n, 256, "uniform", 0.4) for n in (6, 12, 24)]
+        + [(n, 1000, "log", 0.49) for n in (6, 12, 24)]
+        + [(10, 16, "log", 0.1), (20, 16, "log", 0.1), (100, 128, "log", 0.1),
+           (1000, 128, "log", 0.4)],
+    )
+    def test_noiseless_commutative_not_detected(self, n, n_points, grid, f_max):
+        # an exactly linear fit leaves sigma_j = 0; the floor must still sit at
+        # the rounding level of J, or rounding noise passes for a divergence
+        trace = synthesize_trace(ring_with(n, 0.0), 1e-3, f_max, n_points, grid=grid)
+        result = analyze_trace(trace)
+        assert result.verdict.kind not in (
+            VerdictKind.ODD_NC_DETECTED,
+            VerdictKind.EVEN_NC_DETECTED,
+        )
+        assert result.residual_floor > 0.0
 
     def test_monotone_degradation_sample(self):
         # noise must never turn a commutative trace into a detection
