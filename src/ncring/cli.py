@@ -55,7 +55,9 @@ _INPUT_ERRORS = (
     TooFewPoints,
     DegenerateFit,
     FileNotFoundError,
+    FileExistsError,
     IsADirectoryError,
+    NotADirectoryError,
 )
 
 
@@ -309,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NcRingError as exc:
         print(f"ncring: internal error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect: one line, never a traceback
+        print(f"ncring: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -162,7 +162,8 @@ def read_trace_csv(
     ring in the file's own metadata comments when no ring is passed.  Raises
     ParseError with a line number for malformed or non-finite content,
     NonMonotonicFlux for unsorted flux, and UnitMismatch when SI data has no
-    usable scale or when the two rings give different scales.
+    usable scale, when the two rings give different scales, or when the
+    file's ring and `ring` differ in radius or alpha.
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -219,6 +220,17 @@ def read_trace_csv(
             )
         f = f / constants.flux_quantum
         j = j / scale_ring.j0
+    if ring is not None and ring_hint is not None:
+        # radius and alpha turn the fitted f_nc into theta_tilde
+        for key, stored, given in (
+            ("radius_m", ring_hint.radius, ring.radius),
+            ("alpha", ring_hint.sw.alpha, ring.sw.alpha),
+        ):
+            if not math.isclose(stored, given, rel_tol=1e-9):
+                raise UnitMismatch(
+                    f"trace metadata gives {key} = {stored!r}, "
+                    f"but the configured ring has {key} = {given!r}"
+                )
     if not np.all(np.diff(f) > 0.0):
         raise NonMonotonicFlux("flux values must be strictly increasing")
     if not np.all(f > 0.0):

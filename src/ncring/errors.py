@@ -56,7 +56,7 @@ class NonMonotonicFlux(NcRingError):
 
 
 class UnitMismatch(NcRingError):
-    """SI-unit data was given without the scales needed to reduce it."""
+    """A trace's units or ring disagree with the scales needed to interpret it."""
 
 
 class EmptySeries(NcRingError):

@@ -1,10 +1,14 @@
 """Brute-force reference implementations used to validate the closed forms.
 
-Nothing here is a performance path: levels are enumerated, sorted and summed
-explicitly so that the closed-form spectrum, ground-state energy, current
-and signatures can all be checked against an independent construction.
-The sweep helpers at the bottom back both the test suite and the `verify`
-CLI subcommand.
+Levels are enumerated, sorted and summed explicitly so that the closed-form
+ground-state energy and current can be checked against a construction that
+never calls them.  One kernel, :func:`_fill`, fills a whole flux array for
+one ring: the level columns n = 0, -1, 1, -2, 2, ... are laid out in
+tie-break order, a stable sort along each row fills the N lowest, and each
+row is summed with math.fsum.  The scalar oracles are its one-point case,
+and the sweep helpers at the bottom, which back both the test suite and the
+`verify` CLI subcommand, call it once per ring.  The signature differences
+alone are built on the closed-form current.
 """
 
 from __future__ import annotations
@@ -59,6 +63,45 @@ def default_window(n_electrons: int) -> int:
     return n_electrons // 2 + 5
 
 
+def _fill(
+    ring: RingSystem, f: np.ndarray, window: int | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Occupy the N lowest levels among n in [-window, window] at each flux of `f`.
+
+    Returns (occupied, levels, window): row b of the (len(f), N) arrays holds
+    the quantum numbers and energies filled at f[b], in filling order.  The
+    level columns are laid out in tie-break order, so a stable sort along
+    each row breaks exact degeneracies by smaller |n|, then negative n.
+    Raises WindowTooSmall if the window cannot hold the filling or if a
+    filled level sits on the enumeration boundary.
+    """
+    n_el = ring.n_electrons
+    m = default_window(n_el) if window is None else int(window)
+    if m < n_el / 2 + 2:
+        raise WindowTooSmall(
+            f"window {m} too small for {n_el} electrons; need >= N/2 + 2"
+        )
+    k = np.arange(2 * m + 1)
+    n = (k + 1) // 2 * (1 - 2 * (k % 2))  # tie-break order 0, -1, 1, -2, 2, ...
+    x = f - ring.f_nc
+    # float_power rounds each square as the scalar (n + x) ** 2 (libm pow)
+    # does; u * u differs from it in the last bit for about one level in a
+    # thousand, which would move the fsum totals off the scalar definition
+    levels = np.float_power(n + x[:, None], 2.0) - 0.75 * ring.f_nc**2
+    order = np.argsort(levels, axis=1, kind="stable")[:, :n_el]
+    occupied = n[order]
+    if np.any(np.abs(occupied) == m):
+        raise WindowTooSmall(
+            f"filling touches the enumeration boundary +-{m}; enlarge the window"
+        )
+    return occupied, np.take_along_axis(levels, order, axis=1), m
+
+
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row."""
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
 def ground_state_by_filling(
     ring: RingSystem, f: float, window: int | None = None
 ) -> LevelFilling:
@@ -69,26 +112,32 @@ def ground_state_by_filling(
     identical filling.  Raises WindowTooSmall if the window cannot hold the
     filling or if the filled set touches the enumeration boundary.
     """
-    n_el = ring.n_electrons
-    m = default_window(n_el) if window is None else int(window)
-    if m < n_el / 2 + 2:
-        raise WindowTooSmall(
-            f"window {m} too small for {n_el} electrons; need >= N/2 + 2"
-        )
-    x = float(f) - ring.f_nc
-    offset = 0.75 * ring.f_nc**2
-    levels = [((n + x) ** 2 - offset, n) for n in range(-m, m + 1)]
-    levels.sort(key=lambda t: (t[0], abs(t[1]), t[1] >= 0))
-    filled = levels[:n_el]
-    if any(abs(n) == m for _, n in filled):
-        raise WindowTooSmall(
-            f"filling touches the enumeration boundary +-{m}; enlarge the window"
-        )
+    occupied, levels, m = _fill(ring, np.array([float(f)]), window)
     return LevelFilling(
-        occupied=tuple(n for _, n in filled),
-        total_energy=math.fsum(e for e, _ in filled),
+        occupied=tuple(occupied[0].tolist()),
+        total_energy=math.fsum(levels[0].tolist()),
         window=m,
     )
+
+
+def _finite_difference_current(
+    ring: RingSystem, f: np.ndarray, h: float, window: int | None = None
+) -> np.ndarray:
+    """-dE_g/df at each flux of `f` by the telescoped central difference."""
+    if not h > 0.0:
+        raise ValueError("h must be strictly positive")
+    fp, fm = f + h, f - h
+    occupied = _fill(ring, fp, window)[0]
+    occupied_m = _fill(ring, fm, window)[0]
+    moved = np.any(np.sort(occupied, axis=1) != np.sort(occupied_m, axis=1), axis=1)
+    if moved.any():
+        raise NearDegeneracy(
+            f"occupation changes across f = {float(f[moved][0])} +- {h}; "
+            "move away from the crossing"
+        )
+    xp = (fp - ring.f_nc)[:, None]
+    xm = (fm - ring.f_nc)[:, None]
+    return -_fsum_rows(2.0 * occupied + xp + xm)
 
 
 def current_by_finite_difference(
@@ -106,25 +155,14 @@ def current_by_finite_difference(
     catastrophic cancellation that would otherwise swamp the O(N) signal.
     Raises NearDegeneracy if the occupation changes between f-h and f+h.
     """
-    if not h > 0.0:
-        raise ValueError("h must be strictly positive")
-    fill_p = ground_state_by_filling(ring, f + h, window)
-    fill_m = ground_state_by_filling(ring, f - h, window)
-    if sorted(fill_p.occupied) != sorted(fill_m.occupied):
-        raise NearDegeneracy(
-            f"occupation changes across f = {f} +- {h}; move away from the crossing"
-        )
-    xp = (f + h) - ring.f_nc
-    xm = (f - h) - ring.f_nc
-    return -math.fsum(2.0 * n + xp + xm for n in fill_p.occupied)
+    return float(_finite_difference_current(ring, np.array([float(f)]), h, window)[0])
 
 
-def boundary_distance(ring: RingSystem, f: float) -> float:
-    """Distance in f from the nearest ground-state level crossing."""
-    x = reduce_to_zone(float(f) - ring.f_nc, ring.parity)
-    if ring.parity == "odd":
-        return 0.5 - abs(x)
-    return min(x, 1.0 - x)
+def boundary_distance(ring: RingSystem, f):
+    """Distance in f from the nearest ground-state level crossing (scalar or array)."""
+    x = np.asarray(reduce_to_zone(np.asarray(f, dtype=float) - ring.f_nc, ring.parity))
+    d = 0.5 - np.abs(x) if ring.parity == "odd" else np.minimum(x, 1.0 - x)
+    return float(d) if d.ndim == 0 else d
 
 
 def signature_by_finite_difference(
@@ -196,6 +234,27 @@ def _sweep_rings(
             yield RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
 
 
+def _filling_sweep(label, rings, grid, exclusion, tol, closed, oracle) -> SweepResult:
+    """Max of |closed - oracle| / max(1, |closed|) over every ring's grid points.
+
+    Points within `exclusion` of a level crossing are skipped.  `closed` and
+    `oracle` take a ring and its kept flux array; the worst point is the
+    first maximum in (ring, f) order.
+    """
+    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
+    for ring in rings:
+        f = grid[boundary_distance(ring, grid) > exclusion]
+        if not f.size:
+            continue
+        value = closed(ring, f)
+        dev = np.abs(value - oracle(ring, f)) / np.maximum(1.0, np.abs(value))
+        count += f.size
+        i = int(np.argmax(dev))
+        if dev[i] > max_dev:
+            max_dev, worst = float(dev[i]), (ring.n_electrons, ring.f_nc, float(f[i]))
+    return SweepResult(label, count, max_dev, tol, worst)
+
+
 def ground_state_sweep(
     n_values: Sequence[int] = DEFAULT_N_VALUES,
     f_nc_values: Sequence[float] = DEFAULT_F_NC_VALUES,
@@ -204,19 +263,11 @@ def ground_state_sweep(
     tol: float = 1e-12,
 ) -> SweepResult:
     """Max of |E_g(closed) - E_g(oracle)| / max(1, |E_g|) over the standard sweep."""
-    grid = zone_flux_grid(n_flux)
-    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
-    for ring in _sweep_rings(n_values, f_nc_values):
-        for f in grid:
-            if boundary_distance(ring, f) <= exclusion:
-                continue
-            e_closed = ground_state_energy(ring, f)
-            e_oracle = ground_state_by_filling(ring, f).total_energy
-            dev = abs(e_closed - e_oracle) / max(1.0, abs(e_closed))
-            count += 1
-            if dev > max_dev:
-                max_dev, worst = dev, (ring.n_electrons, ring.f_nc, float(f))
-    return SweepResult("ground-state closed form vs filling oracle", count, max_dev, tol, worst)
+    return _filling_sweep(
+        "ground-state closed form vs filling oracle",
+        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), exclusion, tol,
+        ground_state_energy, lambda ring, f: _fsum_rows(_fill(ring, f, None)[1]),
+    )
 
 
 def current_sweep(
@@ -228,19 +279,12 @@ def current_sweep(
     tol: float = 1e-10,
 ) -> SweepResult:
     """Max of |J(closed) + dE_g/df(oracle)| / max(1, |J|) over the standard sweep."""
-    grid = zone_flux_grid(n_flux)
-    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
-    for ring in _sweep_rings(n_values, f_nc_values):
-        for f in grid:
-            if boundary_distance(ring, f) <= max(exclusion, 10.0 * h):
-                continue
-            j_closed = persistent_current(ring, f)
-            j_oracle = current_by_finite_difference(ring, f, h=h)
-            dev = abs(j_closed - j_oracle) / max(1.0, abs(j_closed))
-            count += 1
-            if dev > max_dev:
-                max_dev, worst = dev, (ring.n_electrons, ring.f_nc, float(f))
-    return SweepResult("current closed form vs -dE/df oracle", count, max_dev, tol, worst)
+    return _filling_sweep(
+        "current closed form vs -dE/df oracle",
+        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux),
+        max(exclusion, 10.0 * h), tol,
+        persistent_current, lambda ring, f: _finite_difference_current(ring, f, h),
+    )
 
 
 def signature_sweep(

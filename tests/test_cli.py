@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ncring
+from ncring import cli
 from ncring.cli import main
 from ncring.dataio import RunConfig, write_config
 
@@ -72,6 +73,37 @@ class TestExitCodes:
         # with the file's radius the scales agree and N is recovered
         assert run_cli("analyze", trace, "--radius", "2e-6", "--out", str(tmp_path)) == 0
         assert "estimated_n: 3\n" in (tmp_path / "report.txt").read_text()
+
+    def test_reduced_trace_ring_mismatch_exits_two(self, tmp_path, capsys):
+        # theta_tilde_hat is f_nc_hat converted with the config's radius: a
+        # reduced trace whose metadata names another ring would get a wrong one
+        assert run_cli(
+            "simulate", "--radius", "2e-6", "--n-electrons", "3", "--out", str(tmp_path)
+        ) == 0
+        trace = str(tmp_path / "trace.csv")
+        assert run_cli("analyze", trace, "--n-electrons", "3", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "radius_m = 2e-06" in err and err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
+        args = ("analyze", trace, "--n-electrons", "3", "--radius", "2e-6")
+        assert run_cli(*args, "--out", str(tmp_path)) == 0
+        assert "theta_tilde_hat: 1.7610e-61\n" in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("")
+        assert run_cli("current", "--out", str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncring: error: ") and err.count("\n") == 1
+
+    def test_unexpected_exception_is_one_line_exit_one(self, monkeypatch, capsys):
+        def broken(args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setitem(cli._COMMANDS, "constants", broken)
+        assert run_cli("constants") == 1
+        err = capsys.readouterr().err
+        assert err == "ncring: internal error: ZeroDivisionError: float division by zero\n"
 
     def test_console_entry_point(self):
         proc = run_module("constants", "--n-electrons", "3")
@@ -157,7 +189,27 @@ class TestCommands:
 
     def test_verify_quick(self, capsys):
         assert run_cli("verify", "--quick") == 0
-        assert "verification passed" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "ground-state closed form vs filling oracle: max dev 3.255e-16 (tol 1e-12) "
+            "over 1452 points, worst at N=5, f_nc=0.01, f=-0.5625  [OK]\n"
+            "current closed form vs -dE/df oracle: max dev 6.883e-15 (tol 1e-10) "
+            "over 1452 points, worst at N=12, f_nc=1e-05, f=-0.5  [OK]\n"
+            "signature closed forms vs finite differences: max dev 3.003e-08 (tol 1e-06) "
+            "over 168 points, worst at N=4, f_nc=1e-05, f=0.00153413  [OK]\n"
+            "verification passed\n"
+        )
+
+    def test_verify_full(self, capsys):
+        assert run_cli("verify") == 0
+        assert capsys.readouterr().out == (
+            "ground-state closed form vs filling oracle: max dev 3.403e-16 (tol 1e-12) "
+            "over 24180 points, worst at N=3, f_nc=1e-05, f=0.54902  [OK]\n"
+            "current closed form vs -dE/df oracle: max dev 1.090e-13 (tol 1e-10) "
+            "over 24180 points, worst at N=60, f_nc=1e-05, f=0.490196  [OK]\n"
+            "signature closed forms vs finite differences: max dev 3.860e-08 (tol 1e-06) "
+            "over 450 points, worst at N=4, f_nc=1e-05, f=0.0738152  [OK]\n"
+            "verification passed\n"
+        )
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NCRING_OUT", str(tmp_path / "envout"))

@@ -111,6 +111,17 @@ class TestTraceCsv:
             read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
         assert read_trace_csv(path, ring=ring).meta.ring_hint.radius == 2e-6
 
+    @pytest.mark.parametrize("key, value", [("radius_m", 2e-6), ("alpha", 0.5)])
+    def test_reduced_read_refuses_other_radius_or_alpha(self, tmp_path, key, value):
+        # radius and alpha convert the fitted f_nc into theta_tilde, so a
+        # reduced trace from another ring cannot be read with the config's
+        ring = RunConfig(n_electrons=3, **{key: value}).ring()
+        path = tmp_path / "reduced.csv"
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 16), path, ring=ring)
+        with pytest.raises(UnitMismatch, match=f"{key} = {value!r}"):
+            read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
+        assert read_trace_csv(path, ring=ring).meta.ring_hint == ring
+
     def test_hand_written_odd_trace(self, tmp_path):
         # a bare f,J file with slope -6 reads as an N=3 odd ring's trace
         from ncring.pipeline import estimate_electron_number

@@ -1,5 +1,8 @@
 """Brute-force oracle: level filling, finite differences, sweep agreement."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +15,13 @@ from ncring.model import (
     persistent_current,
     sigma_signature,
 )
+from ncring import oracle
 from ncring.oracle import (
+    LevelFilling,
     boundary_distance,
     current_by_finite_difference,
     current_sweep,
+    default_window,
     ground_state_by_filling,
     ground_state_sweep,
     signature_by_finite_difference,
@@ -26,6 +32,75 @@ from ncring.oracle import (
 
 def ring_with(n_electrons: int, f_nc: float) -> RingSystem:
     return RingSystem.from_f_nc(n_electrons=n_electrons, f_nc=f_nc)
+
+
+# ---------------------------------------------------------------------------
+# the per-point list-sort filling, kept as the reference for the batched kernel
+
+
+def reference_filling(ring: RingSystem, f: float, window: int | None = None) -> LevelFilling:
+    n_el = ring.n_electrons
+    m = default_window(n_el) if window is None else int(window)
+    if m < n_el / 2 + 2:
+        raise WindowTooSmall("window too small")
+    x = float(f) - ring.f_nc
+    offset = 0.75 * ring.f_nc**2
+    levels = [((n + x) ** 2 - offset, n) for n in range(-m, m + 1)]
+    levels.sort(key=lambda t: (t[0], abs(t[1]), t[1] >= 0))
+    filled = levels[:n_el]
+    if any(abs(n) == m for _, n in filled):
+        raise WindowTooSmall("filling touches the boundary")
+    return LevelFilling(
+        occupied=tuple(n for _, n in filled),
+        total_energy=math.fsum(e for e, _ in filled),
+        window=m,
+    )
+
+
+def reference_current(
+    ring: RingSystem, f: float, h: float = 1e-6, window: int | None = None
+) -> float:
+    fill_p = reference_filling(ring, f + h, window)
+    fill_m = reference_filling(ring, f - h, window)
+    if sorted(fill_p.occupied) != sorted(fill_m.occupied):
+        raise NearDegeneracy("occupation changes")
+    xp = (f + h) - ring.f_nc
+    xm = (f - h) - ring.f_nc
+    return -math.fsum(2.0 * n + xp + xm for n in fill_p.occupied)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, with floats as their exact hex, or the type of the oracle error."""
+    try:
+        result = fn(*args, **kwargs)
+    except (WindowTooSmall, NearDegeneracy) as exc:
+        return type(exc)
+    if isinstance(result, LevelFilling):
+        return result.occupied, result.total_energy.hex(), result.window
+    if isinstance(result, np.ndarray):
+        return [v.hex() for v in result.tolist()]
+    return result.hex()
+
+
+@st.composite
+def filling_cases(draw):
+    """A ring, a window from below N/2 + 2 upward (or the default) and a flux batch.
+
+    The batch mixes drawn fluxes with exact level degeneracies x = f - f_nc
+    in {0, +-0.5, +-1}, where only the column order breaks the tie.
+    """
+    n = draw(st.integers(1, 60))
+    f_nc = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e-5, 0.01, 0.3]),
+            st.floats(0.0, 0.5, allow_nan=False, allow_infinity=False),
+        )
+    )
+    window = draw(st.one_of(st.none(), st.integers(max(0, n // 2 - 1), n // 2 + 8)))
+    degenerate = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]).map(lambda x: x + f_nc)
+    drawn = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    f = draw(st.lists(st.one_of(degenerate, drawn), min_size=1, max_size=12))
+    return ring_with(n, f_nc), window, f
 
 
 class TestGroundStateByFilling:
@@ -102,6 +177,75 @@ class TestGroundStateByFilling:
         fill = ground_state_by_filling(ring, f)
         e_closed = ground_state_energy(ring, f)
         assert fill.total_energy == pytest.approx(e_closed, rel=1e-12, abs=1e-12)
+
+
+class TestFillingKernelMatchesReference:
+    @given(case=filling_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_ground_state_by_filling(self, case):
+        ring, window, fluxes = case
+        for f in fluxes:
+            assert outcome(ground_state_by_filling, ring, f, window) == outcome(
+                reference_filling, ring, f, window
+            )
+
+    @given(case=filling_cases(), h=st.sampled_from([1e-6, 1e-3, 0.25]))
+    @settings(max_examples=200, deadline=None)
+    def test_current_by_finite_difference(self, case, h):
+        ring, window, fluxes = case
+        for f in fluxes:
+            assert outcome(current_by_finite_difference, ring, f, h, window) == outcome(
+                reference_current, ring, f, h, window
+            )
+
+    @given(case=filling_cases(), h=st.sampled_from([1e-6, 1e-3]))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_rows(self, case, h):
+        # the sweeps fill a whole flux array at once: each row must be the
+        # reference filling of its own point, and a batch fails iff a point does
+        ring, window, fluxes = case
+        f = np.array(fluxes)
+        fills = [outcome(reference_filling, ring, v, window) for v in fluxes]
+        if WindowTooSmall in fills:
+            assert outcome(oracle._fill, ring, f, window) is WindowTooSmall
+        else:
+            occupied, levels, m = oracle._fill(ring, f, window)
+            rows = [
+                (tuple(o), math.fsum(e).hex(), m)
+                for o, e in zip(occupied.tolist(), levels.tolist())
+            ]
+            assert rows == fills
+        currents = [outcome(reference_current, ring, v, h, window) for v in fluxes]
+        batch = outcome(oracle._finite_difference_current, ring, f, h, window)
+        if WindowTooSmall in currents:
+            assert batch in (WindowTooSmall, NearDegeneracy)
+        elif NearDegeneracy in currents:
+            assert batch is NearDegeneracy
+        else:
+            assert batch == currents
+
+
+class TestOracleIndependence:
+    def test_oracles_never_call_the_closed_forms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called a closed form it checks")
+
+        for name in (
+            "ground_state_energy",
+            "persistent_current",
+            "lambda_signature",
+            "sigma_signature",
+            "reduce_to_zone",
+        ):
+            monkeypatch.setattr(oracle, name, refuse)
+        ring = ring_with(7, 0.01)
+        fill = ground_state_by_filling(ring, 0.13)
+        assert len(fill.occupied) == 7
+        assert current_by_finite_difference(ring, 0.13) == pytest.approx(-14 * 0.12, rel=1e-9)
+        f = zone_flux_grid(31)
+        assert oracle._fill(ring, f, None)[0].shape == (31, 7)
+        f = f[np.abs(f - 0.51) > 0.05]
+        assert oracle._finite_difference_current(ring, f, 1e-6).shape == f.shape
 
 
 class TestCurrentByFiniteDifference:
@@ -183,6 +327,14 @@ class TestSweeps:
         even = ring_with(4, 0.0)
         assert boundary_distance(even, 1.0) == pytest.approx(0.0, abs=1e-15)
         assert boundary_distance(even, 0.75) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("n_electrons", [3, 4])
+    def test_boundary_distance_array_matches_scalar(self, n_electrons):
+        ring = ring_with(n_electrons, 0.01)
+        grid = zone_flux_grid(101)
+        d = boundary_distance(ring, grid)
+        assert isinstance(boundary_distance(ring, 0.3), float)
+        assert d.tolist() == [boundary_distance(ring, float(f)) for f in grid]
 
     def test_ground_state_sweep_small(self):
         result = ground_state_sweep(n_values=range(1, 13), n_flux=31)
