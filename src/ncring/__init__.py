@@ -46,6 +46,7 @@ from ncring.dataio import (
     serialize_config,
     write_config,
     write_results_report,
+    write_table,
     write_trace_csv,
 )
 from ncring.svgplot import emit_plot

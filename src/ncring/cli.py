@@ -31,6 +31,7 @@ from ncring.dataio import (
     read_config,
     read_trace_csv,
     write_results_report,
+    write_table,
     write_trace_csv,
 )
 from ncring.errors import (
@@ -137,19 +138,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_signatures(
-    table: Path, svg: Path, f: np.ndarray, lam: np.ndarray, sig: np.ndarray, header: str = ""
+    table: Path, svg: Path, f: np.ndarray, lam: np.ndarray, sig: np.ndarray, comments=()
 ) -> Path:
     """Write the f,lambda,sigma table and the |lambda|, |sigma| log-log plot."""
-    with open(table, "w", newline="\n") as fh:
-        fh.write(header + "f,lambda,sigma\n")
-        for fv, lv, sv in zip(f, lam, sig):
-            fh.write(f"{float(fv)!r},{float(lv)!r},{float(sv)!r}\n")
+    write_table(table, "f,lambda,sigma", (f, lam, sig), comments)
     return emit_plot(
         [
-            ("|lambda|", list(zip(f.tolist(), np.abs(lam).tolist()))),
-            ("|sigma|", list(zip(f.tolist(), np.abs(sig).tolist()))),
+            ("|lambda|", np.column_stack((f, np.abs(lam)))),
+            ("|sigma|", np.column_stack((f, np.abs(sig)))),
         ],
-        {"x_log": True, "y_log": True},
         svg,
     )
 
@@ -179,8 +176,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         ("b_eff_T", ring.b_eff),
     ]
     for key, value in rows:
-        token = repr(value) if isinstance(value, float) else str(value)
-        print(f"{key}: {token}")
+        print(f"{key}: {value}")
     return 0
 
 
@@ -192,11 +188,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise InvalidRange("--n-levels must be non-negative")
     out = _out_dir(args) / "spectrum.csv"
     grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("f,n,E_reduced\n")
-        for f in grid:
-            for n in range(-k, k + 1):
-                fh.write(f"{float(f)!r},{n},{eigenenergy(ring, n, float(f))!r}\n")
+    levels = np.arange(-k, k + 1)
+    f = np.repeat(grid, levels.size)
+    n = np.tile(levels, grid.size)
+    write_table(out, "f,n,E_reduced", (f, n, eigenenergy(ring, n, f)))
     print(f"wrote {out}")
     return 0
 
@@ -254,7 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         signatures.f,
         signatures.lam,
         signatures.sig,
-        header=f"# method: {signatures.method}\n",
+        comments=(f"# method: {signatures.method}",),
     )
 
     report = out_dir / "report.txt"

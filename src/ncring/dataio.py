@@ -2,24 +2,26 @@
 
 All writers are deterministic functions of their inputs: no timestamps, no
 locale-dependent formatting, `.` as the decimal separator, LF endings.
-Data files use the shortest round-trip float representation (Python repr);
-human-facing reports use %.4e.  SI-to-reduced conversion happens here and
-nowhere else.  :class:`RunConfig` is defined in :mod:`ncring.pipeline` and
-re-exported here, where its file form is parsed and serialized.
+Every data CSV (traces, the CLI's tables, the plot's CSV twin) is written
+by :func:`write_table`, the one row writer: comma-joined shortest
+round-trip floats.  Human-facing reports use %.4e.  SI-to-reduced
+conversion happens here and nowhere else.  :class:`RunConfig` is defined
+in :mod:`ncring.pipeline` and re-exported here, where its file form is
+parsed and serialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from ncring.constants import CODATA2018, PhysConstants
 from ncring.errors import NonMonotonicFlux, ParseError, UnitMismatch
-from ncring.model import RingSystem, SwParams
+from ncring.model import RingSystem
 from ncring.pipeline import MIN_TRACE_POINTS, CurrentTrace, RunConfig, TraceMeta, Verdict
 
 __all__ = [
@@ -31,12 +33,14 @@ __all__ = [
     "read_trace_csv",
     "write_trace_csv",
     "write_results_report",
+    "write_table",
 ]
 
 _HEADER_REDUCED = "f,J"
 _HEADER_SI = "phi_wb,J_A"
 
 _RING_HINT_KEYS = ("n_electrons", "radius_m", "alpha", "theta_tilde")
+_RING_KEYS = (*_RING_HINT_KEYS, "mass_kg")  # metadata keys named as RunConfig fields
 
 _CONFIG_TYPES = get_type_hints(RunConfig)  # field name -> int, float or str
 
@@ -66,12 +70,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical text form: declaration order, repr floats, LF endings."""
+    """Canonical text form: declaration order, shortest-repr floats, LF endings."""
     lines = []
     for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        token = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name} = {token}")
+        lines.append(f"{f.name} = {getattr(config, f.name)}")
     return "\n".join(lines) + "\n"
 
 
@@ -101,69 +103,79 @@ def _meta_lines(meta: TraceMeta) -> list[str]:
     return lines
 
 
+def write_table(path: str | Path, header: str, columns, comments=()) -> None:
+    """Write `comments` lines, then `header`, then one row per index of `columns`.
+
+    This is the one row writer for every data CSV.  A row is its values
+    `%s`-joined by commas; numpy columns go through `.tolist()` first, so
+    each float is written as a Python float, whose str is its shortest
+    round-trip repr (numpy 2's repr of its scalars is `np.float64(...)`).
+    Other columns are iterated as they are.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join(["%s"] * len(cols)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in (*comments, header)))
+        rows = map(row.__mod__, zip(*cols))
+        while chunk := "".join(islice(rows, 4096)):  # bounded memory, few writes
+            fh.write(chunk)
+
+
 def write_trace_csv(
     trace: CurrentTrace,
     path: str | Path,
     units: str = "reduced",
     ring: RingSystem | None = None,
-    constants: PhysConstants = CODATA2018,
 ) -> None:
     """Write a trace as CSV with `# key: value` metadata comments.
 
     Reduced units use the `f,J` header; SI output (`phi_wb,J_A`) needs a
-    ring to supply the current scale.
+    ring to supply the flux quantum and the current scale.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = _meta_lines(trace.meta)
     if units == "reduced":
-        lines.append(_HEADER_REDUCED)
-        for f, j in zip(trace.f, trace.j):
-            lines.append(f"{float(f)!r},{float(j)!r}")
+        header, f, j = _HEADER_REDUCED, trace.f, trace.j
     elif units == "si":
         if ring is None:
             raise UnitMismatch("SI output needs a ring to fix the current scale")
-        phi0 = constants.flux_quantum
-        lines.append(_HEADER_SI)
-        for f, j in zip(trace.f, trace.j):
-            lines.append(f"{float(f) * phi0!r},{float(j) * ring.j0!r}")
+        header, f, j = _HEADER_SI, trace.f * ring.constants.flux_quantum, trace.j * ring.j0
     else:
         raise ValueError(f"units must be 'reduced' or 'si', got {units!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, header, (f, j), comments=_meta_lines(trace.meta))
 
 
-def _ring_hint_from_meta(meta: dict[str, str]) -> RingSystem | None:
-    if not all(key in meta for key in _RING_HINT_KEYS):
-        return None
-    try:
-        return RingSystem(
-            radius=float(meta["radius_m"]),
-            n_electrons=int(meta["n_electrons"]),
-            sw=SwParams(
-                alpha=float(meta["alpha"]),
-                theta_tilde=float(meta["theta_tilde"]),
-            ),
-            mass=float(meta.get("mass_kg", CODATA2018.m_electron)),
-        )
-    except ValueError:
-        return None
+def _stated_ring(meta: dict[str, str]) -> dict[str, float | int]:
+    """The ring values the metadata states, each parsed and checked on its own.
+
+    A stated value that does not parse, or that the ring itself would
+    reject, is a ParseError naming the key.
+    """
+    stated: dict[str, float | int] = {}
+    for key in _RING_KEYS:
+        if key in meta:
+            try:
+                stated[key] = _CONFIG_TYPES[key](meta[key])
+                RunConfig(**{key: stated[key]})  # RingSystem / SwParams checks
+            except ValueError as exc:
+                raise ParseError(f"trace metadata {key}: {exc}") from None
+    return stated
 
 
 def read_trace_csv(
     path: str | Path,
     ring: RingSystem | None = None,
-    constants: PhysConstants = CODATA2018,
 ) -> CurrentTrace:
     """Parse a trace CSV written by :func:`write_trace_csv` (or compatible).
 
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
-    is converted on load with the current scale j0 of `ring`, or of the
-    ring in the file's own metadata comments when no ring is passed.  Raises
-    ParseError with a line number for malformed or non-finite content,
-    NonMonotonicFlux for unsorted flux, and UnitMismatch when SI data has no
+    is converted on load with the scales of `ring`, or of the ring in the
+    file's own metadata comments when no ring is passed.  Raises ParseError
+    with a line number for malformed or non-finite content, and naming the
+    key for a ring value in the metadata that does not parse or is invalid;
+    NonMonotonicFlux for unsorted flux; and UnitMismatch when SI data has no
     usable scale, when the two rings give different scales, or when the
-    file's ring and `ring` differ in radius or alpha.
+    file states a radius or alpha that differs from `ring`'s.
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -206,7 +218,9 @@ def read_trace_csv(
 
     f = np.array([r[0] for r in rows])
     j = np.array([r[1] for r in rows])
-    ring_hint = _ring_hint_from_meta(meta)
+    stated = _stated_ring(meta)
+    has_hint = all(key in stated for key in _RING_HINT_KEYS)
+    ring_hint = RunConfig(**stated).ring() if has_hint else None
     if header == _HEADER_SI:
         scale_ring = ring if ring is not None else ring_hint
         if scale_ring is None:
@@ -218,17 +232,14 @@ def read_trace_csv(
                 f"SI trace metadata gives current scale j0 = {ring_hint.j0!r} A, "
                 f"but the configured ring gives j0 = {scale_ring.j0!r} A"
             )
-        f = f / constants.flux_quantum
+        f = f / scale_ring.constants.flux_quantum
         j = j / scale_ring.j0
-    if ring is not None and ring_hint is not None:
+    if ring is not None:
         # radius and alpha turn the fitted f_nc into theta_tilde
-        for key, stored, given in (
-            ("radius_m", ring_hint.radius, ring.radius),
-            ("alpha", ring_hint.sw.alpha, ring.sw.alpha),
-        ):
-            if not math.isclose(stored, given, rel_tol=1e-9):
+        for key, given in (("radius_m", ring.radius), ("alpha", ring.sw.alpha)):
+            if key in stated and not math.isclose(stated[key], given, rel_tol=1e-9):
                 raise UnitMismatch(
-                    f"trace metadata gives {key} = {stored!r}, "
+                    f"trace metadata gives {key} = {stated[key]!r}, "
                     f"but the configured ring has {key} = {given!r}"
                 )
     if not np.all(np.diff(f) > 0.0):

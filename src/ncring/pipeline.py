@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from ncring.constants import CODATA2018, PhysConstants
+from ncring.constants import CODATA2018
 from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
@@ -529,7 +529,6 @@ def estimate_theta_tilde(
     n_electrons: int,
     radius: float,
     alpha: float,
-    constants: PhysConstants = CODATA2018,
 ) -> NcEstimate:
     """Invert fitted amplitudes into (f_nc, theta_tilde) for a detection.
 
@@ -550,7 +549,7 @@ def estimate_theta_tilde(
     else:
         raise NotDetected(f"no parameter estimate for verdict {kind.value}")
     gap = abs(primary - cross) / max(abs(primary), 1e-300)
-    theta_tilde = primary * (constants.hbar * alpha / radius) ** 2
+    theta_tilde = primary * (CODATA2018.hbar * alpha / radius) ** 2
     return NcEstimate(
         f_nc_hat=primary,
         f_nc_hat_cross=cross,

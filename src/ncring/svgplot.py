@@ -1,6 +1,9 @@
-"""Self-contained SVG line charts plus a machine-readable CSV twin.
+"""Self-contained log-log SVG line charts plus a machine-readable CSV twin.
 
-No plotting dependency: the chart is assembled as plain SVG text.  Every
+The paper's criterion reads only power-law trends (a 1/f^2 divergence is a
+straight line of slope -2 on log-log axes), so log-log is the only chart.
+No plotting dependency: the chart is assembled as plain SVG text, and the
+CSV twin is written by :func:`ncring.dataio.write_table`.  Every
 emitted file is a deterministic function of its inputs (fixed geometry,
 fixed formatting, no timestamps), so identical data produces identical
 bytes.
@@ -9,9 +12,13 @@ bytes.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
+from ncring.dataio import write_table
 from ncring.errors import EmptySeries
 
 __all__ = ["emit_plot"]
@@ -30,62 +37,42 @@ def _escape(text: str) -> str:
     )
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        return [10.0**k for k in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)]
-    span = hi - lo
-    if span <= 0.0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / 4.0))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= 6.0:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
+def _decades(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Position (log10 units) and label of each power of ten in [lo, hi]."""
     ticks = []
-    t = first
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
-        ticks.append(t)
-        t += step
+    for k in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1):
+        pos = math.log10(10.0**k)
+        if lo - 1e-12 <= pos <= hi + 1e-12:
+            ticks.append((pos, f"1e{k}"))
     return ticks
 
 
-def _tick_label(value: float, log: bool) -> str:
-    if log:
-        return f"1e{round(math.log10(value))}"
-    return f"{value:g}"
+def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
+    """Write a log-log line chart to `path` (SVG) and the same data to a sibling CSV.
 
-
-def emit_plot(
-    series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
-    axes: dict,
-    path: str | Path,
-) -> Path:
-    """Write a line chart to `path` (SVG) and the same data to a sibling CSV.
-
-    `series` is a list of (label, points) with points as (x, y) pairs;
-    `axes` takes boolean keys x_log and y_log.  On log axes, points with a
-    non-positive coordinate are dropped from the drawing (the drop count is
-    recorded in an SVG comment) but kept in the CSV.  Returns the SVG path.
+    `series` is a list of (label, points), with points given either as
+    (x, y) pairs or as an (n, 2) array.  Points with a non-positive
+    coordinate are dropped from the drawing (the drop count is recorded in
+    an SVG comment) but kept in the CSV.  Returns the SVG path.
     """
     if not series:
         raise EmptySeries("no series to plot")
     for label, points in series:
         if len(points) < 2:
-            raise EmptySeries(f"series {label!r} has fewer than 2 points")
-    x_log = bool(axes.get("x_log", False))
-    y_log = bool(axes.get("y_log", False))
+            raise EmptySeries(f"series '{label}' has fewer than 2 points")
+    columns = [np.asarray(points, dtype=float).T.tolist() for _, points in series]
 
     dropped = 0
     drawn: list[tuple[str, list[tuple[float, float]]]] = []
-    for label, points in series:
+    for (label, _), (xs, ys) in zip(series, columns):
         kept = []
-        for x, y in points:
-            if (x_log and x <= 0.0) or (y_log and y <= 0.0):
+        for x, y in zip(xs, ys):
+            if x <= 0.0 or y <= 0.0:
                 dropped += 1
                 continue
-            kept.append((math.log10(x) if x_log else float(x),
-                         math.log10(y) if y_log else float(y)))
+            # math.log10, not np.log10: the two differ in the last bit for
+            # some inputs, and the SVG bytes must not depend on numpy
+            kept.append((math.log10(x), math.log10(y)))
         drawn.append((label, kept))
 
     xs = [p[0] for _, pts in drawn for p in pts]
@@ -116,10 +103,7 @@ def emit_plot(
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
     ]
 
-    for t in _ticks(x_lo, x_hi, x_log):
-        lx = math.log10(t) if x_log else t
-        if lx < x_lo - 1e-12 or lx > x_hi + 1e-12:
-            continue
+    for lx, tick in _decades(x_lo, x_hi):
         x = px(lx)
         lines.append(
             f'<line x1="{x:.2f}" y1="{plot_t}" x2="{x:.2f}" y2="{plot_b}" '
@@ -127,12 +111,9 @@ def emit_plot(
         )
         lines.append(
             f'<text x="{x:.2f}" y="{plot_b + 18}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{_tick_label(t, x_log)}</text>'
+            f'font-size="12" font-family="sans-serif">{tick}</text>'
         )
-    for t in _ticks(y_lo, y_hi, y_log):
-        ly = math.log10(t) if y_log else t
-        if ly < y_lo - 1e-12 or ly > y_hi + 1e-12:
-            continue
+    for ly, tick in _decades(y_lo, y_hi):
         y = py(ly)
         lines.append(
             f'<line x1="{plot_l}" y1="{y:.2f}" x2="{plot_r}" y2="{y:.2f}" '
@@ -140,7 +121,7 @@ def emit_plot(
         )
         lines.append(
             f'<text x="{plot_l - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{_tick_label(t, y_log)}</text>'
+            f'font-size="12" font-family="sans-serif">{tick}</text>'
         )
 
     lines.append(
@@ -176,10 +157,11 @@ def emit_plot(
     with open(svg_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    csv_path = svg_path.with_suffix(".csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("series,x,y\n")
-        for label, points in series:
-            for x, y in points:
-                fh.write(f"{label},{float(x)!r},{float(y)!r}\n")
+    labels = [label for (label, _), (x, _) in zip(series, columns) for _ in x]
+    write_table(
+        svg_path.with_suffix(".csv"),
+        "series,x,y",
+        (labels, chain.from_iterable(x for x, _ in columns),
+         chain.from_iterable(y for _, y in columns)),
+    )
     return svg_path

@@ -122,7 +122,6 @@ def test_criterion_5_figure_power_laws(tmp_path):
         values = np.abs(signature(ring, f))
         svg = emit_plot(
             [(label, list(zip(f.tolist(), values.tolist())))],
-            {"x_log": True, "y_log": True},
             tmp_path / f"{label}.svg",
         )
         rows = svg.with_suffix(".csv").read_text().splitlines()[1:]

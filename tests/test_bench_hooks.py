@@ -1,21 +1,71 @@
 """The benchmark's tracer wraps ncring functions by module attribute name.
 
 perfbench/tracer.py lists those names in WRAPPED; a refactor that drops one
-would break traced benchmark runs without any other test noticing.
+would break traced benchmark runs without any other test noticing.  Its
+per-op counts also read the arguments and results of what it wraps (the
+points handed to emit_plot, the files written), so a change of signature
+must keep them right.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from ncring.cli import main
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_wrapped_names_resolve():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_wrapped_names_resolve():
+    tracer = load_tracer()
     assert tracer.WRAPPED
     for module_name, attr in tracer.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr)), f"{module_name}.{attr}"
+
+
+def traced_counts(*argvs: list[str]) -> dict:
+    """Run the CLI commands as one traced op; the op's counts, files read by size."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        first = tracer.begin_op(0)
+        for argv in argvs:
+            assert main(argv) == 0
+        return tracer.summarize_op(first)["counts"]
+    finally:
+        tracer.uninstall()
+
+
+def test_tracer_counts_signatures(tmp_path, capsys):
+    counts = traced_counts(["signatures", "--n-electrons", "3", "--points", "64",
+                            "--out", str(tmp_path)])
+    assert counts["svgplot.points_in"] == 2 * 64
+    svg = tmp_path / "signatures_loglog.svg"
+    assert counts["svgplot.svg_bytes"] == svg.stat().st_size
+    assert counts["svgplot.csv_bytes"] == svg.with_suffix(".csv").stat().st_size
+
+
+def test_tracer_counts_simulate_analyze(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    counts = traced_counts(
+        ["simulate", "--n-electrons", "3", "--noise-sigma", "1e-6", "--points", "200",
+         "--out", str(tmp_path)],
+        ["analyze", str(trace), "--n-electrons", "3", "--out", str(tmp_path)],
+    )
+    rows = (tmp_path / "derived_signatures.csv").read_text().splitlines()
+    points = len(rows) - 2  # the method comment and the header
+    assert points == 200
+    assert counts["svgplot.points_in"] == 2 * points
+    svg = tmp_path / "derived_loglog.svg"
+    assert counts["svgplot.svg_bytes"] == svg.stat().st_size
+    assert counts["svgplot.csv_bytes"] == svg.with_suffix(".csv").stat().st_size
+    assert counts["dataio.write_trace_csv.bytes"] == trace.stat().st_size
+    assert counts["dataio.read_trace_csv.bytes"] == trace.stat().st_size

@@ -89,6 +89,31 @@ class TestExitCodes:
         assert run_cli(*args, "--out", str(tmp_path)) == 0
         assert "theta_tilde_hat: 1.7610e-61\n" in (tmp_path / "report.txt").read_text()
 
+    def test_partial_ring_metadata_still_checked(self, tmp_path, capsys):
+        # a stated radius is checked even when the file's ring is incomplete
+        assert run_cli(
+            "simulate", "--radius", "2e-6", "--n-electrons", "3", "--out", str(tmp_path)
+        ) == 0
+        trace = tmp_path / "trace.csv"
+        lines = trace.read_text().splitlines()
+        trace.write_text("".join(
+            line + "\n" for line in lines
+            if not line.startswith(("# n_electrons", "# theta_tilde"))
+        ))
+        assert run_cli("analyze", str(trace), "--n-electrons", "3", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "radius_m = 2e-06" in err and err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_invalid_ring_metadata_exits_two(self, tmp_path, capsys):
+        assert run_cli("simulate", "--n-electrons", "3", "--out", str(tmp_path)) == 0
+        trace = tmp_path / "trace.csv"
+        trace.write_text(trace.read_text().replace("# alpha: 1.0\n", "# alpha: 1.5\n"))
+        assert run_cli("analyze", str(trace), "--n-electrons", "3", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == "ncring: error: trace metadata alpha: alpha must lie in (0, 1], got 1.5\n"
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys, out):
         (tmp_path / "taken").write_text("")

@@ -1,13 +1,15 @@
-"""File formats: trace CSV, configuration, result reports."""
+"""File formats: trace CSV, configuration, result reports, row bytes."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from ncring import cli
 from ncring.constants import CODATA2018
 from ncring.dataio import (
     RunConfig,
+    _meta_lines,
     parse_config,
     read_config,
     read_trace_csv,
@@ -17,15 +19,17 @@ from ncring.dataio import (
     write_trace_csv,
 )
 from ncring.errors import NonMonotonicFlux, ParseError, UnitMismatch
-from ncring.model import RingSystem
+from ncring.model import RingSystem, eigenenergy
 from ncring.pipeline import (
     CurrentTrace,
     PowerLawFit,
     TraceMeta,
     Verdict,
     VerdictKind,
+    flux_grid,
     synthesize_trace,
 )
+from ncring.svgplot import emit_plot
 
 
 def ring_with(n_electrons: int, f_nc: float) -> RingSystem:
@@ -121,6 +125,34 @@ class TestTraceCsv:
         with pytest.raises(UnitMismatch, match=f"{key} = {value!r}"):
             read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
         assert read_trace_csv(path, ring=ring).meta.ring_hint == ring
+
+    def test_stated_radius_checked_without_full_ring(self, tmp_path):
+        # the file states its radius but not its N or theta_tilde: no ring
+        # hint, yet the radius still has to match the configured ring's
+        ring = RunConfig(radius_m=2e-6, n_electrons=3).ring()
+        path = tmp_path / "partial.csv"
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 16), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            line for line in lines if not line.startswith(("# n_electrons", "# theta_tilde"))
+        ))
+        with pytest.raises(UnitMismatch, match=r"radius_m = 2e-06"):
+            read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
+        assert read_trace_csv(path, ring=ring).meta.ring_hint is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", "1.5"), ("radius_m", "-1e-06"), ("n_electrons", "three"),
+         ("theta_tilde", "-1.0"), ("mass_kg", "heavy")],
+    )
+    def test_invalid_stated_ring_value_is_parse_error(self, tmp_path, key, value):
+        path = tmp_path / "bad.csv"
+        write_trace_csv(synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16), path)
+        text = path.read_text()
+        stated = next(line for line in text.splitlines() if line.startswith(f"# {key}:"))
+        path.write_text(text.replace(stated, f"# {key}: {value}"))
+        with pytest.raises(ParseError, match=f"trace metadata {key}: "):
+            read_trace_csv(path)
 
     def test_hand_written_odd_trace(self, tmp_path):
         # a bare f,J file with slope -6 reads as an N=3 odd ring's trace
@@ -285,3 +317,139 @@ class TestResultsReport:
         text = path.read_text()
         assert "lambda_amplitude: none\n" in text
         assert "lambda_points_used: 0\n" in text
+
+
+# The per-row writers that preceded dataio.write_table, kept as a byte
+# reference: every data CSV must stay exactly what they wrote.
+def reference_trace_csv(trace, units="reduced", ring=None) -> str:
+    lines = _meta_lines(trace.meta)
+    if units == "reduced":
+        lines.append("f,J")
+        for f, j in zip(trace.f, trace.j):
+            lines.append(f"{float(f)!r},{float(j)!r}")
+    else:
+        phi0 = CODATA2018.flux_quantum
+        lines.append("phi_wb,J_A")
+        for f, j in zip(trace.f, trace.j):
+            lines.append(f"{float(f) * phi0!r},{float(j) * ring.j0!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_signatures_table(f, lam, sig, header="") -> str:
+    rows = [header + "f,lambda,sigma\n"]
+    for fv, lv, sv in zip(f, lam, sig):
+        rows.append(f"{float(fv)!r},{float(lv)!r},{float(sv)!r}\n")
+    return "".join(rows)
+
+
+def reference_spectrum_table(ring, grid, k) -> str:
+    rows = ["f,n,E_reduced\n"]
+    for f in grid:
+        for n in range(-k, k + 1):
+            rows.append(f"{float(f)!r},{n},{eigenenergy(ring, n, float(f))!r}\n")
+    return "".join(rows)
+
+
+def reference_plot_twin(series) -> str:
+    rows = ["series,x,y\n"]
+    for label, points in series:
+        for x, y in points:
+            rows.append(f"{label},{float(x)!r},{float(y)!r}\n")
+    return "".join(rows)
+
+
+def awkward_floats(rng, n: int) -> np.ndarray:
+    """Signed values over ~600 decades, with the repr edge cases mixed in."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    values[:6] = [0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 123456789.0]
+    return values
+
+
+# Two series, a point with x = 0 and one with y = 0 dropped from the
+# drawing, both axes over several decades and a label that needs escaping:
+# the bytes emit_plot wrote before it lost its linear axes.
+PINNED_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="720" height="480" viewBox="0 0 720 480">
+<!-- dropped 2 non-positive points for log axes -->
+<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>
+<line x1="70.00" y1="40" x2="70.00" y2="425" stroke="#dddddd" stroke-width="1"/>
+<text x="70.00" y="443" text-anchor="middle" font-size="12" font-family="sans-serif">1e-2</text>
+<line x1="267.81" y1="40" x2="267.81" y2="425" stroke="#dddddd" stroke-width="1"/>
+<text x="267.81" y="443" text-anchor="middle" font-size="12" font-family="sans-serif">1e-1</text>
+<line x1="465.62" y1="40" x2="465.62" y2="425" stroke="#dddddd" stroke-width="1"/>
+<text x="465.62" y="443" text-anchor="middle" font-size="12" font-family="sans-serif">1e0</text>
+<line x1="70" y1="425.00" x2="560" y2="425.00" stroke="#dddddd" stroke-width="1"/>
+<text x="62" y="429.00" text-anchor="end" font-size="12" font-family="sans-serif">1e-2</text>
+<line x1="70" y1="328.75" x2="560" y2="328.75" stroke="#dddddd" stroke-width="1"/>
+<text x="62" y="332.75" text-anchor="end" font-size="12" font-family="sans-serif">1e-1</text>
+<line x1="70" y1="232.50" x2="560" y2="232.50" stroke="#dddddd" stroke-width="1"/>
+<text x="62" y="236.50" text-anchor="end" font-size="12" font-family="sans-serif">1e0</text>
+<line x1="70" y1="136.25" x2="560" y2="136.25" stroke="#dddddd" stroke-width="1"/>
+<text x="62" y="140.25" text-anchor="end" font-size="12" font-family="sans-serif">1e1</text>
+<line x1="70" y1="40.00" x2="560" y2="40.00" stroke="#dddddd" stroke-width="1"/>
+<text x="62" y="44.00" text-anchor="end" font-size="12" font-family="sans-serif">1e2</text>
+<line x1="70" y1="425" x2="560" y2="425" stroke="#000000" stroke-width="1.5"/>
+<line x1="70" y1="40" x2="70" y2="425" stroke="#000000" stroke-width="1.5"/>
+<polyline fill="none" stroke="#1f77b4" stroke-width="2" points="70.00,40.00 267.81,232.50 465.62,425.00"/>
+<line x1="574" y1="50" x2="598" y2="50" stroke="#1f77b4" stroke-width="2"/>
+<text x="604" y="54" text-anchor="start" font-size="13" font-family="sans-serif">a&lt;b</text>
+<polyline fill="none" stroke="#d62728" stroke-width="2" points="129.55,165.22 406.07,299.78 560.00,357.72"/>
+<line x1="574" y1="70" x2="598" y2="70" stroke="#d62728" stroke-width="2"/>
+<text x="604" y="74" text-anchor="start" font-size="13" font-family="sans-serif">c</text>
+</svg>
+"""
+PINNED_SERIES = [
+    ("a<b", [(0.01, 100.0), (0.1, 1.0), (1.0, 0.01), (2.0, 0.0)]),
+    ("c", [(0.0, 3.0), (0.02, 5.0), (0.5, 0.2), (3.0, 0.05)]),
+]
+
+
+class TestRowBytes:
+    """write_table and its callers write the reference writers' bytes."""
+
+    @pytest.mark.parametrize("units", ["reduced", "si"])
+    def test_trace_csv(self, tmp_path, units):
+        ring = RunConfig(radius_m=2e-6, n_electrons=3).ring()
+        rng = np.random.default_rng(7)
+        f = np.geomspace(1e-12, 1e3, 500) * (1.0 + 1e-3 * rng.random(500))
+        awkward = CurrentTrace(f=f, j=awkward_floats(rng, 500), meta=TraceMeta(ring_hint=ring))
+        # more rows than write_table writes per chunk
+        noisy = synthesize_trace(ring, 1e-3, 0.4, 10_000, noise_sigma=0.01, seed=3)
+        for trace in (awkward, noisy):
+            path = tmp_path / "trace.csv"
+            write_trace_csv(trace, path, units=units, ring=ring)
+            assert path.read_bytes() == reference_trace_csv(trace, units, ring).encode()
+
+    def test_signatures_table_and_plot_twin(self, tmp_path):
+        rng = np.random.default_rng(11)
+        f = np.geomspace(1e-3, 0.4, 400)
+        lam, sig = awkward_floats(rng, 400), awkward_floats(rng, 400)
+        table, svg = tmp_path / "table.csv", tmp_path / "plot.svg"
+        cli._write_signatures(table, svg, f, lam, sig, comments=("# method: central",))
+        expected = reference_signatures_table(f, lam, sig, header="# method: central\n")
+        assert table.read_bytes() == expected.encode()
+        twin = reference_plot_twin([
+            ("|lambda|", zip(f.tolist(), np.abs(lam).tolist())),
+            ("|sigma|", zip(f.tolist(), np.abs(sig).tolist())),
+        ])
+        assert svg.with_suffix(".csv").read_bytes() == twin.encode()
+
+    @pytest.mark.parametrize("grid, k", [("log", 3), ("uniform", 0), ("uniform", 2)])
+    def test_spectrum_table(self, tmp_path, grid, k):
+        args = ["spectrum", "--n-electrons", "3", "--points", "40", "--grid", grid]
+        assert cli.main([*args, "--n-levels", str(k), "--out", str(tmp_path)]) == 0
+        config = RunConfig(n_electrons=3, n_points=40, grid=grid)
+        flux = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
+        expected = reference_spectrum_table(config.ring(), flux, k)
+        assert (tmp_path / "spectrum.csv").read_bytes() == expected.encode()
+
+    def test_pinned_svg(self, tmp_path):
+        svg = emit_plot(PINNED_SERIES, tmp_path / "pairs.svg")
+        assert svg.read_bytes() == PINNED_SVG.encode()
+        twin = svg.with_suffix(".csv").read_bytes()
+        assert twin == reference_plot_twin(PINNED_SERIES).encode()
+        # the (n, 2) array form draws and tabulates the same bytes
+        arrays = [(label, np.array(points)) for label, points in PINNED_SERIES]
+        svg = emit_plot(arrays, tmp_path / "arrays.svg")
+        assert svg.read_bytes() == PINNED_SVG.encode()
+        assert svg.with_suffix(".csv").read_bytes() == twin

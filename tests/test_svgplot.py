@@ -10,21 +10,21 @@ from ncring.svgplot import emit_plot
 
 class TestEmitPlot:
     def test_single_series_single_polyline(self, tmp_path):
-        points = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
-        svg = emit_plot([("flat", points)], {}, tmp_path / "flat.svg")
+        points = [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
+        svg = emit_plot([("flat", points)], tmp_path / "flat.svg")
         text = svg.read_text()
         assert text.count("<polyline") == 1
         assert "flat" in text
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(EmptySeries):
-            emit_plot([], {}, tmp_path / "none.svg")
+            emit_plot([], tmp_path / "none.svg")
         with pytest.raises(EmptySeries):
-            emit_plot([("one", [(0.0, 1.0)])], {}, tmp_path / "one.svg")
+            emit_plot([("one", [(0.0, 1.0)])], tmp_path / "one.svg")
 
     def test_log_axis_drops_nonpositive_points(self, tmp_path):
         points = [(0.1, 0.0), (0.2, 1.0), (0.3, 2.0), (0.4, 0.0)]
-        svg = emit_plot([("s", points)], {"x_log": True, "y_log": True}, tmp_path / "log.svg")
+        svg = emit_plot([("s", points)], tmp_path / "log.svg")
         text = svg.read_text()
         assert "dropped 2 non-positive points" in text
         # the CSV twin keeps everything
@@ -34,7 +34,7 @@ class TestEmitPlot:
     def test_csv_twin_round_trips_values(self, tmp_path):
         xs = [0.1, 0.2, 0.30000000000000004]
         ys = [1e-5, 2.5e-5, -3.125e-7]
-        svg = emit_plot([("vals", list(zip(xs, ys)))], {}, tmp_path / "vals.svg")
+        svg = emit_plot([("vals", list(zip(xs, ys)))], tmp_path / "vals.svg")
         rows = svg.with_suffix(".csv").read_text().splitlines()[1:]
         parsed = [tuple(r.split(",")) for r in rows]
         assert [float(x) for _, x, _ in parsed] == xs
@@ -47,7 +47,6 @@ class TestEmitPlot:
         lam = np.abs(lambda_signature(ring, f))
         svg = emit_plot(
             [("|lambda|", list(zip(f.tolist(), lam.tolist())))],
-            {"x_log": True, "y_log": True},
             tmp_path / "sig.svg",
         )
         rows = svg.with_suffix(".csv").read_text().splitlines()[1:]
@@ -58,7 +57,7 @@ class TestEmitPlot:
 
     def test_deterministic_bytes(self, tmp_path):
         points = [(0.1, 1.0), (0.2, 4.0), (0.3, 9.0)]
-        a = emit_plot([("s", points)], {"y_log": True}, tmp_path / "a.svg")
-        b = emit_plot([("s", points)], {"y_log": True}, tmp_path / "b.svg")
+        a = emit_plot([("s", points)], tmp_path / "a.svg")
+        b = emit_plot([("s", points)], tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
