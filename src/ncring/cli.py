@@ -144,8 +144,8 @@ def _write_signatures(
     write_table(table, "f,lambda,sigma", (f, lam, sig), comments)
     return emit_plot(
         [
-            ("|lambda|", np.column_stack((f, np.abs(lam)))),
-            ("|sigma|", np.column_stack((f, np.abs(sig)))),
+            ("|lambda|", np.transpose((f, np.abs(lam)))),
+            ("|sigma|", np.transpose((f, np.abs(sig)))),
         ],
         svg,
     )

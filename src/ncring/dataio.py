@@ -145,18 +145,18 @@ def write_trace_csv(
     write_table(path, header, (f, j), comments=_meta_lines(trace.meta))
 
 
-def _stated_ring(meta: dict[str, str]) -> dict[str, float | int]:
-    """The ring values the metadata states, each parsed and checked on its own.
+def _stated(meta: dict[str, str], keys) -> dict[str, float | int]:
+    """The values of `keys` the metadata states, each parsed and checked on its own.
 
-    A stated value that does not parse, or that the ring itself would
-    reject, is a ParseError naming the key.
+    A stated value that does not parse, or that :class:`RunConfig` (and so
+    the ring) would reject, is a ParseError naming the key.
     """
     stated: dict[str, float | int] = {}
-    for key in _RING_KEYS:
+    for key in keys:
         if key in meta:
             try:
                 stated[key] = _CONFIG_TYPES[key](meta[key])
-                RunConfig(**{key: stated[key]})  # RingSystem / SwParams checks
+                RunConfig(**{key: stated[key]})  # its own and the ring's checks
             except ValueError as exc:
                 raise ParseError(f"trace metadata {key}: {exc}") from None
     return stated
@@ -172,7 +172,8 @@ def read_trace_csv(
     is converted on load with the scales of `ring`, or of the ring in the
     file's own metadata comments when no ring is passed.  Raises ParseError
     with a line number for malformed or non-finite content, and naming the
-    key for a ring value in the metadata that does not parse or is invalid;
+    key for a ring, seed or noise_sigma value in the metadata that does not
+    parse or is invalid;
     NonMonotonicFlux for unsorted flux; and UnitMismatch when SI data has no
     usable scale, when the two rings give different scales, or when the
     file states a radius or alpha that differs from `ring`'s.
@@ -218,7 +219,7 @@ def read_trace_csv(
 
     f = np.array([r[0] for r in rows])
     j = np.array([r[1] for r in rows])
-    stated = _stated_ring(meta)
+    stated = _stated(meta, _RING_KEYS)
     has_hint = all(key in stated for key in _RING_HINT_KEYS)
     ring_hint = RunConfig(**stated).ring() if has_hint else None
     if header == _HEADER_SI:
@@ -247,20 +248,11 @@ def read_trace_csv(
     if not np.all(f > 0.0):
         raise ParseError("all flux values must be positive")
 
-    seed = None
-    if "seed" in meta:
-        try:
-            seed = int(meta["seed"])
-        except ValueError:
-            seed = None
-    try:
-        noise_sigma = float(meta.get("noise_sigma", "0"))
-    except ValueError:
-        noise_sigma = 0.0
+    noise = _stated(meta, ("seed", "noise_sigma"))
     trace_meta = TraceMeta(
         source=meta.get("source", "ingested"),
-        seed=seed,
-        noise_sigma=noise_sigma,
+        seed=noise.get("seed"),
+        noise_sigma=noise.get("noise_sigma", 0.0),
         ring_hint=ring_hint,
     )
     return CurrentTrace(f=f, j=j, meta=trace_meta)

@@ -5,9 +5,11 @@ The stages mirror how the measurement side would proceed:
 
 1. obtain a current-versus-flux trace (here synthesized from the closed
    form, optionally with seeded Gaussian noise),
-2. fit one straight line for the electron number, parity and noise level,
-3. differentiate J/f and (J - N)/f numerically to get the two signatures,
-4. fit |signature| against f on log-log axes,
+2. fit one straight line for the electron number, parity and noise level
+   (here and in stage 4, one centred closed-form least-squares solve),
+3. differentiate J/f and (J - N)/f, N from stage 2, to get the two signatures,
+4. fit |signature| against f on log-log axes (a window whose usable points
+   share one flux is InsufficientSignal),
 5. classify the pair of fits (divergence pattern decides the verdict),
 6. invert the fitted amplitudes into f_nc and theta_tilde.
 
@@ -87,6 +89,11 @@ class RunConfig:
     units: str = "reduced"
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.ring()  # RingSystem and SwParams validate the ring fields
         for name in ("f_min", "f_max", "fit_f_lo", "fit_f_hi",
                      "exponent_tol", "amplitude_floor_mult"):
@@ -222,8 +229,8 @@ def synthesize_trace(
         )
     if n_points < MIN_TRACE_POINTS:
         raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
-    if noise_sigma < 0.0:
-        raise InvalidRange(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     f = flux_grid(f_min, f_max, n_points, grid)
     j = persistent_current(ring, f)
     if noise_sigma > 0.0:
@@ -235,18 +242,23 @@ def synthesize_trace(
     return CurrentTrace(f=f, j=j, meta=meta)
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Least-squares line y ~ intercept + slope * x; returns (intercept, slope, residuals)."""
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0]), float(coef[1]), y - design @ coef
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line y ~ intercept + slope * x on centred data.
+
+    Returns (intercept, slope, ss_res, ss_tot); ss_res sums the explicit
+    residuals, so it is never negative.  x needs two distinct values.
+    """
+    x_bar, y_bar = x.mean(), y.mean()
+    dx, dy = x - x_bar, y - y_bar
+    slope = float(dx @ dy / (dx @ dx))
+    res = dy - slope * dx
+    return float(y_bar - slope * x_bar), slope, float(res @ res), float(dy @ dy)
 
 
 def _linear_fit(f: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
     """OLS of j on f; returns (intercept, slope, rms residual)."""
-    intercept, slope, res = _line_fit(f, j)
-    dof = max(len(f) - 2, 1)
-    return intercept, slope, float(np.sqrt(res @ res / dof))
+    intercept, slope, ss_res, _ = _line_fit(f, j)
+    return intercept, slope, math.sqrt(ss_res / (len(f) - 2))
 
 
 def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
@@ -314,15 +326,14 @@ def _derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def differentiate_trace(
     trace: CurrentTrace,
-    n_electrons_hint: int | None = None,
+    n_electrons: int,
     smoothing_window: int = 1,
 ) -> SignatureTrace:
     """Turn a current trace into signature estimates.
 
-    Forms u = j/f and v = (j - N)/f with N from `n_electrons_hint` or from
-    :func:`estimate_electron_number`, applies a centered moving average of
-    width `smoothing_window` (odd; 1 disables), then differentiates on the
-    trace's own grid.
+    Forms u = j/f and v = (j - N)/f with N = `n_electrons`, applies a
+    centered moving average of width `smoothing_window` (odd; 1 disables),
+    then differentiates on the trace's own grid.
     """
     if smoothing_window < 1 or smoothing_window % 2 == 0:
         raise ValueError(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
@@ -330,12 +341,8 @@ def differentiate_trace(
         raise TooFewPoints(
             f"smoothing window {smoothing_window} too wide for {len(trace)} points"
         )
-    if n_electrons_hint is not None:
-        n_est = int(n_electrons_hint)
-    else:
-        n_est, _ = estimate_electron_number(trace)
     u = trace.j / trace.f
-    v = (trace.j - n_est) / trace.f
+    v = (trace.j - n_electrons) / trace.f
     u_s = _moving_average(u, smoothing_window)
     v_s = _moving_average(v, smoothing_window)
     lam = _derivative(trace.f, u_s)
@@ -372,8 +379,9 @@ def fit_power_law(
 ) -> PowerLawFit:
     """Fit value = A * f^p inside the window, ignoring sub-floor points.
 
-    Raises InsufficientSignal when fewer than 5 points qualify; callers map
-    that outcome to "signature absent", not to an error.
+    Raises InsufficientSignal when fewer than 5 points qualify or when they
+    span a single flux; callers map that outcome to "signature absent", not
+    to an error.
     """
     f = np.asarray(f, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -392,14 +400,11 @@ def fit_power_law(
             f"{n_used} usable points in [{f_lo}, {f_hi}] above floor {noise_floor:g}"
         )
     x = np.log10(f[mask])
-    y = np.log10(np.abs(values[mask]))
-    intercept, slope, res = _line_fit(x, y)
-    ss_res = float(res @ res)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot > 0.0:
-        r_squared = max(0.0, 1.0 - ss_res / ss_tot)
-    else:
-        r_squared = 1.0 if ss_res == 0.0 else 0.0
+    if x.min() == x.max():
+        raise InsufficientSignal(f"{n_used} usable points share the single flux {f[mask][0]:g}")
+    intercept, slope, ss_res, ss_tot = _line_fit(x, np.log10(np.abs(values[mask])))
+    # ss_tot = 0 means a constant y, which the line fits exactly
+    r_squared = max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0.0 else 1.0
     n_pos = int((values[mask] > 0.0).sum())
     sign = 1.0 if n_pos > n_used - n_pos else -1.0
     return PowerLawFit(
@@ -609,9 +614,7 @@ def analyze_trace(
         n_est, parity = hint.n_electrons, hint.parity
     else:
         n_est, parity = _electron_number(intercept, slope)
-    signatures = differentiate_trace(
-        trace, n_electrons_hint=n_est, smoothing_window=config.smoothing_window
-    )
+    signatures = differentiate_trace(trace, n_est, smoothing_window=config.smoothing_window)
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.
     sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(trace.j))))

@@ -114,6 +114,35 @@ class TestExitCodes:
         assert err == "ncring: error: trace metadata alpha: alpha must lie in (0, 1], got 1.5\n"
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("simulate", "--theta-tilde", "nan"), "theta_tilde must be finite, got nan"),
+         (("simulate", "--noise-sigma", "nan"), "noise_sigma must be finite, got nan"),
+         (("constants", "--radius", "inf"), "radius_m must be finite, got inf"),
+         (("simulate", "--seed", "-1", "--noise-sigma", "0.1"),
+          "seed must be non-negative, got -1")],
+    )
+    def test_non_finite_or_negative_seed_flag_exits_two(self, tmp_path, capsys, args, message):
+        assert run_cli(*args, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"ncring: error: {message}\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_negative_seed_in_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("seed = -2\nnoise_sigma = 0.1\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_malformed_noise_metadata_exits_two(self, tmp_path, capsys):
+        args = ("--n-electrons", "3", "--noise-sigma", "0.01", "--out", str(tmp_path))
+        assert run_cli("simulate", *args) == 0
+        trace = tmp_path / "trace.csv"
+        trace.write_text(trace.read_text().replace("# seed: 42\n", "# seed: nine\n"))
+        assert run_cli("analyze", str(trace), *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncring: error: trace metadata seed: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys, out):
         (tmp_path / "taken").write_text("")

@@ -154,6 +154,21 @@ class TestTraceCsv:
         with pytest.raises(ParseError, match=f"trace metadata {key}: "):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "nine"), ("seed", "-1"), ("noise_sigma", "1O.0"),
+         ("noise_sigma", "-0.1"), ("noise_sigma", "nan"), ("noise_sigma", "inf")],
+    )
+    def test_invalid_stated_noise_value_is_parse_error(self, tmp_path, key, value):
+        path = tmp_path / "bad.csv"
+        trace = synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16, noise_sigma=0.01, seed=9)
+        write_trace_csv(trace, path)
+        text = path.read_text()
+        stated = next(line for line in text.splitlines() if line.startswith(f"# {key}:"))
+        path.write_text(text.replace(stated, f"# {key}: {value}"))
+        with pytest.raises(ParseError, match=f"trace metadata {key}: "):
+            read_trace_csv(path)
+
     def test_hand_written_odd_trace(self, tmp_path):
         # a bare f,J file with slope -6 reads as an N=3 odd ring's trace
         from ncring.pipeline import estimate_electron_number
@@ -258,6 +273,18 @@ class TestRunConfig:
             RunConfig(grid="spiral")
         with pytest.raises(ValueError):
             RunConfig(units="cgs")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("theta_tilde = nan\n", "theta_tilde must be finite"),
+         ("noise_sigma = nan\n", "noise_sigma must be finite"),
+         ("radius_m = inf\n", "radius_m must be finite"),
+         ("exponent_tol = -inf\n", "exponent_tol must be finite"),
+         ("seed = -2\n", "seed must be non-negative")],
+    )
+    def test_non_finite_float_or_negative_seed(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_config(text)
 
     def test_fit_window_property(self):
         config = RunConfig(fit_f_lo=1e-3, fit_f_hi=0.2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncring.errors import (
     DegenerateFit,
@@ -19,6 +21,7 @@ from ncring.pipeline import (
     RunConfig,
     TraceMeta,
     VerdictKind,
+    _line_fit,
     analyze_trace,
     classify,
     differentiate_trace,
@@ -87,6 +90,11 @@ class TestSynthesizeTrace:
         with pytest.raises(InvalidRange):
             synthesize_trace(ring, 1e-3, 0.4, 64, grid="cubic")
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma(self, sigma):
+        with pytest.raises(InvalidRange, match="finite and non-negative"):
+            synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 64, noise_sigma=sigma, seed=1)
+
     def test_even_ring_must_start_at_f_nc(self):
         ring = ring_with(4, 1e-2)
         with pytest.raises(InvalidRange):
@@ -152,7 +160,7 @@ class TestDifferentiateTrace:
     def test_noiseless_odd_matches_closed_form(self):
         ring = ring_with(3, 1e-5)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
-        sig = differentiate_trace(trace, smoothing_window=1)
+        sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
         lam_ref = lambda_signature(ring, sig.f)
         keep = sig.interior_mask()
         rel = np.abs(sig.lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
@@ -161,19 +169,18 @@ class TestDifferentiateTrace:
     def test_noiseless_even_sigma_matches_closed_form(self):
         ring = ring_with(4, 1e-2)
         trace = synthesize_trace(ring, ring.f_nc, 0.4, 1024)
-        sig = differentiate_trace(trace, smoothing_window=1)
+        sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
         sig_ref = sigma_signature(ring, sig.f)
         keep = sig.interior_mask()
         rel = np.abs(sig.sig[keep] - sig_ref[keep]) / np.abs(sig_ref[keep])
         assert rel.max() < 1e-4
 
     def test_constant_current_gives_inverse_square(self):
-        # d/df (c/f) = -c/f^2; constant j needs an explicit electron-number
-        # hint because its slope carries no information
+        # d/df (c/f) = -c/f^2; the electron number only shifts sigma
         f = np.geomspace(1e-3, 0.4, 512)
         c = 2.5
         trace = CurrentTrace(f=f, j=np.full_like(f, c))
-        sig = differentiate_trace(trace, n_electrons_hint=3, smoothing_window=1)
+        sig = differentiate_trace(trace, 3, smoothing_window=1)
         keep = sig.interior_mask()
         expected = -c / f[keep] ** 2
         rel = np.abs(sig.lam[keep] - expected) / np.abs(expected)
@@ -184,7 +191,7 @@ class TestDifferentiateTrace:
 
     def test_endpoints_flagged(self):
         trace = make_trace(ring_with(3, 0.0), n_points=32)
-        sig = differentiate_trace(trace)
+        sig = differentiate_trace(trace, 3)
         assert sig.one_sided == (0, 31)
         assert "one_sided" in sig.method
         assert sig.interior_mask().sum() == 30
@@ -192,19 +199,67 @@ class TestDifferentiateTrace:
     def test_smoothing_window_validation(self):
         trace = make_trace(ring_with(3, 0.0), n_points=32)
         with pytest.raises(ValueError):
-            differentiate_trace(trace, smoothing_window=2)
+            differentiate_trace(trace, 3, smoothing_window=2)
         with pytest.raises(TooFewPoints):
-            differentiate_trace(trace, smoothing_window=17)
+            differentiate_trace(trace, 3, smoothing_window=17)
 
     def test_smoothing_tracks_noiseless_signal(self):
         ring = ring_with(3, 1e-3)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
-        sig = differentiate_trace(trace, smoothing_window=5)
+        sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=5)
         lam_ref = lambda_signature(ring, sig.f)
         keep = sig.interior_mask()
         # smoothing biases a curved profile; stays within a percent here
         rel = np.abs(sig.lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
         assert np.median(rel) < 1e-2
+
+
+def reference_line_fit(x, y):
+    """lstsq on the [1, x] design matrix: (intercept, slope, ss_res)."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    res = y - design @ coef
+    return float(coef[0]), float(coef[1]), float(res @ res)
+
+
+@st.composite
+def lines(draw):
+    """x on a log or uniform grid (or its log10), y on a line, noisy or exact."""
+    n = draw(st.integers(5, 10_000))
+    lo = draw(st.floats(1e-4, 1.0))
+    hi = lo * draw(st.floats(1.01, 1e4))
+    x = (np.geomspace if draw(st.booleans()) else np.linspace)(lo, hi, n)
+    if draw(st.booleans()):
+        x = np.log10(x)
+    # no coefficients near the subnormal range, where too few bits are left
+    # for a relative bound on either fit
+    coefficient = st.floats(-1e4, 1e4).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+    intercept, slope = draw(coefficient), draw(coefficient)
+    y = intercept + slope * x
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0]))
+    if noise:
+        y = y + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, noise, n)
+    return x, y
+
+
+class TestLineFit:
+    @given(data=lines())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lstsq(self, data):
+        x, y = data
+        intercept, slope, ss_res, ss_tot = _line_fit(x, y)
+        ref_intercept, ref_slope, ref_ss_res = reference_line_fit(x, y)
+        # rounding y (~eps |y|) moves each coefficient by its conditioning
+        # times that, and each residual by about as much; 1e-10 is ~1e6 eps
+        y_scale = float(np.abs(y).max())
+        span = float(x.max() - x.min())
+        x_scale = float(np.abs(x).max())
+        assert abs(slope - ref_slope) <= 1e-10 * y_scale / span
+        assert abs(intercept - ref_intercept) <= 1e-10 * y_scale * (1.0 + x_scale / span)
+        assert ss_res >= 0.0
+        shift = 1e-10 * y_scale * math.sqrt(len(x))  # bound on |residuals - ref residuals|
+        assert abs(ss_res - ref_ss_res) <= shift * (2.0 * math.sqrt(ref_ss_res) + shift)
+        assert ss_tot == pytest.approx(float(np.sum((y - y.mean()) ** 2)), rel=1e-12, abs=0.0)
 
 
 class TestFitPowerLaw:
@@ -229,6 +284,12 @@ class TestFitPowerLaw:
         with pytest.raises(InsufficientSignal):
             fit_power_law(f, values, (0.09, 0.1))
 
+    def test_single_flux_is_insufficient_signal(self):
+        # ten usable points at one flux admit no line
+        f = np.full(10, 0.01)
+        with pytest.raises(InsufficientSignal, match="single flux"):
+            fit_power_law(f, np.full(10, -3.0), (1e-3, 1e-1))
+
     def test_window_validation(self):
         f = np.geomspace(1e-3, 1e-1, 16)
         with pytest.raises(InvalidRange):
@@ -244,7 +305,7 @@ class TestFitPowerLaw:
     def test_fit_on_closed_form_lambda(self):
         ring = ring_with(3, 1e-5)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
-        sig = differentiate_trace(trace)
+        sig = differentiate_trace(trace, ring.n_electrons)
         keep = sig.interior_mask()
         fit = fit_power_law(sig.f[keep], sig.lam[keep], (1e-3, 1e-1))
         assert -2.01 <= fit.exponent <= -1.99
