@@ -34,32 +34,14 @@ from ncring.dataio import (
     write_table,
     write_trace_csv,
 )
-from ncring.errors import (
-    DegenerateFit,
-    InvalidRange,
-    NcRingError,
-    NonMonotonicFlux,
-    ParseError,
-    TooFewPoints,
-    UnitMismatch,
-)
+from ncring.errors import InputError, InvalidRange, NcRingError
 from ncring.model import eigenenergy, lambda_signature, sigma_signature
 from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
-from ncring.pipeline import analyze_trace, flux_grid, synthesize_trace
+from ncring.pipeline import analyze_trace, check_zone, flux_grid, synthesize_trace
 from ncring.svgplot import emit_plot
 
-_INPUT_ERRORS = (
-    ParseError,
-    NonMonotonicFlux,
-    UnitMismatch,
-    InvalidRange,
-    TooFewPoints,
-    DegenerateFit,
-    FileNotFoundError,
-    FileExistsError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
+_INPUT_ERRORS = (InputError, FileNotFoundError, FileExistsError,
+                 IsADirectoryError, NotADirectoryError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -122,12 +104,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     config = read_config(args.config) if args.config else RunConfig()
     keys = {f.name for f in dataclasses.fields(RunConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in keys and v is not None}
-    if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            raise InvalidRange(str(exc)) from None
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -218,6 +195,7 @@ def cmd_current(args: argparse.Namespace) -> int:
 def cmd_signatures(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ring = config.ring()
+    check_zone(ring, config.f_min, config.f_max)
     out_dir = _out_dir(args)
     grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
     table = out_dir / "signatures.csv"

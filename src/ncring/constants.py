@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from ncring.errors import InvalidRange
+
 
 @dataclass(frozen=True)
 class PhysConstants:
@@ -19,7 +21,7 @@ class PhysConstants:
     def __post_init__(self):
         for name in ("hbar", "e_charge", "h_planck", "m_electron"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise InvalidRange(f"{name} must be strictly positive")
 
     @property
     def flux_quantum(self) -> float:

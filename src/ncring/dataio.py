@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ncring.errors import NonMonotonicFlux, ParseError, UnitMismatch
+from ncring.errors import InvalidRange, ParseError, UnitMismatch
 from ncring.model import RingSystem
 from ncring.pipeline import MIN_TRACE_POINTS, CurrentTrace, RunConfig, TraceMeta, Verdict
 
@@ -141,7 +141,7 @@ def write_trace_csv(
             raise UnitMismatch("SI output needs a ring to fix the current scale")
         header, f, j = _HEADER_SI, trace.f * ring.constants.flux_quantum, trace.j * ring.j0
     else:
-        raise ValueError(f"units must be 'reduced' or 'si', got {units!r}")
+        raise InvalidRange(f"units must be 'reduced' or 'si', got {units!r}")
     write_table(path, header, (f, j), comments=_meta_lines(trace.meta))
 
 
@@ -173,10 +173,10 @@ def read_trace_csv(
     file's own metadata comments when no ring is passed.  Raises ParseError
     with a line number for malformed or non-finite content, and naming the
     key for a ring, seed or noise_sigma value in the metadata that does not
-    parse or is invalid;
-    NonMonotonicFlux for unsorted flux; and UnitMismatch when SI data has no
-    usable scale, when the two rings give different scales, or when the
-    file states a radius or alpha that differs from `ring`'s.
+    parse or is invalid; UnitMismatch when SI data has no usable scale, when
+    the two rings give different scales, or when the file states a radius
+    or alpha that differs from `ring`'s.  CurrentTrace checks the flux:
+    NonMonotonicFlux when unsorted, InvalidRange when not positive.
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -243,10 +243,6 @@ def read_trace_csv(
                     f"trace metadata gives {key} = {stated[key]!r}, "
                     f"but the configured ring has {key} = {given!r}"
                 )
-    if not np.all(np.diff(f) > 0.0):
-        raise NonMonotonicFlux("flux values must be strictly increasing")
-    if not np.all(f > 0.0):
-        raise ParseError("all flux values must be positive")
 
     noise = _stated(meta, ("seed", "noise_sigma"))
     trace_meta = TraceMeta(

@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; every check raises one of them.
+
+An :class:`InputError` (the CLI exits 2) means the caller's input is
+invalid: ParseError, UnitMismatch, TooFewPoints, DegenerateFit, and
+InvalidRange (also a ValueError) with its subclass NonMonotonicFlux.  The
+rest (ZeroFlux, WindowTooSmall, NearDegeneracy, InsufficientSignal,
+NotDetected, EmptySeries) are plain NcRingErrors, and the CLI exits 1.
+"""
 
 
 class NcRingError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InputError(NcRingError):
+    """The caller's input is invalid; the CLI exits 2."""
 
 
 class ZeroFlux(NcRingError):
@@ -17,15 +28,15 @@ class NearDegeneracy(NcRingError):
     """A finite-difference stencil straddles a ground-state level crossing."""
 
 
-class InvalidRange(NcRingError):
-    """A flux range or grid request violates its preconditions."""
+class InvalidRange(InputError, ValueError):
+    """A parameter, flux range or grid request violates its preconditions."""
 
 
-class TooFewPoints(NcRingError):
+class TooFewPoints(InputError):
     """Not enough samples for the requested differentiation scheme."""
 
 
-class DegenerateFit(NcRingError):
+class DegenerateFit(InputError):
     """The trace has no usable negative slope; electron count is undefined."""
 
 
@@ -41,7 +52,7 @@ class NotDetected(NcRingError):
     """Parameter estimation requested for a verdict without a detection."""
 
 
-class ParseError(NcRingError):
+class ParseError(InputError):
     """A file could not be parsed; carries the 1-based offending line."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -51,11 +62,11 @@ class ParseError(NcRingError):
         super().__init__(message)
 
 
-class NonMonotonicFlux(NcRingError):
+class NonMonotonicFlux(InvalidRange):
     """Trace flux values are not strictly increasing."""
 
 
-class UnitMismatch(NcRingError):
+class UnitMismatch(InputError):
     """A trace's units or ring disagree with the scales needed to interpret it."""
 
 

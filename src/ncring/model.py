@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from ncring.constants import CODATA2018, PhysConstants
-from ncring.errors import ZeroFlux
+from ncring.errors import InvalidRange, ZeroFlux
 
 Parity = Literal["odd", "even"]
 
@@ -57,13 +57,11 @@ class SwParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise InvalidRange(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.theta < 0.0:
-            raise ValueError(f"theta must be non-negative, got {self.theta}")
+            raise InvalidRange(f"theta must be non-negative, got {self.theta}")
         if self.theta_tilde < 0.0:
-            raise ValueError(
-                f"theta_tilde must be non-negative, got {self.theta_tilde}"
-            )
+            raise InvalidRange(f"theta_tilde must be non-negative, got {self.theta_tilde}")
 
 
 def check_sw_constraint(
@@ -71,7 +69,7 @@ def check_sw_constraint(
 ) -> bool:
     """True iff alpha^2 + theta*theta_tilde / (2 alpha^2 hbar^2) == 1 within tol."""
     if not tol > 0.0:
-        raise ValueError("tol must be strictly positive")
+        raise InvalidRange("tol must be strictly positive")
     hbar = constants.hbar
     lhs = sw.alpha**2 + sw.theta * sw.theta_tilde / (2.0 * sw.alpha**2 * hbar**2)
     return abs(lhs - 1.0) <= tol
@@ -102,11 +100,11 @@ class RingSystem:
 
     def __post_init__(self):
         if not self.radius > 0.0:
-            raise ValueError(f"radius must be strictly positive, got {self.radius}")
+            raise InvalidRange(f"radius must be strictly positive, got {self.radius}")
         if not (isinstance(self.n_electrons, (int, np.integer)) and self.n_electrons >= 1):
-            raise ValueError(f"n_electrons must be a positive integer, got {self.n_electrons}")
+            raise InvalidRange(f"n_electrons must be a positive integer, got {self.n_electrons}")
         if not self.mass > 0.0:
-            raise ValueError(f"mass must be strictly positive, got {self.mass}")
+            raise InvalidRange(f"mass must be strictly positive, got {self.mass}")
 
     @classmethod
     def from_f_nc(
@@ -124,7 +122,7 @@ class RingSystem:
         f_nc = R^2 theta_tilde / (hbar^2 alpha^2).
         """
         if f_nc < 0.0:
-            raise ValueError(f"f_nc must be non-negative, got {f_nc}")
+            raise InvalidRange(f"f_nc must be non-negative, got {f_nc}")
         theta_tilde = f_nc * (constants.hbar * alpha / radius) ** 2
         return cls(
             radius=radius,
@@ -198,7 +196,7 @@ def reduce_to_zone(x, parity: Parity):
         y = np.where(y >= 1.0, y - 1.0, y)
         y = np.where(y < 0.0, y + 1.0, y)
     else:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+        raise InvalidRange(f"parity must be 'odd' or 'even', got {parity!r}")
     return _maybe_scalar(y, scalar)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ncring.errors import NearDegeneracy, WindowTooSmall
+from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall
 from ncring.model import (
     RingSystem,
     persistent_current,
@@ -125,7 +125,7 @@ def _finite_difference_current(
 ) -> np.ndarray:
     """-dE_g/df at each flux of `f` by the telescoped central difference."""
     if not h > 0.0:
-        raise ValueError("h must be strictly positive")
+        raise InvalidRange("h must be strictly positive")
     fp, fm = f + h, f - h
     occupied = _fill(ring, fp, window)[0]
     occupied_m = _fill(ring, fm, window)[0]
@@ -176,9 +176,9 @@ def signature_by_finite_difference(
     (NearDegeneracy otherwise).
     """
     if not h > 0.0:
-        raise ValueError("h must be strictly positive")
+        raise InvalidRange("h must be strictly positive")
     if not f - h > 0.0:
-        raise ValueError(f"need f - h > 0, got f={f}, h={h}")
+        raise InvalidRange(f"need f - h > 0, got f={f}, h={h}")
     if boundary_distance(ring, f) <= 10.0 * h:
         raise NearDegeneracy(
             f"f = {f} is within 10h of a level crossing; differences are invalid"

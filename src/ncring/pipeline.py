@@ -31,6 +31,7 @@ from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
     InvalidRange,
+    NonMonotonicFlux,
     NotDetected,
     TooFewPoints,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "NcEstimate",
     "AnalysisResult",
     "flux_grid",
+    "check_zone",
     "synthesize_trace",
     "estimate_electron_number",
     "trace_noise_rms",
@@ -91,28 +93,28 @@ class RunConfig:
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise InvalidRange(f"{name} must be finite, got {value}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise InvalidRange(f"seed must be non-negative, got {self.seed}")
         self.ring()  # RingSystem and SwParams validate the ring fields
         for name in ("f_min", "f_max", "fit_f_lo", "fit_f_hi",
                      "exponent_tol", "amplitude_floor_mult"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise InvalidRange(f"{name} must be strictly positive")
         if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+            raise InvalidRange("noise_sigma must be non-negative")
         if self.n_points < MIN_TRACE_POINTS:
-            raise ValueError(f"n_points must be at least {MIN_TRACE_POINTS}")
+            raise InvalidRange(f"n_points must be at least {MIN_TRACE_POINTS}")
         if not self.f_min < self.f_max:
-            raise ValueError("f_min must be smaller than f_max")
+            raise InvalidRange("f_min must be smaller than f_max")
         if not self.fit_f_lo < self.fit_f_hi:
-            raise ValueError("fit_f_lo must be smaller than fit_f_hi")
+            raise InvalidRange("fit_f_lo must be smaller than fit_f_hi")
         if self.grid not in ("log", "uniform"):
-            raise ValueError(f"grid must be 'log' or 'uniform', got {self.grid!r}")
+            raise InvalidRange(f"grid must be 'log' or 'uniform', got {self.grid!r}")
         if self.units not in ("reduced", "si"):
-            raise ValueError(f"units must be 'reduced' or 'si', got {self.units!r}")
+            raise InvalidRange(f"units must be 'reduced' or 'si', got {self.units!r}")
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ValueError("smoothing_window must be an odd integer >= 1")
+            raise InvalidRange("smoothing_window must be an odd integer >= 1")
 
     @property
     def fit_window(self) -> tuple[float, float]:
@@ -153,13 +155,13 @@ class CurrentTrace:
         object.__setattr__(self, "f", _readonly(self.f))
         object.__setattr__(self, "j", _readonly(self.j))
         if self.f.ndim != 1 or self.f.shape != self.j.shape:
-            raise ValueError("f and j must be 1D arrays of equal length")
+            raise InvalidRange("f and j must be 1D arrays of equal length")
         if len(self.f) < MIN_TRACE_POINTS:
-            raise ValueError(f"trace needs at least {MIN_TRACE_POINTS} points")
-        if not np.all(self.f > 0.0):
-            raise ValueError("all flux values must be positive")
+            raise InvalidRange(f"trace needs at least {MIN_TRACE_POINTS} points")
         if not np.all(np.diff(self.f) > 0.0):
-            raise ValueError("flux values must be strictly increasing")
+            raise NonMonotonicFlux("flux values must be strictly increasing")
+        if not np.all(self.f > 0.0):
+            raise InvalidRange("all flux values must be positive")
 
     def __len__(self) -> int:
         return len(self.f)
@@ -191,12 +193,36 @@ class SignatureTrace:
 
 
 def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
-    """n_points flux values from f_min to f_max, log- or uniformly spaced."""
+    """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform."""
+    if not 0.0 < f_min < f_max:
+        raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
+    if n_points < MIN_TRACE_POINTS:
+        raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
     if grid == "log":
         return np.geomspace(f_min, f_max, n_points)
     if grid == "uniform":
         return np.linspace(f_min, f_max, n_points)
     raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
+
+
+def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
+    """Refuse (InvalidRange) a flux window off the branch the closed forms hold on.
+
+    Level crossings sit at f = 1/2 + f_nc for odd N and at f_nc and 1 + f_nc
+    for even N.  Needs 0 < f_min < f_max, f_max <= 1/2 - f_nc (conservative
+    inside either zone) and, for even N, f_min >= f_nc, below which J wraps.
+    """
+    f_nc = ring.f_nc
+    if not 0.0 < f_min < f_max:
+        raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
+    if f_max > 0.5 - f_nc:
+        raise InvalidRange(
+            f"f_max = {f_max} leaves the zone; need f_max <= 0.5 - f_nc = {0.5 - f_nc}"
+        )
+    if ring.parity == "even" and f_min < f_nc:
+        raise InvalidRange(
+            f"even ring: f_min = {f_min} is below f_nc = {f_nc}, outside the zone"
+        )
 
 
 def synthesize_trace(
@@ -210,28 +236,16 @@ def synthesize_trace(
 ) -> CurrentTrace:
     """Sample the closed-form current on a grid, optionally adding noise.
 
-    The grid must stay inside a single zone of the ground state: f_max may
-    not exceed 1/2 - f_nc, and an even ring additionally needs f_min >= f_nc
-    (below that the current sits on the wrapped branch).  Noise is Gaussian,
-    i.i.d. per point, drawn in ascending-f order from a generator seeded
-    with `seed`, and recorded in the metadata.
+    The window must pass :func:`check_zone`.  Noise is Gaussian, i.i.d. per
+    point, drawn in ascending-f order from a generator seeded with the
+    non-negative `seed`, and recorded in the metadata.
     """
-    f_nc = ring.f_nc
-    if not 0.0 < f_min < f_max:
-        raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
-    if f_max > 0.5 - f_nc:
-        raise InvalidRange(
-            f"f_max = {f_max} leaves the zone; need f_max <= 0.5 - f_nc = {0.5 - f_nc}"
-        )
-    if ring.parity == "even" and f_min < f_nc:
-        raise InvalidRange(
-            f"even ring: f_min = {f_min} is below f_nc = {f_nc}, outside the zone"
-        )
-    if n_points < MIN_TRACE_POINTS:
-        raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
+    check_zone(ring, f_min, f_max)
+    f = flux_grid(f_min, f_max, n_points, grid)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    f = flux_grid(f_min, f_max, n_points, grid)
+    if seed is not None and seed < 0:
+        raise InvalidRange(f"seed must be non-negative, got {seed}")
     j = persistent_current(ring, f)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -268,8 +282,8 @@ def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
     N = round(-slope/2).  The intercept separates them: an odd ring's
     intercept is ~2 N f_nc (tiny), an even ring's is ~N.
     """
-    if not slope < 0.0:
-        raise DegenerateFit(f"trace slope {slope:g} is not negative")
+    if not -math.inf < slope < 0.0:
+        raise DegenerateFit(f"trace slope {slope:g} is not finite and negative")
     n = int(round(-slope / 2.0))
     if n < 1:
         raise DegenerateFit(f"slope {slope:g} implies a non-physical electron count")
@@ -336,7 +350,7 @@ def differentiate_trace(
     then differentiates on the trace's own grid.
     """
     if smoothing_window < 1 or smoothing_window % 2 == 0:
-        raise ValueError(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
+        raise InvalidRange(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
     if smoothing_window >= len(trace) / 2:
         raise TooFewPoints(
             f"smoothing window {smoothing_window} too wide for {len(trace)} points"

@@ -11,6 +11,7 @@ import ncring
 from ncring import cli
 from ncring.cli import main
 from ncring.dataio import RunConfig, write_config
+from ncring.errors import InputError, NcRingError
 
 
 def run_cli(*args: str) -> int:
@@ -27,6 +28,11 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def ncring_errors(base: type = NcRingError) -> list[type]:
+    """Every subclass of `base`, found recursively."""
+    return [c for sub in base.__subclasses__() for c in (sub, *ncring_errors(sub))]
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -158,6 +164,40 @@ class TestExitCodes:
         assert run_cli("constants") == 1
         err = capsys.readouterr().err
         assert err == "ncring: internal error: ZeroDivisionError: float division by zero\n"
+
+    @pytest.mark.parametrize("error", ncring_errors(), ids=lambda c: c.__name__)
+    def test_error_class_decides_exit_code(self, monkeypatch, capsys, error):
+        def failing(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "constants", failing)
+        if issubclass(error, InputError):
+            assert run_cli("constants") == 2
+            assert capsys.readouterr().err == "ncring: error: boom\n"
+        else:
+            assert run_cli("constants") == 1
+            assert capsys.readouterr().err == "ncring: internal error: boom\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--f-min", "1", "--f-max", "2"), "f_max = 2.0 leaves the zone"),
+         # f_nc ~ 9e-3 lies above the default f_min = 1e-3
+         (("--n-electrons", "4", "--theta-tilde", "1e-58"), "even ring: f_min = 0.001 is below f_nc")],
+        ids=["past_crossing", "even_below_f_nc"],
+    )
+    def test_signatures_off_the_zone_exits_two(self, tmp_path, capsys, args, message):
+        assert run_cli("signatures", *args, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ncring: error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "signatures.csv").exists()
+
+    def test_overflowing_line_fit_exits_two(self, tmp_path):
+        f = [1e-3 + 1e-13 * i for i in range(16)]
+        rows = "".join(f"{x!r},{-1e300 * i!r}\n" for i, x in enumerate(f))
+        (tmp_path / "trace.csv").write_text("f,J\n" + rows)
+        proc = run_module("analyze", str(tmp_path / "trace.csv"), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1].startswith("ncring: error:")
 
     def test_console_entry_point(self):
         proc = run_module("constants", "--n-electrons", "3")

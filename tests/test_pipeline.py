@@ -21,6 +21,7 @@ from ncring.pipeline import (
     RunConfig,
     TraceMeta,
     VerdictKind,
+    _electron_number,
     _line_fit,
     analyze_trace,
     classify,
@@ -28,6 +29,7 @@ from ncring.pipeline import (
     estimate_electron_number,
     estimate_theta_tilde,
     fit_power_law,
+    flux_grid,
     synthesize_trace,
     trace_noise_rms,
 )
@@ -95,6 +97,11 @@ class TestSynthesizeTrace:
         with pytest.raises(InvalidRange, match="finite and non-negative"):
             synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 64, noise_sigma=sigma, seed=1)
 
+    def test_negative_seed(self):
+        # numpy's own refusal is an untyped ValueError
+        with pytest.raises(InvalidRange, match="seed must be non-negative, got -1"):
+            synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 64, noise_sigma=0.1, seed=-1)
+
     def test_even_ring_must_start_at_f_nc(self):
         ring = ring_with(4, 1e-2)
         with pytest.raises(InvalidRange):
@@ -110,6 +117,17 @@ class TestSynthesizeTrace:
             CurrentTrace(f=f[::-1].copy(), j=np.zeros(10))
         with pytest.raises(ValueError):
             CurrentTrace(f=f - 0.2, j=np.zeros(10))
+
+
+class TestFluxGrid:
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0.0, 0.4, 16, "log"), "need 0 < f_min < f_max"),  # numpy: "cannot include zero"
+         ((1e-3, 0.4, -1, "log"), "need at least 8 points")],  # numpy: "must be non-negative"
+    )
+    def test_bad_request_is_invalid_range(self, args, message):
+        with pytest.raises(InvalidRange, match=message):
+            flux_grid(*args)
 
 
 class TestEstimateElectronNumber:
@@ -145,6 +163,15 @@ class TestEstimateElectronNumber:
         f = np.linspace(0.01, 0.4, 16)
         trace = CurrentTrace(f=f, j=2.0 * f)
         with pytest.raises(DegenerateFit):
+            estimate_electron_number(trace)
+
+    def test_infinite_slope_is_degenerate_fit(self):
+        # int(round(inf)) would be an OverflowError
+        with pytest.raises(DegenerateFit, match="not finite and negative"):
+            _electron_number(0.0, -math.inf)
+        f = np.linspace(1e-3, 1e-3 + 1.5e-12, 16)
+        trace = CurrentTrace(f=f, j=-1e300 * np.arange(16))
+        with np.errstate(all="ignore"), pytest.raises(DegenerateFit):
             estimate_electron_number(trace)
 
     def test_noise_rms_estimate(self):
