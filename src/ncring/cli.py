@@ -5,7 +5,7 @@ Subcommands:
 * constants  -- print the physical constants and derived ring scales
 * spectrum   -- tabulate single-particle energies over (n, f)
 * current    -- closed-form current trace to CSV
-* signatures -- closed-form signature traces to CSV and a log-log SVG
+* signatures -- closed-form signature table to CSV, drawn beside it as a log-log SVG
 * simulate   -- synthesize a (optionally noisy) measurement trace to CSV
 * analyze    -- run the detection pipeline on a trace CSV
 * verify     -- compare the closed forms against the brute-force oracles
@@ -115,16 +115,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_signatures(
-    table: Path, svg: Path, f: np.ndarray, lam: np.ndarray, sig: np.ndarray, comments=()
+    stem: Path, f: np.ndarray, lam: np.ndarray, sig: np.ndarray, comments=()
 ) -> Path:
-    """Write the f,lambda,sigma table and the |lambda|, |sigma| log-log plot."""
-    write_table(table, "f,lambda,sigma", (f, lam, sig), comments)
+    """Write the f,lambda,sigma table to stem.csv and the log-log plot of its
+    |lambda| and |sigma| to stem.svg; return the SVG path."""
+    write_table(stem.with_suffix(".csv"), "f,lambda,sigma", (f, lam, sig), comments)
     return emit_plot(
         [
             ("|lambda|", np.transpose((f, np.abs(lam)))),
             ("|sigma|", np.transpose((f, np.abs(sig)))),
         ],
-        svg,
+        stem.with_suffix(".svg"),
     )
 
 
@@ -198,16 +199,12 @@ def cmd_signatures(args: argparse.Namespace) -> int:
     check_zone(ring, config.f_min, config.f_max)
     out_dir = _out_dir(args)
     grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
-    table = out_dir / "signatures.csv"
+    stem = out_dir / "signatures"
     svg = _write_signatures(
-        table,
-        out_dir / "signatures_loglog.svg",
-        grid,
-        lambda_signature(ring, grid),
-        sigma_signature(ring, grid),
+        stem, grid, lambda_signature(ring, grid), sigma_signature(ring, grid)
     )
-    print(f"wrote {table}")
-    print(f"wrote {svg} (+ csv twin)")
+    print(f"wrote {stem.with_suffix('.csv')}")
+    print(f"wrote {svg}")
     return 0
 
 
@@ -222,8 +219,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     signatures = result.signatures
     _write_signatures(
-        out_dir / "derived_signatures.csv",
-        out_dir / "derived_loglog.svg",
+        out_dir / "derived_signatures",
         signatures.f,
         signatures.lam,
         signatures.sig,

@@ -2,12 +2,12 @@
 
 All writers are deterministic functions of their inputs: no timestamps, no
 locale-dependent formatting, `.` as the decimal separator, LF endings.
-Every data CSV (traces, the CLI's tables, the plot's CSV twin) is written
-by :func:`write_table`, the one row writer: comma-joined shortest
-round-trip floats.  Human-facing reports use %.4e.  SI-to-reduced
-conversion happens here and nowhere else.  :class:`RunConfig` is defined
-in :mod:`ncring.pipeline` and re-exported here, where its file form is
-parsed and serialized.
+Every data CSV (traces and the CLI's tables, among them the table each
+plot is drawn from) is written by :func:`write_table`, the one row writer:
+comma-joined shortest round-trip floats.  Human-facing reports use %.4e.
+SI-to-reduced conversion happens here and nowhere else.  :class:`RunConfig`
+is defined in :mod:`ncring.pipeline` and re-exported here, where its file
+form is parsed and serialized.
 """
 
 from __future__ import annotations
@@ -106,15 +106,15 @@ def _meta_lines(meta: TraceMeta) -> list[str]:
 def write_table(path: str | Path, header: str, columns, comments=()) -> None:
     """Write `comments` lines, then `header`, then one row per index of `columns`.
 
-    This is the one row writer for every data CSV.  A row is its values
-    `%s`-joined by commas; numpy columns go through `.tolist()` first, so
-    each float is written as a Python float, whose str is its shortest
-    round-trip repr (numpy 2's repr of its scalars is `np.float64(...)`).
-    Other columns are iterated as they are.
+    This is the one row writer for every data CSV.  `columns` are numpy
+    arrays.  A row is its values `%s`-joined by commas; each column goes
+    through `.tolist()` first, so each float is written as a Python float,
+    whose str is its shortest round-trip repr (numpy 2's repr of its
+    scalars is `np.float64(...)`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    cols = [c.tolist() for c in columns]
     row = ",".join(["%s"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in (*comments, header)))

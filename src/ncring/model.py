@@ -16,6 +16,7 @@ back as plain floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -105,6 +106,16 @@ class RingSystem:
             raise InvalidRange(f"n_electrons must be a positive integer, got {self.n_electrons}")
         if not self.mass > 0.0:
             raise InvalidRange(f"mass must be strictly positive, got {self.mass}")
+        for name in ("f_nc", "epsilon0", "j0"):
+            try:
+                value = getattr(self, name)
+            except (OverflowError, ZeroDivisionError):  # a float ** or / past the range
+                value = math.inf
+            if not math.isfinite(value) or (name != "f_nc" and not value > 0.0):
+                raise InvalidRange(
+                    f"the ring's {name} is {value}: radius, alpha, theta_tilde "
+                    "or mass is out of range"
+                )
 
     @classmethod
     def from_f_nc(
@@ -123,7 +134,10 @@ class RingSystem:
         """
         if f_nc < 0.0:
             raise InvalidRange(f"f_nc must be non-negative, got {f_nc}")
-        theta_tilde = f_nc * (constants.hbar * alpha / radius) ** 2
+        try:
+            theta_tilde = f_nc * (constants.hbar * alpha / radius) ** 2
+        except (OverflowError, ZeroDivisionError):
+            theta_tilde = math.nan  # the ring below refuses the radius or its f_nc
         return cls(
             radius=radius,
             n_electrons=n_electrons,

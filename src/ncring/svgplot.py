@@ -1,24 +1,22 @@
-"""Self-contained log-log SVG line charts plus a machine-readable CSV twin.
+"""Self-contained log-log SVG line charts.
 
 The paper's criterion reads only power-law trends (a 1/f^2 divergence is a
 straight line of slope -2 on log-log axes), so log-log is the only chart.
-No plotting dependency: the chart is assembled as plain SVG text, and the
-CSV twin is written by :func:`ncring.dataio.write_table`.  Every
-emitted file is a deterministic function of its inputs (fixed geometry,
-fixed formatting, no timestamps), so identical data produces identical
-bytes.
+No plotting dependency: the chart is assembled as plain SVG text.  A plot
+is only a view of its data: the caller writes that data once, as the
+`<stem>.csv` table beside the `<stem>.svg` drawn here.  Every emitted file
+is a deterministic function of its inputs (fixed geometry, fixed
+formatting, no timestamps), so identical data produces identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ncring.dataio import write_table
 from ncring.errors import EmptySeries
 
 __all__ = ["emit_plot"]
@@ -48,38 +46,30 @@ def _decades(lo: float, hi: float) -> list[tuple[float, str]]:
 
 
 def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
-    """Write a log-log line chart to `path` (SVG) and the same data to a sibling CSV.
+    """Write a log-log line chart of `series` to `path` (SVG); return the path.
 
     `series` is a list of (label, points), with points given either as
     (x, y) pairs or as an (n, 2) array.  Points with a non-positive
-    coordinate are dropped from the drawing (the drop count is recorded in
-    an SVG comment) but kept in the CSV.  Returns the SVG path.
+    coordinate have no place on log axes: they are not drawn, and an SVG
+    comment records how many were dropped.
     """
     if not series:
         raise EmptySeries("no series to plot")
+    dropped = 0
+    logs = []  # per series, a (2, kept) array of log10 x and log10 y
     for label, points in series:
         if len(points) < 2:
             raise EmptySeries(f"series '{label}' has fewer than 2 points")
-    columns = [np.asarray(points, dtype=float).T.tolist() for _, points in series]
+        xy = np.asarray(points, dtype=float)
+        kept = xy[~((xy[:, 0] <= 0.0) | (xy[:, 1] <= 0.0))]
+        dropped += len(xy) - len(kept)
+        # math.log10, not np.log10: the two differ in the last bit for
+        # some inputs, and the SVG bytes must not depend on numpy
+        logs.append(np.array([list(map(math.log10, c)) for c in kept.T.tolist()]))
 
-    dropped = 0
-    drawn: list[tuple[str, list[tuple[float, float]]]] = []
-    for (label, _), (xs, ys) in zip(series, columns):
-        kept = []
-        for x, y in zip(xs, ys):
-            if x <= 0.0 or y <= 0.0:
-                dropped += 1
-                continue
-            # math.log10, not np.log10: the two differ in the last bit for
-            # some inputs, and the SVG bytes must not depend on numpy
-            kept.append((math.log10(x), math.log10(y)))
-        drawn.append((label, kept))
-
-    xs = [p[0] for _, pts in drawn for p in pts]
-    ys = [p[1] for _, pts in drawn for p in pts]
-    if xs:
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+    both = np.concatenate(logs, axis=1)
+    if both.size:
+        (x_lo, y_lo), (x_hi, y_hi) = both.min(axis=1).tolist(), both.max(axis=1).tolist()
     else:
         x_lo = x_hi = y_lo = y_hi = 0.0
     if x_hi == x_lo:
@@ -90,10 +80,11 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     plot_l, plot_r = _MARGIN_L, _WIDTH - _MARGIN_R
     plot_t, plot_b = _MARGIN_T, _HEIGHT - _MARGIN_B
 
-    def px(x: float) -> float:
+    # px and py take a float or an array: the same operations either way
+    def px(x):
         return plot_l + (x - x_lo) / (x_hi - x_lo) * (plot_r - plot_l)
 
-    def py(y: float) -> float:
+    def py(y):
         return plot_b - (y - y_lo) / (y_hi - y_lo) * (plot_b - plot_t)
 
     lines = [
@@ -134,10 +125,12 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     )
 
     legend_y = plot_t + 10
-    for i, (label, pts) in enumerate(drawn):
+    for i, ((label, _), (log_x, log_y)) in enumerate(zip(series, logs)):
         color = _COLORS[i % len(_COLORS)]
-        if pts:
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        if log_x.size:
+            coords = " ".join(
+                map("%.2f,%.2f".__mod__, zip(px(log_x).tolist(), py(log_y).tolist()))
+            )
             lines.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>'
             )
@@ -156,12 +149,4 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     svg_path.parent.mkdir(parents=True, exist_ok=True)
     with open(svg_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    labels = [label for (label, _), (x, _) in zip(series, columns) for _ in x]
-    write_table(
-        svg_path.with_suffix(".csv"),
-        "series,x,y",
-        (labels, chain.from_iterable(x for x, _ in columns),
-         chain.from_iterable(y for _, y in columns)),
-    )
     return svg_path

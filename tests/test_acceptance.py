@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncring.cli import _write_signatures as write_signatures
 from ncring.cli import main as cli_main
 from ncring.dataio import (
     RunConfig,
@@ -26,7 +27,6 @@ from ncring.model import (
 )
 from ncring.oracle import current_sweep, ground_state_sweep, signature_by_finite_difference
 from ncring.pipeline import VerdictKind, analyze_trace, synthesize_trace
-from ncring.svgplot import emit_plot
 
 
 def _report(criterion: int, message: str) -> None:
@@ -110,23 +110,25 @@ def test_criterion_4_signature_closed_forms():
 
 
 def test_criterion_5_figure_power_laws(tmp_path):
+    # the figure is <stem>.svg drawn from the <stem>.csv table beside it;
+    # its data is read back from that table
     start = time.perf_counter()
     f = np.geomspace(1e-3, 1e-1, 200)
     cases = [
-        ("odd-lambda-1e4", ring_with(10001, 1.5828e-5), lambda_signature),
-        ("odd-lambda-1e5", ring_with(100001, 1.5828e-5), lambda_signature),
-        ("even-sigma-1e4", ring_with(10000, 1.5828e-5), sigma_signature),
-        ("even-sigma-1e5", ring_with(100000, 1.5828e-5), sigma_signature),
+        ("odd-lambda-1e4", ring_with(10001, 1.5828e-5), "lambda"),
+        ("odd-lambda-1e5", ring_with(100001, 1.5828e-5), "lambda"),
+        ("even-sigma-1e4", ring_with(10000, 1.5828e-5), "sigma"),
+        ("even-sigma-1e5", ring_with(100000, 1.5828e-5), "sigma"),
     ]
-    for label, ring, signature in cases:
-        values = np.abs(signature(ring, f))
-        svg = emit_plot(
-            [(label, list(zip(f.tolist(), values.tolist())))],
-            tmp_path / f"{label}.svg",
-        )
-        rows = svg.with_suffix(".csv").read_text().splitlines()[1:]
-        x = np.log10([float(r.split(",")[1]) for r in rows])
-        y = np.log10([float(r.split(",")[2]) for r in rows])
+    for label, ring, column in cases:
+        stem = tmp_path / label
+        svg = write_signatures(stem, f, lambda_signature(ring, f), sigma_signature(ring, f))
+        assert svg == stem.with_suffix(".svg") and svg.exists()
+        header, *rows = stem.with_suffix(".csv").read_text().splitlines()
+        k = header.split(",").index(column)
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        x = np.log10(table[:, 0])
+        y = np.log10(np.abs(table[:, k]))
         design = np.column_stack([np.ones_like(x), x])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         res = y - design @ coef

@@ -3,8 +3,9 @@
 perfbench/tracer.py lists those names in WRAPPED; a refactor that drops one
 would break traced benchmark runs without any other test noticing.  Its
 per-op counts also read the arguments and results of what it wraps (the
-points handed to emit_plot, the files written), so a change of signature
-must keep them right.
+points handed to emit_plot, the files written, the points each oracle
+sweep checked), so a change of signature or of a sweep's result must keep
+them right.
 """
 
 import importlib
@@ -12,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 from ncring.cli import main
+from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,9 +50,9 @@ def test_tracer_counts_signatures(tmp_path, capsys):
     counts = traced_counts(["signatures", "--n-electrons", "3", "--points", "64",
                             "--out", str(tmp_path)])
     assert counts["svgplot.points_in"] == 2 * 64
-    svg = tmp_path / "signatures_loglog.svg"
-    assert counts["svgplot.svg_bytes"] == svg.stat().st_size
-    assert counts["svgplot.csv_bytes"] == svg.with_suffix(".csv").stat().st_size
+    assert counts["svgplot.svg_bytes"] == (tmp_path / "signatures.svg").stat().st_size
+    # the plot's stem names its table, so the tracer's csv_bytes measures it
+    assert counts["svgplot.csv_bytes"] == (tmp_path / "signatures.csv").stat().st_size
 
 
 def test_tracer_counts_simulate_analyze(tmp_path, capsys):
@@ -60,12 +62,22 @@ def test_tracer_counts_simulate_analyze(tmp_path, capsys):
          "--out", str(tmp_path)],
         ["analyze", str(trace), "--n-electrons", "3", "--out", str(tmp_path)],
     )
-    rows = (tmp_path / "derived_signatures.csv").read_text().splitlines()
-    points = len(rows) - 2  # the method comment and the header
+    table = tmp_path / "derived_signatures.csv"
+    points = len(table.read_text().splitlines()) - 2  # the method comment and the header
     assert points == 200
     assert counts["svgplot.points_in"] == 2 * points
-    svg = tmp_path / "derived_loglog.svg"
-    assert counts["svgplot.svg_bytes"] == svg.stat().st_size
-    assert counts["svgplot.csv_bytes"] == svg.with_suffix(".csv").stat().st_size
+    assert counts["svgplot.svg_bytes"] == (tmp_path / "derived_signatures.svg").stat().st_size
+    assert counts["svgplot.csv_bytes"] == table.stat().st_size
     assert counts["dataio.write_trace_csv.bytes"] == trace.stat().st_size
     assert counts["dataio.read_trace_csv.bytes"] == trace.stat().st_size
+
+
+def test_tracer_counts_verify(capsys):
+    # the sweeps that `verify --quick` runs, called directly
+    filling = [ground_state_sweep(n_values=range(1, 13), n_flux=31),
+               current_sweep(n_values=range(1, 13), n_flux=31)]
+    signature = signature_sweep(n_flux=15)
+    counts = traced_counts(["verify", "--quick"])
+    filling_points = sum(sweep.n_points for sweep in filling)
+    assert counts["oracle.points_checked"] == filling_points + signature.n_points == 3072
+    assert counts["oracle.filling_points"] == filling_points == 2904

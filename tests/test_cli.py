@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncring
@@ -12,6 +13,7 @@ from ncring import cli
 from ncring.cli import main
 from ncring.dataio import RunConfig, write_config
 from ncring.errors import InputError, NcRingError
+from ncring.svgplot import emit_plot
 
 
 def run_cli(*args: str) -> int:
@@ -199,6 +201,20 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1].startswith("ncring: error:")
 
+    @pytest.mark.parametrize(
+        "flag, value, scale",
+        [("--radius", "1e200", "f_nc is inf"),  # radius**2 overflows
+         ("--radius", "1e-200", "epsilon0 is inf"),  # radius**2 underflows to zero
+         ("--alpha", "1e-200", "f_nc is inf"),  # (hbar alpha)**2 underflows to zero
+         ("--theta-tilde", "1e300", "f_nc is inf")],
+    )
+    def test_out_of_range_ring_scale_exits_two(self, capsys, flag, value, scale):
+        assert run_cli("constants", flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ncring: error: the ring's {scale}: ")
+        assert captured.err.count("\n") == 1
+
     def test_console_entry_point(self):
         proc = run_module("constants", "--n-electrons", "3")
         assert proc.returncode == 0
@@ -228,7 +244,7 @@ class TestCommands:
         assert run_cli("current", "--n-electrons", "3", "--out", str(tmp_path)) == 0
         assert (tmp_path / "current.csv").exists()
 
-    def test_signatures_outputs(self, tmp_path):
+    def test_signatures_outputs(self, tmp_path, capsys):
         assert (
             run_cli(
                 "signatures", "--n-electrons", "3", "--theta-tilde", "1.76e-61",
@@ -236,9 +252,10 @@ class TestCommands:
             )
             == 0
         )
-        assert (tmp_path / "signatures.csv").exists()
-        assert (tmp_path / "signatures_loglog.svg").exists()
-        assert (tmp_path / "signatures_loglog.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["signatures.csv", "signatures.svg"]
+        assert capsys.readouterr().out == (
+            f"wrote {tmp_path / 'signatures.csv'}\nwrote {tmp_path / 'signatures.svg'}\n"
+        )
 
     def test_simulate_analyze_detection(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -309,6 +326,45 @@ class TestCommands:
         monkeypatch.setenv("NCRING_OUT", str(tmp_path / "envout"))
         assert run_cli("current", "--n-electrons", "3", "--points", "16") == 0
         assert (tmp_path / "envout" / "current.csv").exists()
+
+
+def read_table(path: Path) -> tuple[str, np.ndarray]:
+    """The header and the float rows of a data CSV; `#` lines are skipped."""
+    header, *rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return header, np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
+def assert_plot_of_table(stem: Path, tmp_path: Path) -> None:
+    """stem.svg is the plot of |lambda| and |sigma| from the stem.csv table, byte for byte."""
+    header, table = read_table(stem.with_suffix(".csv"))
+    assert header == "f,lambda,sigma"
+    f, lam, sig = table.T
+    redrawn = emit_plot(
+        [("|lambda|", np.transpose((f, np.abs(lam)))),
+         ("|sigma|", np.transpose((f, np.abs(sig))))],
+        tmp_path / "redrawn" / "plot.svg",
+    )
+    assert redrawn.read_bytes() == stem.with_suffix(".svg").read_bytes()
+
+
+class TestFileContract:
+    """Each derived dataset is one <stem>.csv table with its plot <stem>.svg beside it."""
+
+    def test_analyze_writes_report_table_and_plot(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        args = ("--n-electrons", "3", "--noise-sigma", "1e-4", "--out", str(run))
+        assert run_cli("simulate", *args) == 0
+        assert run_cli("analyze", str(run / "trace.csv"), *args) == 0
+        assert sorted(p.name for p in run.iterdir()) == [
+            "derived_signatures.csv", "derived_signatures.svg", "report.txt", "trace.csv",
+        ]
+        assert_plot_of_table(run / "derived_signatures", tmp_path)
+
+    def test_signatures_plot_is_drawn_from_its_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("signatures", "--n-electrons", "4", "--f-min", "0.02",
+                       "--out", str(out)) == 0
+        assert_plot_of_table(out / "signatures", tmp_path)
 
 
 class TestDeterminism:

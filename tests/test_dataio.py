@@ -377,14 +377,6 @@ def reference_spectrum_table(ring, grid, k) -> str:
     return "".join(rows)
 
 
-def reference_plot_twin(series) -> str:
-    rows = ["series,x,y\n"]
-    for label, points in series:
-        for x, y in points:
-            rows.append(f"{label},{float(x)!r},{float(y)!r}\n")
-    return "".join(rows)
-
-
 def awkward_floats(rng, n: int) -> np.ndarray:
     """Signed values over ~600 decades, with the repr edge cases mixed in."""
     values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
@@ -447,19 +439,21 @@ class TestRowBytes:
             write_trace_csv(trace, path, units=units, ring=ring)
             assert path.read_bytes() == reference_trace_csv(trace, units, ring).encode()
 
-    def test_signatures_table_and_plot_twin(self, tmp_path):
+    def test_signatures_table_and_plot(self, tmp_path):
         rng = np.random.default_rng(11)
         f = np.geomspace(1e-3, 0.4, 400)
         lam, sig = awkward_floats(rng, 400), awkward_floats(rng, 400)
-        table, svg = tmp_path / "table.csv", tmp_path / "plot.svg"
-        cli._write_signatures(table, svg, f, lam, sig, comments=("# method: central",))
+        stem = tmp_path / "derived"
+        svg = cli._write_signatures(stem, f, lam, sig, comments=("# method: central",))
         expected = reference_signatures_table(f, lam, sig, header="# method: central\n")
-        assert table.read_bytes() == expected.encode()
-        twin = reference_plot_twin([
-            ("|lambda|", zip(f.tolist(), np.abs(lam).tolist())),
-            ("|sigma|", zip(f.tolist(), np.abs(sig).tolist())),
-        ])
-        assert svg.with_suffix(".csv").read_bytes() == twin.encode()
+        assert (tmp_path / "derived.csv").read_bytes() == expected.encode()
+        assert svg == tmp_path / "derived.svg"
+        drawn = emit_plot(
+            [("|lambda|", list(zip(f.tolist(), np.abs(lam).tolist()))),
+             ("|sigma|", list(zip(f.tolist(), np.abs(sig).tolist())))],
+            tmp_path / "pairs.svg",
+        )
+        assert svg.read_bytes() == drawn.read_bytes()
 
     @pytest.mark.parametrize("grid, k", [("log", 3), ("uniform", 0), ("uniform", 2)])
     def test_spectrum_table(self, tmp_path, grid, k):
@@ -473,10 +467,7 @@ class TestRowBytes:
     def test_pinned_svg(self, tmp_path):
         svg = emit_plot(PINNED_SERIES, tmp_path / "pairs.svg")
         assert svg.read_bytes() == PINNED_SVG.encode()
-        twin = svg.with_suffix(".csv").read_bytes()
-        assert twin == reference_plot_twin(PINNED_SERIES).encode()
-        # the (n, 2) array form draws and tabulates the same bytes
+        # the (n, 2) array form draws the same bytes
         arrays = [(label, np.array(points)) for label, points in PINNED_SERIES]
         svg = emit_plot(arrays, tmp_path / "arrays.svg")
         assert svg.read_bytes() == PINNED_SVG.encode()
-        assert svg.with_suffix(".csv").read_bytes() == twin

@@ -1,6 +1,7 @@
 """Closed-form model: constants, map constraint, spectrum, current, signatures."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncring.constants import CODATA2018, PhysConstants
-from ncring.errors import ZeroFlux
+from ncring.errors import InvalidRange, ZeroFlux
 from ncring.model import (
     RingSystem,
     SwParams,
@@ -157,6 +158,25 @@ class TestRingSystem:
             RingSystem(radius=1e-6, n_electrons=3, sw=SwParams(), mass=-1.0)
         with pytest.raises(ValueError):
             RingSystem.from_f_nc(n_electrons=3, f_nc=-1e-5)
+
+    @pytest.mark.parametrize(
+        "radius, alpha, theta_tilde, scale",
+        [(1e200, 1.0, THETA_TILDE_REF, "f_nc is inf"),  # radius**2 overflows
+         (1e-200, 1.0, THETA_TILDE_REF, "epsilon0 is inf"),  # radius**2 underflows to zero
+         (1e-6, 1e-200, THETA_TILDE_REF, "f_nc is inf"),  # (hbar alpha)**2 underflows
+         (1e-6, 1.0, 1e300, "f_nc is inf"),  # the product overflows
+         (1e150, 1.0, 0.0, "epsilon0 is 0.0")],  # hbar^2 / (2 m R^2) underflows
+        ids=["radius_1e200", "radius_1e-200", "alpha_1e-200", "theta_tilde_1e300",
+             "radius_1e150"],
+    )
+    def test_out_of_range_scales_refused(self, radius, alpha, theta_tilde, scale):
+        sw = SwParams(alpha=alpha, theta_tilde=theta_tilde)
+        with pytest.raises(InvalidRange, match=f"^the ring's {re.escape(scale)}: "):
+            RingSystem(radius=radius, n_electrons=3, sw=sw)
+
+    def test_from_f_nc_zero_radius(self):
+        with pytest.raises(InvalidRange, match=r"^radius must be strictly positive, got 0\.0$"):
+            RingSystem.from_f_nc(3, 0.01, radius=0.0)
 
 
 class TestReduceToZone:
