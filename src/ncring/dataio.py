@@ -41,6 +41,7 @@ _HEADER_SI = "phi_wb,J_A"
 
 _RING_HINT_KEYS = ("n_electrons", "radius_m", "alpha", "theta_tilde")
 _RING_KEYS = (*_RING_HINT_KEYS, "mass_kg")  # metadata keys named as RunConfig fields
+_META_KEYS = ("source", "seed", "noise_sigma", *_RING_KEYS)  # the keys the reader interprets
 
 _CONFIG_TYPES = get_type_hints(RunConfig)  # field name -> int, float or str
 
@@ -171,9 +172,10 @@ def read_trace_csv(
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
     is converted on load with the scales of `ring`, or of the ring in the
     file's own metadata comments when no ring is passed.  Raises ParseError
-    with a line number for malformed or non-finite content, and naming the
-    key for a ring, seed or noise_sigma value in the metadata that does not
-    parse or is invalid; UnitMismatch when SI data has no usable scale, when
+    with a line number for malformed or non-finite content or for a
+    repeated source, seed, noise_sigma or ring key, and naming the key for
+    a ring, seed or noise_sigma value in the metadata that does not parse
+    or is invalid; UnitMismatch when SI data has no usable scale, when
     the two rings give different scales, or when the file states a radius
     or alpha that differs from `ring`'s.  CurrentTrace checks the flux:
     NonMonotonicFlux when unsorted, InvalidRange when not positive.
@@ -190,8 +192,10 @@ def read_trace_csv(
             if line.startswith("#"):
                 body = line[1:].strip()
                 if ":" in body:
-                    key, _, value = body.partition(":")
-                    meta[key.strip()] = value.strip()
+                    key, _, value = (part.strip() for part in body.partition(":"))
+                    if key in meta and key in _META_KEYS:
+                        raise ParseError(f"repeated trace metadata key {key!r}", line=lineno)
+                    meta[key] = value
                 continue
             if header is None:
                 header = line

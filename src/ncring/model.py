@@ -267,9 +267,12 @@ def persistent_current(ring: RingSystem, f):
     return _maybe_scalar(out, scalar)
 
 
-def _check_nonzero_flux(f_arr: np.ndarray):
+def _over_f_squared(numerator: float, f):
+    """numerator / f^2, the shape of both signatures; raises ZeroFlux at f = 0."""
+    f_arr = np.asarray(f, dtype=float)
     if np.any(f_arr == 0.0):
         raise ZeroFlux("signatures diverge at f = 0; exclude that point")
+    return _maybe_scalar(numerator / (f_arr * f_arr), f_arr.ndim == 0)
 
 
 def lambda_signature(ring: RingSystem, f):
@@ -281,15 +284,10 @@ def lambda_signature(ring: RingSystem, f):
     Valid on the principal branch of the current (f - f_nc inside the
     fundamental zone without wrapping).  Raises ZeroFlux at f = 0.
     """
-    n = ring.n_electrons
-    f_arr = np.asarray(f, dtype=float)
-    scalar = f_arr.ndim == 0
-    _check_nonzero_flux(f_arr)
+    n, f_nc = ring.n_electrons, ring.f_nc
     if ring.parity == "odd":
-        out = (-2.0 * n * ring.f_nc) / (f_arr * f_arr)
-    else:
-        out = (-n * (1.0 + 2.0 * ring.f_nc)) / (f_arr * f_arr)
-    return _maybe_scalar(out, scalar)
+        return _over_f_squared(-2.0 * n * f_nc, f)
+    return _over_f_squared(-n * (1.0 + 2.0 * f_nc), f)
 
 
 def sigma_signature(ring: RingSystem, f):
@@ -300,12 +298,7 @@ def sigma_signature(ring: RingSystem, f):
 
     Same validity domain as :func:`lambda_signature`.
     """
-    n = ring.n_electrons
-    f_arr = np.asarray(f, dtype=float)
-    scalar = f_arr.ndim == 0
-    _check_nonzero_flux(f_arr)
+    n, f_nc = ring.n_electrons, ring.f_nc
     if ring.parity == "odd":
-        out = (n * (1.0 - 2.0 * ring.f_nc)) / (f_arr * f_arr)
-    else:
-        out = (-2.0 * n * ring.f_nc) / (f_arr * f_arr)
-    return _maybe_scalar(out, scalar)
+        return _over_f_squared(n * (1.0 - 2.0 * f_nc), f)
+    return _over_f_squared(-2.0 * n * f_nc, f)

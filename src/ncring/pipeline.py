@@ -171,25 +171,20 @@ class CurrentTrace:
 class SignatureTrace:
     """Signature estimates on the source grid, with the scheme recorded.
 
-    one_sided flags the indices whose derivative came from a 2-point
-    one-sided stencil (the grid endpoints); fits should exclude them.
+    `method` names the stencil: central differences inside, 2-point
+    one-sided differences at the two grid endpoints, which
+    :func:`analyze_trace` therefore never fits.
     """
 
     f: np.ndarray
     lam: np.ndarray
     sig: np.ndarray
     method: str
-    one_sided: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "f", _readonly(self.f))
         object.__setattr__(self, "lam", _readonly(self.lam))
         object.__setattr__(self, "sig", _readonly(self.sig))
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.ones(len(self.f), dtype=bool)
-        mask[list(self.one_sided)] = False
-        return mask
 
 
 def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
@@ -309,7 +304,7 @@ def trace_noise_rms(trace: CurrentTrace) -> float:
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average; windows shrink symmetrically at the edges."""
     if window <= 1:
-        return y.copy()
+        return y  # itself: the cumsum path below is not bit-exact at width 1
     half = window // 2
     n = len(y)
     csum = np.concatenate([[0.0], np.cumsum(y)])
@@ -355,19 +350,15 @@ def differentiate_trace(
         raise TooFewPoints(
             f"smoothing window {smoothing_window} too wide for {len(trace)} points"
         )
-    u = trace.j / trace.f
-    v = (trace.j - n_electrons) / trace.f
-    u_s = _moving_average(u, smoothing_window)
-    v_s = _moving_average(v, smoothing_window)
-    lam = _derivative(trace.f, u_s)
-    sig = _derivative(trace.f, v_s)
+    lam, sig = (
+        _derivative(trace.f, _moving_average(numerator / trace.f, smoothing_window))
+        for numerator in (trace.j, trace.j - n_electrons)
+    )
     method = (
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
     )
-    return SignatureTrace(
-        f=trace.f, lam=lam, sig=sig, method=method, one_sided=(0, len(trace) - 1)
-    )
+    return SignatureTrace(f=trace.f, lam=lam, sig=sig, method=method)
 
 
 @dataclass(frozen=True)
@@ -634,18 +625,18 @@ def analyze_trace(
     sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(trace.j))))
     floor = _noise_floor(trace.f, sigma_floor, config.smoothing_window, config.fit_window)
 
-    keep = signatures.interior_mask()
-    fits: dict[str, PowerLawFit | None] = {}
-    for name, values in (("lambda", signatures.lam), ("sigma", signatures.sig)):
+    # the one-sided endpoints (see differentiate_trace) are never fitted
+    fits: list[PowerLawFit | None] = []
+    for values in (signatures.lam, signatures.sig):
         try:
-            fits[name] = fit_power_law(
-                signatures.f[keep], values[keep], config.fit_window, noise_floor=floor
+            fits.append(
+                fit_power_law(trace.f[1:-1], values[1:-1], config.fit_window, noise_floor=floor)
             )
         except InsufficientSignal:
-            fits[name] = None
+            fits.append(None)
 
     return AnalysisResult(
-        verdict=classify(fits["lambda"], fits["sigma"], n_est, parity, config),
+        verdict=classify(*fits, n_est, parity, config),
         signatures=signatures,
         trace_noise_rms=sigma_j,
         residual_floor=floor,

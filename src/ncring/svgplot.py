@@ -49,9 +49,10 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     """Write a log-log line chart of `series` to `path` (SVG); return the path.
 
     `series` is a list of (label, points), with points given either as
-    (x, y) pairs or as an (n, 2) array.  Points with a non-positive
-    coordinate have no place on log axes: they are not drawn, and an SVG
-    comment records how many were dropped.
+    (x, y) pairs or as an (n, 2) array.  Points with a coordinate that is
+    not a positive finite number (zero, negative, NaN or inf) have no place
+    on log axes: they are not drawn, and an SVG comment records how many
+    were dropped.
     """
     if not series:
         raise EmptySeries("no series to plot")
@@ -61,7 +62,7 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
         if len(points) < 2:
             raise EmptySeries(f"series '{label}' has fewer than 2 points")
         xy = np.asarray(points, dtype=float)
-        kept = xy[~((xy[:, 0] <= 0.0) | (xy[:, 1] <= 0.0))]
+        kept = xy[((xy > 0.0) & (xy < math.inf)).all(axis=1)]
         dropped += len(xy) - len(kept)
         # math.log10, not np.log10: the two differ in the last bit for
         # some inputs, and the SVG bytes must not depend on numpy

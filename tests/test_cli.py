@@ -201,6 +201,33 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1].startswith("ncring: error:")
 
+    def test_overflowing_signatures_still_written(self, tmp_path):
+        # J/f overflows near f = 1e-300; the inf and NaN signatures are dropped
+        # from the log-log plot, not an internal error (a child process, since
+        # the suite turns numpy's overflow warning into an error)
+        f = np.geomspace(1e-300, 0.4, 64)
+        rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(f.tolist(), (1e10 - 6 * f).tolist()))
+        (tmp_path / "trace.csv").write_text("f,J\n" + rows)
+        proc = run_module(
+            "analyze", str(tmp_path / "trace.csv"), "--n-electrons", "3", "--out", str(tmp_path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("verdict: Inconclusive\n")
+        for name in ("report.txt", "derived_signatures.csv", "derived_signatures.svg"):
+            assert (tmp_path / name).is_file()
+
+    def test_repeated_metadata_key_exits_two(self, tmp_path, capsys):
+        assert run_cli("simulate", "--n-electrons", "3", "--out", str(tmp_path)) == 0
+        trace = tmp_path / "trace.csv"
+        lines = trace.read_text().splitlines()
+        row = lines.index("# radius_m: 1e-06")
+        lines.insert(row, "# radius_m: 5e-06")
+        trace.write_text("\n".join(lines) + "\n")
+        assert run_cli("analyze", str(trace), "--n-electrons", "3", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"ncring: error: line {row + 2}: repeated trace metadata key 'radius_m'\n"
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.parametrize(
         "flag, value, scale",
         [("--radius", "1e200", "f_nc is inf"),  # radius**2 overflows

@@ -169,6 +169,31 @@ class TestTraceCsv:
         with pytest.raises(ParseError, match=f"trace metadata {key}: "):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "key",
+        ["source", "seed", "noise_sigma", "n_electrons", "radius_m", "alpha",
+         "theta_tilde", "mass_kg"],
+    )
+    def test_repeated_metadata_key_is_parse_error(self, tmp_path, key):
+        path = tmp_path / "repeated.csv"
+        trace = synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16, noise_sigma=0.01, seed=9)
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}:"))
+        lines.insert(row + 1, lines[row])  # even an agreeing repeat is refused
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"repeated trace metadata key '{key}'") as err:
+            read_trace_csv(path)
+        assert err.value.line == row + 2
+
+    def test_repeated_free_text_comment_is_kept_legal(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        trace = synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16)
+        write_trace_csv(trace, path)
+        notes = "# note: first\n# note: second\n# plain remark\n# plain remark\n"
+        path.write_text(notes + path.read_text())
+        assert np.array_equal(read_trace_csv(path).j, trace.j)
+
     def test_hand_written_odd_trace(self, tmp_path):
         # a bare f,J file with slope -6 reads as an N=3 odd ring's trace
         from ncring.pipeline import estimate_electron_number

@@ -388,10 +388,32 @@ class TestSignatures:
 
     def test_zero_flux_raises(self):
         ring = ring_with(3, 1e-5)
-        with pytest.raises(ZeroFlux):
-            lambda_signature(ring, 0.0)
-        with pytest.raises(ZeroFlux):
-            sigma_signature(ring, np.array([0.1, 0.0, 0.2]))
+        for signature in (lambda_signature, sigma_signature):
+            for f in (0.0, np.array([0.1, 0.0, 0.2])):
+                with pytest.raises(ZeroFlux):
+                    signature(ring, f)
+
+    # today's explicit closed forms, which the shared 1/f^2 body must keep bit for bit
+    EXPLICIT = {
+        ("lambda", "odd"): lambda n, f_nc, f: (-2.0 * n * f_nc) / (f * f),
+        ("lambda", "even"): lambda n, f_nc, f: (-n * (1.0 + 2.0 * f_nc)) / (f * f),
+        ("sigma", "odd"): lambda n, f_nc, f: (n * (1.0 - 2.0 * f_nc)) / (f * f),
+        ("sigma", "even"): lambda n, f_nc, f: (-2.0 * n * f_nc) / (f * f),
+    }
+
+    @pytest.mark.parametrize("f_nc", [0.0, 1e-5, 1e-2])
+    @pytest.mark.parametrize("n", [3, 6, 101, 10000])
+    @pytest.mark.parametrize(
+        "name, signature", [("lambda", lambda_signature), ("sigma", sigma_signature)]
+    )
+    def test_scalar_array_and_explicit_form_agree(self, name, signature, n, f_nc):
+        ring = ring_with(n, f_nc)
+        f = np.geomspace(1e-3, 0.4, 17)
+        scalars = [signature(ring, x) for x in f.tolist()]
+        assert all(type(value) is float for value in scalars)
+        assert (signature(ring, f) == np.array(scalars)).all()
+        explicit = self.EXPLICIT[name, ring.parity]
+        assert scalars == [explicit(n, ring.f_nc, x) for x in f.tolist()]
 
     @given(
         f=st.floats(1e-4, 0.49, allow_nan=False),

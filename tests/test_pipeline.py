@@ -189,7 +189,7 @@ class TestDifferentiateTrace:
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
         sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
         lam_ref = lambda_signature(ring, sig.f)
-        keep = sig.interior_mask()
+        keep = slice(1, -1)  # the one-sided endpoints are not compared
         rel = np.abs(sig.lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
         assert rel.max() < 1e-4
 
@@ -198,7 +198,7 @@ class TestDifferentiateTrace:
         trace = synthesize_trace(ring, ring.f_nc, 0.4, 1024)
         sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
         sig_ref = sigma_signature(ring, sig.f)
-        keep = sig.interior_mask()
+        keep = slice(1, -1)  # the one-sided endpoints are not compared
         rel = np.abs(sig.sig[keep] - sig_ref[keep]) / np.abs(sig_ref[keep])
         assert rel.max() < 1e-4
 
@@ -208,7 +208,7 @@ class TestDifferentiateTrace:
         c = 2.5
         trace = CurrentTrace(f=f, j=np.full_like(f, c))
         sig = differentiate_trace(trace, 3, smoothing_window=1)
-        keep = sig.interior_mask()
+        keep = slice(1, -1)  # the one-sided endpoints are not compared
         expected = -c / f[keep] ** 2
         rel = np.abs(sig.lam[keep] - expected) / np.abs(expected)
         assert rel.max() < 1e-3
@@ -217,11 +217,11 @@ class TestDifferentiateTrace:
         assert rel_sigma.max() < 1e-3
 
     def test_endpoints_flagged(self):
+        # the method text names the endpoint stencil; that analyze_trace
+        # fits only the interior is TestAnalyzeTrace::test_fits_exactly_the_interior
         trace = make_trace(ring_with(3, 0.0), n_points=32)
         sig = differentiate_trace(trace, 3)
-        assert sig.one_sided == (0, 31)
-        assert "one_sided" in sig.method
-        assert sig.interior_mask().sum() == 30
+        assert sig.method.endswith(";endpoints=one_sided2")
 
     def test_smoothing_window_validation(self):
         trace = make_trace(ring_with(3, 0.0), n_points=32)
@@ -235,7 +235,7 @@ class TestDifferentiateTrace:
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
         sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=5)
         lam_ref = lambda_signature(ring, sig.f)
-        keep = sig.interior_mask()
+        keep = slice(1, -1)  # the one-sided endpoints are not compared
         # smoothing biases a curved profile; stays within a percent here
         rel = np.abs(sig.lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
         assert np.median(rel) < 1e-2
@@ -333,7 +333,7 @@ class TestFitPowerLaw:
         ring = ring_with(3, 1e-5)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
         sig = differentiate_trace(trace, ring.n_electrons)
-        keep = sig.interior_mask()
+        keep = slice(1, -1)  # the one-sided endpoints are not compared
         fit = fit_power_law(sig.f[keep], sig.lam[keep], (1e-3, 1e-1))
         assert -2.01 <= fit.exponent <= -1.99
         assert fit.amplitude == pytest.approx(-6.0 * ring.f_nc, rel=1e-3)
@@ -481,6 +481,20 @@ class TestAnalyzeTrace:
         b = analyze_trace(make_trace(ring, noise_sigma=0.001, seed=9))
         assert a.verdict == b.verdict
         assert np.array_equal(a.signatures.lam, b.signatures.lam)
+
+    def test_fits_exactly_the_interior(self):
+        # a fit window wider than the grid: only the two one-sided endpoints
+        # are left out of the fits and of the floor
+        trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 64)
+        config = RunConfig(n_electrons=3, fit_f_lo=1e-4, fit_f_hi=1.0)
+        result = analyze_trace(trace, config)
+        v = result.verdict
+        assert v.kind is VerdictKind.ODD_NC_DETECTED
+        assert v.lambda_fit.n_points_used == v.sigma_fit.n_points_used == 62
+        sigma_j = max(result.trace_noise_rms, np.finfo(float).eps * np.abs(trace.j).max())
+        f = trace.f
+        amp_equiv = math.sqrt(2.0) * sigma_j / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
+        assert result.residual_floor == float(np.median(amp_equiv))
 
     @pytest.mark.parametrize(
         "n, n_points, grid, f_max",
