@@ -13,6 +13,7 @@ form is parsed and serialized.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -163,6 +164,76 @@ def _stated(meta: dict[str, str], keys) -> dict[str, float | int]:
     return stated
 
 
+def _row(line: str, lineno: int) -> tuple[float, float]:
+    """The (f, J) of one stripped data row; ParseError naming `lineno` if malformed."""
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected two comma-separated fields, got {line!r}", line=lineno)
+    try:
+        f_val, j_val = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ParseError(f"bad float in {line!r}", line=lineno) from None
+    if not (math.isfinite(f_val) and math.isfinite(j_val)):
+        raise ParseError(f"non-finite value in {line!r}", line=lineno)
+    return f_val, j_val
+
+
+def _bulk_rows(fh) -> np.ndarray | None:
+    """The rest of `fh` as an (n, 2) array of finite floats, parsed in one call.
+
+    None when numpy refuses the rows, finds none, or finds a non-finite
+    value: the caller then reads the file row by row, which accepts what
+    only numpy refuses (a `#` comment or a whitespace-only line between
+    rows, `1_0`, non-ASCII digits) and names the line of any error.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            xy = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    if xy.shape[1] != 2 or not np.isfinite(xy).all():
+        return None
+    return xy
+
+
+def _scan(fh, bulk: bool) -> tuple[dict[str, str], str | None, np.ndarray | None]:
+    """The metadata comments, the header and the (n, 2) data rows of a trace CSV.
+
+    Comments and the header are read line by line.  With `bulk`, the rows
+    after the header go to :func:`_bulk_rows`, and the data is None when it
+    gives up; otherwise each row goes through :func:`_row`.
+    """
+    meta: dict[str, str] = {}
+    header: str | None = None
+    rows: list[tuple[float, float]] = []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if ":" in body:
+                key, _, value = (part.strip() for part in body.partition(":"))
+                if key in meta and key in _META_KEYS:
+                    raise ParseError(f"repeated trace metadata key {key!r}", line=lineno)
+                meta[key] = value
+            continue
+        if header is None:
+            header = line
+            if header not in (_HEADER_REDUCED, _HEADER_SI):
+                raise ParseError(
+                    f"unrecognized header {line!r}; expected "
+                    f"{_HEADER_REDUCED!r} or {_HEADER_SI!r}",
+                    line=lineno,
+                )
+            if bulk:
+                return meta, header, _bulk_rows(fh)
+            continue
+        rows.append(_row(line, lineno))
+    return meta, header, np.array(rows, dtype=float).reshape(-1, 2)
+
+
 def read_trace_csv(
     path: str | Path,
     ring: RingSystem | None = None,
@@ -171,7 +242,10 @@ def read_trace_csv(
 
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
     is converted on load with the scales of `ring`, or of the ring in the
-    file's own metadata comments when no ring is passed.  Raises ParseError
+    file's own metadata comments when no ring is passed.  The data rows
+    are parsed in one numpy call; when that call refuses them, the file is
+    read again row by row, which gives the same values and the errors
+    below with the line they occur on.  Raises ParseError
     with a line number for malformed or non-finite content or for a
     repeated source, seed, noise_sigma or ring key, and naming the key for
     a ring, seed or noise_sigma value in the metadata that does not parse
@@ -180,49 +254,17 @@ def read_trace_csv(
     or alpha that differs from `ring`'s.  CurrentTrace checks the flux:
     NonMonotonicFlux when unsorted, InvalidRange when not positive.
     """
-    path = Path(path)
-    meta: dict[str, str] = {}
-    header: str | None = None
-    rows: list[tuple[float, float]] = []
     with open(path, "r", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = (part.strip() for part in body.partition(":"))
-                    if key in meta and key in _META_KEYS:
-                        raise ParseError(f"repeated trace metadata key {key!r}", line=lineno)
-                    meta[key] = value
-                continue
-            if header is None:
-                header = line
-                if header not in (_HEADER_REDUCED, _HEADER_SI):
-                    raise ParseError(
-                        f"unrecognized header {line!r}; expected "
-                        f"{_HEADER_REDUCED!r} or {_HEADER_SI!r}",
-                        line=lineno,
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected two comma-separated fields, got {line!r}", line=lineno)
-            try:
-                f_val, j_val = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(f"bad float in {line!r}", line=lineno) from None
-            if not (math.isfinite(f_val) and math.isfinite(j_val)):
-                raise ParseError(f"non-finite value in {line!r}", line=lineno)
-            rows.append((f_val, j_val))
+        meta, header, xy = _scan(fh, bulk=True)
+    if xy is None:  # the row loop finds the offending line and names it
+        with open(path, "r", newline="") as fh:
+            meta, header, xy = _scan(fh, bulk=False)
     if header is None:
         raise ParseError("no header line found (empty file?)")
-    if len(rows) < MIN_TRACE_POINTS:
-        raise ParseError(f"trace needs at least {MIN_TRACE_POINTS} data rows, found {len(rows)}")
+    if len(xy) < MIN_TRACE_POINTS:
+        raise ParseError(f"trace needs at least {MIN_TRACE_POINTS} data rows, found {len(xy)}")
 
-    f = np.array([r[0] for r in rows])
-    j = np.array([r[1] for r in rows])
+    f, j = xy[:, 0], xy[:, 1]
     stated = _stated(meta, _RING_KEYS)
     has_hint = all(key in stated for key in _RING_HINT_KEYS)
     ring_hint = RunConfig(**stated).ring() if has_hint else None

@@ -350,10 +350,13 @@ def differentiate_trace(
         raise TooFewPoints(
             f"smoothing window {smoothing_window} too wide for {len(trace)} points"
         )
-    lam, sig = (
-        _derivative(trace.f, _moving_average(numerator / trace.f, smoothing_window))
-        for numerator in (trace.j, trace.j - n_electrons)
-    )
+    # J/f and its differences can overflow near f = 0; the inf and NaN
+    # estimates are masked by fit_power_law and dropped from the plot
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam, sig = (
+            _derivative(trace.f, _moving_average(numerator / trace.f, smoothing_window))
+            for numerator in (trace.j, trace.j - n_electrons)
+        )
     method = (
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
@@ -592,8 +595,10 @@ def _noise_floor(
     """
     d2 = f[2:] - f[:-2]
     f_int = f[1:-1]
-    s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * d2)
-    amp_equiv = s_val * f_int**2
+    # overflows near f = 0 as in differentiate_trace, with the same outcome
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * d2)
+        amp_equiv = s_val * f_int**2
     in_window = (f_int >= f_window[0]) & (f_int <= f_window[1])
     if not in_window.any():
         return 0.0

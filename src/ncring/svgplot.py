@@ -7,6 +7,10 @@ is only a view of its data: the caller writes that data once, as the
 `<stem>.csv` table beside the `<stem>.svg` drawn here.  Every emitted file
 is a deterministic function of its inputs (fixed geometry, fixed
 formatting, no timestamps), so identical data produces identical bytes.
+A line is drawn at pixel resolution: of each run of points that share one
+pixel column, only the first, last, lowest and highest are written (M4
+aggregation), so the SVG's size follows the plot's width, not the number
+of points; the table keeps every point.
 """
 
 from __future__ import annotations
@@ -45,6 +49,26 @@ def _decades(lo: float, hi: float) -> list[tuple[float, str]]:
     return ticks
 
 
+def _m4(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices, in input order, of the points of one series that are drawn.
+
+    M4 aggregation (Jugel et al., VLDB 2014): a run of consecutive points
+    whose x falls in one pixel column keeps its first and last point and
+    the first occurrence of its lowest and of its highest y, so the line
+    enters, spans and leaves the column as the full line does.  A run of 4
+    or fewer points keeps them all.
+    """
+    starts = np.r_[0, np.flatnonzero(np.diff(columns)) + 1]
+    lengths = np.diff(np.r_[starts, len(columns)])
+    run = np.repeat(np.arange(len(starts)), lengths)
+    keep = np.repeat(lengths <= 4, lengths)
+    keep[starts] = keep[starts + lengths - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(y == extreme.reduceat(y, starts)[run])
+        keep[hits[np.unique(run[hits], return_index=True)[1]]] = True
+    return np.flatnonzero(keep)
+
+
 def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     """Write a log-log line chart of `series` to `path` (SVG); return the path.
 
@@ -52,7 +76,9 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     (x, y) pairs or as an (n, 2) array.  Points with a coordinate that is
     not a positive finite number (zero, negative, NaN or inf) have no place
     on log axes: they are not drawn, and an SVG comment records how many
-    were dropped.
+    were dropped.  Of each run of consecutive points in one pixel column,
+    the first, last, lowest and highest are drawn (all of them when the
+    run has 4 or fewer), in their input order.
     """
     if not series:
         raise EmptySeries("no series to plot")
@@ -66,7 +92,8 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
         dropped += len(xy) - len(kept)
         # math.log10, not np.log10: the two differ in the last bit for
         # some inputs, and the SVG bytes must not depend on numpy
-        logs.append(np.array([list(map(math.log10, c)) for c in kept.T.tolist()]))
+        logs.append(np.array([np.fromiter(map(math.log10, c), float, len(c))
+                              for c in kept.T.tolist()]))
 
     both = np.concatenate(logs, axis=1)
     if both.size:
@@ -129,8 +156,10 @@ def emit_plot(series: Sequence[tuple[str, object]], path: str | Path) -> Path:
     for i, ((label, _), (log_x, log_y)) in enumerate(zip(series, logs)):
         color = _COLORS[i % len(_COLORS)]
         if log_x.size:
+            xs = px(log_x)
+            drawn = _m4(np.floor(xs), log_y)
             coords = " ".join(
-                map("%.2f,%.2f".__mod__, zip(px(log_x).tolist(), py(log_y).tolist()))
+                map("%.2f,%.2f".__mod__, zip(xs[drawn].tolist(), py(log_y[drawn]).tolist()))
             )
             lines.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>'

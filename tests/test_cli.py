@@ -16,6 +16,35 @@ from ncring.errors import InputError, NcRingError
 from ncring.svgplot import emit_plot
 
 
+# report.txt of the overflowing trace in test_overflowing_signatures_still_written,
+# as written before numpy's overflow warnings were silenced
+OVERFLOW_REPORT = """\
+diagnostic_01: lambda: no usable signal above the noise floor
+diagnostic_02: sigma: no usable signal above the noise floor
+diagnostic_03: electron number estimate: 3 (even)
+diagnostic_04: no criterion case matches the observed divergence pattern
+estimated_n: 3
+estimated_parity: even
+f_nc_hat: none
+fit_window_hi: 1.0000e-01
+fit_window_lo: 1.0000e-03
+lambda_amplitude: none
+lambda_exponent: none
+lambda_points_used: 0
+lambda_r_squared: none
+residual_floor: 0.0000e+00
+sigma_amplitude: none
+sigma_exponent: none
+sigma_points_used: 0
+sigma_r_squared: none
+theta_tilde_hat: none
+thresholds_amplitude_floor_mult: 3.0000e+00
+thresholds_exponent_tol: 3.0000e-01
+trace_noise_rms: 2.7337e-07
+verdict: Inconclusive
+"""
+
+
 def run_cli(*args: str) -> int:
     return main(list(args))
 
@@ -201,10 +230,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1].startswith("ncring: error:")
 
+    def test_header_only_trace_exits_two_quietly(self, tmp_path):
+        # numpy warns when the bulk row parse finds no rows; the error alone
+        # reaches stderr (a child process, outside the suite's warning filters)
+        (tmp_path / "trace.csv").write_text("# source: hand\nf,J\n")
+        proc = run_module("analyze", str(tmp_path / "trace.csv"), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == "ncring: error: trace needs at least 8 data rows, found 0\n"
+
     def test_overflowing_signatures_still_written(self, tmp_path):
         # J/f overflows near f = 1e-300; the inf and NaN signatures are dropped
-        # from the log-log plot, not an internal error (a child process, since
-        # the suite turns numpy's overflow warning into an error)
+        # from the log-log plot, not an internal error, and numpy's overflow
+        # warnings stay silent (a child process, so its real stderr is seen)
         f = np.geomspace(1e-300, 0.4, 64)
         rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(f.tolist(), (1e10 - 6 * f).tolist()))
         (tmp_path / "trace.csv").write_text("f,J\n" + rows)
@@ -212,9 +249,11 @@ class TestExitCodes:
             "analyze", str(tmp_path / "trace.csv"), "--n-electrons", "3", "--out", str(tmp_path)
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         assert proc.stdout.startswith("verdict: Inconclusive\n")
         for name in ("report.txt", "derived_signatures.csv", "derived_signatures.svg"):
             assert (tmp_path / name).is_file()
+        assert (tmp_path / "report.txt").read_text() == OVERFLOW_REPORT
 
     def test_repeated_metadata_key_exits_two(self, tmp_path, capsys):
         assert run_cli("simulate", "--n-electrons", "3", "--out", str(tmp_path)) == 0

@@ -1,11 +1,15 @@
 """File formats: trace CSV, configuration, result reports, row bytes."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ncring import cli
+from ncring import cli, dataio
 from ncring.constants import CODATA2018
 from ncring.dataio import (
     RunConfig,
@@ -21,6 +25,7 @@ from ncring.dataio import (
 from ncring.errors import NonMonotonicFlux, ParseError, UnitMismatch
 from ncring.model import RingSystem, eigenenergy
 from ncring.pipeline import (
+    MIN_TRACE_POINTS,
     CurrentTrace,
     PowerLawFit,
     TraceMeta,
@@ -496,3 +501,112 @@ class TestRowBytes:
         arrays = [(label, np.array(points)) for label, points in PINNED_SERIES]
         svg = emit_plot(arrays, tmp_path / "arrays.svg")
         assert svg.read_bytes() == PINNED_SVG.encode()
+
+
+def read_outcome(path, bulk: bool = True):
+    """The bits and metadata read_trace_csv gives for `path`, or its error.
+
+    With `bulk` False the one-call parser is switched off, so the rows go
+    through the row loop alone: the reference the bulk parser must match.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if not bulk:
+            mp.setattr(dataio, "_bulk_rows", lambda fh: None)
+        try:
+            trace = read_trace_csv(path)
+        except ParseError as err:
+            return type(err), str(err), err.line
+    return trace.f.tobytes(), trace.j.tobytes(), trace.meta
+
+
+def scan_rows(path, bulk: bool) -> np.ndarray | None:
+    with open(path, "r", newline="") as fh:
+        return dataio._scan(fh, bulk=bulk)[2]
+
+
+def float_rows(path) -> tuple[bytes, bytes]:
+    """The f and J bits of `path`'s data rows, each field read by float()."""
+    lines = Path(path).read_text().splitlines()
+    rows = [tuple(map(float, line.split(","))) for line in lines[lines.index("f,J") + 1:]]
+    return tuple(np.array(col, dtype=float).tobytes() for col in zip(*rows))
+
+
+# Nine data rows.  Each file below puts `# seed: 1` and the header before
+# them, so row i sits on line i + 3.
+CLEAN_ROWS = [f"0.{i + 1},-0.{i + 1}" for i in range(9)]
+
+
+def edited(index: int, row: str, insert: bool = False) -> list[str]:
+    rows = list(CLEAN_ROWS)
+    if insert:
+        rows.insert(index, row)
+    else:
+        rows[index] = row
+    return rows
+
+
+# name: (data lines, line ending, line of the expected ParseError or None)
+PARSE_CASES = {
+    "clean": (CLEAN_ROWS, "\n", None),
+    "bad_float": (edited(4, "not,a-number"), "\n", 7),
+    "three_fields": (edited(4, "0.5,-0.5,1"), "\n", 7),
+    "three_fields_everywhere": ([row + ",1" for row in CLEAN_ROWS], "\n", 3),
+    "nan": (edited(4, "0.5,nan"), "\n", 7),
+    "inf": (edited(8, "inf,-0.9"), "\n", 11),
+    "minus_inf": (edited(0, "0.1,-inf"), "\n", 3),
+    "comment_between_rows": (edited(4, "# note: between rows", insert=True), "\n", None),
+    "repeated_key_between_rows": (edited(4, "# seed: 2", insert=True), "\n", 7),
+    "blank_line": (edited(4, "", insert=True), "\n", None),
+    "whitespace_line": (edited(4, " \t ", insert=True), "\n", None),
+    "crlf": (CLEAN_ROWS, "\r\n", None),
+    "crlf_bad_float": (edited(2, "0.3,x"), "\r\n", 5),
+    "underscore": (edited(4, "0.5,1_0"), "\n", None),
+    "unicode_digits": (edited(4, "0.5,-\u0660.\u0665"), "\n", None),
+    "no_rows": ([], "\n", None),
+    "too_few_rows": (CLEAN_ROWS[: MIN_TRACE_POINTS - 1], "\n", None),
+}
+
+
+class TestBulkParse:
+    """The one-call row parser gives what the row loop gives, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(MIN_TRACE_POINTS + 1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_matches_float(self, seed, n):
+        rng = np.random.default_rng(seed)
+        f = np.unique(np.abs(awkward_floats(rng, n)))
+        f = f[f > 0.0]  # keeps 5e-324 and the largest float; -0.0 became 0.0
+        assume(len(f) >= MIN_TRACE_POINTS)
+        trace = CurrentTrace(f=f, j=awkward_floats(rng, len(f)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(trace, path)
+            back = read_trace_csv(path)
+            assert (back.f.tobytes(), back.j.tobytes()) == float_rows(path)
+            assert (back.f.tobytes(), back.j.tobytes()) == (f.tobytes(), trace.j.tobytes())
+            bulk, rows = scan_rows(path, bulk=True), scan_rows(path, bulk=False)
+        assert bulk is not None
+        assert bulk.tobytes() == rows.tobytes()
+
+    def test_large_noisy_trace_matches_float(self, tmp_path):
+        ring = RunConfig(n_electrons=10001, theta_tilde=1.76e-61, radius_m=1e-6).ring()
+        trace = synthesize_trace(ring, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=7)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert (back.f.tobytes(), back.j.tobytes()) == float_rows(path)
+        assert np.array_equal(back.j, trace.j) and np.array_equal(back.f, trace.f)
+        assert scan_rows(path, bulk=True).tobytes() == scan_rows(path, bulk=False).tobytes()
+
+    @pytest.mark.parametrize("case", PARSE_CASES)
+    def test_same_outcome_as_row_loop(self, tmp_path, case):
+        rows, ending, error_line = PARSE_CASES[case]
+        path = tmp_path / "trace.csv"
+        path.write_bytes(ending.join(["# seed: 1", "f,J", *rows, ""]).encode())
+        outcome = read_outcome(path)
+        assert outcome == read_outcome(path, bulk=False)
+        if error_line is not None:
+            assert outcome[0] is ParseError and outcome[2] == error_line
+        if len(rows) < MIN_TRACE_POINTS:
+            assert outcome == (ParseError, f"trace needs at least {MIN_TRACE_POINTS} "
+                               f"data rows, found {len(rows)}", None)
