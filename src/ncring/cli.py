@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from ncring.dataio import (
-    RunConfig,
     read_config,
     read_trace_csv,
     write_results_report,
@@ -37,7 +36,7 @@ from ncring.dataio import (
 from ncring.errors import InputError, InvalidRange, NcRingError
 from ncring.model import eigenenergy, lambda_signature, sigma_signature
 from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
-from ncring.pipeline import analyze_trace, check_zone, flux_grid, synthesize_trace
+from ncring.pipeline import RunConfig, analyze_trace, check_zone, flux_grid, synthesize_trace
 from ncring.svgplot import emit_plot
 
 _INPUT_ERRORS = (InputError, FileNotFoundError, FileExistsError,
@@ -196,9 +195,9 @@ def cmd_current(args: argparse.Namespace) -> int:
 def cmd_signatures(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ring = config.ring()
+    grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
     check_zone(ring, config.f_min, config.f_max)
     out_dir = _out_dir(args)
-    grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
     stem = out_dir / "signatures"
     svg = _write_signatures(
         stem, grid, lambda_signature(ring, grid), sigma_signature(ring, grid)
@@ -217,13 +216,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     trace = read_trace_csv(args.trace, ring=config.ring())
     result = analyze_trace(trace, config, blind=args.blind)
     out_dir = _out_dir(args)
-    signatures = result.signatures
     _write_signatures(
         out_dir / "derived_signatures",
-        signatures.f,
-        signatures.lam,
-        signatures.sig,
-        comments=(f"# method: {signatures.method}",),
+        trace.f,
+        result.lam,
+        result.sig,
+        comments=(f"# method: {result.method}",),
     )
 
     report = out_dir / "report.txt"

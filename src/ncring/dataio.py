@@ -5,9 +5,8 @@ locale-dependent formatting, `.` as the decimal separator, LF endings.
 Every data CSV (traces and the CLI's tables, among them the table each
 plot is drawn from) is written by :func:`write_table`, the one row writer:
 comma-joined shortest round-trip floats.  Human-facing reports use %.4e.
-SI-to-reduced conversion happens here and nowhere else.  :class:`RunConfig`
-is defined in :mod:`ncring.pipeline` and re-exported here, where its file
-form is parsed and serialized.
+SI-to-reduced conversion happens here and nowhere else, and so do the
+parsing and serializing of :class:`ncring.pipeline.RunConfig`'s file form.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from ncring.model import RingSystem
 from ncring.pipeline import MIN_TRACE_POINTS, CurrentTrace, RunConfig, TraceMeta, Verdict
 
 __all__ = [
-    "RunConfig",
     "parse_config",
     "serialize_config",
     "read_config",

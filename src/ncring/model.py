@@ -59,10 +59,11 @@ class SwParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidRange(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.theta < 0.0:
-            raise InvalidRange(f"theta must be non-negative, got {self.theta}")
-        if self.theta_tilde < 0.0:
-            raise InvalidRange(f"theta_tilde must be non-negative, got {self.theta_tilde}")
+        for name in ("theta", "theta_tilde"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidRange(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
+                )
 
 
 def check_sw_constraint(
@@ -136,8 +137,8 @@ class RingSystem:
             raise InvalidRange(f"f_nc must be non-negative, got {f_nc}")
         try:
             theta_tilde = f_nc * (constants.hbar * alpha / radius) ** 2
-        except (OverflowError, ZeroDivisionError):
-            theta_tilde = math.nan  # the ring below refuses the radius or its f_nc
+        except (OverflowError, ZeroDivisionError):  # radius 0 or below ~1e-188
+            theta_tilde = 0.0  # the ring below refuses the radius or its epsilon0
         return cls(
             radius=radius,
             n_electrons=n_electrons,

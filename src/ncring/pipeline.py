@@ -42,7 +42,6 @@ __all__ = [
     "RunConfig",
     "TraceMeta",
     "CurrentTrace",
-    "SignatureTrace",
     "PowerLawFit",
     "VerdictKind",
     "Verdict",
@@ -158,6 +157,8 @@ class CurrentTrace:
             raise InvalidRange("f and j must be 1D arrays of equal length")
         if len(self.f) < MIN_TRACE_POINTS:
             raise InvalidRange(f"trace needs at least {MIN_TRACE_POINTS} points")
+        if not (np.isfinite(self.f).all() and np.isfinite(self.j).all()):
+            raise InvalidRange("flux and current values must be finite")
         if not np.all(np.diff(self.f) > 0.0):
             raise NonMonotonicFlux("flux values must be strictly increasing")
         if not np.all(self.f > 0.0):
@@ -165,26 +166,6 @@ class CurrentTrace:
 
     def __len__(self) -> int:
         return len(self.f)
-
-
-@dataclass(frozen=True)
-class SignatureTrace:
-    """Signature estimates on the source grid, with the scheme recorded.
-
-    `method` names the stencil: central differences inside, 2-point
-    one-sided differences at the two grid endpoints, which
-    :func:`analyze_trace` therefore never fits.
-    """
-
-    f: np.ndarray
-    lam: np.ndarray
-    sig: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _readonly(self.f))
-        object.__setattr__(self, "lam", _readonly(self.lam))
-        object.__setattr__(self, "sig", _readonly(self.sig))
 
 
 def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
@@ -204,12 +185,11 @@ def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
     """Refuse (InvalidRange) a flux window off the branch the closed forms hold on.
 
     Level crossings sit at f = 1/2 + f_nc for odd N and at f_nc and 1 + f_nc
-    for even N.  Needs 0 < f_min < f_max, f_max <= 1/2 - f_nc (conservative
-    inside either zone) and, for even N, f_min >= f_nc, below which J wraps.
+    for even N.  Needs f_max <= 1/2 - f_nc (conservative inside either zone)
+    and, for even N, f_min >= f_nc, below which J wraps; 0 < f_min < f_max
+    is :func:`flux_grid`'s check, so callers build the grid first.
     """
     f_nc = ring.f_nc
-    if not 0.0 < f_min < f_max:
-        raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
     if f_max > 0.5 - f_nc:
         raise InvalidRange(
             f"f_max = {f_max} leaves the zone; need f_max <= 0.5 - f_nc = {0.5 - f_nc}"
@@ -235,8 +215,8 @@ def synthesize_trace(
     point, drawn in ascending-f order from a generator seeded with the
     non-negative `seed`, and recorded in the metadata.
     """
-    check_zone(ring, f_min, f_max)
     f = flux_grid(f_min, f_max, n_points, grid)
+    check_zone(ring, f_min, f_max)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if seed is not None and seed < 0:
@@ -337,12 +317,15 @@ def differentiate_trace(
     trace: CurrentTrace,
     n_electrons: int,
     smoothing_window: int = 1,
-) -> SignatureTrace:
-    """Turn a current trace into signature estimates.
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Turn a current trace into signature estimates on its own grid.
 
     Forms u = j/f and v = (j - N)/f with N = `n_electrons`, applies a
     centered moving average of width `smoothing_window` (odd; 1 disables),
-    then differentiates on the trace's own grid.
+    then differentiates on the trace's grid.  Returns (lambda, sigma,
+    method); `method` names the stencil: central differences inside, 2-point
+    one-sided differences at the two grid endpoints, which
+    :func:`analyze_trace` therefore never fits.
     """
     if smoothing_window < 1 or smoothing_window % 2 == 0:
         raise InvalidRange(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
@@ -361,7 +344,7 @@ def differentiate_trace(
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
     )
-    return SignatureTrace(f=trace.f, lam=lam, sig=sig, method=method)
+    return lam, sig, method
 
 
 @dataclass(frozen=True)
@@ -574,7 +557,9 @@ def estimate_theta_tilde(
 @dataclass(frozen=True)
 class AnalysisResult:
     verdict: Verdict
-    signatures: SignatureTrace
+    lam: np.ndarray
+    sig: np.ndarray
+    method: str
     trace_noise_rms: float
     residual_floor: float
 
@@ -624,7 +609,7 @@ def analyze_trace(
         n_est, parity = hint.n_electrons, hint.parity
     else:
         n_est, parity = _electron_number(intercept, slope)
-    signatures = differentiate_trace(trace, n_est, smoothing_window=config.smoothing_window)
+    lam, sig, method = differentiate_trace(trace, n_est, smoothing_window=config.smoothing_window)
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.
     sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(trace.j))))
@@ -632,7 +617,7 @@ def analyze_trace(
 
     # the one-sided endpoints (see differentiate_trace) are never fitted
     fits: list[PowerLawFit | None] = []
-    for values in (signatures.lam, signatures.sig):
+    for values in (lam, sig):
         try:
             fits.append(
                 fit_power_law(trace.f[1:-1], values[1:-1], config.fit_window, noise_floor=floor)
@@ -642,7 +627,9 @@ def analyze_trace(
 
     return AnalysisResult(
         verdict=classify(*fits, n_est, parity, config),
-        signatures=signatures,
+        lam=lam,
+        sig=sig,
+        method=method,
         trace_noise_rms=sigma_j,
         residual_floor=floor,
     )

@@ -13,7 +13,6 @@ import pytest
 from ncring.cli import _write_signatures as write_signatures
 from ncring.cli import main as cli_main
 from ncring.dataio import (
-    RunConfig,
     parse_config,
     read_trace_csv,
     serialize_config,
@@ -26,7 +25,7 @@ from ncring.model import (
     sigma_signature,
 )
 from ncring.oracle import current_sweep, ground_state_sweep, signature_by_finite_difference
-from ncring.pipeline import VerdictKind, analyze_trace, synthesize_trace
+from ncring.pipeline import RunConfig, VerdictKind, analyze_trace, synthesize_trace
 
 
 def _report(criterion: int, message: str) -> None:

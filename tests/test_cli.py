@@ -11,8 +11,9 @@ import pytest
 import ncring
 from ncring import cli
 from ncring.cli import main
-from ncring.dataio import RunConfig, write_config
+from ncring.dataio import write_config
 from ncring.errors import InputError, NcRingError
+from ncring.pipeline import RunConfig
 from ncring.svgplot import emit_plot
 
 

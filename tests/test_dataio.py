@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ncring import cli, dataio
 from ncring.constants import CODATA2018
 from ncring.dataio import (
-    RunConfig,
     _meta_lines,
     parse_config,
     read_config,
@@ -28,6 +27,7 @@ from ncring.pipeline import (
     MIN_TRACE_POINTS,
     CurrentTrace,
     PowerLawFit,
+    RunConfig,
     TraceMeta,
     Verdict,
     VerdictKind,

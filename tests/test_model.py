@@ -64,6 +64,13 @@ class TestSwParams:
         with pytest.raises(ValueError):
             SwParams(theta_tilde=-1.0)
 
+    @pytest.mark.parametrize("name", ["theta", "theta_tilde"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scales_refused(self, name, value):
+        # `x < 0.0` is False for NaN, so a sign check alone lets it through
+        with pytest.raises(InvalidRange, match=f"^{name} must be finite and non-negative"):
+            SwParams(**{name: value})
+
     def test_constraint_alpha_one_zero_theta(self):
         sw = SwParams(alpha=1.0, theta=0.0, theta_tilde=THETA_TILDE_REF)
         assert check_sw_constraint(sw, tol=1e-12)

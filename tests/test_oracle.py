@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncring.errors import NearDegeneracy, WindowTooSmall
+from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall
 from ncring.model import (
     RingSystem,
     ground_state_energy,
@@ -312,6 +312,26 @@ class TestSignatureByFiniteDifference:
     def test_flux_must_clear_step(self):
         with pytest.raises(ValueError):
             signature_by_finite_difference(ring_with(3, 0.0), 1e-8, h=1e-7)
+
+    @pytest.mark.parametrize("n, f_nc, f_lo",
+                             [(3, 0.0, 1e-3), (3, 1e-5, 1e-3), (4, 0.0, 1e-3), (4, 1e-2, 0.02),
+                              (7, 0.3, 1e-3)])
+    def test_array_call_equals_scalar_calls(self, n, f_nc, f_lo):
+        ring = ring_with(n, f_nc)
+        f = np.geomspace(f_lo, 0.19, 57)
+        h = np.maximum(1e-7, 1e-4 * f)
+        lam, sig = signature_by_finite_difference(ring, f, h=h)
+        pairs = [signature_by_finite_difference(ring, float(x), h=float(y)) for x, y in zip(f, h)]
+        assert type(pairs[0][0]) is float and type(pairs[0][1]) is float
+        assert lam.tolist() == [p[0] for p in pairs]
+        assert sig.tolist() == [p[1] for p in pairs]
+
+    def test_array_call_refuses_any_point_near_a_crossing(self):
+        f = np.array([0.1, 0.2, 0.4999999, 0.3])
+        with pytest.raises(NearDegeneracy, match="within 10h of a level crossing"):
+            signature_by_finite_difference(ring_with(3, 0.0), f, h=1e-6)
+        with pytest.raises(InvalidRange, match="need f - h > 0"):
+            signature_by_finite_difference(ring_with(3, 0.0), np.array([0.1, 1e-8]), h=1e-7)
 
 
 class TestSweeps:

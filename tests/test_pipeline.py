@@ -1,12 +1,17 @@
 """Detection pipeline: synthesis, differentiation, fitting, classification."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncring import pipeline
 from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
@@ -47,6 +52,19 @@ def make_trace(ring, n_points=512, noise_sigma=0.0, seed=None, f_max=0.4):
     return synthesize_trace(
         ring, f_min, f_max, n_points, noise_sigma=noise_sigma, seed=seed
     )
+
+
+def test_pipeline_imports_no_io_plot_or_oracle():
+    # the package's __init__ imports nothing, so each module loads only its own layers
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, ncring.pipeline; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "ncring.pipeline" in loaded
+    assert not {"ncring.dataio", "ncring.oracle", "ncring.svgplot"} & set(loaded)
 
 
 class TestSynthesizeTrace:
@@ -117,6 +135,13 @@ class TestSynthesizeTrace:
             CurrentTrace(f=f[::-1].copy(), j=np.zeros(10))
         with pytest.raises(ValueError):
             CurrentTrace(f=f - 0.2, j=np.zeros(10))
+        # NaN and inf are refused in either column, a trailing +inf flux too
+        for bad_f, bad_j in ((np.append(f[:-1], np.inf), np.zeros(10)),
+                             (np.append(f[:-1], np.nan), np.zeros(10)),
+                             (f, np.append(np.zeros(9), np.nan)),
+                             (f, np.append(np.zeros(9), -np.inf))):
+            with pytest.raises(InvalidRange, match="must be finite"):
+                CurrentTrace(f=bad_f, j=bad_j)
 
 
 class TestFluxGrid:
@@ -187,19 +212,19 @@ class TestDifferentiateTrace:
     def test_noiseless_odd_matches_closed_form(self):
         ring = ring_with(3, 1e-5)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
-        sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
-        lam_ref = lambda_signature(ring, sig.f)
+        lam, _, _ = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
+        lam_ref = lambda_signature(ring, trace.f)
         keep = slice(1, -1)  # the one-sided endpoints are not compared
-        rel = np.abs(sig.lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
+        rel = np.abs(lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
         assert rel.max() < 1e-4
 
     def test_noiseless_even_sigma_matches_closed_form(self):
         ring = ring_with(4, 1e-2)
         trace = synthesize_trace(ring, ring.f_nc, 0.4, 1024)
-        sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
-        sig_ref = sigma_signature(ring, sig.f)
+        _, sig, _ = differentiate_trace(trace, ring.n_electrons, smoothing_window=1)
+        sig_ref = sigma_signature(ring, trace.f)
         keep = slice(1, -1)  # the one-sided endpoints are not compared
-        rel = np.abs(sig.sig[keep] - sig_ref[keep]) / np.abs(sig_ref[keep])
+        rel = np.abs(sig[keep] - sig_ref[keep]) / np.abs(sig_ref[keep])
         assert rel.max() < 1e-4
 
     def test_constant_current_gives_inverse_square(self):
@@ -207,21 +232,21 @@ class TestDifferentiateTrace:
         f = np.geomspace(1e-3, 0.4, 512)
         c = 2.5
         trace = CurrentTrace(f=f, j=np.full_like(f, c))
-        sig = differentiate_trace(trace, 3, smoothing_window=1)
+        lam, sig, _ = differentiate_trace(trace, 3, smoothing_window=1)
         keep = slice(1, -1)  # the one-sided endpoints are not compared
         expected = -c / f[keep] ** 2
-        rel = np.abs(sig.lam[keep] - expected) / np.abs(expected)
+        rel = np.abs(lam[keep] - expected) / np.abs(expected)
         assert rel.max() < 1e-3
         expected_sigma = -(c - 3.0) / f[keep] ** 2
-        rel_sigma = np.abs(sig.sig[keep] - expected_sigma) / np.abs(expected_sigma)
+        rel_sigma = np.abs(sig[keep] - expected_sigma) / np.abs(expected_sigma)
         assert rel_sigma.max() < 1e-3
 
     def test_endpoints_flagged(self):
         # the method text names the endpoint stencil; that analyze_trace
         # fits only the interior is TestAnalyzeTrace::test_fits_exactly_the_interior
         trace = make_trace(ring_with(3, 0.0), n_points=32)
-        sig = differentiate_trace(trace, 3)
-        assert sig.method.endswith(";endpoints=one_sided2")
+        _, _, method = differentiate_trace(trace, 3)
+        assert method.endswith(";endpoints=one_sided2")
 
     def test_smoothing_window_validation(self):
         trace = make_trace(ring_with(3, 0.0), n_points=32)
@@ -233,11 +258,11 @@ class TestDifferentiateTrace:
     def test_smoothing_tracks_noiseless_signal(self):
         ring = ring_with(3, 1e-3)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
-        sig = differentiate_trace(trace, ring.n_electrons, smoothing_window=5)
-        lam_ref = lambda_signature(ring, sig.f)
+        lam, _, _ = differentiate_trace(trace, ring.n_electrons, smoothing_window=5)
+        lam_ref = lambda_signature(ring, trace.f)
         keep = slice(1, -1)  # the one-sided endpoints are not compared
         # smoothing biases a curved profile; stays within a percent here
-        rel = np.abs(sig.lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
+        rel = np.abs(lam[keep] - lam_ref[keep]) / np.abs(lam_ref[keep])
         assert np.median(rel) < 1e-2
 
 
@@ -332,9 +357,9 @@ class TestFitPowerLaw:
     def test_fit_on_closed_form_lambda(self):
         ring = ring_with(3, 1e-5)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
-        sig = differentiate_trace(trace, ring.n_electrons)
+        lam, _, _ = differentiate_trace(trace, ring.n_electrons)
         keep = slice(1, -1)  # the one-sided endpoints are not compared
-        fit = fit_power_law(sig.f[keep], sig.lam[keep], (1e-3, 1e-1))
+        fit = fit_power_law(trace.f[keep], lam[keep], (1e-3, 1e-1))
         assert -2.01 <= fit.exponent <= -1.99
         assert fit.amplitude == pytest.approx(-6.0 * ring.f_nc, rel=1e-3)
 
@@ -480,7 +505,7 @@ class TestAnalyzeTrace:
         a = analyze_trace(make_trace(ring, noise_sigma=0.001, seed=9))
         b = analyze_trace(make_trace(ring, noise_sigma=0.001, seed=9))
         assert a.verdict == b.verdict
-        assert np.array_equal(a.signatures.lam, b.signatures.lam)
+        assert np.array_equal(a.lam, b.lam)
 
     def test_fits_exactly_the_interior(self):
         # a fit window wider than the grid: only the two one-sided endpoints
