@@ -1,0 +1,84 @@
+"""Print one sha256 per output file of a fixed set of ncring CLI runs.
+
+    python3 scripts/output_digest.py [--src DIR]
+
+Each run writes into its own directory under a temporary root; the digests
+cover every file written there and each run's standard output, with the
+temporary root replaced by ``<out>``.  Two checkouts produce the same bytes
+exactly when they print the same lines, so a change that claims identical
+outputs is checked by running this script against the source tree of each
+(``--src``, by default this checkout's ``src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> (ring and grid flags, simulate flags); each run is simulate then analyze
+SIMULATE_ANALYZE = {
+    "large_n10001": (["--n-electrons", "10001", "--points", "100000"],
+                     ["--noise-sigma", "1e-6", "--seed", "7"]),
+    "odd_n3_seed42": (["--n-electrons", "3"], ["--noise-sigma", "1e-7", "--seed", "42"]),
+    "noisy_even_n4": (["--n-electrons", "4"], ["--noise-sigma", "1e-6", "--seed", "3"]),
+    "commutative_n3": (["--n-electrons", "3", "--theta-tilde", "0"],
+                       ["--noise-sigma", "1e-4", "--seed", "5"]),
+    "even_n4_uniform33": (["--n-electrons", "4", "--points", "33", "--grid", "uniform"], []),
+}
+STANDALONE = {
+    "signatures": ["signatures"],
+    "verify_quick": ["verify", "--quick"],
+}
+
+
+def _run(main, argv: list[str], root: Path) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return rc, buf.getvalue().replace(str(root), "<out>").encode()
+
+
+def digests(root: Path) -> list[tuple[str, str]]:
+    """(sha256, run/file) for every file the run set writes under `root`."""
+    from ncring.cli import main
+
+    stdout = {}
+    for name, (ring, noise) in SIMULATE_ANALYZE.items():
+        out = root / name
+        rc_sim, text_sim = _run(main, ["simulate", *ring, *noise, "--out", str(out)], root)
+        rc_ana, text_ana = _run(
+            main, ["analyze", str(out / "trace.csv"), *ring, "--out", str(out)], root
+        )
+        stdout[name] = f"exit {rc_sim} {rc_ana}\n".encode() + text_sim + text_ana
+    for name, argv in STANDALONE.items():
+        rc, text = _run(main, [*argv, "--out", str(root / name)], root)
+        stdout[name] = f"exit {rc}\n".encode() + text
+    rows = [(hashlib.sha256(text).hexdigest(), f"{name}/stdout") for name, text in stdout.items()]
+    rows += [
+        (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(root).as_posix())
+        for path in root.rglob("*") if path.is_file()
+    ]
+    return sorted(rows, key=lambda row: row[1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree to import ncring from (default: this checkout's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for digest, name in digests(Path(tmp)):
+            print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

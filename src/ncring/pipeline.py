@@ -20,7 +20,9 @@ metadata in the trace may supply the electron number.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,6 +62,15 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8  # minimum for differentiation plus a 5-point fit
+_EPS = float(np.finfo(float).eps)
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int; InvalidRange for a float or any other non-integral type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidRange(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,7 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidRange(f"{name} must be finite, got {value}")
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise InvalidRange(f"seed must be non-negative, got {self.seed}")
         self.ring()  # RingSystem and SwParams validate the ring fields
         for name in ("f_min", "f_max", "fit_f_lo", "fit_f_hi",
@@ -102,7 +113,7 @@ class RunConfig:
                 raise InvalidRange(f"{name} must be strictly positive")
         if self.noise_sigma < 0.0:
             raise InvalidRange("noise_sigma must be non-negative")
-        if self.n_points < MIN_TRACE_POINTS:
+        if _integer("n_points", self.n_points) < MIN_TRACE_POINTS:
             raise InvalidRange(f"n_points must be at least {MIN_TRACE_POINTS}")
         if not self.f_min < self.f_max:
             raise InvalidRange("f_min must be smaller than f_max")
@@ -112,7 +123,8 @@ class RunConfig:
             raise InvalidRange(f"grid must be 'log' or 'uniform', got {self.grid!r}")
         if self.units not in ("reduced", "si"):
             raise InvalidRange(f"units must be 'reduced' or 'si', got {self.units!r}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+        window = _integer("smoothing_window", self.smoothing_window)
+        if window < 1 or window % 2 == 0:
             raise InvalidRange("smoothing_window must be an odd integer >= 1")
 
     @property
@@ -159,9 +171,9 @@ class CurrentTrace:
             raise InvalidRange(f"trace needs at least {MIN_TRACE_POINTS} points")
         if not (np.isfinite(self.f).all() and np.isfinite(self.j).all()):
             raise InvalidRange("flux and current values must be finite")
-        if not np.all(np.diff(self.f) > 0.0):
+        if not (self.f[1:] > self.f[:-1]).all():
             raise NonMonotonicFlux("flux values must be strictly increasing")
-        if not np.all(self.f > 0.0):
+        if not self.f[0] > 0.0:
             raise InvalidRange("all flux values must be positive")
 
     def __len__(self) -> int:
@@ -169,16 +181,24 @@ class CurrentTrace:
 
 
 def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
-    """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform."""
+    """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform.
+
+    The array is read-only and shared by every call with the same arguments.
+    """
     if not 0.0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
-    if n_points < MIN_TRACE_POINTS:
+    if _integer("n_points", n_points) < MIN_TRACE_POINTS:
         raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
-    if grid == "log":
-        return np.geomspace(f_min, f_max, n_points)
-    if grid == "uniform":
-        return np.linspace(f_min, f_max, n_points)
-    raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
+    if grid not in ("log", "uniform"):
+        raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
+    return _cached_grid(f_min, f_max, n_points, grid)
+
+
+@functools.lru_cache(maxsize=8, typed=True)  # typed: a float32 bound builds its own grid
+def _cached_grid(f_min: float, f_max: float, n_points: int, grid: str) -> np.ndarray:
+    f = (np.geomspace if grid == "log" else np.linspace)(f_min, f_max, n_points)
+    f.flags.writeable = False
+    return f
 
 
 def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
@@ -219,7 +239,7 @@ def synthesize_trace(
     check_zone(ring, f_min, f_max)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    if seed is not None and seed < 0:
+    if seed is not None and _integer("seed", seed) < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
     j = persistent_current(ring, f)
     if noise_sigma > 0.0:
@@ -237,7 +257,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
     Returns (intercept, slope, ss_res, ss_tot); ss_res sums the explicit
     residuals, so it is never negative.  x needs two distinct values.
     """
-    x_bar, y_bar = x.mean(), y.mean()
+    x_bar, y_bar = float(x.sum()) / len(x), float(y.sum()) / len(y)  # ndarray.mean's bits
     dx, dy = x - x_bar, y - y_bar
     slope = float(dx @ dy / (dx @ dx))
     res = dy - slope * dx
@@ -282,34 +302,34 @@ def trace_noise_rms(trace: CurrentTrace) -> float:
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average; windows shrink symmetrically at the edges."""
+    """Centered moving average along the last axis; windows shrink at the edges."""
     if window <= 1:
         return y  # itself: the cumsum path below is not bit-exact at width 1
     half = window // 2
-    n = len(y)
-    csum = np.concatenate([[0.0], np.cumsum(y)])
+    n = y.shape[-1]
+    csum = np.zeros((*y.shape[:-1], n + 1))
+    np.cumsum(y, axis=-1, out=csum[..., 1:])
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, n - 1)
-    return (csum[hi + 1] - csum[lo]) / (hi + 1 - lo)
+    return (csum[..., hi + 1] - csum[..., lo]) / (hi + 1 - lo)
 
 
 def _derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivative on a possibly nonuniform grid.
+    """First derivative along the last axis of `y` on a possibly nonuniform grid `x`.
 
     Interior points use the 3-point central stencil with the standard
     nonuniform weights (exact for quadratics); the two endpoints fall back
     to 2-point one-sided differences.
     """
-    n = len(x)
-    d = np.empty(n)
+    d = np.empty(y.shape)
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
-    d[1:-1] = (
-        h1 * h1 * y[2:] - h2 * h2 * y[:-2] + (h2 * h2 - h1 * h1) * y[1:-1]
+    d[..., 1:-1] = (
+        h1 * h1 * y[..., 2:] - h2 * h2 * y[..., :-2] + (h2 * h2 - h1 * h1) * y[..., 1:-1]
     ) / (h1 * h2 * (h1 + h2))
-    d[0] = (y[1] - y[0]) / (x[1] - x[0])
-    d[-1] = (y[-1] - y[-2]) / (x[-1] - x[-2])
+    d[..., 0] = (y[..., 1] - y[..., 0]) / (x[1] - x[0])
+    d[..., -1] = (y[..., -1] - y[..., -2]) / (x[-1] - x[-2])
     return d
 
 
@@ -322,12 +342,12 @@ def differentiate_trace(
 
     Forms u = j/f and v = (j - N)/f with N = `n_electrons`, applies a
     centered moving average of width `smoothing_window` (odd; 1 disables),
-    then differentiates on the trace's grid.  Returns (lambda, sigma,
-    method); `method` names the stencil: central differences inside, 2-point
-    one-sided differences at the two grid endpoints, which
-    :func:`analyze_trace` therefore never fits.
+    then differentiates on the trace's grid, u and v as one stacked pass.
+    Returns (lambda, sigma, method); `method` names the stencil: central
+    differences inside, 2-point one-sided differences at the two grid
+    endpoints, which :func:`analyze_trace` therefore never fits.
     """
-    if smoothing_window < 1 or smoothing_window % 2 == 0:
+    if _integer("smoothing_window", smoothing_window) < 1 or smoothing_window % 2 == 0:
         raise InvalidRange(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
     if smoothing_window >= len(trace) / 2:
         raise TooFewPoints(
@@ -336,10 +356,8 @@ def differentiate_trace(
     # J/f and its differences can overflow near f = 0; the inf and NaN
     # estimates are masked by fit_power_law and dropped from the plot
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lam, sig = (
-            _derivative(trace.f, _moving_average(numerator / trace.f, smoothing_window))
-            for numerator in (trace.j, trace.j - n_electrons)
-        )
+        u_v = np.array((trace.j, trace.j - n_electrons)) / trace.f
+        lam, sig = _derivative(trace.f, _moving_average(u_v, smoothing_window))
     method = (
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
@@ -385,7 +403,7 @@ def fit_power_law(
         & np.isfinite(values)
         & (np.abs(values) > noise_floor)
     )
-    n_used = int(mask.sum())
+    n_used = int(np.count_nonzero(mask))
     if n_used < 5:
         raise InsufficientSignal(
             f"{n_used} usable points in [{f_lo}, {f_hi}] above floor {noise_floor:g}"
@@ -393,10 +411,11 @@ def fit_power_law(
     x = np.log10(f[mask])
     if x.min() == x.max():
         raise InsufficientSignal(f"{n_used} usable points share the single flux {f[mask][0]:g}")
-    intercept, slope, ss_res, ss_tot = _line_fit(x, np.log10(np.abs(values[mask])))
+    values = values[mask]
+    intercept, slope, ss_res, ss_tot = _line_fit(x, np.log10(np.abs(values)))
     # ss_tot = 0 means a constant y, which the line fits exactly
     r_squared = max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0.0 else 1.0
-    n_pos = int((values[mask] > 0.0).sum())
+    n_pos = int(np.count_nonzero(values > 0.0))
     sign = 1.0 if n_pos > n_used - n_pos else -1.0
     return PowerLawFit(
         amplitude=sign * 10.0**intercept,
@@ -587,7 +606,12 @@ def _noise_floor(
     in_window = (f_int >= f_window[0]) & (f_int <= f_window[1])
     if not in_window.any():
         return 0.0
-    return float(np.median(amp_equiv[in_window]))
+    # np.median in one partition: its kth set, its mean of the middle pair, its NaN rule
+    mid, odd = divmod(int(np.count_nonzero(in_window)), 2)
+    part = np.partition(amp_equiv[in_window], [mid, -1] if odd else [mid - 1, mid, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[mid] if odd else (part[mid - 1] + part[mid]) / 2)
 
 
 def analyze_trace(
@@ -612,7 +636,7 @@ def analyze_trace(
     lam, sig, method = differentiate_trace(trace, n_est, smoothing_window=config.smoothing_window)
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.
-    sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(trace.j))))
+    sigma_floor = max(sigma_j, float(_EPS * np.abs(trace.j).max()))
     floor = _noise_floor(trace.f, sigma_floor, config.smoothing_window, config.fit_window)
 
     # the one-sided endpoints (see differentiate_trace) are never fitted

@@ -21,7 +21,7 @@ from ncring.dataio import (
     write_results_report,
     write_trace_csv,
 )
-from ncring.errors import NonMonotonicFlux, ParseError, UnitMismatch
+from ncring.errors import InvalidRange, NonMonotonicFlux, ParseError, UnitMismatch
 from ncring.model import RingSystem, eigenenergy
 from ncring.pipeline import (
     MIN_TRACE_POINTS,
@@ -303,6 +303,16 @@ class TestRunConfig:
             RunConfig(grid="spiral")
         with pytest.raises(ValueError):
             RunConfig(units="cgs")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # each was accepted, then failed later with a builtin exception:
+        # IndexError in analyze_trace, TypeError in synthesize_trace or SeedSequence
+        [("smoothing_window", 3.0), ("n_points", 64.0), ("seed", 1.5)],
+    )
+    def test_non_integer_field(self, field, value):
+        with pytest.raises(InvalidRange, match=f"^{field} must be an integer, got {value}$"):
+            RunConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "text, message",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from ncring.pipeline import (
     VerdictKind,
     _electron_number,
     _line_fit,
+    _noise_floor,
     analyze_trace,
     classify,
     differentiate_trace,
@@ -52,6 +54,11 @@ def make_trace(ring, n_points=512, noise_sigma=0.0, seed=None, f_max=0.4):
     return synthesize_trace(
         ring, f_min, f_max, n_points, noise_sigma=noise_sigma, seed=seed
     )
+
+
+def bits(a) -> bytes:
+    """The raw bytes of `a` as float64: equal only when every bit is."""
+    return np.asarray(a, dtype=float).tobytes()
 
 
 def test_pipeline_imports_no_io_plot_or_oracle():
@@ -120,6 +127,11 @@ class TestSynthesizeTrace:
         with pytest.raises(InvalidRange, match="seed must be non-negative, got -1"):
             synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 64, noise_sigma=0.1, seed=-1)
 
+    def test_non_integer_seed(self):
+        # SeedSequence's own refusal is an untyped TypeError
+        with pytest.raises(InvalidRange, match="seed must be an integer, got 1.5"):
+            synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 64, noise_sigma=0.1, seed=1.5)
+
     def test_even_ring_must_start_at_f_nc(self):
         ring = ring_with(4, 1e-2)
         with pytest.raises(InvalidRange):
@@ -148,11 +160,23 @@ class TestFluxGrid:
     @pytest.mark.parametrize(
         "args, message",
         [((0.0, 0.4, 16, "log"), "need 0 < f_min < f_max"),  # numpy: "cannot include zero"
-         ((1e-3, 0.4, -1, "log"), "need at least 8 points")],  # numpy: "must be non-negative"
+         ((1e-3, 0.4, -1, "log"), "need at least 8 points"),  # numpy: "must be non-negative"
+         ((1e-3, 0.4, 10.0, "log"), "n_points must be an integer")],  # numpy: TypeError
     )
     def test_bad_request_is_invalid_range(self, args, message):
         with pytest.raises(InvalidRange, match=message):
             flux_grid(*args)
+
+    @pytest.mark.parametrize("grid, spacing", [("log", np.geomspace), ("uniform", np.linspace)])
+    def test_shared_read_only_grid(self, grid, spacing):
+        f = flux_grid(1e-3, 0.4, 64, grid)
+        assert bits(f) == bits(spacing(1e-3, 0.4, 64))
+        assert np.array_equal(flux_grid(1e-3, 0.4, 64, grid), f)
+        with pytest.raises(ValueError, match="read-only"):
+            f[0] = 1.0
+        trace = CurrentTrace(f=f, j=np.zeros(64))
+        assert not np.shares_memory(trace.f, f)
+        assert bits(trace.f) == bits(f)
 
 
 class TestEstimateElectronNumber:
@@ -252,6 +276,9 @@ class TestDifferentiateTrace:
         trace = make_trace(ring_with(3, 0.0), n_points=32)
         with pytest.raises(ValueError):
             differentiate_trace(trace, 3, smoothing_window=2)
+        # a float width used to fail later, indexing with float bounds
+        with pytest.raises(InvalidRange, match="smoothing_window must be an integer"):
+            differentiate_trace(trace, 3, smoothing_window=3.0)
         with pytest.raises(TooFewPoints):
             differentiate_trace(trace, 3, smoothing_window=17)
 
@@ -553,3 +580,128 @@ class TestAnalyzeTrace:
                         VerdictKind.NO_NC_DETECTED,
                         VerdictKind.INCONCLUSIVE,
                     )
+
+
+# Exactness pins.  The pipeline takes faster routes than these plain numpy
+# forms (one stacked pass for both signatures, sum / n for the mean, one
+# partition for the median, a cached grid); the routes must give the same
+# bits, so every comparison below is on the raw bytes.
+
+
+def plain_line_fit(x, y):
+    x_bar, y_bar = x.mean(), y.mean()
+    dx, dy = x - x_bar, y - y_bar
+    slope = float(dx @ dy / (dx @ dx))
+    res = dy - slope * dx
+    return float(y_bar - slope * x_bar), slope, float(res @ res), float(dy @ dy)
+
+
+def plain_signature(f, u, window):
+    """Moving average by cumulative sums (width 1 is u itself), then the 3-point stencil."""
+    if window > 1:
+        half, n = window // 2, len(u)
+        csum = np.concatenate([[0.0], np.cumsum(u)])
+        lo = np.maximum(np.arange(n) - half, 0)
+        hi = np.minimum(np.arange(n) + half, n - 1)
+        u = (csum[hi + 1] - csum[lo]) / (hi + 1 - lo)
+    d = np.empty(len(f))
+    h1, h2 = f[1:-1] - f[:-2], f[2:] - f[1:-1]
+    d[1:-1] = (
+        h1 * h1 * u[2:] - h2 * h2 * u[:-2] + (h2 * h2 - h1 * h1) * u[1:-1]
+    ) / (h1 * h2 * (h1 + h2))
+    d[0] = (u[1] - u[0]) / (f[1] - f[0])
+    d[-1] = (u[-1] - u[-2]) / (f[-1] - f[-2])
+    return d
+
+
+def plain_noise_floor(f, sigma_j, window, f_window):
+    f_int, d2 = f[1:-1], f[2:] - f[:-2]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(window) * f_int * d2)
+        amp_equiv = s_val * f_int**2
+    in_window = (f_int >= f_window[0]) & (f_int <= f_window[1])
+    return float(np.median(amp_equiv[in_window])) if in_window.any() else 0.0
+
+
+def plain_power_law(f, values, f_window, floor):
+    mask = (f >= f_window[0]) & (f <= f_window[1]) & np.isfinite(values) & (np.abs(values) > floor)
+    n_used = int(mask.sum())
+    if n_used < 5 or f[mask].min() == f[mask].max():
+        return None
+    intercept, slope, ss_res, ss_tot = plain_line_fit(
+        np.log10(f[mask]), np.log10(np.abs(values[mask]))
+    )
+    n_pos = int((values[mask] > 0.0).sum())
+    return PowerLawFit(
+        amplitude=(1.0 if n_pos > n_used - n_pos else -1.0) * 10.0**intercept,
+        exponent=slope,
+        r_squared=max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0.0 else 1.0,
+        n_points_used=n_used,
+        residual_floor=floor,
+    )
+
+
+def plain_analysis(trace, config):
+    """(verdict, lam, sig, noise rms, floor) of a blind analysis, from the plain forms."""
+    f, j, window = trace.f, trace.j, config.smoothing_window
+    intercept, slope, ss_res, _ = plain_line_fit(f, j)
+    sigma_j = math.sqrt(ss_res / (len(f) - 2))
+    n, parity = _electron_number(intercept, slope)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam, sig = (plain_signature(f, numerator / f, window) for numerator in (j, j - n))
+    sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(j))))
+    floor = plain_noise_floor(f, sigma_floor, window, config.fit_window)
+    fits = [plain_power_law(f[1:-1], v[1:-1], config.fit_window, floor) for v in (lam, sig)]
+    return classify(*fits, n, parity, config), lam, sig, sigma_j, floor
+
+
+class TestExactness:
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize("grid", ["log", "uniform"])
+    def test_differentiate_trace(self, window, grid):
+        trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 129, noise_sigma=3e-3, seed=5,
+                                 grid=grid)
+        lam, sig, _ = differentiate_trace(trace, 3, smoothing_window=window)
+        f, j = trace.f, trace.j
+        assert bits(lam) == bits(plain_signature(f, j / f, window))
+        assert bits(sig) == bits(plain_signature(f, (j - 3) / f, window))
+
+    @pytest.mark.parametrize("f_hi, parity", [(0.1, 0), (0.2, 1)])
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_noise_floor_odd_and_even_counts(self, f_hi, parity, window):
+        # on a uniform grid the amplitudes grow with f, so the middle pair differ
+        f = flux_grid(1e-3, 0.4, 100, "uniform")
+        f_window = (1e-3, f_hi)
+        assert ((f[1:-1] >= f_window[0]) & (f[1:-1] <= f_window[1])).sum() % 2 == parity
+        floor = _noise_floor(f, 0.03, window, f_window)
+        assert bits(floor) == bits(plain_noise_floor(f, 0.03, window, f_window))
+        assert _noise_floor(f, 0.03, window, (0.5, 0.6)) == 0.0  # no point in the window
+
+    def test_noise_floor_nan_amplitude(self):
+        # at f ~ 1e-200 both f d2f and f^2 underflow to 0, so one amplitude is inf * 0
+        f = np.concatenate([[1e-200, 2e-200, 3e-200], np.geomspace(1e-3, 0.4, 20)])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            amp = 0.03 / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
+        assert np.isnan(amp).sum() == 1
+        floor = _noise_floor(f, 0.03, 1, (1e-300, 1.0))
+        assert math.isnan(floor)
+        assert bits(floor) == bits(plain_noise_floor(f, 0.03, 1, (1e-300, 1.0)))
+
+    def test_analyze_trace_mix(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.choice((3, 4, 101, 10000, 10001))
+            f_nc = rng.choice((0.0, 1e-5, 1e-2))
+            noise = rng.choice((0.0, 1e-3 * n, 0.05 * n))
+            ring = ring_with(n, f_nc)
+            f_min = max(1e-3, f_nc) if n % 2 == 0 else 1e-3
+            trace = synthesize_trace(ring, f_min, 0.4, rng.choice((127, 128)),
+                                     noise_sigma=noise, seed=rng.randrange(2**31),
+                                     grid=rng.choice(("log", "uniform")))
+            config = RunConfig(smoothing_window=rng.choice((1, 3, 5)))
+            result = analyze_trace(trace, config)
+            verdict, lam, sig, sigma_j, floor = plain_analysis(trace, config)
+            assert repr(result.verdict) == repr(verdict)
+            assert bits(result.lam) == bits(lam) and bits(result.sig) == bits(sig)
+            assert bits(result.trace_noise_rms) == bits(sigma_j)
+            assert bits(result.residual_floor) == bits(floor)
