@@ -35,6 +35,7 @@ SIMULATE_ANALYZE = {
 STANDALONE = {
     "signatures": ["signatures"],
     "verify_quick": ["verify", "--quick"],
+    "verify": ["verify"],
 }
 
 

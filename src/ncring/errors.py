@@ -5,7 +5,10 @@ invalid: ParseError, UnitMismatch, TooFewPoints, DegenerateFit, and
 InvalidRange (also a ValueError) with its subclass NonMonotonicFlux.  The
 rest (ZeroFlux, WindowTooSmall, NearDegeneracy, InsufficientSignal,
 NotDetected, EmptySeries) are plain NcRingErrors, and the CLI exits 1.
+:func:`check_integer` is the one check that a size or seed is an integer.
 """
+
+import operator
 
 
 class NcRingError(Exception):
@@ -72,3 +75,11 @@ class UnitMismatch(InputError):
 
 class EmptySeries(NcRingError):
     """A plot was requested with no series or with a degenerate series."""
+
+
+def check_integer(name: str, value) -> int:
+    """`value` as an int; InvalidRange for a float or any other non-integral type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidRange(f"{name} must be an integer, got {value!r}") from None

@@ -4,11 +4,14 @@ Levels are enumerated, sorted and summed explicitly so that the closed-form
 ground-state energy and current can be checked against a construction that
 never calls them.  One kernel, :func:`_fill`, fills a whole flux array for
 one ring: the level columns n = 0, -1, 1, -2, 2, ... are laid out in
-tie-break order, a stable sort along each row fills the N lowest, and each
-row is summed with math.fsum.  The scalar oracles are its one-point case,
-and the sweep helpers at the bottom, which back both the test suite and the
-`verify` CLI subcommand, call it once per ring.  The signature differences
-alone are built on the closed-form current.
+tie-break order, each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a
+correctly rounded product, and a stable sort along each row fills the N
+lowest.  Filled levels are summed per row with math.fsum.  The scalar
+oracles are its one-point case; of the sweep helpers at the bottom, which
+back both the test suite and the `verify` CLI subcommand, the ground-state
+sweep fills one row per flux point and the current sweep fills the f + h
+and f - h rows of a ring in one call.  The signature differences alone are
+built on the closed-form current.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall
+from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall, check_integer
 from ncring.model import (
     RingSystem,
     persistent_current,
@@ -65,41 +68,46 @@ def default_window(n_electrons: int) -> int:
 
 def _fill(
     ring: RingSystem, f: np.ndarray, window: int | None
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupy the N lowest levels among n in [-window, window] at each flux of `f`.
 
-    Returns (occupied, levels, window): row b of the (len(f), N) arrays holds
-    the quantum numbers and energies filled at f[b], in filling order.  The
-    level columns are laid out in tie-break order, so a stable sort along
-    each row breaks exact degeneracies by smaller |n|, then negative n.
-    Raises WindowTooSmall if the window cannot hold the filling or if a
-    filled level sits on the enumeration boundary.
+    Returns (levels, order, n): `levels` is the (len(f), 2m + 1) block of
+    level energies, one row per flux, whose columns hold the quantum numbers
+    `n` in tie-break order 0, -1, 1, -2, 2, ...; row b of the (len(f), N)
+    array `order` lists the columns filled at f[b], in filling order.  A
+    stable sort along each row breaks exact degeneracies by smaller |n|,
+    then negative n.  Raises WindowTooSmall if the window cannot hold the
+    filling or if a filled level sits on the enumeration boundary.
     """
     n_el = ring.n_electrons
-    m = default_window(n_el) if window is None else int(window)
+    m = default_window(n_el) if window is None else check_integer("window", window)
     if m < n_el / 2 + 2:
         raise WindowTooSmall(
             f"window {m} too small for {n_el} electrons; need >= N/2 + 2"
         )
     k = np.arange(2 * m + 1)
     n = (k + 1) // 2 * (1 - 2 * (k % 2))  # tie-break order 0, -1, 1, -2, 2, ...
-    x = f - ring.f_nc
-    # float_power rounds each square as the scalar (n + x) ** 2 (libm pow)
-    # does; u * u differs from it in the last bit for about one level in a
-    # thousand, which would move the fsum totals off the scalar definition
-    levels = np.float_power(n + x[:, None], 2.0) - 0.75 * ring.f_nc**2
+    u = n + (f - ring.f_nc)[:, None]
+    # the product is the correctly rounded square, as in model.eigenenergy;
+    # libm pow (float_power, **) misrounds a few squares in ten thousand
+    levels = u * u - 0.75 * ring.f_nc**2
     order = np.argsort(levels, axis=1, kind="stable")[:, :n_el]
-    occupied = n[order]
-    if np.any(np.abs(occupied) == m):
+    if order.max() >= 2 * m - 1:  # the last two columns hold n = -m and n = +m
         raise WindowTooSmall(
             f"filling touches the enumeration boundary +-{m}; enlarge the window"
         )
-    return occupied, np.take_along_axis(levels, order, axis=1), m
+    return levels, order, n
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row."""
-    return np.array([math.fsum(row) for row in a.tolist()])
+    return np.fromiter(map(math.fsum, a.tolist()), float, len(a))
+
+
+def _filled_energies(ring: RingSystem, f: np.ndarray) -> np.ndarray:
+    """Ground-state energy by filling, in the default window, at each flux of `f`."""
+    levels, order, _ = _fill(ring, f, None)
+    return _fsum_rows(np.take_along_axis(levels, order, axis=1))
 
 
 def ground_state_by_filling(
@@ -110,34 +118,39 @@ def ground_state_by_filling(
     The tie-break at degeneracies (smaller |n| first, then negative n) is
     arbitrary but total-ordered, so identical inputs always produce the
     identical filling.  Raises WindowTooSmall if the window cannot hold the
-    filling or if the filled set touches the enumeration boundary.
+    filling or if the filled set touches the enumeration boundary, and
+    InvalidRange if the window is not an integer.
     """
-    occupied, levels, m = _fill(ring, np.array([float(f)]), window)
+    levels, order, n = _fill(ring, np.array([float(f)]), window)
     return LevelFilling(
-        occupied=tuple(occupied[0].tolist()),
-        total_energy=math.fsum(levels[0].tolist()),
-        window=m,
+        occupied=tuple(n[order[0]].tolist()),
+        total_energy=math.fsum(levels[0, order[0]].tolist()),
+        window=len(n) // 2,
     )
 
 
 def _finite_difference_current(
     ring: RingSystem, f: np.ndarray, h: float, window: int | None = None
 ) -> np.ndarray:
-    """-dE_g/df at each flux of `f` by the telescoped central difference."""
+    """-dE_g/df at each flux of `f` by the telescoped central difference.
+
+    The f + h and f - h rows are filled as one block; the occupation moved
+    at a point when its two rows fill different columns.
+    """
     if not h > 0.0:
         raise InvalidRange("h must be strictly positive")
-    fp, fm = f + h, f - h
-    occupied = _fill(ring, fp, window)[0]
-    occupied_m = _fill(ring, fm, window)[0]
-    moved = np.any(np.sort(occupied, axis=1) != np.sort(occupied_m, axis=1), axis=1)
+    b = len(f)
+    fpm = np.concatenate((f + h, f - h))
+    _, order, n = _fill(ring, fpm, window)
+    columns = np.sort(order, axis=1)
+    moved = np.any(columns[:b] != columns[b:], axis=1)
     if moved.any():
         raise NearDegeneracy(
             f"occupation changes across f = {float(f[moved][0])} +- {h}; "
             "move away from the crossing"
         )
-    xp = (fp - ring.f_nc)[:, None]
-    xm = (fm - ring.f_nc)[:, None]
-    return -_fsum_rows(2.0 * occupied + xp + xm)
+    x = (fpm - ring.f_nc)[:, None]
+    return -_fsum_rows(2.0 * n[order[:b]] + x[:b] + x[b:])
 
 
 def current_by_finite_difference(
@@ -203,10 +216,12 @@ class SweepResult:
     max_dev: float
     tol: float
     worst: tuple[int, float, float]  # (N, f_nc, f)
+    rows_filled: int  # level rows the filling kernel filled; 0 for the signature sweep
 
     @property
     def passed(self) -> bool:
-        return self.max_dev <= self.tol
+        """Every checked point is within tol, and at least one point was checked."""
+        return self.n_points > 0 and self.max_dev <= self.tol
 
     def summary(self) -> str:
         n, f_nc, f = self.worst
@@ -217,9 +232,9 @@ class SweepResult:
         )
 
 
-def zone_flux_grid(n_points: int = 101) -> np.ndarray:
-    """n_points flux values strictly inside (-1, 1)."""
-    return np.linspace(-1.0, 1.0, n_points + 2)[1:-1]
+def zone_flux_grid(n_flux: int = 101) -> np.ndarray:
+    """n_flux flux values strictly inside (-1, 1)."""
+    return np.linspace(-1.0, 1.0, check_integer("n_flux", n_flux) + 2)[1:-1]
 
 
 DEFAULT_N_VALUES = tuple(range(1, 61))
@@ -234,12 +249,13 @@ def _sweep_rings(
             yield RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
 
 
-def _filling_sweep(label, rings, grid, exclusion, tol, closed, oracle) -> SweepResult:
+def _filling_sweep(label, rings, grid, exclusion, tol, closed, oracle, rows) -> SweepResult:
     """Max of |closed - oracle| / max(1, |closed|) over every ring's grid points.
 
     Points within `exclusion` of a level crossing are skipped.  `closed` and
-    `oracle` take a ring and its kept flux array; the worst point is the
-    first maximum in (ring, f) order.
+    `oracle` take a ring and its kept flux array, and `oracle` fills `rows`
+    level rows per point; the worst point is the first maximum in (ring, f)
+    order.
     """
     max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
     for ring in rings:
@@ -252,7 +268,7 @@ def _filling_sweep(label, rings, grid, exclusion, tol, closed, oracle) -> SweepR
         i = int(np.argmax(dev))
         if dev[i] > max_dev:
             max_dev, worst = float(dev[i]), (ring.n_electrons, ring.f_nc, float(f[i]))
-    return SweepResult(label, count, max_dev, tol, worst)
+    return SweepResult(label, count, max_dev, tol, worst, rows * count)
 
 
 def ground_state_sweep(
@@ -266,7 +282,7 @@ def ground_state_sweep(
     return _filling_sweep(
         "ground-state closed form vs filling oracle",
         _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), exclusion, tol,
-        ground_state_energy, lambda ring, f: _fsum_rows(_fill(ring, f, None)[1]),
+        ground_state_energy, _filled_energies, 1,
     )
 
 
@@ -283,7 +299,7 @@ def current_sweep(
         "current closed form vs -dE/df oracle",
         _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux),
         max(exclusion, 10.0 * h), tol,
-        persistent_current, lambda ring, f: _finite_difference_current(ring, f, h),
+        persistent_current, lambda ring, f: _finite_difference_current(ring, f, h), 2,
     )
 
 
@@ -305,7 +321,7 @@ def signature_sweep(
     and are skipped.  The step is scaled with f to balance truncation
     against rounding.
     """
-    grid = np.geomspace(f_lo, f_hi, n_flux)
+    grid = np.geomspace(f_lo, f_hi, check_integer("n_flux", n_flux))
     step = np.maximum(1e-7, 1e-4 * grid)
     max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
     for ring in _sweep_rings(n_values, f_nc_values):
@@ -321,4 +337,6 @@ def signature_sweep(
         i = int(np.argmax(dev))  # row-major: the first maximum in (f, lambda-then-sigma) order
         if dev.flat[i] > max_dev:
             max_dev, worst = float(dev.flat[i]), (ring.n_electrons, ring.f_nc, float(f[i // 2]))
-    return SweepResult("signature closed forms vs finite differences", count, max_dev, tol, worst)
+    return SweepResult(
+        "signature closed forms vs finite differences", count, max_dev, tol, worst, 0
+    )

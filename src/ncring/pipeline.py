@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,6 +35,7 @@ from ncring.errors import (
     NonMonotonicFlux,
     NotDetected,
     TooFewPoints,
+    check_integer,
 )
 from ncring.model import Parity, RingSystem, SwParams, persistent_current
 
@@ -63,14 +63,6 @@ __all__ = [
 
 MIN_TRACE_POINTS = 8  # minimum for differentiation plus a 5-point fit
 _EPS = float(np.finfo(float).eps)
-
-
-def _integer(name: str, value) -> int:
-    """`value` as an int; InvalidRange for a float or any other non-integral type."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidRange(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidRange(f"{name} must be finite, got {value}")
-        if _integer("seed", self.seed) < 0:
+        if check_integer("seed", self.seed) < 0:
             raise InvalidRange(f"seed must be non-negative, got {self.seed}")
         self.ring()  # RingSystem and SwParams validate the ring fields
         for name in ("f_min", "f_max", "fit_f_lo", "fit_f_hi",
@@ -113,7 +105,7 @@ class RunConfig:
                 raise InvalidRange(f"{name} must be strictly positive")
         if self.noise_sigma < 0.0:
             raise InvalidRange("noise_sigma must be non-negative")
-        if _integer("n_points", self.n_points) < MIN_TRACE_POINTS:
+        if check_integer("n_points", self.n_points) < MIN_TRACE_POINTS:
             raise InvalidRange(f"n_points must be at least {MIN_TRACE_POINTS}")
         if not self.f_min < self.f_max:
             raise InvalidRange("f_min must be smaller than f_max")
@@ -123,7 +115,7 @@ class RunConfig:
             raise InvalidRange(f"grid must be 'log' or 'uniform', got {self.grid!r}")
         if self.units not in ("reduced", "si"):
             raise InvalidRange(f"units must be 'reduced' or 'si', got {self.units!r}")
-        window = _integer("smoothing_window", self.smoothing_window)
+        window = check_integer("smoothing_window", self.smoothing_window)
         if window < 1 or window % 2 == 0:
             raise InvalidRange("smoothing_window must be an odd integer >= 1")
 
@@ -187,7 +179,7 @@ def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> n
     """
     if not 0.0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
-    if _integer("n_points", n_points) < MIN_TRACE_POINTS:
+    if check_integer("n_points", n_points) < MIN_TRACE_POINTS:
         raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
     if grid not in ("log", "uniform"):
         raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
@@ -239,7 +231,7 @@ def synthesize_trace(
     check_zone(ring, f_min, f_max)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    if seed is not None and _integer("seed", seed) < 0:
+    if seed is not None and check_integer("seed", seed) < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
     j = persistent_current(ring, f)
     if noise_sigma > 0.0:
@@ -347,7 +339,7 @@ def differentiate_trace(
     differences inside, 2-point one-sided differences at the two grid
     endpoints, which :func:`analyze_trace` therefore never fits.
     """
-    if _integer("smoothing_window", smoothing_window) < 1 or smoothing_window % 2 == 0:
+    if check_integer("smoothing_window", smoothing_window) < 1 or smoothing_window % 2 == 0:
         raise InvalidRange(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
     if smoothing_window >= len(trace) / 2:
         raise TooFewPoints(

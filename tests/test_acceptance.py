@@ -57,6 +57,7 @@ def test_criterion_2_oracle_equivalence():
     )
     elapsed = time.perf_counter() - start
     assert result.passed, result.summary()
+    assert (result.n_points, result.rows_filled) == (24180, 24180)
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s, budget 10s"
     _report(2, f"max normalized deviation {result.max_dev:.2e} <= 1e-12 in {elapsed:.1f}s")
 
@@ -73,6 +74,7 @@ def test_criterion_3_thermodynamic_consistency():
     )
     elapsed = time.perf_counter() - start
     assert result.passed, result.summary()
+    assert (result.n_points, result.rows_filled) == (24180, 48360)
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s, budget 10s"
     _report(3, f"max normalized deviation {result.max_dev:.2e} <= 1e-10 in {elapsed:.1f}s")
 

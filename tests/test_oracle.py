@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall
 from ncring.model import (
     RingSystem,
+    eigenenergy,
     ground_state_energy,
     lambda_signature,
     persistent_current,
@@ -45,7 +46,7 @@ def reference_filling(ring: RingSystem, f: float, window: int | None = None) -> 
         raise WindowTooSmall("window too small")
     x = float(f) - ring.f_nc
     offset = 0.75 * ring.f_nc**2
-    levels = [((n + x) ** 2 - offset, n) for n in range(-m, m + 1)]
+    levels = [((n + x) * (n + x) - offset, n) for n in range(-m, m + 1)]
     levels.sort(key=lambda t: (t[0], abs(t[1]), t[1] >= 0))
     filled = levels[:n_el]
     if any(abs(n) == m for _, n in filled):
@@ -134,6 +135,11 @@ class TestGroundStateByFilling:
         with pytest.raises(WindowTooSmall):
             ground_state_by_filling(ring_with(10, 0.0), 0.1, window=6)
 
+    @pytest.mark.parametrize("window", [7.9, "9", 9.0])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(InvalidRange, match=f"window must be an integer, got {window!r}"):
+            ground_state_by_filling(ring_with(3, 0.0), 0.1, window=window)
+
     def test_boundary_touch_detected(self):
         # a large unreduced flux pushes the filled shell onto the window edge
         with pytest.raises(WindowTooSmall):
@@ -209,10 +215,10 @@ class TestFillingKernelMatchesReference:
         if WindowTooSmall in fills:
             assert outcome(oracle._fill, ring, f, window) is WindowTooSmall
         else:
-            occupied, levels, m = oracle._fill(ring, f, window)
+            levels, order, n = oracle._fill(ring, f, window)
             rows = [
-                (tuple(o), math.fsum(e).hex(), m)
-                for o, e in zip(occupied.tolist(), levels.tolist())
+                (tuple(n[o].tolist()), math.fsum(e[o].tolist()).hex(), len(n) // 2)
+                for o, e in zip(order, levels)
             ]
             assert rows == fills
         currents = [outcome(reference_current, ring, v, h, window) for v in fluxes]
@@ -223,6 +229,19 @@ class TestFillingKernelMatchesReference:
             assert batch is NearDegeneracy
         else:
             assert batch == currents
+
+    @given(case=filling_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_levels_are_model_eigenenergies(self, case):
+        # squares are correctly rounded products, so each level is the model's bit for bit
+        ring, window, fluxes = case
+        f = np.array(fluxes)
+        try:
+            levels, _, n = oracle._fill(ring, f, window)
+        except WindowTooSmall:
+            assume(False)
+        expected = eigenenergy(ring, n, f[:, None])
+        assert [v.hex() for v in levels.flat] == [v.hex() for v in expected.flat]
 
 
 class TestOracleIndependence:
@@ -243,7 +262,7 @@ class TestOracleIndependence:
         assert len(fill.occupied) == 7
         assert current_by_finite_difference(ring, 0.13) == pytest.approx(-14 * 0.12, rel=1e-9)
         f = zone_flux_grid(31)
-        assert oracle._fill(ring, f, None)[0].shape == (31, 7)
+        assert oracle._fill(ring, f, None)[1].shape == (31, 7)
         f = f[np.abs(f - 0.51) > 0.05]
         assert oracle._finite_difference_current(ring, f, 1e-6).shape == f.shape
 
@@ -356,14 +375,38 @@ class TestSweeps:
         assert isinstance(boundary_distance(ring, 0.3), float)
         assert d.tolist() == [boundary_distance(ring, float(f)) for f in grid]
 
+    # the `verify --quick` sweeps; the filling kernel fills one row per
+    # ground-state point and the f + h and f - h rows per current point
     def test_ground_state_sweep_small(self):
         result = ground_state_sweep(n_values=range(1, 13), n_flux=31)
         assert result.passed, result.summary()
+        assert (result.n_points, result.rows_filled) == (1452, 1452)
 
     def test_current_sweep_small(self):
         result = current_sweep(n_values=range(1, 13), n_flux=31)
         assert result.passed, result.summary()
+        assert (result.n_points, result.rows_filled) == (1452, 2904)
 
     def test_signature_sweep_small(self):
         result = signature_sweep(n_flux=15)
         assert result.passed, result.summary()
+        assert (result.n_points, result.rows_filled) == (168, 0)
+
+    @pytest.mark.parametrize(
+        "sweep, kwargs",
+        [
+            (ground_state_sweep, {"exclusion": 2.0}),
+            (current_sweep, {"exclusion": float("nan")}),
+            (ground_state_sweep, {"n_values": ()}),
+        ],
+    )
+    def test_sweep_over_no_points_fails(self, sweep, kwargs):
+        result = sweep(**kwargs)
+        assert result.n_points == 0
+        assert not result.passed
+        assert result.summary().endswith("over 0 points, worst at N=0, f_nc=0, f=0  [FAIL]")
+
+    @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep, signature_sweep])
+    def test_n_flux_must_be_an_integer(self, sweep):
+        with pytest.raises(InvalidRange, match="n_flux must be an integer, got 2.5"):
+            sweep(n_flux=2.5)
