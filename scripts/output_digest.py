@@ -22,15 +22,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> (ring and grid flags, simulate flags); each run is simulate then analyze
+# configuration files written under the root before the runs; a flag names one as <out>/NAME
+CONFIGS = {
+    "si_n101.cfg": "units = si\nn_electrons = 101\n",
+    "empty_window.cfg": "fit_f_lo = 0.5\nfit_f_hi = 0.6\n",
+    "wide_window.cfg": "fit_f_lo = 1e-4\nfit_f_hi = 1.0\n",
+}
+# name -> (ring and grid flags, simulate flags, analyze flags); each run is simulate
+# then analyze, and both get the ring and grid flags
 SIMULATE_ANALYZE = {
     "large_n10001": (["--n-electrons", "10001", "--points", "100000"],
-                     ["--noise-sigma", "1e-6", "--seed", "7"]),
-    "odd_n3_seed42": (["--n-electrons", "3"], ["--noise-sigma", "1e-7", "--seed", "42"]),
-    "noisy_even_n4": (["--n-electrons", "4"], ["--noise-sigma", "1e-6", "--seed", "3"]),
+                     ["--noise-sigma", "1e-6", "--seed", "7"], []),
+    "odd_n3_seed42": (["--n-electrons", "3"], ["--noise-sigma", "1e-7", "--seed", "42"], []),
+    "noisy_even_n4": (["--n-electrons", "4"], ["--noise-sigma", "1e-6", "--seed", "3"], []),
     "commutative_n3": (["--n-electrons", "3", "--theta-tilde", "0"],
-                       ["--noise-sigma", "1e-4", "--seed", "5"]),
-    "even_n4_uniform33": (["--n-electrons", "4", "--points", "33", "--grid", "uniform"], []),
+                       ["--noise-sigma", "1e-4", "--seed", "5"], []),
+    "even_n4_uniform33": (["--n-electrons", "4", "--points", "33", "--grid", "uniform"], [], []),
+    # an SI trace written and read back through --config
+    "si_config_n101": (["--config", "<out>/si_n101.cfg"],
+                       ["--noise-sigma", "1e-6", "--seed", "11"], []),
+    # a fit window above the grid (Inconclusive), and one wider than the grid
+    "empty_fit_window": (["--config", "<out>/empty_window.cfg"], [], []),
+    "wide_fit_window": (["--config", "<out>/wide_window.cfg"],
+                        ["--noise-sigma", "1e-7", "--seed", "2"], []),
+    "smoothed_hinted_n101": (["--n-electrons", "101", "--smoothing-window", "5"],
+                             ["--noise-sigma", "1e-5", "--seed", "13"], ["--no-blind"]),
 }
 STANDALONE = {
     "signatures": ["signatures"],
@@ -42,7 +58,7 @@ STANDALONE = {
 def _run(main, argv: list[str], root: Path) -> tuple[int, bytes]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = main(argv)
+        rc = main([arg.replace("<out>", str(root)) for arg in argv])
     return rc, buf.getvalue().replace(str(root), "<out>").encode()
 
 
@@ -50,12 +66,14 @@ def digests(root: Path) -> list[tuple[str, str]]:
     """(sha256, run/file) for every file the run set writes under `root`."""
     from ncring.cli import main
 
+    for name, text in CONFIGS.items():
+        (root / name).write_text(text)
     stdout = {}
-    for name, (ring, noise) in SIMULATE_ANALYZE.items():
+    for name, (ring, noise, analyze) in SIMULATE_ANALYZE.items():
         out = root / name
         rc_sim, text_sim = _run(main, ["simulate", *ring, *noise, "--out", str(out)], root)
         rc_ana, text_ana = _run(
-            main, ["analyze", str(out / "trace.csv"), *ring, "--out", str(out)], root
+            main, ["analyze", str(out / "trace.csv"), *ring, *analyze, "--out", str(out)], root
         )
         stdout[name] = f"exit {rc_sim} {rc_ana}\n".encode() + text_sim + text_ana
     for name, argv in STANDALONE.items():

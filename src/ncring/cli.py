@@ -225,27 +225,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     report = out_dir / "report.txt"
-    write_results_report(
-        result.verdict,
-        config,
-        report,
-        trace_noise_rms=result.trace_noise_rms,
-        residual_floor=result.residual_floor,
-    )
+    write_results_report(result, config, report)
     print(f"verdict: {result.verdict.kind.value}")
     print(f"wrote {report}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.quick:
-        sweeps = [
-            ground_state_sweep(n_values=range(1, 13), n_flux=31),
-            current_sweep(n_values=range(1, 13), n_flux=31),
-            signature_sweep(n_flux=15),
-        ]
-    else:
-        sweeps = [ground_state_sweep(), current_sweep(), signature_sweep()]
+    fill = {"n_values": range(1, 13), "n_flux": 31} if args.quick else {}
+    sig = {"n_flux": 15} if args.quick else {}
+    sweeps = [ground_state_sweep(**fill), current_sweep(**fill), signature_sweep(**sig)]
     ok = True
     for sweep in sweeps:
         print(sweep.summary())

@@ -22,7 +22,7 @@ import numpy as np
 
 from ncring.errors import InvalidRange, ParseError, UnitMismatch
 from ncring.model import RingSystem
-from ncring.pipeline import MIN_TRACE_POINTS, CurrentTrace, RunConfig, TraceMeta, Verdict
+from ncring.pipeline import MIN_TRACE_POINTS, AnalysisResult, CurrentTrace, RunConfig, TraceMeta
 
 __all__ = [
     "parse_config",
@@ -95,11 +95,9 @@ def _meta_lines(meta: TraceMeta) -> list[str]:
     lines.append(f"# noise_sigma: {meta.noise_sigma!r}")
     ring = meta.ring_hint
     if ring is not None:
-        lines.append(f"# n_electrons: {ring.n_electrons}")
-        lines.append(f"# radius_m: {ring.radius!r}")
-        lines.append(f"# alpha: {ring.sw.alpha!r}")
-        lines.append(f"# theta_tilde: {ring.sw.theta_tilde!r}")
-        lines.append(f"# mass_kg: {ring.mass!r}")
+        values = (int(ring.n_electrons), ring.radius, ring.sw.alpha, ring.sw.theta_tilde,
+                  ring.mass)
+        lines += [f"# {key}: {value!r}" for key, value in zip(_RING_KEYS, values)]
     return lines
 
 
@@ -306,14 +304,9 @@ def _fmt_report_value(value) -> str:
     return str(value)
 
 
-def write_results_report(
-    verdict: Verdict,
-    config: RunConfig,
-    path: str | Path,
-    trace_noise_rms: float | None = None,
-    residual_floor: float | None = None,
-) -> None:
+def write_results_report(result: AnalysisResult, config: RunConfig, path: str | Path) -> None:
     """Write the analysis outcome as deterministic key-sorted `key: value` text."""
+    verdict = result.verdict
     entries: dict[str, object] = {
         "verdict": verdict.kind.value,
         "estimated_n": verdict.estimated_n,
@@ -324,8 +317,8 @@ def write_results_report(
         "thresholds_amplitude_floor_mult": config.amplitude_floor_mult,
         "fit_window_lo": config.fit_f_lo,
         "fit_window_hi": config.fit_f_hi,
-        "trace_noise_rms": trace_noise_rms,
-        "residual_floor": residual_floor,
+        "trace_noise_rms": result.trace_noise_rms,
+        "residual_floor": result.residual_floor,
     }
     for name, fit in (("lambda", verdict.lambda_fit), ("sigma", verdict.sigma_fit)):
         for key in ("amplitude", "exponent", "r_squared"):

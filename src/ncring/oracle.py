@@ -6,12 +6,13 @@ never calls them.  One kernel, :func:`_fill`, fills a whole flux array for
 one ring: the level columns n = 0, -1, 1, -2, 2, ... are laid out in
 tie-break order, each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a
 correctly rounded product, and a stable sort along each row fills the N
-lowest.  Filled levels are summed per row with math.fsum.  The scalar
+lowest; it refuses a flux that is not finite or lies a window or more
+from f_nc.  Filled levels are summed per row with math.fsum.  The scalar
 oracles are its one-point case; of the sweep helpers at the bottom, which
 back both the test suite and the `verify` CLI subcommand, the ground-state
 sweep fills one row per flux point and the current sweep fills the f + h
 and f - h rows of a ring in one call.  The signature differences alone are
-built on the closed-form current.
+built on the closed-form current; every sweep is tallied by :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def _fill(
     `n` in tie-break order 0, -1, 1, -2, 2, ...; row b of the (len(f), N)
     array `order` lists the columns filled at f[b], in filling order.  A
     stable sort along each row breaks exact degeneracies by smaller |n|,
-    then negative n.  Raises WindowTooSmall if the window cannot hold the
-    filling or if a filled level sits on the enumeration boundary.
+    then negative n.  Raises InvalidRange for a non-finite flux, and
+    WindowTooSmall if the window cannot hold the filling, if |f - f_nc| >=
+    window, or if a filled level sits on the enumeration boundary.
     """
     n_el = ring.n_electrons
     m = default_window(n_el) if window is None else check_integer("window", window)
@@ -85,9 +87,14 @@ def _fill(
         raise WindowTooSmall(
             f"window {m} too small for {n_el} electrons; need >= N/2 + 2"
         )
+    if not np.isfinite(f).all():
+        raise InvalidRange(f"flux must be finite, got {f[~np.isfinite(f)][0]}")
+    x = f - ring.f_nc  # the lowest level sits near n = -x, so |x| < m must hold
+    if (far := np.abs(x) >= m).any():
+        raise WindowTooSmall(f"flux {f[far][0]} lies {m} or more from f_nc; enlarge the window")
     k = np.arange(2 * m + 1)
     n = (k + 1) // 2 * (1 - 2 * (k % 2))  # tie-break order 0, -1, 1, -2, 2, ...
-    u = n + (f - ring.f_nc)[:, None]
+    u = n + x[:, None]
     # the product is the correctly rounded square, as in model.eigenenergy;
     # libm pow (float_power, **) misrounds a few squares in ten thousand
     levels = u * u - 0.75 * ring.f_nc**2
@@ -249,26 +256,29 @@ def _sweep_rings(
             yield RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
 
 
-def _filling_sweep(label, rings, grid, exclusion, tol, closed, oracle, rows) -> SweepResult:
-    """Max of |closed - oracle| / max(1, |closed|) over every ring's grid points.
-
-    Points within `exclusion` of a level crossing are skipped.  `closed` and
-    `oracle` take a ring and its kept flux array, and `oracle` fills `rows`
-    level rows per point; the worst point is the first maximum in (ring, f)
-    order.
-    """
+def _sweep(label, tol, rows, deviations) -> SweepResult:
+    """Max over `deviations`, (ring, f, dev) triples with one row of `dev` per flux of
+    a non-empty `f`, filled at `rows` kernel rows per point; the worst point is
+    the first row-major maximum."""
     max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
+    for ring, f, dev in deviations:
+        count += dev.size
+        i = int(np.argmax(dev))
+        if dev.flat[i] > max_dev:
+            row = i // (dev.size // len(f))
+            max_dev, worst = float(dev.flat[i]), (ring.n_electrons, ring.f_nc, float(f[row]))
+    return SweepResult(label, count, max_dev, tol, worst, rows * count)
+
+
+def _filling_deviations(rings, grid, exclusion, closed, oracle):
+    """(ring, f, |closed - oracle| / max(1, |closed|)) per ring, on the grid points
+    more than `exclusion` from a level crossing; `closed` and `oracle` take a ring
+    and its kept flux array."""
     for ring in rings:
         f = grid[boundary_distance(ring, grid) > exclusion]
-        if not f.size:
-            continue
-        value = closed(ring, f)
-        dev = np.abs(value - oracle(ring, f)) / np.maximum(1.0, np.abs(value))
-        count += f.size
-        i = int(np.argmax(dev))
-        if dev[i] > max_dev:
-            max_dev, worst = float(dev[i]), (ring.n_electrons, ring.f_nc, float(f[i]))
-    return SweepResult(label, count, max_dev, tol, worst, rows * count)
+        if f.size:
+            value = closed(ring, f)
+            yield ring, f, np.abs(value - oracle(ring, f)) / np.maximum(1.0, np.abs(value))
 
 
 def ground_state_sweep(
@@ -279,11 +289,10 @@ def ground_state_sweep(
     tol: float = 1e-12,
 ) -> SweepResult:
     """Max of |E_g(closed) - E_g(oracle)| / max(1, |E_g|) over the standard sweep."""
-    return _filling_sweep(
-        "ground-state closed form vs filling oracle",
-        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), exclusion, tol,
-        ground_state_energy, _filled_energies, 1,
-    )
+    return _sweep("ground-state closed form vs filling oracle", tol, 1, _filling_deviations(
+        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), exclusion,
+        ground_state_energy, _filled_energies,
+    ))
 
 
 def current_sweep(
@@ -295,12 +304,10 @@ def current_sweep(
     tol: float = 1e-10,
 ) -> SweepResult:
     """Max of |J(closed) + dE_g/df(oracle)| / max(1, |J|) over the standard sweep."""
-    return _filling_sweep(
-        "current closed form vs -dE/df oracle",
-        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux),
-        max(exclusion, 10.0 * h), tol,
-        persistent_current, lambda ring, f: _finite_difference_current(ring, f, h), 2,
-    )
+    return _sweep("current closed form vs -dE/df oracle", tol, 2, _filling_deviations(
+        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), max(exclusion, 10.0 * h),
+        persistent_current, lambda ring, f: _finite_difference_current(ring, f, h),
+    ))
 
 
 def signature_sweep(
@@ -323,20 +330,15 @@ def signature_sweep(
     """
     grid = np.geomspace(f_lo, f_hi, check_integer("n_flux", n_flux))
     step = np.maximum(1e-7, 1e-4 * grid)
-    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
-    for ring in _sweep_rings(n_values, f_nc_values):
-        keep = grid > ring.f_nc + 10.0 * step if ring.parity == "even" else slice(None)
-        f, h = grid[keep], step[keep]
-        if not f.size:
-            continue
-        fd = np.column_stack(signature_by_finite_difference(ring, f, h=h))
-        closed = np.column_stack((lambda_signature(ring, f), sigma_signature(ring, f)))
-        scale = ring.n_electrons / f[:, None] ** 2
-        dev = np.abs(fd - closed) / np.where(closed == 0.0, scale, np.abs(closed))
-        count += dev.size
-        i = int(np.argmax(dev))  # row-major: the first maximum in (f, lambda-then-sigma) order
-        if dev.flat[i] > max_dev:
-            max_dev, worst = float(dev.flat[i]), (ring.n_electrons, ring.f_nc, float(f[i // 2]))
-    return SweepResult(
-        "signature closed forms vs finite differences", count, max_dev, tol, worst, 0
-    )
+
+    def deviations():
+        for ring in _sweep_rings(n_values, f_nc_values):
+            keep = grid > ring.f_nc + 10.0 * step if ring.parity == "even" else slice(None)
+            f, h = grid[keep], step[keep]
+            if f.size:
+                fd = np.column_stack(signature_by_finite_difference(ring, f, h=h))
+                closed = np.column_stack((lambda_signature(ring, f), sigma_signature(ring, f)))
+                scale = ring.n_electrons / f[:, None] ** 2
+                yield ring, f, np.abs(fd - closed) / np.where(closed == 0.0, scale, np.abs(closed))
+
+    return _sweep("signature closed forms vs finite differences", tol, 0, deviations())

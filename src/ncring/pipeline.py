@@ -8,12 +8,14 @@ The stages mirror how the measurement side would proceed:
 2. fit one straight line for the electron number, parity and noise level
    (here and in stage 4, one centred closed-form least-squares solve),
 3. differentiate J/f and (J - N)/f, N from stage 2, to get the two signatures,
-4. fit |signature| against f on log-log axes (a window whose usable points
-   share one flux is InsufficientSignal),
+4. fit |signature| against f on log-log axes in the fit window, one slice
+   of the interior grid per trace (usable points sharing one flux are
+   InsufficientSignal),
 5. classify the pair of fits (divergence pattern decides the verdict),
 6. invert the fitted amplitudes into f_nc and theta_tilde.
 
-:class:`RunConfig` is the one configuration type (ring, grid, thresholds);
+:class:`RunConfig` is the one configuration type (ring, grid, thresholds)
+and the one check of the fit window; :func:`flux_grid` checks its grid;
 :func:`analyze_trace` takes it plus ``blind=``, which decides whether ring
 metadata in the trace may supply the electron number.
 """
@@ -99,29 +101,19 @@ class RunConfig:
         if check_integer("seed", self.seed) < 0:
             raise InvalidRange(f"seed must be non-negative, got {self.seed}")
         self.ring()  # RingSystem and SwParams validate the ring fields
-        for name in ("f_min", "f_max", "fit_f_lo", "fit_f_hi",
-                     "exponent_tol", "amplitude_floor_mult"):
+        flux_grid(self.f_min, self.f_max, self.n_points, self.grid)  # the grid rule, cached
+        for name in ("fit_f_lo", "fit_f_hi", "exponent_tol", "amplitude_floor_mult"):
             if not getattr(self, name) > 0.0:
                 raise InvalidRange(f"{name} must be strictly positive")
         if self.noise_sigma < 0.0:
             raise InvalidRange("noise_sigma must be non-negative")
-        if check_integer("n_points", self.n_points) < MIN_TRACE_POINTS:
-            raise InvalidRange(f"n_points must be at least {MIN_TRACE_POINTS}")
-        if not self.f_min < self.f_max:
-            raise InvalidRange("f_min must be smaller than f_max")
         if not self.fit_f_lo < self.fit_f_hi:
             raise InvalidRange("fit_f_lo must be smaller than fit_f_hi")
-        if self.grid not in ("log", "uniform"):
-            raise InvalidRange(f"grid must be 'log' or 'uniform', got {self.grid!r}")
         if self.units not in ("reduced", "si"):
             raise InvalidRange(f"units must be 'reduced' or 'si', got {self.units!r}")
         window = check_integer("smoothing_window", self.smoothing_window)
         if window < 1 or window % 2 == 0:
             raise InvalidRange("smoothing_window must be an odd integer >= 1")
-
-    @property
-    def fit_window(self) -> tuple[float, float]:
-        return (self.fit_f_lo, self.fit_f_hi)
 
     def ring(self) -> RingSystem:
         return RingSystem(
@@ -372,34 +364,21 @@ class PowerLawFit:
     residual_floor: float
 
 
-def fit_power_law(
-    f: np.ndarray,
-    values: np.ndarray,
-    f_window: tuple[float, float],
-    noise_floor: float = 0.0,
-) -> PowerLawFit:
-    """Fit value = A * f^p inside the window, ignoring sub-floor points.
+def fit_power_law(f: np.ndarray, values: np.ndarray, noise_floor: float = 0.0) -> PowerLawFit:
+    """Fit value = A * f^p to every point given, ignoring sub-floor points.
 
+    The caller picks the fit window; of its points, those whose flux is not
+    a positive finite number or whose value is not finite are skipped too.
     Raises InsufficientSignal when fewer than 5 points qualify or when they
     span a single flux; callers map that outcome to "signature absent", not
     to an error.
     """
     f = np.asarray(f, dtype=float)
     values = np.asarray(values, dtype=float)
-    f_lo, f_hi = f_window
-    if not 0.0 < f_lo < f_hi:
-        raise InvalidRange(f"bad fit window [{f_lo}, {f_hi}]")
-    mask = (
-        (f >= f_lo)
-        & (f <= f_hi)
-        & np.isfinite(values)
-        & (np.abs(values) > noise_floor)
-    )
+    mask = (0.0 < f) & (f < math.inf) & np.isfinite(values) & (np.abs(values) > noise_floor)
     n_used = int(np.count_nonzero(mask))
     if n_used < 5:
-        raise InsufficientSignal(
-            f"{n_used} usable points in [{f_lo}, {f_hi}] above floor {noise_floor:g}"
-        )
+        raise InsufficientSignal(f"{n_used} usable points above floor {noise_floor:g}")
     x = np.log10(f[mask])
     if x.min() == x.max():
         raise InsufficientSignal(f"{n_used} usable points share the single flux {f[mask][0]:g}")
@@ -575,32 +554,27 @@ class AnalysisResult:
     residual_floor: float
 
 
-def _noise_floor(
-    f: np.ndarray,
-    sigma_j: float,
-    smoothing_window: int,
-    f_window: tuple[float, float],
-) -> float:
+def _noise_floor(f: np.ndarray, sigma_j: float, smoothing_window: int, window: slice) -> float:
     """Amplitude-equivalent noise scale of the derivative estimates.
 
     Trace noise sigma_j propagates into the central differences as
     ~ sqrt(2) sigma_j / (sqrt(W) f d2f) at each interior point, which on a
     log grid is a constant times 1/f^2, i.e. exactly the shape of a true
-    divergence.  Scaling by f^2 and taking the window median therefore
-    yields a floor directly comparable with a fitted 1/f^2 amplitude.
+    divergence.  Scaling by f^2 and taking the median over the interior
+    points `f[1:-1][window]` of the fit window therefore yields a floor
+    directly comparable with a fitted 1/f^2 amplitude; 0 for an empty window.
     """
-    d2 = f[2:] - f[:-2]
-    f_int = f[1:-1]
+    f_int = f[1:-1][window]
+    d2 = (f[2:] - f[:-2])[window]
+    if not f_int.size:
+        return 0.0
     # overflows near f = 0 as in differentiate_trace, with the same outcome
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * d2)
         amp_equiv = s_val * f_int**2
-    in_window = (f_int >= f_window[0]) & (f_int <= f_window[1])
-    if not in_window.any():
-        return 0.0
     # np.median in one partition: its kth set, its mean of the middle pair, its NaN rule
-    mid, odd = divmod(int(np.count_nonzero(in_window)), 2)
-    part = np.partition(amp_equiv[in_window], [mid, -1] if odd else [mid - 1, mid, -1])
+    mid, odd = divmod(f_int.size, 2)
+    part = np.partition(amp_equiv, [mid, -1] if odd else [mid - 1, mid, -1])
     if np.isnan(part[-1]):
         return float(part[-1])
     return float(part[mid] if odd else (part[mid - 1] + part[mid]) / 2)
@@ -629,15 +603,17 @@ def analyze_trace(
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.
     sigma_floor = max(sigma_j, float(_EPS * np.abs(trace.j).max()))
-    floor = _noise_floor(trace.f, sigma_floor, config.smoothing_window, config.fit_window)
+    # the fit window, found once on the sorted interior grid: the one-sided
+    # endpoints (see differentiate_trace) are never fitted
+    f_int = trace.f[1:-1]
+    window = slice(np.searchsorted(f_int, config.fit_f_lo),
+                   np.searchsorted(f_int, config.fit_f_hi, "right"))
+    floor = _noise_floor(trace.f, sigma_floor, config.smoothing_window, window)
 
-    # the one-sided endpoints (see differentiate_trace) are never fitted
     fits: list[PowerLawFit | None] = []
     for values in (lam, sig):
         try:
-            fits.append(
-                fit_power_law(trace.f[1:-1], values[1:-1], config.fit_window, noise_floor=floor)
-            )
+            fits.append(fit_power_law(f_int[window], values[1:-1][window], noise_floor=floor))
         except InsufficientSignal:
             fits.append(None)
 

@@ -25,6 +25,7 @@ from ncring.errors import InvalidRange, NonMonotonicFlux, ParseError, UnitMismat
 from ncring.model import RingSystem, eigenenergy
 from ncring.pipeline import (
     MIN_TRACE_POINTS,
+    AnalysisResult,
     CurrentTrace,
     PowerLawFit,
     RunConfig,
@@ -64,6 +65,17 @@ class TestTraceCsv:
         assert hint.n_electrons == 5
         assert hint.radius == ring.radius
         assert hint.sw.theta_tilde == ring.sw.theta_tilde
+
+    def test_ring_metadata_lines(self):
+        # one line per key the reader interprets; a numpy N is written as a plain int
+        ring = RingSystem.from_f_nc(n_electrons=np.int64(5), f_nc=1e-4)
+        lines = _meta_lines(TraceMeta(ring_hint=ring))
+        assert lines == [
+            "# source: synthetic", "# noise_sigma: 0.0", "# n_electrons: 5",
+            f"# radius_m: {ring.radius!r}", f"# alpha: {ring.sw.alpha!r}",
+            f"# theta_tilde: {ring.sw.theta_tilde!r}", f"# mass_kg: {ring.mass!r}",
+        ]
+        assert [line[2:].split(":")[0] for line in lines[2:]] == list(dataio._RING_KEYS)
 
     def test_si_header_converted_on_load(self, tmp_path):
         phi0 = CODATA2018.flux_quantum
@@ -326,9 +338,20 @@ class TestRunConfig:
         with pytest.raises(ParseError, match=message):
             parse_config(text)
 
-    def test_fit_window_property(self):
-        config = RunConfig(fit_f_lo=1e-3, fit_f_hi=0.2)
-        assert config.fit_window == (1e-3, 0.2)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        # the grid fields are flux_grid's to check, in its words; the fit window is RunConfig's
+        [({"f_min": 0.0}, r"need 0 < f_min < f_max, got \[0\.0, 0\.4\]"),
+         ({"f_max": -0.4}, r"need 0 < f_min < f_max, got \[0\.001, -0\.4\]"),
+         ({"f_min": 0.4, "f_max": 0.1}, r"need 0 < f_min < f_max, got \[0\.4, 0\.1\]"),
+         ({"n_points": 4}, "need at least 8 points, got 4"),
+         ({"grid": "spiral"}, "grid must be 'log' or 'uniform', got 'spiral'"),
+         ({"fit_f_lo": 0.2, "fit_f_hi": 0.1}, "fit_f_lo must be smaller than fit_f_hi"),
+         ({"fit_f_lo": 0.0}, "fit_f_lo must be strictly positive")],
+    )
+    def test_grid_and_fit_window_messages(self, kwargs, message):
+        with pytest.raises(InvalidRange, match=f"^{message}$"):
+            RunConfig(**kwargs)
 
     def test_ring_and_options(self):
         config = RunConfig(n_electrons=3, alpha=0.5)
@@ -352,10 +375,15 @@ def _verdict(kind=VerdictKind.NO_NC_DETECTED, f_nc=None, theta=None):
     )
 
 
+def _result(verdict, trace_noise_rms=1e-3, residual_floor=2.5e-4):
+    empty = np.zeros(0)
+    return AnalysisResult(verdict, empty, empty, "", trace_noise_rms, residual_floor)
+
+
 class TestResultsReport:
     def test_contains_verdict_line(self, tmp_path):
         path = tmp_path / "report.txt"
-        write_results_report(_verdict(f_nc=0.0, theta=0.0), RunConfig(), path)
+        write_results_report(_result(_verdict(f_nc=0.0, theta=0.0)), RunConfig(), path)
         text = path.read_text()
         assert "verdict: NoNcDetected\n" in text
 
@@ -364,23 +392,27 @@ class TestResultsReport:
         verdict = _verdict(
             kind=VerdictKind.ODD_NC_DETECTED, f_nc=1.5828e-5, theta=1.76e-61
         )
-        write_results_report(verdict, RunConfig(), path)
+        write_results_report(_result(verdict), RunConfig(), path)
         text = path.read_text()
         assert "f_nc_hat: 1.5828e-05\n" in text
         assert "theta_tilde_hat: 1.7600e-61\n" in text
 
     def test_key_sorted_and_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        verdict = _verdict(f_nc=0.0, theta=0.0)
-        write_results_report(verdict, RunConfig(), a, trace_noise_rms=1e-3)
-        write_results_report(verdict, RunConfig(), b, trace_noise_rms=1e-3)
+        result = _result(_verdict(f_nc=0.0, theta=0.0))
+        write_results_report(result, RunConfig(), a)
+        write_results_report(result, RunConfig(), b)
         assert a.read_bytes() == b.read_bytes()
-        keys = [line.split(":", 1)[0] for line in a.read_text().splitlines()]
+        lines = a.read_text().splitlines()
+        keys = [line.split(":", 1)[0] for line in lines]
         assert keys == sorted(keys)
+        # the noise level and the floor come from the result itself
+        assert "trace_noise_rms: 1.0000e-03" in lines
+        assert "residual_floor: 2.5000e-04" in lines
 
     def test_absent_fit_reported_as_none(self, tmp_path):
         path = tmp_path / "report.txt"
-        write_results_report(_verdict(f_nc=0.0, theta=0.0), RunConfig(), path)
+        write_results_report(_result(_verdict(f_nc=0.0, theta=0.0)), RunConfig(), path)
         text = path.read_text()
         assert "lambda_amplitude: none\n" in text
         assert "lambda_points_used: 0\n" in text

@@ -145,6 +145,19 @@ class TestGroundStateByFilling:
         with pytest.raises(WindowTooSmall):
             ground_state_by_filling(ring_with(3, 0.0), 6.0, window=6)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flux_refused(self, f):
+        # unchecked, a NaN flux fills (0, -1, 1) with a NaN energy
+        with pytest.raises(InvalidRange, match="^flux must be finite, got"):
+            ground_state_by_filling(ring_with(3, 0.0), f)
+
+    @pytest.mark.parametrize("f", [1e17, -1e17, 1e12, 6.0, -6.0])
+    def test_flux_a_window_from_f_nc_refused(self, f):
+        # at 1e17 every (n + f)^2 in the window rounds to one value: unchecked, the
+        # stable sort keeps the first columns and (0, -1, 1) comes back with no error
+        with pytest.raises(WindowTooSmall, match="lies 6 or more from f_nc"):
+            ground_state_by_filling(ring_with(3, 0.0), f)  # default window: 6
+
     def test_determinism(self):
         ring = ring_with(6, 1e-3)
         a = ground_state_by_filling(ring, 0.21)
@@ -288,6 +301,14 @@ class TestCurrentByFiniteDifference:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             current_by_finite_difference(ring_with(3, 0.0), 0.1, h=0.0)
+
+    @pytest.mark.parametrize("f, error", [(math.nan, InvalidRange), (math.inf, InvalidRange),
+                                          (-math.inf, InvalidRange), (1e17, WindowTooSmall),
+                                          (-1e17, WindowTooSmall), (1e12, WindowTooSmall)])
+    def test_flux_it_cannot_fill_refused(self, f, error):
+        # unchecked, 1e17, NaN and inf give -6e17, NaN and -inf, where J is 0 or undefined
+        with pytest.raises(error):
+            current_by_finite_difference(ring_with(3, 0.0), f)
 
     def test_wrapped_branch_agrees_with_closed_form(self):
         # one zone over: the filling shifts but the current must repeat

@@ -342,10 +342,12 @@ class TestLineFit:
 
 
 class TestFitPowerLaw:
+    # analyze_trace hands fit_power_law the points of its fit window; these
+    # tests pass such sliced arrays the same way
     def test_exact_inverse_square(self):
         f = np.geomspace(1e-3, 1e-1, 64)
         values = -0.6 / f**2
-        fit = fit_power_law(f, values, (1e-3, 1e-1))
+        fit = fit_power_law(f, values)
         assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
         assert fit.amplitude == pytest.approx(-0.6, rel=1e-12)
         assert fit.r_squared > 1.0 - 1e-12
@@ -355,40 +357,86 @@ class TestFitPowerLaw:
         f = np.geomspace(1e-3, 1e-1, 64)
         values = np.full_like(f, 1e-9)
         with pytest.raises(InsufficientSignal):
-            fit_power_law(f, values, (1e-3, 1e-1), noise_floor=1e-6)
+            fit_power_law(f, values, noise_floor=1e-6)
 
     def test_too_few_in_window(self):
         f = np.geomspace(1e-3, 1e-1, 64)
         values = 1.0 / f**2
+        window = slice(int(np.searchsorted(f, 0.09)), None)  # the points in [0.09, 0.1]
+        assert len(f[window]) == 2
         with pytest.raises(InsufficientSignal):
-            fit_power_law(f, values, (0.09, 0.1))
+            fit_power_law(f[window], values[window])
 
     def test_single_flux_is_insufficient_signal(self):
         # ten usable points at one flux admit no line
         f = np.full(10, 0.01)
         with pytest.raises(InsufficientSignal, match="single flux"):
-            fit_power_law(f, np.full(10, -3.0), (1e-3, 1e-1))
+            fit_power_law(f, np.full(10, -3.0))
 
-    def test_window_validation(self):
+    def test_skips_flux_that_is_not_positive_finite(self):
         f = np.geomspace(1e-3, 1e-1, 16)
-        with pytest.raises(InvalidRange):
-            fit_power_law(f, 1.0 / f, (0.1, 0.01))
+        values = -0.6 / f**2
+        clean = fit_power_law(f, values)
+        # finite values at f <= 0, NaN and inf, which no log-log line can hold
+        bad_f = np.array([0.0, -1e-2, np.nan, np.inf, -np.inf])
+        fit = fit_power_law(np.concatenate([bad_f, f]), np.concatenate([np.full(5, -7.0), values]))
+        assert repr(fit) == repr(clean)
+        assert fit.n_points_used == 16
+        with pytest.raises(InsufficientSignal, match="^0 usable points"):
+            fit_power_law(bad_f, np.full(5, -7.0))
 
     def test_majority_sign(self):
         f = np.geomspace(1e-3, 1e-1, 11)
         values = -1.0 / f**2
         values[0] = abs(values[0])  # one flipped point keeps majority negative
-        fit = fit_power_law(f, values, (1e-3, 1e-1))
+        fit = fit_power_law(f, values)
         assert fit.amplitude < 0.0
 
     def test_fit_on_closed_form_lambda(self):
         ring = ring_with(3, 1e-5)
         trace = synthesize_trace(ring, 1e-3, 0.4, 1024)
         lam, _, _ = differentiate_trace(trace, ring.n_electrons)
-        keep = slice(1, -1)  # the one-sided endpoints are not compared
-        fit = fit_power_law(trace.f[keep], lam[keep], (1e-3, 1e-1))
+        f_int = trace.f[1:-1]  # the one-sided endpoints are not compared
+        window = slice(0, int(np.searchsorted(f_int, 1e-1, "right")))  # f <= 0.1
+        fit = fit_power_law(f_int[window], lam[1:-1][window])
         assert -2.01 <= fit.exponent <= -1.99
         assert fit.amplitude == pytest.approx(-6.0 * ring.f_nc, rel=1e-3)
+
+
+class TestFitWindow:
+    """analyze_trace's one window slice selects exactly the points of the mask."""
+
+    @pytest.mark.parametrize("grid", ["log", "uniform"])
+    @pytest.mark.parametrize("bounds", ["on_grid_points", "empty", "wider_than_grid"])
+    def test_slice_equals_mask(self, monkeypatch, grid, bounds):
+        trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 64, noise_sigma=1e-3, seed=2,
+                                 grid=grid)
+        f_int = trace.f[1:-1]
+        lo, hi = {
+            "on_grid_points": (float(f_int[5]), float(f_int[40])),  # both bounds included
+            "empty": (0.5, 0.6),
+            "wider_than_grid": (1e-4, 1.0),
+        }[bounds]
+        mask = (f_int >= lo) & (f_int <= hi)
+        assert np.count_nonzero(mask) == {"on_grid_points": 36, "empty": 0,
+                                          "wider_than_grid": 62}[bounds]
+        seen = []
+        fit = pipeline.fit_power_law
+
+        def spy(f, values, noise_floor=0.0):
+            seen.append(f)
+            return fit(f, values, noise_floor=noise_floor)
+
+        monkeypatch.setattr(pipeline, "fit_power_law", spy)
+        config = RunConfig(fit_f_lo=lo, fit_f_hi=hi)
+        result = analyze_trace(trace, config)
+        assert len(seen) == 2
+        assert all(bits(f) == bits(f_int[mask]) for f in seen)
+        verdict, _, _, _, floor = plain_analysis(trace, config)
+        assert repr(result.verdict) == repr(verdict)
+        assert bits(result.residual_floor) == bits(floor)
+        if bounds == "empty":
+            assert result.verdict.kind is VerdictKind.INCONCLUSIVE and floor == 0.0
 
 
 def _fit(amplitude, exponent, floor=0.0, r2=1.0, n=50):
@@ -650,8 +698,9 @@ def plain_analysis(trace, config):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lam, sig = (plain_signature(f, numerator / f, window) for numerator in (j, j - n))
     sigma_floor = max(sigma_j, float(np.finfo(float).eps * np.max(np.abs(j))))
-    floor = plain_noise_floor(f, sigma_floor, window, config.fit_window)
-    fits = [plain_power_law(f[1:-1], v[1:-1], config.fit_window, floor) for v in (lam, sig)]
+    f_window = (config.fit_f_lo, config.fit_f_hi)
+    floor = plain_noise_floor(f, sigma_floor, window, f_window)
+    fits = [plain_power_law(f[1:-1], v[1:-1], f_window, floor) for v in (lam, sig)]
     return classify(*fits, n, parity, config), lam, sig, sigma_j, floor
 
 
@@ -672,10 +721,11 @@ class TestExactness:
         # on a uniform grid the amplitudes grow with f, so the middle pair differ
         f = flux_grid(1e-3, 0.4, 100, "uniform")
         f_window = (1e-3, f_hi)
-        assert ((f[1:-1] >= f_window[0]) & (f[1:-1] <= f_window[1])).sum() % 2 == parity
-        floor = _noise_floor(f, 0.03, window, f_window)
+        in_window = np.flatnonzero((f[1:-1] >= f_window[0]) & (f[1:-1] <= f_window[1]))
+        assert in_window.size % 2 == parity
+        floor = _noise_floor(f, 0.03, window, slice(in_window[0], in_window[-1] + 1))
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, window, f_window))
-        assert _noise_floor(f, 0.03, window, (0.5, 0.6)) == 0.0  # no point in the window
+        assert _noise_floor(f, 0.03, window, slice(98, 98)) == 0.0  # no point in the window
 
     def test_noise_floor_nan_amplitude(self):
         # at f ~ 1e-200 both f d2f and f^2 underflow to 0, so one amplitude is inf * 0
@@ -683,7 +733,7 @@ class TestExactness:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             amp = 0.03 / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
         assert np.isnan(amp).sum() == 1
-        floor = _noise_floor(f, 0.03, 1, (1e-300, 1.0))
+        floor = _noise_floor(f, 0.03, 1, slice(None))  # every interior point
         assert math.isnan(floor)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, 1, (1e-300, 1.0)))
 
