@@ -4,10 +4,16 @@
 
 Each run writes into its own directory under a temporary root; the digests
 cover every file written there and each run's standard output, with the
-temporary root replaced by ``<out>``.  Two checkouts produce the same bytes
-exactly when they print the same lines, so a change that claims identical
-outputs is checked by running this script against the source tree of each
-(``--src``, by default this checkout's ``src``).
+temporary root replaced by ``<out>``.  Two more rows, ``analysis/shared_grid``
+and ``analysis/copied_grid``, digest in-process analyses of a fixed mix of
+2400 traces, on the shared grids of ``synthesize_trace`` and on copies of
+them (a CLI run reads its trace from a file, so it never analyses a shared
+grid); the two rows are equal when sharing a grid changes no result.
+
+Two checkouts produce the same bytes exactly when they print the same lines,
+so a change that claims identical outputs is checked by running this script
+against the source tree of each (``--src``, by default this checkout's
+``src``).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -62,6 +69,54 @@ def _run(main, argv: list[str], root: Path) -> tuple[int, bytes]:
     return rc, buf.getvalue().replace(str(root), "<out>").encode()
 
 
+# the in-process mix: its size, rings, noise levels relative to N, and fit
+# windows (the default, two narrower ones, one above the grid and one wider than it)
+MIX_TRACES = 2400
+MIX_RINGS = [(n, f_nc) for n in (3, 4, 7, 10, 101, 1000, 10000, 10001)
+             for f_nc in (0.0, 1e-5, 1e-3, 1e-2)]
+MIX_NOISE = (0.0, 1e-9, 1e-6, 1e-3, 0.05)
+MIX_WINDOWS = ((1e-3, 1e-1), (1e-3, 3e-2), (1e-2, 0.4), (0.5, 0.6), (1e-4, 1.0))
+
+
+def analysis_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of the mix's analyses on shared grids and on copied ones.
+
+    Each digest covers, per trace, ``repr(verdict)``, ``lam``, ``sig``,
+    ``method``, the noise rms and the floor, or the error the analysis raised.
+    """
+    import numpy as np
+
+    from ncring.errors import NcRingError
+    from ncring.model import RingSystem
+    from ncring.pipeline import CurrentTrace, RunConfig, analyze_trace, synthesize_trace
+
+    rng = random.Random(MIX_TRACES)
+    shared, copied = hashlib.sha256(), hashlib.sha256()
+    for _ in range(MIX_TRACES):
+        n, f_nc = rng.choice(MIX_RINGS)
+        ring = RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
+        f_min = max(1e-3, f_nc) if n % 2 == 0 else 1e-3
+        trace = synthesize_trace(ring, f_min, 0.4, rng.randint(64, 256),
+                                 noise_sigma=rng.choice(MIX_NOISE) * n,
+                                 seed=rng.randrange(2**31), grid=rng.choice(("log", "uniform")))
+        f_lo, f_hi = rng.choice(MIX_WINDOWS)
+        config = RunConfig(n_electrons=n, smoothing_window=rng.choice((1, 3, 5)),
+                           fit_f_lo=f_lo, fit_f_hi=f_hi)
+        copy = CurrentTrace(f=np.array(trace.f), j=trace.j, meta=trace.meta)
+        for digest, analysed in ((shared, trace), (copied, copy)):
+            try:
+                result = analyze_trace(analysed, config)
+            except NcRingError as exc:  # an analysis that raises is digested by its error
+                digest.update(repr(exc).encode())
+                continue
+            digest.update(repr(result.verdict).encode())
+            digest.update(result.lam.tobytes() + result.sig.tobytes())
+            digest.update(result.method.encode())
+            digest.update(f"{result.trace_noise_rms.hex()} {result.residual_floor.hex()}".encode())
+    return [(shared.hexdigest(), "analysis/shared_grid"),
+            (copied.hexdigest(), "analysis/copied_grid")]
+
+
 def digests(root: Path) -> list[tuple[str, str]]:
     """(sha256, run/file) for every file the run set writes under `root`."""
     from ncring.cli import main
@@ -94,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory() as tmp:
-        for digest, name in digests(Path(tmp)):
+        for digest, name in digests(Path(tmp)) + analysis_digests():
             print(f"{digest}  {name}")
     return 0
 

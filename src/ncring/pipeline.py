@@ -15,17 +15,26 @@ The stages mirror how the measurement side would proceed:
 6. invert the fitted amplitudes into f_nc and theta_tilde.
 
 :class:`RunConfig` is the one configuration type (ring, grid, thresholds)
-and the one check of the fit window; :func:`flux_grid` checks its grid;
-:func:`analyze_trace` takes it plus ``blind=``, which decides whether ring
-metadata in the trace may supply the electron number.
+and the one check of the fit window; it checks its grid by :func:`flux_grid`'s
+rule without building it.  :func:`analyze_trace` takes it plus ``blind=``,
+which decides whether ring metadata in the trace may supply the electron
+number.
+
+What stages 2-4 derive from the flux alone (the centring of the line fit,
+the stencil weights, the fit window's points, the flux checks) lives in one
+grid plan.  Every trace on one :func:`flux_grid` array shares that array and
+its plan, built once; any other flux is copied into its trace and gets a
+plan that dies with the analysis.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +110,7 @@ class RunConfig:
         if check_integer("seed", self.seed) < 0:
             raise InvalidRange(f"seed must be non-negative, got {self.seed}")
         self.ring()  # RingSystem and SwParams validate the ring fields
-        flux_grid(self.f_min, self.f_max, self.n_points, self.grid)  # the grid rule, cached
+        _check_grid(self.f_min, self.f_max, self.n_points, self.grid)  # checked, not built
         for name in ("fit_f_lo", "fit_f_hi", "exponent_tol", "amplitude_floor_mult"):
             if not getattr(self, name) > 0.0:
                 raise InvalidRange(f"{name} must be strictly positive")
@@ -138,43 +147,76 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
+# CurrentTrace's checks of the flux alone, in the order they run; a failed check
+# raises its entry, and the current's finiteness check shares entry 1
+_FLUX_FAILURES = (
+    (InvalidRange, f"trace needs at least {MIN_TRACE_POINTS} points"),
+    (InvalidRange, "flux and current values must be finite"),
+    (NonMonotonicFlux, "flux values must be strictly increasing"),
+    (InvalidRange, "all flux values must be positive"),
+)
+
+
+def _flux_failure(f: np.ndarray) -> int:
+    """Index in _FLUX_FAILURES of the first check the 1D flux `f` fails, else its length."""
+    if len(f) < MIN_TRACE_POINTS:
+        return 0
+    if not np.isfinite(f).all():
+        return 1
+    if not (f[1:] > f[:-1]).all():
+        return 2
+    if not f[0] > 0.0:
+        return 3
+    return len(_FLUX_FAILURES)
+
+
 @dataclass(frozen=True)
 class CurrentTrace:
-    """Sampled (f, J) data in reduced units, flux strictly increasing."""
+    """Sampled (f, J) data in reduced units, flux strictly increasing.
+
+    The trace keeps a :func:`flux_grid` array as it is and copies any other
+    flux, so a later write to the caller's array never reaches the trace.
+    """
 
     f: np.ndarray
     j: np.ndarray
     meta: TraceMeta = field(default_factory=TraceMeta)
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _readonly(self.f))
+        plan = _PLANS.get(id(self.f))
+        if plan is None:
+            object.__setattr__(self, "f", _readonly(self.f))
         object.__setattr__(self, "j", _readonly(self.j))
         if self.f.ndim != 1 or self.f.shape != self.j.shape:
             raise InvalidRange("f and j must be 1D arrays of equal length")
-        if len(self.f) < MIN_TRACE_POINTS:
-            raise InvalidRange(f"trace needs at least {MIN_TRACE_POINTS} points")
-        if not (np.isfinite(self.f).all() and np.isfinite(self.j).all()):
-            raise InvalidRange("flux and current values must be finite")
-        if not (self.f[1:] > self.f[:-1]).all():
-            raise NonMonotonicFlux("flux values must be strictly increasing")
-        if not self.f[0] > 0.0:
-            raise InvalidRange("all flux values must be positive")
+        failure = _flux_failure(self.f) if plan is None else plan.flux_failure
+        if failure > 1 and not np.isfinite(self.j).all():
+            failure = 1
+        if failure < len(_FLUX_FAILURES):
+            error, message = _FLUX_FAILURES[failure]
+            raise error(message)
 
     def __len__(self) -> int:
         return len(self.f)
 
 
-def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
-    """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform.
-
-    The array is read-only and shared by every call with the same arguments.
-    """
+def _check_grid(f_min: float, f_max: float, n_points: int, grid: str) -> None:
+    """:func:`flux_grid`'s checks of its request, without building the grid."""
     if not 0.0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
     if check_integer("n_points", n_points) < MIN_TRACE_POINTS:
         raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
     if grid not in ("log", "uniform"):
         raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
+
+
+def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
+    """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform.
+
+    The array is read-only and shared by every call with the same arguments,
+    and every analysis of a trace on it shares one :class:`_GridPlan`.
+    """
+    _check_grid(f_min, f_max, n_points, grid)
     return _cached_grid(f_min, f_max, n_points, grid)
 
 
@@ -182,7 +224,76 @@ def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> n
 def _cached_grid(f_min: float, f_max: float, n_points: int, grid: str) -> np.ndarray:
     f = (np.geomspace if grid == "log" else np.linspace)(f_min, f_max, n_points)
     f.flags.writeable = False
+    if f.dtype == float:  # a float32 grid is copied to float64 by every trace
+        _PLANS[id(f)] = _GridPlan(f)
+        weakref.finalize(f, _PLANS.pop, id(f))
     return f
+
+
+class _FitWindow(NamedTuple):
+    """The interior grid points of one fit window: what the fits and the floor read."""
+
+    cut: slice  # of the interior grid f[1:-1]
+    f: np.ndarray  # f[1:-1][cut]
+    d2: np.ndarray  # (f[2:] - f[:-2])[cut]
+    f_sq: np.ndarray  # f**2
+
+
+class _GridPlan:
+    """What every analysis of a trace on one flux grid derives from the flux alone.
+
+    Each part is built on first use and then reused: CurrentTrace's flux
+    checks, the centring of the J line fit, the stencil weights of
+    :func:`_derivative` and one :class:`_FitWindow` per (fit_f_lo, fit_f_hi).
+    Parts hold only the quantities numpy would evaluate first anyway, so every
+    result keeps its bits.  The plan refers to its grid weakly; the plan of a
+    :func:`flux_grid` array lives as long as the array, any other plan as
+    long as its caller holds it.
+    """
+
+    def __init__(self, f: np.ndarray):
+        self._grid = weakref.ref(f)
+        self._windows: dict[tuple[float, float], _FitWindow] = {}
+
+    @functools.cached_property
+    def flux_failure(self) -> int:
+        return _flux_failure(self._grid())
+
+    @functools.cached_property
+    def centring(self) -> tuple[float, np.ndarray, float]:
+        return _centre(self._grid())
+
+    @functools.cached_property
+    def stencil(self) -> tuple[np.ndarray, ...]:
+        """h1*h1, h2*h2, h2*h2 - h1*h1, h1*h2*(h1+h2) and the two endpoint spacings."""
+        f = self._grid()
+        h1 = f[1:-1] - f[:-2]
+        h2 = f[2:] - f[1:-1]
+        h1_sq, h2_sq = h1 * h1, h2 * h2
+        return h1_sq, h2_sq, h2_sq - h1_sq, h1 * h2 * (h1 + h2), f[1] - f[0], f[-1] - f[-2]
+
+    def window(self, f_lo: float, f_hi: float) -> _FitWindow:
+        """The interior points with f_lo <= f <= f_hi, found on the sorted grid."""
+        window = self._windows.get((f_lo, f_hi))
+        if window is None:
+            f = self._grid()
+            f_int = f[1:-1]
+            cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
+            f_cut = f_int[cut].copy()  # a copy: a view would keep the grid alive
+            with np.errstate(over="ignore"):  # as in _noise_floor
+                window = _FitWindow(cut, f_cut, f[2:][cut] - f[:-2][cut], f_cut**2)
+            window.f.flags.writeable = False
+            self._windows[f_lo, f_hi] = window
+        return window
+
+
+_PLANS: dict[int, _GridPlan] = {}  # id of each live flux_grid array -> its plan
+
+
+def _grid_plan(f: np.ndarray) -> _GridPlan:
+    """The shared plan of a flux_grid array, or a new one that nothing else keeps."""
+    plan = _PLANS.get(id(f))
+    return _GridPlan(f) if plan is None else plan
 
 
 def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
@@ -235,23 +346,33 @@ def synthesize_trace(
     return CurrentTrace(f=f, j=j, meta=meta)
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares line y ~ intercept + slope * x on centred data.
+def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """The x side of a line fit: (mean, x - mean, sum of squares about the mean)."""
+    x_bar = float(x.sum()) / len(x)  # ndarray.mean's bits
+    dx = x - x_bar
+    return x_bar, dx, dx @ dx
+
+
+def _line_fit(
+    centred: tuple[float, np.ndarray, float], y: np.ndarray
+) -> tuple[float, float, float, float]:
+    """Least-squares line y ~ intercept + slope * x on data centred by :func:`_centre`.
 
     Returns (intercept, slope, ss_res, ss_tot); ss_res sums the explicit
     residuals, so it is never negative.  x needs two distinct values.
     """
-    x_bar, y_bar = float(x.sum()) / len(x), float(y.sum()) / len(y)  # ndarray.mean's bits
-    dx, dy = x - x_bar, y - y_bar
-    slope = float(dx @ dy / (dx @ dx))
+    x_bar, dx, dx_dx = centred
+    y_bar = float(y.sum()) / len(y)
+    dy = y - y_bar
+    slope = float(dx @ dy / dx_dx)
     res = dy - slope * dx
     return float(y_bar - slope * x_bar), slope, float(res @ res), float(dy @ dy)
 
 
-def _linear_fit(f: np.ndarray, j: np.ndarray) -> tuple[float, float, float]:
-    """OLS of j on f; returns (intercept, slope, rms residual)."""
-    intercept, slope, ss_res, _ = _line_fit(f, j)
-    return intercept, slope, math.sqrt(ss_res / (len(f) - 2))
+def _linear_fit(trace: CurrentTrace, plan: _GridPlan) -> tuple[float, float, float]:
+    """OLS of the trace's j on f; returns (intercept, slope, rms residual)."""
+    intercept, slope, ss_res, _ = _line_fit(plan.centring, trace.j)
+    return intercept, slope, math.sqrt(ss_res / (len(trace) - 2))
 
 
 def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
@@ -272,7 +393,7 @@ def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
 
 def estimate_electron_number(trace: CurrentTrace) -> tuple[int, Parity]:
     """Electron number and parity from the trace alone."""
-    a, b, _ = _linear_fit(trace.f, trace.j)
+    a, b, _ = _linear_fit(trace, _grid_plan(trace.f))
     return _electron_number(a, b)
 
 
@@ -282,7 +403,7 @@ def trace_noise_rms(trace: CurrentTrace) -> float:
     The noiseless current is exactly linear in f inside one zone, so the
     residual is an unbiased estimate of the measurement noise.
     """
-    return _linear_fit(trace.f, trace.j)[2]
+    return _linear_fit(trace, _grid_plan(trace.f))[2]
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
@@ -299,21 +420,20 @@ def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
     return (csum[..., hi + 1] - csum[..., lo]) / (hi + 1 - lo)
 
 
-def _derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivative along the last axis of `y` on a possibly nonuniform grid `x`.
+def _derivative(stencil: tuple[np.ndarray, ...], y: np.ndarray) -> np.ndarray:
+    """First derivative along the last axis of `y` on a possibly nonuniform grid.
 
     Interior points use the 3-point central stencil with the standard
     nonuniform weights (exact for quadratics); the two endpoints fall back
-    to 2-point one-sided differences.
+    to 2-point one-sided differences.  `stencil` is the grid's
+    :attr:`_GridPlan.stencil`, with h1 and h2 the spacings below and above
+    each interior point.
     """
+    h1_sq, h2_sq, h_diff, denom, first, last = stencil
     d = np.empty(y.shape)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    d[..., 1:-1] = (
-        h1 * h1 * y[..., 2:] - h2 * h2 * y[..., :-2] + (h2 * h2 - h1 * h1) * y[..., 1:-1]
-    ) / (h1 * h2 * (h1 + h2))
-    d[..., 0] = (y[..., 1] - y[..., 0]) / (x[1] - x[0])
-    d[..., -1] = (y[..., -1] - y[..., -2]) / (x[-1] - x[-2])
+    d[..., 1:-1] = (h1_sq * y[..., 2:] - h2_sq * y[..., :-2] + h_diff * y[..., 1:-1]) / denom
+    d[..., 0] = (y[..., 1] - y[..., 0]) / first
+    d[..., -1] = (y[..., -1] - y[..., -2]) / last
     return d
 
 
@@ -337,11 +457,12 @@ def differentiate_trace(
         raise TooFewPoints(
             f"smoothing window {smoothing_window} too wide for {len(trace)} points"
         )
-    # J/f and its differences can overflow near f = 0; the inf and NaN
-    # estimates are masked by fit_power_law and dropped from the plot
+    # J/f, its differences and the stencil weights can overflow near f = 0; the
+    # inf and NaN estimates are masked by fit_power_law and dropped from the plot
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u_v = np.array((trace.j, trace.j - n_electrons)) / trace.f
-        lam, sig = _derivative(trace.f, _moving_average(u_v, smoothing_window))
+        stencil = _grid_plan(trace.f).stencil
+        lam, sig = _derivative(stencil, _moving_average(u_v, smoothing_window))
     method = (
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
@@ -383,7 +504,7 @@ def fit_power_law(f: np.ndarray, values: np.ndarray, noise_floor: float = 0.0) -
     if x.min() == x.max():
         raise InsufficientSignal(f"{n_used} usable points share the single flux {f[mask][0]:g}")
     values = values[mask]
-    intercept, slope, ss_res, ss_tot = _line_fit(x, np.log10(np.abs(values)))
+    intercept, slope, ss_res, ss_tot = _line_fit(_centre(x), np.log10(np.abs(values)))
     # ss_tot = 0 means a constant y, which the line fits exactly
     r_squared = max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0.0 else 1.0
     n_pos = int(np.count_nonzero(values > 0.0))
@@ -554,24 +675,23 @@ class AnalysisResult:
     residual_floor: float
 
 
-def _noise_floor(f: np.ndarray, sigma_j: float, smoothing_window: int, window: slice) -> float:
+def _noise_floor(window: _FitWindow, sigma_j: float, smoothing_window: int) -> float:
     """Amplitude-equivalent noise scale of the derivative estimates.
 
     Trace noise sigma_j propagates into the central differences as
     ~ sqrt(2) sigma_j / (sqrt(W) f d2f) at each interior point, which on a
     log grid is a constant times 1/f^2, i.e. exactly the shape of a true
     divergence.  Scaling by f^2 and taking the median over the interior
-    points `f[1:-1][window]` of the fit window therefore yields a floor
-    directly comparable with a fitted 1/f^2 amplitude; 0 for an empty window.
+    points of the fit window therefore yields a floor directly comparable
+    with a fitted 1/f^2 amplitude; 0 for an empty window.
     """
-    f_int = f[1:-1][window]
-    d2 = (f[2:] - f[:-2])[window]
+    f_int = window.f
     if not f_int.size:
         return 0.0
     # overflows near f = 0 as in differentiate_trace, with the same outcome
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * d2)
-        amp_equiv = s_val * f_int**2
+        s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * window.d2)
+        amp_equiv = s_val * window.f_sq
     # np.median in one partition: its kth set, its mean of the middle pair, its NaN rule
     mid, odd = divmod(f_int.size, 2)
     part = np.partition(amp_equiv, [mid, -1] if odd else [mid - 1, mid, -1])
@@ -592,7 +712,8 @@ def analyze_trace(
     that fit; otherwise a ring hint in the trace metadata supplies it.
     Windows, thresholds and the ring scales come from `config`.
     """
-    intercept, slope, sigma_j = _linear_fit(trace.f, trace.j)
+    plan = _grid_plan(trace.f)
+    intercept, slope, sigma_j = _linear_fit(trace, plan)
     hint = None if blind else trace.meta.ring_hint
     parity: Parity
     if hint is not None:
@@ -603,17 +724,15 @@ def analyze_trace(
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.
     sigma_floor = max(sigma_j, float(_EPS * np.abs(trace.j).max()))
-    # the fit window, found once on the sorted interior grid: the one-sided
-    # endpoints (see differentiate_trace) are never fitted
-    f_int = trace.f[1:-1]
-    window = slice(np.searchsorted(f_int, config.fit_f_lo),
-                   np.searchsorted(f_int, config.fit_f_hi, "right"))
-    floor = _noise_floor(trace.f, sigma_floor, config.smoothing_window, window)
+    # the fit window of the interior grid: the one-sided endpoints (see
+    # differentiate_trace) are never fitted
+    window = plan.window(config.fit_f_lo, config.fit_f_hi)
+    floor = _noise_floor(window, sigma_floor, config.smoothing_window)
 
     fits: list[PowerLawFit | None] = []
     for values in (lam, sig):
         try:
-            fits.append(fit_power_law(f_int[window], values[1:-1][window], noise_floor=floor))
+            fits.append(fit_power_law(window.f, values[1:-1][window.cut], noise_floor=floor))
         except InsufficientSignal:
             fits.append(None)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncring import cli, dataio
+from ncring import cli, dataio, pipeline
 from ncring.constants import CODATA2018
 from ncring.dataio import (
     _meta_lines,
@@ -352,6 +352,13 @@ class TestRunConfig:
     def test_grid_and_fit_window_messages(self, kwargs, message):
         with pytest.raises(InvalidRange, match=f"^{message}$"):
             RunConfig(**kwargs)
+
+    def test_grid_checked_not_built(self):
+        # a config only checks its grid: nothing is allocated, cached or planned
+        cache, plans = pipeline._cached_grid.cache_info(), dict(pipeline._PLANS)
+        RunConfig(n_points=10**7, grid="uniform")
+        assert pipeline._cached_grid.cache_info() == cache
+        assert pipeline._PLANS == plans
 
     def test_ring_and_options(self):
         config = RunConfig(n_electrons=3, alpha=0.5)

@@ -1,10 +1,12 @@
 """Detection pipeline: synthesis, differentiation, fitting, classification."""
 
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +19,20 @@ from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
     InvalidRange,
+    NonMonotonicFlux,
     NotDetected,
     TooFewPoints,
 )
-from ncring.model import RingSystem, lambda_signature, sigma_signature
+from ncring.model import RingSystem, lambda_signature, persistent_current, sigma_signature
 from ncring.pipeline import (
     CurrentTrace,
     PowerLawFit,
     RunConfig,
     TraceMeta,
     VerdictKind,
+    _centre,
     _electron_number,
+    _GridPlan,
     _line_fit,
     _noise_floor,
     analyze_trace,
@@ -175,7 +180,7 @@ class TestFluxGrid:
         with pytest.raises(ValueError, match="read-only"):
             f[0] = 1.0
         trace = CurrentTrace(f=f, j=np.zeros(64))
-        assert not np.shares_memory(trace.f, f)
+        assert trace.f is f  # a flux_grid array is kept, not copied
         assert bits(trace.f) == bits(f)
 
 
@@ -326,7 +331,7 @@ class TestLineFit:
     @settings(max_examples=200, deadline=None)
     def test_matches_lstsq(self, data):
         x, y = data
-        intercept, slope, ss_res, ss_tot = _line_fit(x, y)
+        intercept, slope, ss_res, ss_tot = _line_fit(_centre(x), y)
         ref_intercept, ref_slope, ref_ss_res = reference_line_fit(x, y)
         # rounding y (~eps |y|) moves each coefficient by its conditioning
         # times that, and each residual by about as much; 1e-10 is ~1e6 eps
@@ -723,9 +728,10 @@ class TestExactness:
         f_window = (1e-3, f_hi)
         in_window = np.flatnonzero((f[1:-1] >= f_window[0]) & (f[1:-1] <= f_window[1]))
         assert in_window.size % 2 == parity
-        floor = _noise_floor(f, 0.03, window, slice(in_window[0], in_window[-1] + 1))
+        plan = _GridPlan(f)
+        floor = _noise_floor(plan.window(*f_window), 0.03, window)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, window, f_window))
-        assert _noise_floor(f, 0.03, window, slice(98, 98)) == 0.0  # no point in the window
+        assert _noise_floor(plan.window(0.5, 0.6), 0.03, window) == 0.0  # no point in the window
 
     def test_noise_floor_nan_amplitude(self):
         # at f ~ 1e-200 both f d2f and f^2 underflow to 0, so one amplitude is inf * 0
@@ -733,7 +739,7 @@ class TestExactness:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             amp = 0.03 / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
         assert np.isnan(amp).sum() == 1
-        floor = _noise_floor(f, 0.03, 1, slice(None))  # every interior point
+        floor = _noise_floor(_GridPlan(f).window(1e-300, 1.0), 0.03, 1)  # every interior point
         assert math.isnan(floor)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, 1, (1e-300, 1.0)))
 
@@ -755,3 +761,91 @@ class TestExactness:
             assert bits(result.lam) == bits(lam) and bits(result.sig) == bits(sig)
             assert bits(result.trace_noise_rms) == bits(sigma_j)
             assert bits(result.residual_floor) == bits(floor)
+
+
+class TestGridPlan:
+    """Traces on one flux_grid array share its plan; any other flux gets a plan of its own."""
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize("grid", ["log", "uniform"])
+    def test_shared_copied_and_plain_agree(self, window, grid):
+        # fit windows: the default, a narrower one with the same lower bound,
+        # one above the grid (empty) and one wider than it; three rings on one
+        # grid each, so every trace after the first reuses its plan
+        for f_lo, f_hi in ((1e-3, 1e-1), (1e-3, 3e-2), (0.5, 0.6), (1e-4, 1.0)):
+            config = RunConfig(smoothing_window=window, fit_f_lo=f_lo, fit_f_hi=f_hi)
+            for n, f_nc, noise in ((3, 1e-3, 1e-4), (101, 0.0, 1e-2), (5, 1e-2, 0.0)):
+                shared = synthesize_trace(ring_with(n, f_nc), 1e-3, 0.4, 96, noise_sigma=noise,
+                                          seed=n, grid=grid)
+                assert id(shared.f) in pipeline._PLANS
+                copied = CurrentTrace(f=np.array(shared.f), j=shared.j, meta=shared.meta)
+                assert id(copied.f) not in pipeline._PLANS
+                verdict, lam, sig, sigma_j, floor = plain_analysis(shared, config)
+                for trace in (shared, copied, shared):
+                    result = analyze_trace(trace, config)
+                    assert repr(result.verdict) == repr(verdict)
+                    assert bits(result.lam) == bits(lam) and bits(result.sig) == bits(sig)
+                    assert bits(result.trace_noise_rms) == bits(sigma_j)
+                    assert bits(result.residual_floor) == bits(floor)
+
+    def test_no_plan_outlives_a_foreign_analysis(self, monkeypatch):
+        built = []
+
+        class Recorded(pipeline._GridPlan):
+            def __init__(self, f):
+                super().__init__(f)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(pipeline, "_GridPlan", Recorded)
+        ring = ring_with(3, 1e-3)
+        f = np.geomspace(1e-3, 0.4, 64)
+        trace = CurrentTrace(f=f, j=persistent_current(ring, f))
+        registry = dict(pipeline._PLANS)
+        analyze_trace(trace)
+        estimate_electron_number(trace)
+        trace_noise_rms(trace)
+        differentiate_trace(trace, 3)
+        assert len(built) >= 4  # each call above built its own plan
+        assert all(plan() is None for plan in built)
+        assert pipeline._PLANS == registry
+
+    def test_plan_dies_with_its_grid(self):
+        f = flux_grid(1.25e-3, 0.3, 40, "log")  # arguments no other test uses
+        key = id(f)
+        plan = weakref.ref(pipeline._PLANS[key])
+        trace = CurrentTrace(f=f, j=persistent_current(ring_with(3, 1e-3), f))
+        # building a trace checks the flux; only an analysis builds the rest
+        assert set(vars(plan())) == {"_grid", "_windows", "flux_failure"}
+        analyze_trace(trace)
+        assert {"centring", "stencil"} <= set(vars(plan())) and plan()._windows
+        del trace, f
+        assert plan() is not None  # the cache still holds the grid
+        pipeline._cached_grid.cache_clear()
+        gc.collect()
+        assert plan() is None and key not in pipeline._PLANS
+
+    def test_other_fluxes_are_copied(self):
+        grid = flux_grid(1e-3, 0.4, 64)
+        read_only = np.array(grid)
+        read_only.flags.writeable = False
+        for f in (np.array(grid), read_only, grid[:], list(grid)):
+            trace = CurrentTrace(f=f, j=np.zeros(64))
+            assert trace.f is not grid and not np.shares_memory(trace.f, grid)
+            assert bits(trace.f) == bits(grid)
+            if isinstance(f, np.ndarray) and f.base is None:
+                f.flags.writeable = True  # the caller owns its array and may write it
+                f[0] = 5.0
+                assert trace.f[0] == grid[0]
+
+    def test_failing_grid_raises_on_every_trace(self):
+        f = flux_grid(1e-3, 1e-3 * (1.0 + 1e-15), 8)  # too narrow: repeated values
+        assert id(f) in pipeline._PLANS
+        for _ in range(3):
+            with pytest.raises(NonMonotonicFlux, match="flux values must be strictly increasing"):
+                CurrentTrace(f=f, j=np.zeros(8))
+        # the current's finiteness check runs before the flux's ordering check, as for a copy
+        for flux in (f, np.array(f)):
+            with pytest.raises(InvalidRange, match="flux and current values must be finite"):
+                CurrentTrace(f=flux, j=np.full(8, np.nan))
+        with pytest.raises(InvalidRange, match="f and j must be 1D arrays of equal length"):
+            CurrentTrace(f=f, j=np.zeros(9))
