@@ -78,8 +78,7 @@ class EmptySeries(NcRingError):
 
 
 def check_integer(name: str, value) -> int:
-    """`value` as an int; InvalidRange for a float or any other non-integral type."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidRange(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int; InvalidRange for a bool, a float or any other non-integral type."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):  # index(True) is 1
+        raise InvalidRange(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)

@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from ncring.constants import CODATA2018, PhysConstants
-from ncring.errors import InvalidRange, ZeroFlux
+from ncring.errors import InvalidRange, ZeroFlux, check_integer
 
 Parity = Literal["odd", "even"]
 
@@ -103,8 +103,9 @@ class RingSystem:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise InvalidRange(f"radius must be strictly positive, got {self.radius}")
-        if not (isinstance(self.n_electrons, (int, np.integer)) and self.n_electrons >= 1):
-            raise InvalidRange(f"n_electrons must be a positive integer, got {self.n_electrons}")
+        n = self.n_electrons  # isinstance takes a bool for an int; check_integer refuses it
+        if not (isinstance(n, (int, np.integer)) and check_integer("n_electrons", n) >= 1):
+            raise InvalidRange(f"n_electrons must be a positive integer, got {n}")
         if not self.mass > 0.0:
             raise InvalidRange(f"mass must be strictly positive, got {self.mass}")
         for name in ("f_nc", "epsilon0", "j0"):

@@ -21,17 +21,16 @@ which decides whether ring metadata in the trace may supply the electron
 number.
 
 What stages 2-4 derive from the flux alone (the centring of the line fit,
-the stencil weights, the fit window's points, the flux checks) lives in one
-grid plan.  Every trace on one :func:`flux_grid` array shares that array and
-its plan, built once; any other flux is copied into its trace and gets a
-plan that dies with the analysis.
+the stencil weights, the fit window's points) lives in one grid plan.  The
+traces of :func:`synthesize_trace` share their :func:`flux_grid` grid's
+plan, built once; any other flux is copied into its trace and gets a plan
+that dies with the analysis.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -147,54 +146,43 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
-# CurrentTrace's checks of the flux alone, in the order they run; a failed check
-# raises its entry, and the current's finiteness check shares entry 1
-_FLUX_FAILURES = (
-    (InvalidRange, f"trace needs at least {MIN_TRACE_POINTS} points"),
-    (InvalidRange, "flux and current values must be finite"),
-    (NonMonotonicFlux, "flux values must be strictly increasing"),
-    (InvalidRange, "all flux values must be positive"),
-)
-
-
-def _flux_failure(f: np.ndarray) -> int:
-    """Index in _FLUX_FAILURES of the first check the 1D flux `f` fails, else its length."""
+def _check_flux(f: np.ndarray, j: np.ndarray | None = None) -> None:
+    """Refuse a 1D flux, or its current j: length, finite f and j, increasing, positive."""
     if len(f) < MIN_TRACE_POINTS:
-        return 0
-    if not np.isfinite(f).all():
-        return 1
+        raise InvalidRange(f"trace needs at least {MIN_TRACE_POINTS} points")
+    if not (np.isfinite(f).all() and (j is None or np.isfinite(j).all())):
+        raise InvalidRange("flux and current values must be finite")
     if not (f[1:] > f[:-1]).all():
-        return 2
+        raise NonMonotonicFlux("flux values must be strictly increasing")
     if not f[0] > 0.0:
-        return 3
-    return len(_FLUX_FAILURES)
+        raise InvalidRange("all flux values must be positive")
 
 
 @dataclass(frozen=True)
 class CurrentTrace:
     """Sampled (f, J) data in reduced units, flux strictly increasing.
 
-    The trace keeps a :func:`flux_grid` array as it is and copies any other
-    flux, so a later write to the caller's array never reaches the trace.
+    The trace copies its flux, so a later write to the caller's array never
+    reaches it.  Only :func:`synthesize_trace` builds a trace on a shared
+    :func:`flux_grid` array, which it hands over with that grid's plan.
     """
 
     f: np.ndarray
     j: np.ndarray
     meta: TraceMeta = field(default_factory=TraceMeta)
+    _plan: _GridPlan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        plan = _PLANS.get(id(self.f))
-        if plan is None:
+        if self._plan is None or self.f is not self._plan.f:  # e.g. replace(trace, f=...)
+            object.__setattr__(self, "_plan", None)
             object.__setattr__(self, "f", _readonly(self.f))
         object.__setattr__(self, "j", _readonly(self.j))
         if self.f.ndim != 1 or self.f.shape != self.j.shape:
             raise InvalidRange("f and j must be 1D arrays of equal length")
-        failure = _flux_failure(self.f) if plan is None else plan.flux_failure
-        if failure > 1 and not np.isfinite(self.j).all():
-            failure = 1
-        if failure < len(_FLUX_FAILURES):
-            error, message = _FLUX_FAILURES[failure]
-            raise error(message)
+        if self._plan is None:
+            _check_flux(self.f, self.j)
+        elif not np.isfinite(self.j).all():  # the plan checked its grid when it was built
+            raise InvalidRange("flux and current values must be finite")
 
     def __len__(self) -> int:
         return len(self.f)
@@ -213,26 +201,26 @@ def _check_grid(f_min: float, f_max: float, n_points: int, grid: str) -> None:
 def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
     """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform.
 
-    The array is read-only and shared by every call with the same arguments,
-    and every analysis of a trace on it shares one :class:`_GridPlan`.
+    One read-only float64 array, with its plan, serves every call with the same
+    arguments; bounds too close for n_points distinct values raise NonMonotonicFlux.
     """
     _check_grid(f_min, f_max, n_points, grid)
-    return _cached_grid(f_min, f_max, n_points, grid)
+    return _shared_plan(f_min, f_max, n_points, grid).f
 
 
-@functools.lru_cache(maxsize=8, typed=True)  # typed: a float32 bound builds its own grid
-def _cached_grid(f_min: float, f_max: float, n_points: int, grid: str) -> np.ndarray:
-    f = (np.geomspace if grid == "log" else np.linspace)(f_min, f_max, n_points)
+@functools.lru_cache(maxsize=8, typed=True)  # typed: a float32 bound computes its own grid
+def _shared_plan(f_min: float, f_max: float, n_points: int, grid: str) -> _GridPlan:
+    """The plan over the grid of a checked :func:`flux_grid` request; the grid is checked here."""
+    f = (np.geomspace if grid == "log" else np.linspace)(f_min, f_max, n_points, dtype=float)
     f.flags.writeable = False
-    if f.dtype == float:  # a float32 grid is copied to float64 by every trace
-        _PLANS[id(f)] = _GridPlan(f)
-        weakref.finalize(f, _PLANS.pop, id(f))
-    return f
+    _check_flux(f)
+    return _GridPlan(f)
 
 
 class _FitWindow(NamedTuple):
     """The interior grid points of one fit window: what the fits and the floor read."""
 
+    bounds: tuple[float, float]  # (fit_f_lo, fit_f_hi)
     cut: slice  # of the interior grid f[1:-1]
     f: np.ndarray  # f[1:-1][cut]
     d2: np.ndarray  # (f[2:] - f[:-2])[cut]
@@ -242,31 +230,24 @@ class _FitWindow(NamedTuple):
 class _GridPlan:
     """What every analysis of a trace on one flux grid derives from the flux alone.
 
-    Each part is built on first use and then reused: CurrentTrace's flux
-    checks, the centring of the J line fit, the stencil weights of
-    :func:`_derivative` and one :class:`_FitWindow` per (fit_f_lo, fit_f_hi).
-    Parts hold only the quantities numpy would evaluate first anyway, so every
-    result keeps its bits.  The plan refers to its grid weakly; the plan of a
-    :func:`flux_grid` array lives as long as the array, any other plan as
-    long as its caller holds it.
+    Each part is built on first use and then reused: the centring of the J
+    line fit, the stencil weights of :func:`_derivative` and the
+    :class:`_FitWindow` last asked for.  Parts hold only the quantities numpy
+    would evaluate first anyway, so every result keeps its bits.
     """
 
     def __init__(self, f: np.ndarray):
-        self._grid = weakref.ref(f)
-        self._windows: dict[tuple[float, float], _FitWindow] = {}
-
-    @functools.cached_property
-    def flux_failure(self) -> int:
-        return _flux_failure(self._grid())
+        self.f = f
+        self._window: _FitWindow | None = None
 
     @functools.cached_property
     def centring(self) -> tuple[float, np.ndarray, float]:
-        return _centre(self._grid())
+        return _centre(self.f)
 
     @functools.cached_property
     def stencil(self) -> tuple[np.ndarray, ...]:
         """h1*h1, h2*h2, h2*h2 - h1*h1, h1*h2*(h1+h2) and the two endpoint spacings."""
-        f = self._grid()
+        f = self.f
         h1 = f[1:-1] - f[:-2]
         h2 = f[2:] - f[1:-1]
         h1_sq, h2_sq = h1 * h1, h2 * h2
@@ -274,26 +255,14 @@ class _GridPlan:
 
     def window(self, f_lo: float, f_hi: float) -> _FitWindow:
         """The interior points with f_lo <= f <= f_hi, found on the sorted grid."""
-        window = self._windows.get((f_lo, f_hi))
-        if window is None:
-            f = self._grid()
-            f_int = f[1:-1]
+        window = self._window
+        if window is None or window.bounds != (f_lo, f_hi):
+            f, f_int = self.f, self.f[1:-1]
             cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
-            f_cut = f_int[cut].copy()  # a copy: a view would keep the grid alive
             with np.errstate(over="ignore"):  # as in _noise_floor
-                window = _FitWindow(cut, f_cut, f[2:][cut] - f[:-2][cut], f_cut**2)
-            window.f.flags.writeable = False
-            self._windows[f_lo, f_hi] = window
+                self._window = window = _FitWindow(
+                    (f_lo, f_hi), cut, f_int[cut], f[2:][cut] - f[:-2][cut], f_int[cut] ** 2)
         return window
-
-
-_PLANS: dict[int, _GridPlan] = {}  # id of each live flux_grid array -> its plan
-
-
-def _grid_plan(f: np.ndarray) -> _GridPlan:
-    """The shared plan of a flux_grid array, or a new one that nothing else keeps."""
-    plan = _PLANS.get(id(f))
-    return _GridPlan(f) if plan is None else plan
 
 
 def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
@@ -330,20 +299,21 @@ def synthesize_trace(
     point, drawn in ascending-f order from a generator seeded with the
     non-negative `seed`, and recorded in the metadata.
     """
-    f = flux_grid(f_min, f_max, n_points, grid)
+    _check_grid(f_min, f_max, n_points, grid)
+    plan = _shared_plan(f_min, f_max, n_points, grid)
     check_zone(ring, f_min, f_max)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if seed is not None and check_integer("seed", seed) < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
-    j = persistent_current(ring, f)
+    j = persistent_current(ring, plan.f)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         j = j + rng.normal(0.0, noise_sigma, n_points)
     meta = TraceMeta(
         source="synthetic", seed=seed, noise_sigma=noise_sigma, ring_hint=ring
     )
-    return CurrentTrace(f=f, j=j, meta=meta)
+    return CurrentTrace(f=plan.f, j=j, meta=meta, _plan=plan)
 
 
 def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -393,7 +363,7 @@ def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
 
 def estimate_electron_number(trace: CurrentTrace) -> tuple[int, Parity]:
     """Electron number and parity from the trace alone."""
-    a, b, _ = _linear_fit(trace, _grid_plan(trace.f))
+    a, b, _ = _linear_fit(trace, trace._plan or _GridPlan(trace.f))
     return _electron_number(a, b)
 
 
@@ -403,7 +373,7 @@ def trace_noise_rms(trace: CurrentTrace) -> float:
     The noiseless current is exactly linear in f inside one zone, so the
     residual is an unbiased estimate of the measurement noise.
     """
-    return _linear_fit(trace, _grid_plan(trace.f))[2]
+    return _linear_fit(trace, trace._plan or _GridPlan(trace.f))[2]
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
@@ -461,7 +431,7 @@ def differentiate_trace(
     # inf and NaN estimates are masked by fit_power_law and dropped from the plot
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u_v = np.array((trace.j, trace.j - n_electrons)) / trace.f
-        stencil = _grid_plan(trace.f).stencil
+        stencil = (trace._plan or _GridPlan(trace.f)).stencil
         lam, sig = _derivative(stencil, _moving_average(u_v, smoothing_window))
     method = (
         f"moving_average(width={smoothing_window});"
@@ -712,7 +682,7 @@ def analyze_trace(
     that fit; otherwise a ring hint in the trace metadata supplies it.
     Windows, thresholds and the ring scales come from `config`.
     """
-    plan = _grid_plan(trace.f)
+    plan = trace._plan or _GridPlan(trace.f)
     intercept, slope, sigma_j = _linear_fit(trace, plan)
     hint = None if blind else trace.meta.ring_hint
     parity: Parity

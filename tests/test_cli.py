@@ -91,6 +91,14 @@ class TestExitCodes:
         assert run_cli("constants", "--alpha", "1.5") == 2
         assert "alpha must lie in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "signatures", "simulate"])
+    def test_grid_without_distinct_points_exits_two(self, tmp_path, capsys, command):
+        # bounds 1e-15 apart round 8 log points onto repeated values
+        args = ("--f-min", "0.001", "--f-max", "0.001000000000000001", "--points", "8")
+        assert run_cli(command, *args, "--out", str(tmp_path)) == 2
+        assert "flux values must be strictly increasing" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_non_finite_trace_exits_two(self, tmp_path, capsys):
         assert run_cli("simulate", "--n-electrons", "3", "--out", str(tmp_path)) == 0
         lines = (tmp_path / "trace.csv").read_text().splitlines()

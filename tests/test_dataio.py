@@ -355,10 +355,9 @@ class TestRunConfig:
 
     def test_grid_checked_not_built(self):
         # a config only checks its grid: nothing is allocated, cached or planned
-        cache, plans = pipeline._cached_grid.cache_info(), dict(pipeline._PLANS)
+        cache = pipeline._shared_plan.cache_info()
         RunConfig(n_points=10**7, grid="uniform")
-        assert pipeline._cached_grid.cache_info() == cache
-        assert pipeline._PLANS == plans
+        assert pipeline._shared_plan.cache_info() == cache
 
     def test_ring_and_options(self):
         config = RunConfig(n_electrons=3, alpha=0.5)

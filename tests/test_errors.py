@@ -4,7 +4,13 @@ import ast
 import builtins
 from pathlib import Path
 
+import pytest
+
 import ncring
+from ncring.errors import InvalidRange
+from ncring.model import RingSystem, SwParams
+from ncring.oracle import current_sweep, ground_state_by_filling, ground_state_sweep
+from ncring.pipeline import RunConfig, differentiate_trace, synthesize_trace
 
 BUILTIN_EXCEPTIONS = {
     name for name, obj in vars(builtins).items()
@@ -37,3 +43,26 @@ def test_package_raises_no_builtin_exception():
         if (hits := builtin_raises(path.read_text()))
     }
     assert found == {}
+
+
+RING = RingSystem.from_f_nc(n_electrons=3, f_nc=1e-3)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    # operator.index(True) is 1, so each bool was once taken for the integer 1
+    [("seed", lambda: RunConfig(seed=True)),
+     ("seed", lambda: synthesize_trace(RING, 1e-3, 0.4, 64, noise_sigma=0.1, seed=True)),
+     ("smoothing_window", lambda: RunConfig(smoothing_window=True)),
+     ("smoothing_window", lambda: differentiate_trace(
+         synthesize_trace(RING, 1e-3, 0.4, 64), 3, smoothing_window=True)),
+     ("n_points", lambda: RunConfig(n_points=True)),
+     ("n_electrons", lambda: RunConfig(n_electrons=True)),
+     ("n_electrons", lambda: RingSystem(radius=1e-6, n_electrons=True, sw=SwParams())),
+     ("window", lambda: ground_state_by_filling(RING, 0.1, window=True)),
+     ("n_flux", lambda: ground_state_sweep(n_flux=True)),
+     ("n_flux", lambda: current_sweep(n_flux=True))],
+)
+def test_bool_is_not_an_integer(name, call):
+    with pytest.raises(InvalidRange, match=f"^{name} must be an integer, got True$"):
+        call()

@@ -1,5 +1,6 @@
 """Detection pipeline: synthesis, differentiation, fitting, classification."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -180,7 +181,7 @@ class TestFluxGrid:
         with pytest.raises(ValueError, match="read-only"):
             f[0] = 1.0
         trace = CurrentTrace(f=f, j=np.zeros(64))
-        assert trace.f is f  # a flux_grid array is kept, not copied
+        assert trace.f is not f  # a trace built directly copies even a flux_grid array
         assert bits(trace.f) == bits(f)
 
 
@@ -764,7 +765,7 @@ class TestExactness:
 
 
 class TestGridPlan:
-    """Traces on one flux_grid array share its plan; any other flux gets a plan of its own."""
+    """synthesize_trace hands each trace its grid's shared plan; any other flux gets its own."""
 
     @pytest.mark.parametrize("window", [1, 3, 5])
     @pytest.mark.parametrize("grid", ["log", "uniform"])
@@ -777,9 +778,9 @@ class TestGridPlan:
             for n, f_nc, noise in ((3, 1e-3, 1e-4), (101, 0.0, 1e-2), (5, 1e-2, 0.0)):
                 shared = synthesize_trace(ring_with(n, f_nc), 1e-3, 0.4, 96, noise_sigma=noise,
                                           seed=n, grid=grid)
-                assert id(shared.f) in pipeline._PLANS
+                assert shared._plan is not None
                 copied = CurrentTrace(f=np.array(shared.f), j=shared.j, meta=shared.meta)
-                assert id(copied.f) not in pipeline._PLANS
+                assert copied._plan is None
                 verdict, lam, sig, sigma_j, floor = plain_analysis(shared, config)
                 for trace in (shared, copied, shared):
                     result = analyze_trace(trace, config)
@@ -787,6 +788,29 @@ class TestGridPlan:
                     assert bits(result.lam) == bits(lam) and bits(result.sig) == bits(sig)
                     assert bits(result.trace_noise_rms) == bits(sigma_j)
                     assert bits(result.residual_floor) == bits(floor)
+
+    def test_equal_grid_arguments_share_one_plan(self):
+        ring = ring_with(3, 1e-3)
+        first = synthesize_trace(ring, 1e-3, 0.4, 64)
+        second = synthesize_trace(ring, 1e-3, 0.4, 64, noise_sigma=1e-3, seed=1)
+        assert second._plan is first._plan and second.f is first.f
+        assert flux_grid(1e-3, 0.4, 64) is first.f
+        assert synthesize_trace(ring, 1e-3, 0.4, 64, grid="uniform")._plan is not first._plan
+
+    def test_one_window_per_plan(self):
+        trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 96, noise_sigma=1e-4, seed=3)
+        plan = trace._plan
+        for f_hi in np.geomspace(2e-3, 0.3, 50):
+            config = RunConfig(fit_f_hi=float(f_hi))
+            result = analyze_trace(trace, config)
+            verdict, lam, sig, sigma_j, floor = plain_analysis(trace, config)
+            assert repr(result.verdict) == repr(verdict)
+            assert bits(result.lam) == bits(lam) and bits(result.sig) == bits(sig)
+            assert bits(result.trace_noise_rms) == bits(sigma_j)
+            assert bits(result.residual_floor) == bits(floor)
+        # the plan keeps the last window asked for, and no other
+        assert set(vars(plan)) == {"f", "_window", "centring", "stencil"}
+        assert plan._window.bounds == (config.fit_f_lo, config.fit_f_hi)
 
     def test_no_plan_outlives_a_foreign_analysis(self, monkeypatch):
         built = []
@@ -800,52 +824,61 @@ class TestGridPlan:
         ring = ring_with(3, 1e-3)
         f = np.geomspace(1e-3, 0.4, 64)
         trace = CurrentTrace(f=f, j=persistent_current(ring, f))
-        registry = dict(pipeline._PLANS)
         analyze_trace(trace)
         estimate_electron_number(trace)
         trace_noise_rms(trace)
         differentiate_trace(trace, 3)
         assert len(built) >= 4  # each call above built its own plan
         assert all(plan() is None for plan in built)
-        assert pipeline._PLANS == registry
+        assert trace._plan is None
 
-    def test_plan_dies_with_its_grid(self):
-        f = flux_grid(1.25e-3, 0.3, 40, "log")  # arguments no other test uses
-        key = id(f)
-        plan = weakref.ref(pipeline._PLANS[key])
-        trace = CurrentTrace(f=f, j=persistent_current(ring_with(3, 1e-3), f))
-        # building a trace checks the flux; only an analysis builds the rest
-        assert set(vars(plan())) == {"_grid", "_windows", "flux_failure"}
+    def test_plan_dies_with_its_last_trace(self):
+        ring = ring_with(3, 1e-3)
+        trace = synthesize_trace(ring, 1.25e-3, 0.3, 40)  # arguments no other test uses
+        other = synthesize_trace(ring, 1.25e-3, 0.3, 40, noise_sigma=1e-3, seed=2)
+        plan = weakref.ref(trace._plan)
+        # building a trace builds no part of the plan; only an analysis does
+        assert set(vars(plan())) == {"f", "_window"} and plan()._window is None
         analyze_trace(trace)
-        assert {"centring", "stencil"} <= set(vars(plan())) and plan()._windows
-        del trace, f
-        assert plan() is not None  # the cache still holds the grid
-        pipeline._cached_grid.cache_clear()
+        assert {"centring", "stencil"} <= set(vars(plan())) and plan()._window is not None
+        pipeline._shared_plan.cache_clear()
+        del other
         gc.collect()
-        assert plan() is None and key not in pipeline._PLANS
+        assert plan() is not None  # the last trace on it still holds it
+        del trace
+        gc.collect()
+        assert plan() is None
 
     def test_other_fluxes_are_copied(self):
         grid = flux_grid(1e-3, 0.4, 64)
         read_only = np.array(grid)
         read_only.flags.writeable = False
-        for f in (np.array(grid), read_only, grid[:], list(grid)):
+        for f in (grid, np.array(grid), read_only, grid[:], list(grid)):
             trace = CurrentTrace(f=f, j=np.zeros(64))
+            assert trace._plan is None
             assert trace.f is not grid and not np.shares_memory(trace.f, grid)
             assert bits(trace.f) == bits(grid)
-            if isinstance(f, np.ndarray) and f.base is None:
+            if isinstance(f, np.ndarray) and f.base is None and f is not grid:
                 f.flags.writeable = True  # the caller owns its array and may write it
                 f[0] = 5.0
                 assert trace.f[0] == grid[0]
+        # a replaced current keeps the shared plan; a replaced flux is copied without it
+        shared = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 64)
+        assert dataclasses.replace(shared, j=np.zeros(64))._plan is shared._plan
+        replaced = dataclasses.replace(shared, f=np.geomspace(2e-3, 0.4, 64))
+        assert replaced._plan is None and replaced.f[0] == 2e-3
 
-    def test_failing_grid_raises_on_every_trace(self):
-        f = flux_grid(1e-3, 1e-3 * (1.0 + 1e-15), 8)  # too narrow: repeated values
-        assert id(f) in pipeline._PLANS
-        for _ in range(3):
-            with pytest.raises(NonMonotonicFlux, match="flux values must be strictly increasing"):
-                CurrentTrace(f=f, j=np.zeros(8))
-        # the current's finiteness check runs before the flux's ordering check, as for a copy
-        for flux in (f, np.array(f)):
-            with pytest.raises(InvalidRange, match="flux and current values must be finite"):
-                CurrentTrace(f=flux, j=np.full(8, np.nan))
+    def test_grid_checked_once_when_built(self):
+        with pytest.raises(NonMonotonicFlux, match="flux values must be strictly increasing"):
+            flux_grid(1e-3, 1e-3 * (1.0 + 1e-15), 8)  # too narrow: repeated values
+        # a shared-plan trace still checks its current, after its shape
+        shared = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 16)
+        with pytest.raises(InvalidRange, match="flux and current values must be finite"):
+            dataclasses.replace(shared, j=np.full(16, np.nan))
         with pytest.raises(InvalidRange, match="f and j must be 1D arrays of equal length"):
-            CurrentTrace(f=f, j=np.zeros(9))
+            dataclasses.replace(shared, j=np.zeros(17))
+        # a copied flux runs every check, the current's finiteness before the flux's order
+        with pytest.raises(InvalidRange, match="flux and current values must be finite"):
+            CurrentTrace(f=np.full(8, 1e-3), j=np.full(8, np.nan))
+        with pytest.raises(NonMonotonicFlux, match="flux values must be strictly increasing"):
+            CurrentTrace(f=np.full(8, 1e-3), j=np.zeros(8))
