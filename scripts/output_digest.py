@@ -2,9 +2,10 @@
 
     python3 scripts/output_digest.py [--src DIR]
 
-Each run writes into its own directory under a temporary root; the digests
-cover every file written there and each run's standard output, with the
-temporary root replaced by ``<out>``.  Two more rows, ``analysis/shared_grid``
+The runs cover all seven commands.  Each run writes into its own directory
+under a temporary root (``constants`` writes none); the digests cover every
+file written there and each run's standard output, with the temporary root
+replaced by ``<out>``.  Two more rows, ``analysis/shared_grid``
 and ``analysis/copied_grid``, digest in-process analyses of a fixed mix of
 2400 traces, on the shared grids of ``synthesize_trace`` and on copies of
 them (a CLI run reads its trace from a file, so it never analyses a shared
@@ -56,6 +57,12 @@ SIMULATE_ANALYZE = {
                              ["--noise-sigma", "1e-5", "--seed", "13"], ["--no-blind"]),
 }
 STANDALONE = {
+    "constants": ["constants"],
+    "constants_even_n4": ["constants", "--n-electrons", "4", "--radius", "2e-6"],
+    "spectrum": ["spectrum"],
+    "spectrum_uniform_k1": ["spectrum", "--grid", "uniform", "--points", "33", "--n-levels", "1"],
+    "current": ["current"],
+    "current_si_n101": ["current", "--config", "<out>/si_n101.cfg"],
     "signatures": ["signatures"],
     "verify_quick": ["verify", "--quick"],
     "verify": ["verify"],

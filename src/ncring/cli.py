@@ -214,15 +214,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args)
     trace = read_trace_csv(args.trace, ring=config.ring())
-    result = analyze_trace(trace, config, blind=args.blind)
+    f, result = trace.f, analyze_trace(trace, config, blind=args.blind)
+    del trace  # its current and grid plan are freed before the files are written
     out_dir = _out_dir(args)
-    _write_signatures(
-        out_dir / "derived_signatures",
-        trace.f,
-        result.lam,
-        result.sig,
-        comments=(f"# method: {result.method}",),
-    )
+    _write_signatures(out_dir / "derived_signatures", f, result.lam, result.sig,
+                      comments=(f"# method: {result.method}",))
 
     report = out_dir / "report.txt"
     write_results_report(result, config, report)

@@ -21,10 +21,10 @@ which decides whether ring metadata in the trace may supply the electron
 number.
 
 What stages 2-4 derive from the flux alone (the centring of the line fit,
-the stencil weights, the fit window's points) lives in one grid plan.  The
-traces of :func:`synthesize_trace` share their :func:`flux_grid` grid's
-plan, built once; any other flux is copied into its trace and gets a plan
-that dies with the analysis.
+the stencil weights, the fit window's points) lives in one grid plan, and
+every trace holds exactly one.  The traces of :func:`synthesize_trace` share
+their :func:`flux_grid` grid's plan, built once; any other flux is copied
+into its trace, which builds its own plan and keeps it as long as it lives.
 """
 
 from __future__ import annotations
@@ -162,24 +162,25 @@ def _check_flux(f: np.ndarray, j: np.ndarray | None = None) -> None:
 class CurrentTrace:
     """Sampled (f, J) data in reduced units, flux strictly increasing.
 
-    The trace copies its flux, so a later write to the caller's array never
-    reaches it.  Only :func:`synthesize_trace` builds a trace on a shared
-    :func:`flux_grid` array, which it hands over with that grid's plan.
+    Every trace holds one grid plan.  Only :func:`synthesize_trace` shares a
+    :func:`flux_grid` array, with that grid's plan; any other trace copies its
+    flux, out of the caller's reach, and builds its own plan over the copy.
     """
 
     f: np.ndarray
     j: np.ndarray
     meta: TraceMeta = field(default_factory=TraceMeta)
-    _plan: _GridPlan | None = field(default=None, repr=False, compare=False)
+    _plan: _GridPlan | None = field(default=None, repr=False, compare=False)  # None on input only
 
     def __post_init__(self):
-        if self._plan is None or self.f is not self._plan.f:  # e.g. replace(trace, f=...)
-            object.__setattr__(self, "_plan", None)
-            object.__setattr__(self, "f", _readonly(self.f))
+        shared = self._plan is not None and self.f is self._plan.f  # not after replace(f=...)
+        if not shared:
+            object.__setattr__(self, "_plan", _GridPlan(_readonly(self.f)))
+            object.__setattr__(self, "f", self._plan.f)
         object.__setattr__(self, "j", _readonly(self.j))
         if self.f.ndim != 1 or self.f.shape != self.j.shape:
             raise InvalidRange("f and j must be 1D arrays of equal length")
-        if self._plan is None:
+        if not shared:
             _check_flux(self.f, self.j)
         elif not np.isfinite(self.j).all():  # the plan checked its grid when it was built
             raise InvalidRange("flux and current values must be finite")
@@ -190,6 +191,8 @@ class CurrentTrace:
 
 def _check_grid(f_min: float, f_max: float, n_points: int, grid: str) -> None:
     """:func:`flux_grid`'s checks of its request, without building the grid."""
+    if not f_max < math.inf:  # 0 < f_min < f_max refuses any other non-finite bound
+        raise InvalidRange(f"f_max must be finite, got {f_max}")
     if not 0.0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
     if check_integer("n_points", n_points) < MIN_TRACE_POINTS:
@@ -230,10 +233,11 @@ class _FitWindow(NamedTuple):
 class _GridPlan:
     """What every analysis of a trace on one flux grid derives from the flux alone.
 
-    Each part is built on first use and then reused: the centring of the J
-    line fit, the stencil weights of :func:`_derivative` and the
-    :class:`_FitWindow` last asked for.  Parts hold only the quantities numpy
-    would evaluate first anyway, so every result keeps its bits.
+    It lives as long as the last trace that holds it.  Each part is built on
+    first use and then reused: the centring of the J line fit, the stencil
+    weights of :func:`_derivative` and the :class:`_FitWindow` last asked for.
+    Parts hold only the quantities numpy would evaluate first anyway, so
+    every result keeps its bits.
     """
 
     def __init__(self, f: np.ndarray):
@@ -339,9 +343,9 @@ def _line_fit(
     return float(y_bar - slope * x_bar), slope, float(res @ res), float(dy @ dy)
 
 
-def _linear_fit(trace: CurrentTrace, plan: _GridPlan) -> tuple[float, float, float]:
+def _linear_fit(trace: CurrentTrace) -> tuple[float, float, float]:
     """OLS of the trace's j on f; returns (intercept, slope, rms residual)."""
-    intercept, slope, ss_res, _ = _line_fit(plan.centring, trace.j)
+    intercept, slope, ss_res, _ = _line_fit(trace._plan.centring, trace.j)
     return intercept, slope, math.sqrt(ss_res / (len(trace) - 2))
 
 
@@ -363,7 +367,7 @@ def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:
 
 def estimate_electron_number(trace: CurrentTrace) -> tuple[int, Parity]:
     """Electron number and parity from the trace alone."""
-    a, b, _ = _linear_fit(trace, trace._plan or _GridPlan(trace.f))
+    a, b, _ = _linear_fit(trace)
     return _electron_number(a, b)
 
 
@@ -373,7 +377,7 @@ def trace_noise_rms(trace: CurrentTrace) -> float:
     The noiseless current is exactly linear in f inside one zone, so the
     residual is an unbiased estimate of the measurement noise.
     """
-    return _linear_fit(trace, trace._plan or _GridPlan(trace.f))[2]
+    return _linear_fit(trace)[2]
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
@@ -431,8 +435,7 @@ def differentiate_trace(
     # inf and NaN estimates are masked by fit_power_law and dropped from the plot
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u_v = np.array((trace.j, trace.j - n_electrons)) / trace.f
-        stencil = (trace._plan or _GridPlan(trace.f)).stencil
-        lam, sig = _derivative(stencil, _moving_average(u_v, smoothing_window))
+        lam, sig = _derivative(trace._plan.stencil, _moving_average(u_v, smoothing_window))
     method = (
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
@@ -682,8 +685,7 @@ def analyze_trace(
     that fit; otherwise a ring hint in the trace metadata supplies it.
     Windows, thresholds and the ring scales come from `config`.
     """
-    plan = trace._plan or _GridPlan(trace.f)
-    intercept, slope, sigma_j = _linear_fit(trace, plan)
+    intercept, slope, sigma_j = _linear_fit(trace)
     hint = None if blind else trace.meta.ring_hint
     parity: Parity
     if hint is not None:
@@ -696,7 +698,7 @@ def analyze_trace(
     sigma_floor = max(sigma_j, float(_EPS * np.abs(trace.j).max()))
     # the fit window of the interior grid: the one-sided endpoints (see
     # differentiate_trace) are never fitted
-    window = plan.window(config.fit_f_lo, config.fit_f_hi)
+    window = trace._plan.window(config.fit_f_lo, config.fit_f_hi)
     floor = _noise_floor(window, sigma_floor, config.smoothing_window)
 
     fits: list[PowerLawFit | None] = []

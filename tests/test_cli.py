@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,27 @@ class TestFileContract:
             "derived_signatures.csv", "derived_signatures.svg", "report.txt", "trace.csv",
         ]
         assert_plot_of_table(run / "derived_signatures", tmp_path)
+
+    def test_analyze_holds_no_trace_while_writing(self, tmp_path, monkeypatch, capsys):
+        # the trace, with its current and grid plan, is freed before the files set the peak
+        run = tmp_path / "run"
+        assert run_cli("simulate", "--n-electrons", "3", "--out", str(run)) == 0
+        read, write = cli.read_trace_csv, cli._write_signatures
+        traces, alive = [], []
+
+        def recorded_read(*args, **kwargs):
+            trace = read(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        def checked_write(*args, **kwargs):
+            alive.append(traces[0]() is not None)  # no gc.collect: freed by its last reference
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_trace_csv", recorded_read)
+        monkeypatch.setattr(cli, "_write_signatures", checked_write)
+        assert run_cli("analyze", str(run / "trace.csv"), "--out", str(run)) == 0
+        assert alive == [False]
 
     def test_signatures_plot_is_drawn_from_its_table(self, tmp_path, capsys):
         out = tmp_path / "out"

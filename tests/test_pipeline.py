@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncring import pipeline
+from ncring.dataio import read_trace_csv, write_trace_csv
 from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
@@ -24,7 +25,7 @@ from ncring.errors import (
     NotDetected,
     TooFewPoints,
 )
-from ncring.model import RingSystem, lambda_signature, persistent_current, sigma_signature
+from ncring.model import RingSystem, lambda_signature, sigma_signature
 from ncring.pipeline import (
     CurrentTrace,
     PowerLawFit,
@@ -167,11 +168,16 @@ class TestFluxGrid:
         "args, message",
         [((0.0, 0.4, 16, "log"), "need 0 < f_min < f_max"),  # numpy: "cannot include zero"
          ((1e-3, 0.4, -1, "log"), "need at least 8 points"),  # numpy: "must be non-negative"
-         ((1e-3, 0.4, 10.0, "log"), "n_points must be an integer")],  # numpy: TypeError
+         ((1e-3, 0.4, 10.0, "log"), "n_points must be an integer"),  # numpy: TypeError
+         # numpy: "invalid value encountered in multiply", or a non-finite flux
+         ((1e-3, math.inf, 8, "log"), "f_max must be finite, got inf"),
+         ((1e-3, math.nan, 8, "uniform"), "f_max must be finite, got nan")],
     )
     def test_bad_request_is_invalid_range(self, args, message):
         with pytest.raises(InvalidRange, match=message):
             flux_grid(*args)
+        with pytest.raises(InvalidRange, match=message):
+            synthesize_trace(ring_with(3, 1e-3), *args[:3], grid=args[3])
 
     @pytest.mark.parametrize("grid, spacing", [("log", np.geomspace), ("uniform", np.linspace)])
     def test_shared_read_only_grid(self, grid, spacing):
@@ -765,7 +771,7 @@ class TestExactness:
 
 
 class TestGridPlan:
-    """synthesize_trace hands each trace its grid's shared plan; any other flux gets its own."""
+    """synthesize_trace hands each trace its grid's shared plan; any other trace builds its own."""
 
     @pytest.mark.parametrize("window", [1, 3, 5])
     @pytest.mark.parametrize("grid", ["log", "uniform"])
@@ -780,7 +786,8 @@ class TestGridPlan:
                                           seed=n, grid=grid)
                 assert shared._plan is not None
                 copied = CurrentTrace(f=np.array(shared.f), j=shared.j, meta=shared.meta)
-                assert copied._plan is None
+                assert copied._plan is not shared._plan and copied._plan.f is copied.f
+                assert not np.shares_memory(copied.f, shared.f)
                 verdict, lam, sig, sigma_j, floor = plain_analysis(shared, config)
                 for trace in (shared, copied, shared):
                     result = analyze_trace(trace, config)
@@ -812,7 +819,10 @@ class TestGridPlan:
         assert set(vars(plan)) == {"f", "_window", "centring", "stencil"}
         assert plan._window.bounds == (config.fit_f_lo, config.fit_f_hi)
 
-    def test_no_plan_outlives_a_foreign_analysis(self, monkeypatch):
+    def test_one_plan_per_file_trace(self, monkeypatch, tmp_path):
+        ring = ring_with(3, 1e-3)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 64, noise_sigma=1e-4, seed=1), path)
         built = []
 
         class Recorded(pipeline._GridPlan):
@@ -821,16 +831,16 @@ class TestGridPlan:
                 built.append(weakref.ref(self))
 
         monkeypatch.setattr(pipeline, "_GridPlan", Recorded)
-        ring = ring_with(3, 1e-3)
-        f = np.geomspace(1e-3, 0.4, 64)
-        trace = CurrentTrace(f=f, j=persistent_current(ring, f))
+        trace = read_trace_csv(path, ring=ring)
         analyze_trace(trace)
         estimate_electron_number(trace)
         trace_noise_rms(trace)
         differentiate_trace(trace, 3)
-        assert len(built) >= 4  # each call above built its own plan
-        assert all(plan() is None for plan in built)
-        assert trace._plan is None
+        assert len(built) == 1 and built[0]() is trace._plan  # built with the trace, read by all
+        assert trace._plan.f is trace.f and {"centring", "stencil"} <= set(vars(trace._plan))
+        del trace
+        gc.collect()
+        assert built[0]() is None  # the plan dies with its trace
 
     def test_plan_dies_with_its_last_trace(self):
         ring = ring_with(3, 1e-3)
@@ -855,18 +865,20 @@ class TestGridPlan:
         read_only.flags.writeable = False
         for f in (grid, np.array(grid), read_only, grid[:], list(grid)):
             trace = CurrentTrace(f=f, j=np.zeros(64))
-            assert trace._plan is None
+            assert trace._plan is not pipeline._shared_plan(1e-3, 0.4, 64, "log")
+            assert trace._plan.f is trace.f  # its own plan over its own copy
             assert trace.f is not grid and not np.shares_memory(trace.f, grid)
             assert bits(trace.f) == bits(grid)
             if isinstance(f, np.ndarray) and f.base is None and f is not grid:
                 f.flags.writeable = True  # the caller owns its array and may write it
                 f[0] = 5.0
                 assert trace.f[0] == grid[0]
-        # a replaced current keeps the shared plan; a replaced flux is copied without it
+        # a replaced current keeps the shared plan; a replaced flux is copied with a plan of its own
         shared = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 64)
         assert dataclasses.replace(shared, j=np.zeros(64))._plan is shared._plan
         replaced = dataclasses.replace(shared, f=np.geomspace(2e-3, 0.4, 64))
-        assert replaced._plan is None and replaced.f[0] == 2e-3
+        assert replaced._plan is not shared._plan and replaced._plan.f is replaced.f
+        assert replaced.f[0] == 2e-3
 
     def test_grid_checked_once_when_built(self):
         with pytest.raises(NonMonotonicFlux, match="flux values must be strictly increasing"):
