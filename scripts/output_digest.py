@@ -2,10 +2,10 @@
 
     python3 scripts/output_digest.py [--src DIR]
 
-The runs cover all seven commands.  Each run writes into its own directory
-under a temporary root (``constants`` writes none); the digests cover every
-file written there and each run's standard output, with the temporary root
-replaced by ``<out>``.  Two more rows, ``analysis/shared_grid``
+The runs cover all seven commands, each given only the flags it reads.  Each
+run writes into its own directory under a temporary root (``constants`` and
+``verify`` write none); the digests cover every file written there and each
+run's standard output, with the temporary root replaced by ``<out>``.  Two more rows, ``analysis/shared_grid``
 and ``analysis/copied_grid``, digest in-process analyses of a fixed mix of
 2400 traces, on the shared grids of ``synthesize_trace`` and on copies of
 them (a CLI run reads its trace from a file, so it never analyses a shared
@@ -36,16 +36,17 @@ CONFIGS = {
     "empty_window.cfg": "fit_f_lo = 0.5\nfit_f_hi = 0.6\n",
     "wide_window.cfg": "fit_f_lo = 1e-4\nfit_f_hi = 1.0\n",
 }
-# name -> (ring and grid flags, simulate flags, analyze flags); each run is simulate
-# then analyze, and both get the ring and grid flags
+# name -> (ring and config flags, simulate flags, analyze flags); each run is
+# simulate then analyze, both get the ring and config flags, and each command
+# gets only the flags it reads
 SIMULATE_ANALYZE = {
-    "large_n10001": (["--n-electrons", "10001", "--points", "100000"],
-                     ["--noise-sigma", "1e-6", "--seed", "7"], []),
+    "large_n10001": (["--n-electrons", "10001"],
+                     ["--points", "100000", "--noise-sigma", "1e-6", "--seed", "7"], []),
     "odd_n3_seed42": (["--n-electrons", "3"], ["--noise-sigma", "1e-7", "--seed", "42"], []),
     "noisy_even_n4": (["--n-electrons", "4"], ["--noise-sigma", "1e-6", "--seed", "3"], []),
     "commutative_n3": (["--n-electrons", "3", "--theta-tilde", "0"],
                        ["--noise-sigma", "1e-4", "--seed", "5"], []),
-    "even_n4_uniform33": (["--n-electrons", "4", "--points", "33", "--grid", "uniform"], [], []),
+    "even_n4_uniform33": (["--n-electrons", "4"], ["--points", "33", "--grid", "uniform"], []),
     # an SI trace written and read back through --config
     "si_config_n101": (["--config", "<out>/si_n101.cfg"],
                        ["--noise-sigma", "1e-6", "--seed", "11"], []),
@@ -53,8 +54,8 @@ SIMULATE_ANALYZE = {
     "empty_fit_window": (["--config", "<out>/empty_window.cfg"], [], []),
     "wide_fit_window": (["--config", "<out>/wide_window.cfg"],
                         ["--noise-sigma", "1e-7", "--seed", "2"], []),
-    "smoothed_hinted_n101": (["--n-electrons", "101", "--smoothing-window", "5"],
-                             ["--noise-sigma", "1e-5", "--seed", "13"], ["--no-blind"]),
+    "smoothed_hinted_n101": (["--n-electrons", "101"], ["--noise-sigma", "1e-5", "--seed", "13"],
+                             ["--smoothing-window", "5", "--no-blind"]),
 }
 STANDALONE = {
     "constants": ["constants"],
@@ -131,15 +132,16 @@ def digests(root: Path) -> list[tuple[str, str]]:
     for name, text in CONFIGS.items():
         (root / name).write_text(text)
     stdout = {}
-    for name, (ring, noise, analyze) in SIMULATE_ANALYZE.items():
+    for name, (ring, simulate, analyze) in SIMULATE_ANALYZE.items():
         out = root / name
-        rc_sim, text_sim = _run(main, ["simulate", *ring, *noise, "--out", str(out)], root)
+        rc_sim, text_sim = _run(main, ["simulate", *ring, *simulate, "--out", str(out)], root)
         rc_ana, text_ana = _run(
             main, ["analyze", str(out / "trace.csv"), *ring, *analyze, "--out", str(out)], root
         )
         stdout[name] = f"exit {rc_sim} {rc_ana}\n".encode() + text_sim + text_ana
     for name, argv in STANDALONE.items():
-        rc, text = _run(main, [*argv, "--out", str(root / name)], root)
+        out = [] if argv[0] in ("constants", "verify") else ["--out", str(root / name)]
+        rc, text = _run(main, [*argv, *out], root)
         stdout[name] = f"exit {rc}\n".encode() + text
     rows = [(hashlib.sha256(text).hexdigest(), f"{name}/stdout") for name, text in stdout.items()]
     rows += [

@@ -43,62 +43,6 @@ _INPUT_ERRORS = (InputError, FileNotFoundError, FileExistsError,
                  IsADirectoryError, NotADirectoryError)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="configuration file (key = value lines)")
-    parser.add_argument("--out", help="output directory (default: $NCRING_OUT or ./out)")
-    parser.add_argument(
-        "--radius", dest="radius_m", metavar="RADIUS", type=float, help="ring radius in m"
-    )
-    parser.add_argument("--n-electrons", type=int, help="electron count N")
-    parser.add_argument("--theta-tilde", type=float, help="momentum noncommutativity scale")
-    parser.add_argument("--alpha", type=float, help="map scaling alpha in (0, 1]")
-    parser.add_argument("--seed", type=int, help="noise generator seed")
-    parser.add_argument("--noise-sigma", type=float, help="noise sigma in j0 units")
-    parser.add_argument("--f-min", type=float, help="lower flux bound (phi0 units)")
-    parser.add_argument("--f-max", type=float, help="upper flux bound (phi0 units)")
-    parser.add_argument(
-        "--points", dest="n_points", metavar="POINTS", type=int, help="number of grid points"
-    )
-    parser.add_argument("--grid", choices=("log", "uniform"), help="grid spacing")
-    parser.add_argument("--smoothing-window", type=int, help="odd moving-average width")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ncring",
-        description="Quantum-ring persistent currents with a noncommutative effective flux",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("constants", "print constants and derived ring scales"),
-        ("spectrum", "tabulate eigenenergies over (n, f) to spectrum.csv"),
-        ("current", "closed-form current trace to current.csv"),
-        ("signatures", "closed-form signatures to signatures.csv and a log-log plot"),
-        ("simulate", "synthesize a measurement trace to trace.csv"),
-        ("analyze", "run the detection pipeline on a trace CSV"),
-        ("verify", "check closed forms against brute-force oracles"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "spectrum":
-            p.add_argument("--n-levels", type=int, default=3, help="tabulate n in [-K, K]")
-        if name == "analyze":
-            p.add_argument("trace", help="trace CSV to analyze")
-            p.add_argument(
-                "--no-blind",
-                dest="blind",
-                action="store_false",
-                help="allow ring metadata in the trace to bypass estimation",
-            )
-            p.set_defaults(blind=True)
-        if name == "verify":
-            p.add_argument(
-                "--quick", action="store_true", help="smaller sweeps for a fast check"
-            )
-    return parser
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = read_config(args.config) if args.config else RunConfig()
     keys = {f.name for f in dataclasses.fields(RunConfig)}
@@ -228,9 +172,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fill = {"n_values": range(1, 13), "n_flux": 31} if args.quick else {}
-    sig = {"n_flux": 15} if args.quick else {}
-    sweeps = [ground_state_sweep(**fill), current_sweep(**fill), signature_sweep(**sig)]
+    sweeps = [ground_state_sweep(args.quick), current_sweep(args.quick),
+              signature_sweep(args.quick)]
     ok = True
     for sweep in sweeps:
         print(sweep.summary())
@@ -242,22 +185,71 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Flag groups, as (flag, argparse keywords) pairs.  Each command takes only the
+# groups it reads, so a flag that it would ignore exits 2.
+_CONFIG = (("--config", dict(help="configuration file (key = value lines)")),)
+_OUT = (("--out", dict(help="output directory (default: $NCRING_OUT or ./out)")),)
+_RING = (
+    ("--radius", dict(dest="radius_m", metavar="RADIUS", type=float, help="ring radius in m")),
+    ("--n-electrons", dict(type=int, help="electron count N")),
+    ("--theta-tilde", dict(type=float, help="momentum noncommutativity scale")),
+    ("--alpha", dict(type=float, help="map scaling alpha in (0, 1]")),
+)
+_GRID = (
+    ("--f-min", dict(type=float, help="lower flux bound (phi0 units)")),
+    ("--f-max", dict(type=float, help="upper flux bound (phi0 units)")),
+    ("--points", dict(dest="n_points", metavar="POINTS", type=int, help="number of grid points")),
+    ("--grid", dict(choices=("log", "uniform"), help="grid spacing")),
+)
+_NOISE = (
+    ("--seed", dict(type=int, help="noise generator seed")),
+    ("--noise-sigma", dict(type=float, help="noise sigma in j0 units")),
+)
+_LEVELS = (("--n-levels", dict(type=int, default=3, help="tabulate n in [-K, K]")),)
+_ANALYSIS = (
+    ("trace", dict(help="trace CSV to analyze")),
+    ("--smoothing-window", dict(type=int, help="odd moving-average width")),
+    ("--no-blind", dict(dest="blind", action="store_false",
+                        help="allow ring metadata in the trace to bypass estimation")),
+)
+_QUICK = (("--quick", dict(action="store_true", help="smaller sweeps for a fast check")),)
+
+# name -> (function, help, flag groups): the one table that builds and dispatches the commands
 _COMMANDS = {
-    "constants": cmd_constants,
-    "spectrum": cmd_spectrum,
-    "current": cmd_current,
-    "signatures": cmd_signatures,
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "verify": cmd_verify,
+    "constants": (cmd_constants, "print constants and derived ring scales", (_CONFIG, _RING)),
+    "spectrum": (cmd_spectrum, "tabulate eigenenergies over (n, f) to spectrum.csv",
+                 (_CONFIG, _OUT, _RING, _GRID, _LEVELS)),
+    "current": (cmd_current, "closed-form current trace to current.csv",
+                (_CONFIG, _OUT, _RING, _GRID)),
+    "signatures": (cmd_signatures, "closed-form signatures to signatures.csv and a log-log plot",
+                   (_CONFIG, _OUT, _RING, _GRID)),
+    "simulate": (cmd_simulate, "synthesize a measurement trace to trace.csv",
+                 (_CONFIG, _OUT, _RING, _GRID, _NOISE)),
+    "analyze": (cmd_analyze, "run the detection pipeline on a trace CSV",
+                (_CONFIG, _OUT, _RING, _ANALYSIS)),
+    "verify": (cmd_verify, "check closed forms against brute-force oracles", (_QUICK,)),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ncring",
+        description="Quantum-ring persistent currents with a noncommutative effective flux",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, groups) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for group in groups:
+            for flag, keywords in group:
+                command.add_argument(flag, **keywords)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _INPUT_ERRORS as exc:
         print(f"ncring: error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -244,8 +244,16 @@ def zone_flux_grid(n_flux: int = 101) -> np.ndarray:
     return np.linspace(-1.0, 1.0, check_integer("n_flux", n_flux) + 2)[1:-1]
 
 
-DEFAULT_N_VALUES = tuple(range(1, 61))
-DEFAULT_F_NC_VALUES = (0.0, 1e-5, 0.01, 0.3)
+# The `verify` sweeps' fixed settings; a (full, quick) pair is indexed by `quick`.
+FILLING_N = (range(1, 61), range(1, 13))  # N values of the ground-state and current sweeps
+FILLING_F_NC = (0.0, 1e-5, 0.01, 0.3)
+FILLING_POINTS = (101, 31)  # zone_flux_grid sizes
+FILLING_EXCLUSION = 1e-4  # points this close to a level crossing are skipped; > 10 CURRENT_H
+CURRENT_H = 1e-6  # central-difference step of the current sweep
+GROUND_STATE_TOL, CURRENT_TOL = 1e-12, 1e-10
+SIGNATURE_N, SIGNATURE_F_NC = (3, 4), (0.0, 1e-5, 1e-2)
+SIGNATURE_SPAN, SIGNATURE_POINTS = (1e-3, 0.4), (40, 15)  # log grid bounds and sizes
+SIGNATURE_TOL = 1e-6
 
 
 def _sweep_rings(
@@ -270,54 +278,32 @@ def _sweep(label, tol, rows, deviations) -> SweepResult:
     return SweepResult(label, count, max_dev, tol, worst, rows * count)
 
 
-def _filling_deviations(rings, grid, exclusion, closed, oracle):
-    """(ring, f, |closed - oracle| / max(1, |closed|)) per ring, on the grid points
-    more than `exclusion` from a level crossing; `closed` and `oracle` take a ring
-    and its kept flux array."""
-    for ring in rings:
-        f = grid[boundary_distance(ring, grid) > exclusion]
+def _filling_deviations(quick, closed, oracle):
+    """(ring, f, |closed - oracle| / max(1, |closed|)) per ring of the filling sweep,
+    on the grid points farther than FILLING_EXCLUSION from a level crossing;
+    `closed` and `oracle` take a ring and its kept flux array."""
+    grid = zone_flux_grid(FILLING_POINTS[quick])
+    for ring in _sweep_rings(FILLING_N[quick], FILLING_F_NC):
+        f = grid[boundary_distance(ring, grid) > FILLING_EXCLUSION]
         if f.size:
             value = closed(ring, f)
             yield ring, f, np.abs(value - oracle(ring, f)) / np.maximum(1.0, np.abs(value))
 
 
-def ground_state_sweep(
-    n_values: Sequence[int] = DEFAULT_N_VALUES,
-    f_nc_values: Sequence[float] = DEFAULT_F_NC_VALUES,
-    n_flux: int = 101,
-    exclusion: float = 1e-4,
-    tol: float = 1e-12,
-) -> SweepResult:
-    """Max of |E_g(closed) - E_g(oracle)| / max(1, |E_g|) over the standard sweep."""
-    return _sweep("ground-state closed form vs filling oracle", tol, 1, _filling_deviations(
-        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), exclusion,
-        ground_state_energy, _filled_energies,
+def ground_state_sweep(quick: bool = False) -> SweepResult:
+    """Max of |E_g(closed) - E_g(oracle)| / max(1, |E_g|) over the filling sweep."""
+    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL, 1,
+                  _filling_deviations(quick, ground_state_energy, _filled_energies))
+
+
+def current_sweep(quick: bool = False) -> SweepResult:
+    """Max of |J(closed) + dE_g/df(oracle)| / max(1, |J|) over the filling sweep."""
+    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL, 2, _filling_deviations(
+        quick, persistent_current, lambda ring, f: _finite_difference_current(ring, f, CURRENT_H),
     ))
 
 
-def current_sweep(
-    n_values: Sequence[int] = DEFAULT_N_VALUES,
-    f_nc_values: Sequence[float] = DEFAULT_F_NC_VALUES,
-    n_flux: int = 101,
-    exclusion: float = 1e-4,
-    h: float = 1e-6,
-    tol: float = 1e-10,
-) -> SweepResult:
-    """Max of |J(closed) + dE_g/df(oracle)| / max(1, |J|) over the standard sweep."""
-    return _sweep("current closed form vs -dE/df oracle", tol, 2, _filling_deviations(
-        _sweep_rings(n_values, f_nc_values), zone_flux_grid(n_flux), max(exclusion, 10.0 * h),
-        persistent_current, lambda ring, f: _finite_difference_current(ring, f, h),
-    ))
-
-
-def signature_sweep(
-    n_values: Sequence[int] = (3, 4),
-    f_nc_values: Sequence[float] = (0.0, 1e-5, 1e-2),
-    f_lo: float = 1e-3,
-    f_hi: float = 0.4,
-    n_flux: int = 40,
-    tol: float = 1e-6,
-) -> SweepResult:
+def signature_sweep(quick: bool = False) -> SweepResult:
     """Max relative deviation of the signature closed forms from finite differences.
 
     Each signature is compared at relative tolerance where its closed form
@@ -328,11 +314,11 @@ def signature_sweep(
     and are skipped.  The step is scaled with f to balance truncation
     against rounding.
     """
-    grid = np.geomspace(f_lo, f_hi, check_integer("n_flux", n_flux))
+    grid = np.geomspace(*SIGNATURE_SPAN, SIGNATURE_POINTS[quick])
     step = np.maximum(1e-7, 1e-4 * grid)
 
     def deviations():
-        for ring in _sweep_rings(n_values, f_nc_values):
+        for ring in _sweep_rings(SIGNATURE_N, SIGNATURE_F_NC):
             keep = grid > ring.f_nc + 10.0 * step if ring.parity == "even" else slice(None)
             f, h = grid[keep], step[keep]
             if f.size:
@@ -341,4 +327,4 @@ def signature_sweep(
                 scale = ring.n_electrons / f[:, None] ** 2
                 yield ring, f, np.abs(fd - closed) / np.where(closed == 0.0, scale, np.abs(closed))
 
-    return _sweep("signature closed forms vs finite differences", tol, 0, deviations())
+    return _sweep("signature closed forms vs finite differences", SIGNATURE_TOL, 0, deviations())

@@ -48,35 +48,24 @@ def test_criterion_1_reference_flux_value():
 
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
-    result = ground_state_sweep(
-        n_values=range(1, 61),
-        f_nc_values=(0.0, 1e-5, 0.01, 0.3),
-        n_flux=101,
-        exclusion=1e-4,
-        tol=1e-12,
-    )
+    result = ground_state_sweep()
     elapsed = time.perf_counter() - start
-    assert result.passed, result.summary()
+    assert result.tol <= 1e-12 and result.passed, result.summary()
     assert (result.n_points, result.rows_filled) == (24180, 24180)
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s, budget 10s"
-    _report(2, f"max normalized deviation {result.max_dev:.2e} <= 1e-12 in {elapsed:.1f}s")
+    _report(2, f"max normalized deviation {result.max_dev:.2e} <= {result.tol:.0e} "
+               f"in {elapsed:.1f}s")
 
 
 def test_criterion_3_thermodynamic_consistency():
     start = time.perf_counter()
-    result = current_sweep(
-        n_values=range(1, 61),
-        f_nc_values=(0.0, 1e-5, 0.01, 0.3),
-        n_flux=101,
-        exclusion=1e-4,
-        h=1e-6,
-        tol=1e-10,
-    )
+    result = current_sweep()
     elapsed = time.perf_counter() - start
-    assert result.passed, result.summary()
+    assert result.tol <= 1e-10 and result.passed, result.summary()
     assert (result.n_points, result.rows_filled) == (24180, 48360)
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s, budget 10s"
-    _report(3, f"max normalized deviation {result.max_dev:.2e} <= 1e-10 in {elapsed:.1f}s")
+    _report(3, f"max normalized deviation {result.max_dev:.2e} <= {result.tol:.0e} "
+               f"in {elapsed:.1f}s")
 
 
 def test_criterion_4_signature_closed_forms():

@@ -5,24 +5,33 @@ would break traced benchmark runs without any other test noticing.  Its
 per-op counts also read the arguments and results of what it wraps (the
 points handed to emit_plot, the files written, the points each oracle
 sweep checked), so a change of signature or of a sweep's result must keep
-them right.
+them right.  The CLI workloads of perfbench/workloads.py run fixed command
+lines, so the parser must keep accepting them.
 """
 
+import contextlib
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
-from ncring.cli import main
+import pytest
+
+from ncring.cli import build_parser, main
 from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return load_perfbench("tracer")
 
 
 def test_wrapped_names_resolve():
@@ -74,10 +83,28 @@ def test_tracer_counts_simulate_analyze(tmp_path, capsys):
 
 def test_tracer_counts_verify(capsys):
     # the sweeps that `verify --quick` runs, called directly
-    filling = [ground_state_sweep(n_values=range(1, 13), n_flux=31),
-               current_sweep(n_values=range(1, 13), n_flux=31)]
-    signature = signature_sweep(n_flux=15)
+    filling = [ground_state_sweep(quick=True), current_sweep(quick=True)]
+    signature = signature_sweep(quick=True)
     counts = traced_counts(["verify", "--quick"])
     filling_points = sum(sweep.n_points for sweep in filling)
     assert counts["oracle.points_checked"] == filling_points + signature.n_points == 3072
     assert counts["oracle.filling_points"] == filling_points == 2904
+
+
+@pytest.mark.parametrize(
+    "workload, commands",
+    [("cli_large", ["simulate", "analyze"]), ("verify_oracles", ["verify"])],
+)
+def test_workload_command_lines_parse(tmp_path, workload, commands):
+    # each op's command lines go to the parser instead of running
+    bench = load_perfbench("workloads").WORKLOADS[workload]()
+    bench.build(1, tmp_path)
+    parsed = []
+    bench.cli = SimpleNamespace(main=lambda argv: parsed.append(build_parser().parse_args(argv)))
+    bench.op(0, lambda name: contextlib.nullcontext())
+    assert [args.command for args in parsed] == commands
+    if workload == "cli_large":
+        simulate, analyze = parsed
+        assert simulate.n_points == 100_000 and simulate.noise_sigma == 1e-6
+        assert analyze.trace == str(tmp_path / "op0" / "trace.csv")
+        assert simulate.n_electrons == analyze.n_electrons == 10001

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import ncring
 from ncring import cli
-from ncring.cli import main
+from ncring.cli import build_parser, main
 from ncring.dataio import write_config
 from ncring.errors import InputError, NcRingError
 from ncring.pipeline import RunConfig
@@ -51,7 +52,7 @@ def run_cli(*args: str) -> int:
     return main(list(args))
 
 
-def run_module(*args: str) -> subprocess.CompletedProcess:
+def run_module(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """`python -m ncring ...` in a child that imports the same package as the tests."""
     src = str(Path(ncring.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -60,6 +61,7 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
     )
 
 
@@ -170,7 +172,8 @@ class TestExitCodes:
           "seed must be non-negative, got -1")],
     )
     def test_non_finite_or_negative_seed_flag_exits_two(self, tmp_path, capsys, args, message):
-        assert run_cli(*args, "--out", str(tmp_path)) == 2
+        out = () if args[0] == "constants" else ("--out", str(tmp_path))  # constants writes none
+        assert run_cli(*args, *out) == 2
         assert capsys.readouterr().err == f"ncring: error: {message}\n"
         assert not (tmp_path / "trace.csv").exists()
 
@@ -181,8 +184,8 @@ class TestExitCodes:
         assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_malformed_noise_metadata_exits_two(self, tmp_path, capsys):
-        args = ("--n-electrons", "3", "--noise-sigma", "0.01", "--out", str(tmp_path))
-        assert run_cli("simulate", *args) == 0
+        args = ("--n-electrons", "3", "--out", str(tmp_path))
+        assert run_cli("simulate", *args, "--noise-sigma", "0.01") == 0
         trace = tmp_path / "trace.csv"
         trace.write_text(trace.read_text().replace("# seed: 42\n", "# seed: nine\n"))
         assert run_cli("analyze", str(trace), *args) == 2
@@ -201,7 +204,7 @@ class TestExitCodes:
         def broken(args):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setitem(cli._COMMANDS, "constants", broken)
+        monkeypatch.setitem(cli._COMMANDS, "constants", (broken, *cli._COMMANDS["constants"][1:]))
         assert run_cli("constants") == 1
         err = capsys.readouterr().err
         assert err == "ncring: internal error: ZeroDivisionError: float division by zero\n"
@@ -211,7 +214,7 @@ class TestExitCodes:
         def failing(args):
             raise error("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "constants", failing)
+        monkeypatch.setitem(cli._COMMANDS, "constants", (failing, *cli._COMMANDS["constants"][1:]))
         if issubclass(error, InputError):
             assert run_cli("constants") == 2
             assert capsys.readouterr().err == "ncring: error: boom\n"
@@ -295,6 +298,68 @@ class TestExitCodes:
         proc = run_module("constants", "--n-electrons", "3")
         assert proc.returncode == 0
         assert "flux_quantum_Wb" in proc.stdout
+
+
+RING_FLAGS = ["--radius", "--n-electrons", "--theta-tilde", "--alpha"]
+GRID_FLAGS = ["--f-min", "--f-max", "--points", "--grid"]
+# each command's options, in the order --help lists them
+OPTIONS = {
+    "constants": ["--config", *RING_FLAGS],
+    "spectrum": ["--config", "--out", *RING_FLAGS, *GRID_FLAGS, "--n-levels"],
+    "current": ["--config", "--out", *RING_FLAGS, *GRID_FLAGS],
+    "signatures": ["--config", "--out", *RING_FLAGS, *GRID_FLAGS],
+    "simulate": ["--config", "--out", *RING_FLAGS, *GRID_FLAGS, "--seed", "--noise-sigma"],
+    "analyze": ["--config", "--out", *RING_FLAGS, "--smoothing-window", "--no-blind"],
+    "verify": ["--quick"],
+}
+SWITCHES = {"--no-blind", "--quick"}  # flags that take no value
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOptionTable:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parsed = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in subcommands().items()
+        }
+        tabled = {
+            name: [flag for group in groups for flag, _ in group if flag.startswith("--")]
+            for name, (_, _, groups) in cli._COMMANDS.items()
+        }
+        assert parsed == tabled == OPTIONS
+        assert sum(map(len, parsed.values())) == 57
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_every_other_flag_is_refused(self, capsys, command):
+        # each flag gets a value that the commands reading it accept
+        positional = ["t.csv"] if command == "analyze" else []
+        for flag in sorted({flag for flags in OPTIONS.values() for flag in flags}):
+            value = [] if flag in SWITCHES else ["log" if flag == "--grid" else "1"]
+            argv = [command, *positional, flag, *value]
+            if flag in OPTIONS[command]:
+                build_parser().parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [("verify", "--config", "/nonexistent.cfg"),
+         ("analyze", "t.csv", "--points", "9"),
+         ("simulate", "--smoothing-window", "3"),
+         ("constants", "--out", "x")],
+    )
+    def test_unread_flag_exits_two(self, tmp_path, args):
+        proc = run_module(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in proc.stderr
+        assert proc.stdout == "" and not any(tmp_path.iterdir())
 
 
 class TestCommands:
@@ -428,8 +493,8 @@ class TestFileContract:
 
     def test_analyze_writes_report_table_and_plot(self, tmp_path, capsys):
         run = tmp_path / "run"
-        args = ("--n-electrons", "3", "--noise-sigma", "1e-4", "--out", str(run))
-        assert run_cli("simulate", *args) == 0
+        args = ("--n-electrons", "3", "--out", str(run))
+        assert run_cli("simulate", *args, "--noise-sigma", "1e-4") == 0
         assert run_cli("analyze", str(run / "trace.csv"), *args) == 0
         assert sorted(p.name for p in run.iterdir()) == [
             "derived_signatures.csv", "derived_signatures.svg", "report.txt", "trace.csv",
