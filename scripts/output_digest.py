@@ -62,6 +62,8 @@ STANDALONE = {
     "constants_even_n4": ["constants", "--n-electrons", "4", "--radius", "2e-6"],
     "spectrum": ["spectrum"],
     "spectrum_uniform_k1": ["spectrum", "--grid", "uniform", "--points", "33", "--n-levels", "1"],
+    # 7000 rows: more than the 4096 rows that write_table converts at a time
+    "spectrum_1000_k3": ["spectrum", "--points", "1000", "--n-levels", "3"],
     "current": ["current"],
     "current_si_n101": ["current", "--config", "<out>/si_n101.cfg"],
     "signatures": ["signatures"],

@@ -4,7 +4,10 @@ All writers are deterministic functions of their inputs: no timestamps, no
 locale-dependent formatting, `.` as the decimal separator, LF endings.
 Every data CSV (traces and the CLI's tables, among them the table each
 plot is drawn from) is written by :func:`write_table`, the one row writer:
-comma-joined shortest round-trip floats.  Human-facing reports use %.4e.
+comma-joined shortest round-trip floats, converted and written one block of
+`_BLOCK` rows at a time, so no whole column is held as a Python list (a
+3-column table peaks at about 1 MB under tracemalloc at any number of
+rows).  Human-facing reports use %.4e.
 SI-to-reduced conversion happens here and nowhere else, and so do the
 parsing and serializing of :class:`ncring.pipeline.RunConfig`'s file form.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import fields
-from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -43,6 +45,7 @@ _RING_KEYS = (*_RING_HINT_KEYS, "mass_kg")  # metadata keys named as RunConfig f
 _META_KEYS = ("source", "seed", "noise_sigma", *_RING_KEYS)  # the keys the reader interprets
 
 _CONFIG_TYPES = get_type_hints(RunConfig)  # field name -> int, float or str
+_BLOCK = 4096  # rows that write_table converts to Python objects at a time
 
 
 def parse_config(text: str) -> RunConfig:
@@ -105,20 +108,22 @@ def write_table(path: str | Path, header: str, columns, comments=()) -> None:
     """Write `comments` lines, then `header`, then one row per index of `columns`.
 
     This is the one row writer for every data CSV.  `columns` are numpy
-    arrays.  A row is its values `%s`-joined by commas; each column goes
-    through `.tolist()` first, so each float is written as a Python float,
-    whose str is its shortest round-trip repr (numpy 2's repr of its
-    scalars is `np.float64(...)`).
+    arrays of one length; InvalidRange names the lengths when there are
+    none or they differ.  A row is its values `%s`-joined by commas; each
+    block of `_BLOCK` rows of a column goes through `.tolist()` first, so
+    each float is written as a Python float, whose str is its shortest
+    round-trip repr (numpy 2's repr of its scalars is `np.float64(...)`).
     """
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) != 1:
+        raise InvalidRange(f"write_table needs columns of one length, got lengths {lengths}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = [c.tolist() for c in columns]
-    row = ",".join(["%s"] * len(cols)) + "\n"
+    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in (*comments, header)))
-        rows = map(row.__mod__, zip(*cols))
-        while chunk := "".join(islice(rows, 4096)):  # bounded memory, few writes
-            fh.write(chunk)
+        for i in range(0, lengths[0], _BLOCK):  # bounded memory, few writes
+            fh.write("".join(map(row.__mod__, zip(*(c[i:i + _BLOCK].tolist() for c in columns)))))
 
 
 def write_trace_csv(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from ncring.dataio import (
     serialize_config,
     write_config,
     write_results_report,
+    write_table,
     write_trace_csv,
 )
 from ncring.errors import InvalidRange, NonMonotonicFlux, ParseError, UnitMismatch
@@ -533,14 +535,41 @@ class TestRowBytes:
         )
         assert svg.read_bytes() == drawn.read_bytes()
 
-    @pytest.mark.parametrize("grid, k", [("log", 3), ("uniform", 0), ("uniform", 2)])
-    def test_spectrum_table(self, tmp_path, grid, k):
-        args = ["spectrum", "--n-electrons", "3", "--points", "40", "--grid", grid]
+    # the last case has 700 points x 7 levels = 4900 rows, so its integer n
+    # column spans two of write_table's blocks
+    @pytest.mark.parametrize("grid, k, points", [("log", 3, 40), ("uniform", 0, 40),
+                                                 ("uniform", 2, 40), ("log", 3, 700)],
+                             ids=["log-3", "uniform-0", "uniform-2", "log-3-4900rows"])
+    def test_spectrum_table(self, tmp_path, grid, k, points):
+        args = ["spectrum", "--n-electrons", "3", "--points", str(points), "--grid", grid]
         assert cli.main([*args, "--n-levels", str(k), "--out", str(tmp_path)]) == 0
-        config = RunConfig(n_electrons=3, n_points=40, grid=grid)
+        config = RunConfig(n_electrons=3, n_points=points, grid=grid)
         flux = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
         expected = reference_spectrum_table(config.ring(), flux, k)
         assert (tmp_path / "spectrum.csv").read_bytes() == expected.encode()
+
+    def test_signatures_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(13)
+        f = np.geomspace(1e-3, 0.4, 10_000)
+        lam, sig = awkward_floats(rng, 10_000), awkward_floats(rng, 10_000)
+        # the last row of the first block and the first of the second are not drawn
+        lam[4095], lam[4096], sig[4096] = 0.0, -0.0, np.nan
+        stem = tmp_path / "derived"
+        svg = cli._write_signatures(stem, f, lam, sig)
+        expected = reference_signatures_table(f, lam, sig)
+        assert (tmp_path / "derived.csv").read_bytes() == expected.encode()
+        series = [("|lambda|", np.abs(lam)), ("|sigma|", np.abs(sig))]
+        pairs = emit_plot([(label, list(zip(f.tolist(), y.tolist()))) for label, y in series],
+                          tmp_path / "pairs.svg")
+        assert svg.read_bytes() == pairs.read_bytes()
+        # apart from the count, the drawing is that of the drawable points alone
+        drawable = [(label, np.transpose((f, y))[(y > 0.0) & np.isfinite(y)])
+                    for label, y in series]
+        clean = emit_plot(drawable, tmp_path / "clean.svg").read_text()
+        text = svg.read_text()
+        # row 1 of each awkward column is -0.0, so 2 of the 5 dropped points are there
+        assert "<!-- dropped 5 non-positive points for log axes -->" in text
+        assert text.replace("dropped 5", "dropped 0") == clean
 
     def test_pinned_svg(self, tmp_path):
         svg = emit_plot(PINNED_SERIES, tmp_path / "pairs.svg")
@@ -549,6 +578,48 @@ class TestRowBytes:
         arrays = [(label, np.array(points)) for label, points in PINNED_SERIES]
         svg = emit_plot(arrays, tmp_path / "arrays.svg")
         assert svg.read_bytes() == PINNED_SVG.encode()
+
+
+def traced_peak(write, *args) -> int:
+    """The tracemalloc peak, in bytes above what was traced before, of `write(*args)`."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriters:
+    """write_table and emit_plot refuse malformed columns and hold one block at a time."""
+
+    @pytest.mark.parametrize("columns, lengths",
+                             [((), r"\[\]"), ((np.arange(5.0), np.arange(3.0)), r"\[5, 3\]")],
+                             ids=["none", "unequal"])
+    def test_write_table_refuses_unequal_columns(self, tmp_path, columns, lengths):
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidRange, match=f"got lengths {lengths}"):
+            write_table(path, "a,b", columns)
+        assert not path.exists()
+
+    def test_write_table_memory_flat_in_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        peaks = {}
+        for rows in (10_000, 100_000, 400_000):
+            columns = tuple(rng.normal(size=rows) for _ in range(3))
+            peaks[rows] = traced_peak(write_table, tmp_path / "t.csv", "a,b,c", columns)
+        # about 1 MB at every size; the whole columns as lists took 10 MB at 1e5 rows
+        assert peaks[100_000] < 2e6
+        assert max(peaks.values()) - min(peaks.values()) < 0.2e6
+
+    def test_emit_plot_memory(self, tmp_path):
+        rng = np.random.default_rng(4)
+        f = np.geomspace(1e-3, 0.4, 100_000)
+        series = [("a", np.transpose((f, f**-2 * (1.0 + 0.1 * rng.random(f.size))))),
+                  ("b", np.transpose((f, np.abs(rng.normal(size=f.size)))))]
+        # about 6.5 MB; copies of each series and of both series' logs took 11 MB
+        assert traced_peak(emit_plot, series, tmp_path / "p.svg") < 8e6
 
 
 def read_outcome(path, bulk: bool = True):

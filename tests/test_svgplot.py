@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncring.errors import EmptySeries
+from ncring.errors import EmptySeries, InvalidRange
 from ncring.svgplot import _m4, emit_plot
 
 
@@ -58,6 +58,18 @@ class TestEmitPlot:
             emit_plot([], tmp_path / "none.svg")
         with pytest.raises(EmptySeries):
             emit_plot([("one", [(0.0, 1.0)])], tmp_path / "one.svg")
+
+    @pytest.mark.parametrize("points", [
+        np.ones((5, 3)),
+        np.ones(5),
+        3.0,
+        [(1.0, 2.0), (3.0,)],
+        [(1.0, 2.0), (3.0, "x")],
+    ], ids=["three-columns", "one-column", "number", "ragged-pair", "non-numeric"])
+    def test_malformed_points_rejected(self, tmp_path, points):
+        with pytest.raises(InvalidRange, match="series 's'"):
+            emit_plot([("s", points)], tmp_path / "bad.svg")
+        assert not (tmp_path / "bad.svg").exists()
 
     def test_log_axis_drops_nonpositive_points(self, tmp_path):
         points = [(0.1, 0.0), (0.2, 1.0), (0.3, 2.0), (0.4, 0.0)]
