@@ -9,7 +9,10 @@ run's standard output, with the temporary root replaced by ``<out>``.  Two more 
 and ``analysis/copied_grid``, digest in-process analyses of a fixed mix of
 2400 traces, on the shared grids of ``synthesize_trace`` and on copies of
 them (a CLI run reads its trace from a file, so it never analyses a shared
-grid); the two rows are equal when sharing a grid changes no result.
+grid); the two rows are equal when sharing a grid changes no result.  One
+more row, ``fit/power_law``, digests public ``fit_power_law`` over a fixed
+mix of inputs no analysis hands it: unsorted, non-positive and NaN flux,
+infinite and NaN values, floors, and too few or single-flux usable points.
 
 Two checkouts produce the same bytes exactly when they print the same lines,
 so a change that claims identical outputs is checked by running this script
@@ -127,6 +130,38 @@ def analysis_digests() -> list[tuple[str, str]]:
             (copied.hexdigest(), "analysis/copied_grid")]
 
 
+FIT_CASES = 2000
+
+
+def fit_digest() -> list[tuple[str, str]]:
+    """(sha256, name) of fit_power_law over the fit mix: each fit's repr, or its error's."""
+    import numpy as np
+
+    from ncring.errors import NcRingError
+    from ncring.pipeline import fit_power_law
+
+    rng = np.random.default_rng(FIT_CASES)
+    digest = hashlib.sha256()
+    for _ in range(FIT_CASES):
+        n = int(rng.choice((int(rng.integers(0, 7)), int(rng.integers(7, 400)))))
+        f = np.geomspace(1e-3, 0.4, n) if rng.random() < 0.5 else rng.uniform(1e-4, 1.0, n)
+        if rng.random() < 0.1:
+            f[:] = rng.uniform(1e-3, 0.4)  # a single flux
+        values = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 4.0)
+                  * f ** rng.uniform(-3.0, 1.0) * (1.0 + 0.3 * rng.standard_normal(n)))
+        for bad in (0.0, -1e-2, np.nan, np.inf):  # flux no log-log line can hold
+            f[rng.random(n) < rng.choice((0.0, 0.05))] = bad
+        values[rng.random(n) < rng.uniform(0.0, 0.3)] *= -1.0
+        for bad in (np.nan, np.inf, -np.inf):
+            values[rng.random(n) < rng.choice((0.0, 0.05))] = bad
+        floor = float(rng.choice((0.0, 10.0 ** rng.uniform(-8.0, 5.0))))
+        try:
+            digest.update(repr(fit_power_law(f, values, floor)).encode())
+        except NcRingError as exc:  # a fit that raises is digested by its error
+            digest.update(repr(exc).encode())
+    return [(digest.hexdigest(), "fit/power_law")]
+
+
 def digests(root: Path) -> list[tuple[str, str]]:
     """(sha256, run/file) for every file the run set writes under `root`."""
     from ncring.cli import main
@@ -160,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory() as tmp:
-        for digest, name in digests(Path(tmp)) + analysis_digests():
+        for digest, name in digests(Path(tmp)) + analysis_digests() + fit_digest():
             print(f"{digest}  {name}")
     return 0
 

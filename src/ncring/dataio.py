@@ -107,13 +107,17 @@ def _meta_lines(meta: TraceMeta) -> list[str]:
 def write_table(path: str | Path, header: str, columns, comments=()) -> None:
     """Write `comments` lines, then `header`, then one row per index of `columns`.
 
-    This is the one row writer for every data CSV.  `columns` are numpy
-    arrays of one length; InvalidRange names the lengths when there are
+    This is the one row writer for every data CSV.  `columns` are 1-D numpy
+    arrays of one length; before the file is opened, InvalidRange names each
+    column's shape or type when one is not, and the lengths when there are
     none or they differ.  A row is its values `%s`-joined by commas; each
     block of `_BLOCK` rows of a column goes through `.tolist()` first, so
     each float is written as a Python float, whose str is its shortest
     round-trip repr (numpy 2's repr of its scalars is `np.float64(...)`).
     """
+    if not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns):
+        got = [c.shape if isinstance(c, np.ndarray) else type(c).__name__ for c in columns]
+        raise InvalidRange(f"write_table needs 1-D numpy array columns, got {got}")
     lengths = [len(c) for c in columns]
     if len(set(lengths)) != 1:
         raise InvalidRange(f"write_table needs columns of one length, got lengths {lengths}")

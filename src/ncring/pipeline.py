@@ -9,8 +9,8 @@ The stages mirror how the measurement side would proceed:
    (here and in stage 4, one centred closed-form least-squares solve),
 3. differentiate J/f and (J - N)/f, N from stage 2, to get the two signatures,
 4. fit |signature| against f on log-log axes in the fit window, one slice
-   of the interior grid per trace (usable points sharing one flux are
-   InsufficientSignal),
+   of the interior grid per trace, by one kernel that reuses the window's
+   centred log10 f (usable points sharing one flux are InsufficientSignal),
 5. classify the pair of fits (divergence pattern decides the verdict),
 6. invert the fitted amplitudes into f_nc and theta_tilde.
 
@@ -20,11 +20,11 @@ rule without building it.  :func:`analyze_trace` takes it plus ``blind=``,
 which decides whether ring metadata in the trace may supply the electron
 number.
 
-What stages 2-4 derive from the flux alone (the centring of the line fit,
-the stencil weights, the fit window's points) lives in one grid plan, and
-every trace holds exactly one.  The traces of :func:`synthesize_trace` share
-their :func:`flux_grid` grid's plan, built once; any other flux is copied
-into its trace, which builds its own plan and keeps it as long as it lives.
+What stages 2-4 derive from the flux alone (the line fit's centring, the
+stencil weights, the fit window's points and their log10 f centring) lives
+in one grid plan, and every trace holds exactly one.  The traces of
+:func:`synthesize_trace` share their :func:`flux_grid` grid's plan, built
+once; any other flux is copied into its trace, which builds and keeps its own.
 """
 
 from __future__ import annotations
@@ -221,23 +221,24 @@ def _shared_plan(f_min: float, f_max: float, n_points: int, grid: str) -> _GridP
 
 
 class _FitWindow(NamedTuple):
-    """The interior grid points of one fit window: what the fits and the floor read."""
+    """One fit window's interior grid points and centred log10 f: what fits and floor read."""
 
     bounds: tuple[float, float]  # (fit_f_lo, fit_f_hi)
     cut: slice  # of the interior grid f[1:-1]
     f: np.ndarray  # f[1:-1][cut]
     d2: np.ndarray  # (f[2:] - f[:-2])[cut]
     f_sq: np.ndarray  # f**2
+    log_centring: tuple[float, np.ndarray, float] | None  # _log_centring(f), for full rows
 
 
 class _GridPlan:
     """What every analysis of a trace on one flux grid derives from the flux alone.
 
     It lives as long as the last trace that holds it.  Each part is built on
-    first use and then reused: the centring of the J line fit, the stencil
-    weights of :func:`_derivative` and the :class:`_FitWindow` last asked for.
-    Parts hold only the quantities numpy would evaluate first anyway, so
-    every result keeps its bits.
+    first use and then reused: the J line fit's centring, :func:`_derivative`'s
+    stencil weights, and the last :class:`_FitWindow` asked for with its centred
+    log10 f.  Parts hold only the quantities numpy would evaluate first anyway,
+    so every result keeps its bits.
     """
 
     def __init__(self, f: np.ndarray):
@@ -265,7 +266,8 @@ class _GridPlan:
             cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
             with np.errstate(over="ignore"):  # as in _noise_floor
                 self._window = window = _FitWindow(
-                    (f_lo, f_hi), cut, f_int[cut], f[2:][cut] - f[:-2][cut], f_int[cut] ** 2)
+                    (f_lo, f_hi), cut, f_int[cut], f[2:][cut] - f[:-2][cut], f_int[cut] ** 2,
+                    _log_centring(f_int[cut]))
         return window
 
 
@@ -327,6 +329,12 @@ def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
     return x_bar, dx, dx @ dx
 
 
+def _log_centring(f: np.ndarray) -> tuple[float, np.ndarray, float] | None:
+    """:func:`_centre` of log10 f, or None when f spans fewer than two distinct log10 f."""
+    x = np.log10(f)
+    return _centre(x) if x.size and x.min() < x.max() else None
+
+
 def _line_fit(
     centred: tuple[float, np.ndarray, float], y: np.ndarray
 ) -> tuple[float, float, float, float]:
@@ -339,7 +347,8 @@ def _line_fit(
     y_bar = float(y.sum()) / len(y)
     dy = y - y_bar
     slope = float(dx @ dy / dx_dx)
-    res = dy - slope * dx
+    res = slope * dx
+    np.subtract(dy, res, out=res)  # dy - slope * dx, with one temporary
     return float(y_bar - slope * x_bar), slope, float(res @ res), float(dy @ dy)
 
 
@@ -405,7 +414,11 @@ def _derivative(stencil: tuple[np.ndarray, ...], y: np.ndarray) -> np.ndarray:
     """
     h1_sq, h2_sq, h_diff, denom, first, last = stencil
     d = np.empty(y.shape)
-    d[..., 1:-1] = (h1_sq * y[..., 2:] - h2_sq * y[..., :-2] + h_diff * y[..., 1:-1]) / denom
+    # (h1_sq * y2 - h2_sq * y0 + h_diff * y1) / denom in that order, one temporary at a time
+    mid = np.multiply(h1_sq, y[..., 2:], out=d[..., 1:-1])
+    mid -= h2_sq * y[..., :-2]
+    mid += h_diff * y[..., 1:-1]
+    mid /= denom
     d[..., 0] = (y[..., 1] - y[..., 0]) / first
     d[..., -1] = (y[..., -1] - y[..., -2]) / last
     return d
@@ -418,13 +431,15 @@ def differentiate_trace(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Turn a current trace into signature estimates on its own grid.
 
-    Forms u = j/f and v = (j - N)/f with N = `n_electrons`, applies a
-    centered moving average of width `smoothing_window` (odd; 1 disables),
-    then differentiates on the trace's grid, u and v as one stacked pass.
+    Forms u = j/f and v = (j - N)/f with N = `n_electrons` (an integer,
+    else InvalidRange), applies a centered moving average of width
+    `smoothing_window` (odd; 1 disables), then differentiates on the
+    trace's grid, u and v as one stacked pass.
     Returns (lambda, sigma, method); `method` names the stencil: central
     differences inside, 2-point one-sided differences at the two grid
     endpoints, which :func:`analyze_trace` therefore never fits.
     """
+    check_integer("n_electrons", n_electrons)
     if check_integer("smoothing_window", smoothing_window) < 1 or smoothing_window % 2 == 0:
         raise InvalidRange(f"smoothing_window must be an odd integer >= 1, got {smoothing_window}")
     if smoothing_window >= len(trace) / 2:
@@ -432,7 +447,7 @@ def differentiate_trace(
             f"smoothing window {smoothing_window} too wide for {len(trace)} points"
         )
     # J/f, its differences and the stencil weights can overflow near f = 0; the
-    # inf and NaN estimates are masked by fit_power_law and dropped from the plot
+    # inf and NaN estimates are masked by the power-law fits and dropped from the plot
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u_v = np.array((trace.j, trace.j - n_electrons)) / trace.f
         lam, sig = _derivative(trace._plan.stencil, _moving_average(u_v, smoothing_window))
@@ -463,24 +478,40 @@ def fit_power_law(f: np.ndarray, values: np.ndarray, noise_floor: float = 0.0) -
 
     The caller picks the fit window; of its points, those whose flux is not
     a positive finite number or whose value is not finite are skipped too.
-    Raises InsufficientSignal when fewer than 5 points qualify or when they
-    span a single flux; callers map that outcome to "signature absent", not
-    to an error.
+    `f` and `values` are 1-D of one length, else InvalidRange.  Raises
+    InsufficientSignal when fewer than 5 points qualify or when they span a
+    single flux; callers map that outcome to "signature absent", not to an
+    error.
     """
     f = np.asarray(f, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = (0.0 < f) & (f < math.inf) & np.isfinite(values) & (np.abs(values) > noise_floor)
-    n_used = int(np.count_nonzero(mask))
+    if f.ndim != 1 or f.shape != values.shape:
+        raise InvalidRange(f"fit_power_law needs 1-D f and values of one length, "
+                           f"got shapes {f.shape} and {values.shape}")
+    f_ok = (0.0 < f) & (f < math.inf)  # a value at a flux with no log is unusable
+    log_centring = _log_centring(f) if f_ok.all() else None  # else no row is fully usable
+    return _power_law(f, log_centring, np.where(f_ok, values, math.nan), noise_floor)
+
+
+def _power_law(f: np.ndarray, log_centring: tuple[float, np.ndarray, float] | None,
+               values: np.ndarray, noise_floor: float) -> PowerLawFit:
+    """The one fit of log10|value| on log10 f, f > 0, where noise_floor < |value| < inf.
+
+    Only a row usable at every point reads `log_centring`, :func:`_log_centring` of f.
+    """
+    y = np.abs(values)
+    use = (y > noise_floor) & (y < math.inf)
+    n_used = int(np.count_nonzero(use))
     if n_used < 5:
         raise InsufficientSignal(f"{n_used} usable points above floor {noise_floor:g}")
-    x = np.log10(f[mask])
-    if x.min() == x.max():
-        raise InsufficientSignal(f"{n_used} usable points share the single flux {f[mask][0]:g}")
-    values = values[mask]
-    intercept, slope, ss_res, ss_tot = _line_fit(_centre(x), np.log10(np.abs(values)))
+    if n_used < len(y):
+        log_centring, y = _log_centring(f[use]), y[use]
+    if log_centring is None:
+        raise InsufficientSignal(f"{n_used} usable points share the single flux {f[use][0]:g}")
+    intercept, slope, ss_res, ss_tot = _line_fit(log_centring, np.log10(y, out=y))
     # ss_tot = 0 means a constant y, which the line fits exactly
     r_squared = max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0.0 else 1.0
-    n_pos = int(np.count_nonzero(values > 0.0))
+    n_pos = int(np.count_nonzero((values > 0.0) & use))
     sign = 1.0 if n_pos > n_used - n_pos else -1.0
     return PowerLawFit(
         amplitude=sign * 10.0**intercept,
@@ -704,7 +735,7 @@ def analyze_trace(
     fits: list[PowerLawFit | None] = []
     for values in (lam, sig):
         try:
-            fits.append(fit_power_law(window.f, values[1:-1][window.cut], noise_floor=floor))
+            fits.append(_power_law(window.f, window.log_centring, values[1:-1][window.cut], floor))
         except InsufficientSignal:
             fits.append(None)
 

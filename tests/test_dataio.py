@@ -24,7 +24,7 @@ from ncring.dataio import (
     write_trace_csv,
 )
 from ncring.errors import InvalidRange, NonMonotonicFlux, ParseError, UnitMismatch
-from ncring.model import RingSystem, eigenenergy
+from ncring.model import RingSystem, SwParams, eigenenergy
 from ncring.pipeline import (
     MIN_TRACE_POINTS,
     AnalysisResult,
@@ -603,6 +603,17 @@ class TestWriters:
             write_table(path, "a,b", columns)
         assert not path.exists()
 
+    @pytest.mark.parametrize("columns, got", [
+        ((np.ones((3, 2)), np.ones(3)), r"\[\(3, 2\), \(3,\)\]"),
+        (([1.0, 2.0], np.ones(2)), r"\['list', \(2,\)\]"),
+        ((np.array(1.0),), r"\[\(\)\]"),
+    ], ids=["2d", "list", "0d"])
+    def test_write_table_refuses_columns_not_1d_arrays(self, tmp_path, columns, got):
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidRange, match=f"1-D numpy array columns, got {got}"):
+            write_table(path, "a,b", columns)
+        assert not path.exists()
+
     def test_write_table_memory_flat_in_rows(self, tmp_path):
         rng = np.random.default_rng(3)
         peaks = {}
@@ -620,6 +631,19 @@ class TestWriters:
                   ("b", np.transpose((f, np.abs(rng.normal(size=f.size)))))]
         # about 6.5 MB; copies of each series and of both series' logs took 11 MB
         assert traced_peak(emit_plot, series, tmp_path / "p.svg") < 8e6
+
+
+def test_analysis_of_large_file_trace_memory(tmp_path):
+    # perfbench's cli_large trace, read back from its file as `ncring analyze` does
+    ring = RingSystem(radius=1e-6, n_electrons=10001,
+                      sw=SwParams(alpha=1.0, theta_tilde=1.76e-61))
+    write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=7),
+                    tmp_path / "trace.csv")
+    trace = read_trace_csv(tmp_path / "trace.csv", ring=ring)
+    config = RunConfig(n_electrons=10001, radius_m=1e-6, theta_tilde=1.76e-61)
+    # about 9.4 MB, set by differentiate_trace and the fits; 11.2 MB when each fit
+    # recomputed and copied the window's log10 f
+    assert traced_peak(pipeline.analyze_trace, trace, config) < 10e6
 
 
 def read_outcome(path, bulk: bool = True):

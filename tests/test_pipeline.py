@@ -5,6 +5,7 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -37,6 +38,7 @@ from ncring.pipeline import (
     _GridPlan,
     _line_fit,
     _noise_floor,
+    _power_law,
     analyze_trace,
     classify,
     differentiate_trace,
@@ -263,6 +265,12 @@ class TestDifferentiateTrace:
         rel = np.abs(sig[keep] - sig_ref[keep]) / np.abs(sig_ref[keep])
         assert rel.max() < 1e-4
 
+    @pytest.mark.parametrize("n_electrons", [3.5, 3.0, "3", True])
+    def test_refuses_non_integer_electron_number(self, n_electrons):
+        trace = synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 64)
+        with pytest.raises(InvalidRange, match="n_electrons must be an integer"):
+            differentiate_trace(trace, n_electrons)
+
     def test_constant_current_gives_inverse_square(self):
         # d/df (c/f) = -c/f^2; the electron number only shifts sigma
         f = np.geomspace(1e-3, 0.4, 512)
@@ -397,6 +405,15 @@ class TestFitPowerLaw:
         with pytest.raises(InsufficientSignal, match="^0 usable points"):
             fit_power_law(bad_f, np.full(5, -7.0))
 
+    @pytest.mark.parametrize("f_shape, values_shape", [((10,), (12,)), ((6,), (6, 2)),
+                                                       ((6, 2), (6, 2)), ((), ())])
+    def test_refuses_shapes_other_than_one_1d_length(self, f_shape, values_shape):
+        f, values = np.full(f_shape, 0.01), np.full(values_shape, -3.0)
+        with pytest.raises(InvalidRange, match=(
+                rf"1-D f and values of one length, got shapes {re.escape(str(f_shape))} "
+                rf"and {re.escape(str(values_shape))}")):
+            fit_power_law(f, values)
+
     def test_majority_sign(self):
         f = np.geomspace(1e-3, 1e-1, 11)
         values = -1.0 / f**2
@@ -420,7 +437,7 @@ class TestFitWindow:
 
     @pytest.mark.parametrize("grid", ["log", "uniform"])
     @pytest.mark.parametrize("bounds", ["on_grid_points", "empty", "wider_than_grid"])
-    def test_slice_equals_mask(self, monkeypatch, grid, bounds):
+    def test_slice_equals_mask(self, grid, bounds):
         trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 64, noise_sigma=1e-3, seed=2,
                                  grid=grid)
         f_int = trace.f[1:-1]
@@ -432,23 +449,68 @@ class TestFitWindow:
         mask = (f_int >= lo) & (f_int <= hi)
         assert np.count_nonzero(mask) == {"on_grid_points": 36, "empty": 0,
                                           "wider_than_grid": 62}[bounds]
-        seen = []
-        fit = pipeline.fit_power_law
-
-        def spy(f, values, noise_floor=0.0):
-            seen.append(f)
-            return fit(f, values, noise_floor=noise_floor)
-
-        monkeypatch.setattr(pipeline, "fit_power_law", spy)
         config = RunConfig(fit_f_lo=lo, fit_f_hi=hi)
         result = analyze_trace(trace, config)
-        assert len(seen) == 2
-        assert all(bits(f) == bits(f_int[mask]) for f in seen)
-        verdict, _, _, _, floor = plain_analysis(trace, config)
+        floor = result.residual_floor
+        for fit, values in ((result.verdict.lambda_fit, result.lam),
+                            (result.verdict.sigma_fit, result.sig)):
+            assert repr(fit) == repr(fit_outcome(f_int[mask], values[1:-1][mask], floor, None))
+        verdict, _, _, _, plain_floor = plain_analysis(trace, config)
         assert repr(result.verdict) == repr(verdict)
-        assert bits(result.residual_floor) == bits(floor)
+        assert bits(floor) == bits(plain_floor)
         if bounds == "empty":
             assert result.verdict.kind is VerdictKind.INCONCLUSIVE and floor == 0.0
+
+
+def fit_outcome(f, values, floor, insufficient="raise"):
+    """fit_power_law's fit, or `insufficient` (by default the repr of its error) without one."""
+    try:
+        return fit_power_law(f, values, floor)
+    except InsufficientSignal as err:
+        return repr(err) if insufficient == "raise" else insufficient
+
+
+class TestFitKernel:
+    """analyze_trace's fit kernel on a fit window equals fit_power_law on its points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 300),
+           grid=st.sampled_from(["log", "uniform"]), every_point_usable=st.booleans())
+    def test_kernel_equals_fit_power_law(self, seed, n, grid, every_point_usable):
+        rng = np.random.default_rng(seed)
+        f_min = 10.0 ** rng.uniform(-4.0, -1.0)
+        plan = _GridPlan(flux_grid(f_min, f_min * 10.0 ** rng.uniform(0.3, 3.0), n, grid))
+        # two of: two grid points, and a bound near each end of the grid, on either side
+        candidates = np.concatenate((rng.choice(plan.f, 2),
+                                     rng.uniform(0.5, 2.0, 2) * plan.f[[0, -1]]))
+        lo, hi = np.sort(rng.choice(candidates, 2, replace=False))
+        window = plan.window(float(lo), float(hi))
+        m = len(window.f)
+        values = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 4.0)
+                  * window.f ** rng.uniform(-3.0, 1.0) * (1.0 + 0.2 * rng.standard_normal(m)))
+        if every_point_usable:
+            floor = rng.choice((0.0, 0.5 * float(np.abs(values).min(initial=1.0))))
+        else:
+            floor = rng.choice((0.0, 10.0 ** rng.uniform(-7.0, 5.0), math.nan))
+            lo_run, hi_run = np.sort(rng.integers(0, m + 1, 2))  # a run below the floor
+            values[lo_run:hi_run] = floor * rng.uniform(-1.0, 1.0, hi_run - lo_run)
+            flip = rng.random(m) < rng.uniform(0.0, 0.5)
+            values[flip] = -values[flip]
+            for bad in (math.nan, math.inf, -math.inf):
+                values[rng.random(m) < 0.05] = bad
+            if m:
+                values[rng.integers(m)] = rng.choice((math.nan, math.inf, -math.inf, 0.0))
+        usable = (np.abs(values) > floor) & np.isfinite(values)
+        assert usable.all() == every_point_usable or not m  # both paths of the kernel
+        want = fit_outcome(window.f, values, floor)
+        try:
+            got = _power_law(window.f, window.log_centring, values, floor)
+        except InsufficientSignal as err:
+            got = repr(err)
+        assert repr(got) == repr(want)
+        # and both equal the plain reference: the points of the mask, no fit without one
+        plain = plain_power_law(window.f, values, (lo, hi), floor)
+        assert repr(plain) == repr(want if isinstance(want, PowerLawFit) else None)
 
 
 def _fit(amplitude, exponent, floor=0.0, r2=1.0, n=50):
