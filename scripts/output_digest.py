@@ -9,7 +9,9 @@ run's standard output, with the temporary root replaced by ``<out>``.  Two more 
 and ``analysis/copied_grid``, digest in-process analyses of a fixed mix of
 2400 traces, on the shared grids of ``synthesize_trace`` and on copies of
 them (a CLI run reads its trace from a file, so it never analyses a shared
-grid); the two rows are equal when sharing a grid changes no result.  One
+grid); the two rows are equal when sharing a grid changes no result.  They
+hash each verdict's facts by name, not its repr, so two trees whose verdicts
+store the same outcome in different fields print the same rows.  One
 more row, ``fit/power_law``, digests public ``fit_power_law`` over a fixed
 mix of inputs no analysis hands it: unsorted, non-positive and NaN flux,
 infinite and NaN values, floors, and too few or single-flux usable points.
@@ -91,10 +93,27 @@ MIX_NOISE = (0.0, 1e-9, 1e-6, 1e-3, 0.05)
 MIX_WINDOWS = ((1e-3, 1e-1), (1e-3, 3e-2), (1e-2, 0.4), (0.5, 0.6), (1e-4, 1.0))
 
 
+def verdict_facts(verdict) -> bytes:
+    """The verdict's facts, one line each by name.
+
+    They are its kind's value, N, parity, the reprs of its f_nc and
+    theta_tilde estimates and of both fits, and each diagnostics line.  Every
+    version of ``Verdict`` holds these, so, unlike its repr, they compare
+    trees whose verdicts store different fields.
+    """
+    lines = [f"kind: {verdict.kind.value}", f"estimated_n: {verdict.estimated_n}",
+             f"estimated_parity: {verdict.estimated_parity}",
+             f"estimated_f_nc: {verdict.estimated_f_nc!r}",
+             f"estimated_theta_tilde: {verdict.estimated_theta_tilde!r}",
+             f"lambda_fit: {verdict.lambda_fit!r}", f"sigma_fit: {verdict.sigma_fit!r}",
+             *(f"diagnostic: {note}" for note in verdict.diagnostics)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def analysis_digests() -> list[tuple[str, str]]:
     """(sha256, name) of the mix's analyses on shared grids and on copied ones.
 
-    Each digest covers, per trace, ``repr(verdict)``, ``lam``, ``sig``,
+    Each digest covers, per trace, :func:`verdict_facts`, ``lam``, ``sig``,
     ``method``, the noise rms and the floor, or the error the analysis raised.
     """
     import numpy as np
@@ -122,7 +141,7 @@ def analysis_digests() -> list[tuple[str, str]]:
             except NcRingError as exc:  # an analysis that raises is digested by its error
                 digest.update(repr(exc).encode())
                 continue
-            digest.update(repr(result.verdict).encode())
+            digest.update(verdict_facts(result.verdict))
             digest.update(result.lam.tobytes() + result.sig.tobytes())
             digest.update(result.method.encode())
             digest.update(f"{result.trace_noise_rms.hex()} {result.residual_floor.hex()}".encode())

@@ -11,7 +11,9 @@ The stages mirror how the measurement side would proceed:
 4. fit |signature| against f on log-log axes in the fit window, one slice
    of the interior grid per trace, by one kernel that reuses the window's
    centred log10 f (usable points sharing one flux are InsufficientSignal),
-5. classify the pair of fits (divergence pattern decides the verdict),
+5. classify the pair of fits: the divergence pattern picks the criterion's
+   branch, kept as a key (case1, case2, commutative_odd, commutative_even, none)
+   with two divergence flags; ``Verdict.diagnostics`` renders the prose on access,
 6. invert the fitted amplitudes into f_nc and theta_tilde.
 
 :class:`RunConfig` is the one configuration type (ring, grid, thresholds)
@@ -458,7 +460,7 @@ def differentiate_trace(
     return lam, sig, method
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerLawFit:
     """Least-squares fit of log10|value| against log10 f.
 
@@ -529,8 +531,29 @@ class VerdictKind(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+# the criterion's branches: key -> (verdict, diagnostics line)
+_CRITERIA = {
+    "case1": (VerdictKind.ODD_NC_DETECTED, "criterion case 1: odd-ring divergence pattern"),
+    "case2": (VerdictKind.EVEN_NC_DETECTED,
+              "criterion case 2: even-ring divergence pattern (lambda < sigma)"),
+    "commutative_odd": (VerdictKind.NO_NC_DETECTED,
+                        "commutative odd pattern: lambda absent, sigma ~ +N/f^2"),
+    "commutative_even": (VerdictKind.NO_NC_DETECTED,
+                         "commutative even pattern: sigma absent, lambda ~ -N/f^2"),
+    "none": (VerdictKind.INCONCLUSIVE,
+             "no criterion case matches the observed divergence pattern"),
+}
+
+
+@dataclass(frozen=True, slots=True)
 class Verdict:
+    """The criterion's facts; `diagnostics` renders their prose on each access.
+
+    `criterion` is the branch's key (`case1`, `case2`, `commutative_odd`,
+    `commutative_even`, `none`), the two flags say which fit diverges, and a
+    detection keeps its f_nc cross-check (else None).
+    """
+
     kind: VerdictKind
     lambda_fit: PowerLawFit | None
     sigma_fit: PowerLawFit | None
@@ -538,24 +561,35 @@ class Verdict:
     estimated_parity: Parity
     estimated_f_nc: float | None
     estimated_theta_tilde: float | None
-    diagnostics: tuple[str, ...]
+    criterion: str
+    lambda_divergent: bool
+    sigma_divergent: bool
+    f_nc_hat_cross: float | None = None
+    cross_gap: float | None = None
+
+    @property
+    def diagnostics(self) -> tuple[str, ...]:
+        """The report's human-readable notes, rendered from the fields on each access."""
+        notes = [
+            f"{name}: no usable signal above the noise floor" if fit is None else
+            f"{name}: amplitude {fit.amplitude:.4e}, exponent {fit.exponent:.4f}, "
+            f"r2 {fit.r_squared:.6f}, points {fit.n_points_used}, "
+            f"divergent={'yes' if divergent else 'no'}"
+            for name, fit, divergent in (("lambda", self.lambda_fit, self.lambda_divergent),
+                                         ("sigma", self.sigma_fit, self.sigma_divergent))
+        ]
+        notes += [f"electron number estimate: {self.estimated_n} ({self.estimated_parity})",
+                  _CRITERIA[self.criterion][1]]
+        if self.f_nc_hat_cross is not None:
+            notes.append(f"f_nc cross-check: primary {self.estimated_f_nc:.4e}, "
+                         f"cross {self.f_nc_hat_cross:.4e}, relative gap {self.cross_gap:.4e}")
+        return tuple(notes)
 
 
-def _divergence(
-    fit: PowerLawFit | None, config: RunConfig, name: str
-) -> tuple[bool, bool, str]:
-    """(divergent-negative, divergent-positive, human-readable summary)."""
-    if fit is None:
-        return False, False, f"{name}: no usable signal above the noise floor"
-    exponent_ok = abs(fit.exponent + 2.0) <= config.exponent_tol
-    amplitude_ok = abs(fit.amplitude) > config.amplitude_floor_mult * fit.residual_floor
-    divergent = exponent_ok and amplitude_ok
-    note = (
-        f"{name}: amplitude {fit.amplitude:.4e}, exponent {fit.exponent:.4f}, "
-        f"r2 {fit.r_squared:.6f}, points {fit.n_points_used}, "
-        f"divergent={'yes' if divergent else 'no'}"
-    )
-    return divergent and fit.amplitude < 0.0, divergent and fit.amplitude > 0.0, note
+def _divergent(fit: PowerLawFit | None, config: RunConfig) -> bool:
+    """Whether `fit` shows the A/f^2 divergence: exponent near -2, |A| clear of its floor."""
+    return (fit is not None and abs(fit.exponent + 2.0) <= config.exponent_tol
+            and abs(fit.amplitude) > config.amplitude_floor_mult * fit.residual_floor)
 
 
 def classify(
@@ -570,51 +604,32 @@ def classify(
     Case 1 (lambda divergent-negative, sigma divergent-positive) detects an
     odd ring; case 2 (both divergent-negative with lambda's amplitude below
     sigma's) detects an even ring.  One commutative-limit signature absent
-    while the other shows its parity's persistent divergence means no
-    effect was detected; anything else is inconclusive.  A detection also
-    carries :func:`estimate_theta_tilde`'s f_nc and theta_tilde for `config`'s
-    ring, and ends its diagnostics with the f_nc cross-check.
+    while the other shows its parity's persistent divergence means no effect
+    was detected; anything else is inconclusive.  The verdict keeps the key
+    and both flags; its prose is rendered on access.  A detection also keeps
+    :func:`estimate_theta_tilde`'s f_nc, theta_tilde (`config`'s ring) and cross-check.
     """
-    lam_neg, lam_pos, lam_note = _divergence(lambda_fit, config, "lambda")
-    sig_neg, sig_pos, sig_note = _divergence(sigma_fit, config, "sigma")
-    diagnostics = [lam_note, sig_note, f"electron number estimate: {n_electrons} ({parity})"]
-
-    if lam_neg and sig_pos:
-        kind = VerdictKind.ODD_NC_DETECTED
-        diagnostics.append("criterion case 1: odd-ring divergence pattern")
-    elif lam_neg and sig_neg and lambda_fit.amplitude < sigma_fit.amplitude:
-        kind = VerdictKind.EVEN_NC_DETECTED
-        diagnostics.append("criterion case 2: even-ring divergence pattern (lambda < sigma)")
-    elif not (lam_neg or lam_pos) and sig_pos:
-        kind = VerdictKind.NO_NC_DETECTED
-        diagnostics.append("commutative odd pattern: lambda absent, sigma ~ +N/f^2")
-    elif not (sig_neg or sig_pos) and lam_neg:
-        kind = VerdictKind.NO_NC_DETECTED
-        diagnostics.append("commutative even pattern: sigma absent, lambda ~ -N/f^2")
-    else:
-        kind = VerdictKind.INCONCLUSIVE
-        diagnostics.append("no criterion case matches the observed divergence pattern")
+    lam_div, sig_div = _divergent(lambda_fit, config), _divergent(sigma_fit, config)
+    # the signed amplitude of a divergent fit; 0 for no divergence
+    lam = lambda_fit.amplitude if lam_div else 0.0
+    sig = sigma_fit.amplitude if sig_div else 0.0
+    criterion = ("case1" if lam < 0.0 < sig else "case2" if lam < sig < 0.0
+                 else "commutative_odd" if lam == 0.0 < sig
+                 else "commutative_even" if sig == 0.0 > lam else "none")
+    kind = _CRITERIA[criterion][0]
     estimated_f_nc = estimated_theta_tilde = 0.0 if kind is VerdictKind.NO_NC_DETECTED else None
+    cross = gap = None
     if kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
         estimate = estimate_theta_tilde(
             kind, lambda_fit, sigma_fit, n_electrons, radius=config.radius_m, alpha=config.alpha
         )
-        estimated_f_nc = estimate.f_nc_hat
-        estimated_theta_tilde = estimate.theta_tilde_hat
-        diagnostics.append(
-            f"f_nc cross-check: primary {estimate.f_nc_hat:.4e}, "
-            f"cross {estimate.f_nc_hat_cross:.4e}, relative gap {estimate.cross_gap:.4e}"
-        )
-    return Verdict(
-        kind=kind,
-        lambda_fit=lambda_fit,
-        sigma_fit=sigma_fit,
-        estimated_n=n_electrons,
-        estimated_parity=parity,
-        estimated_f_nc=estimated_f_nc,
-        estimated_theta_tilde=estimated_theta_tilde,
-        diagnostics=tuple(diagnostics),
-    )
+        estimated_f_nc, estimated_theta_tilde = estimate.f_nc_hat, estimate.theta_tilde_hat
+        cross, gap = estimate.f_nc_hat_cross, estimate.cross_gap
+    return Verdict(kind=kind, lambda_fit=lambda_fit, sigma_fit=sigma_fit,
+                   estimated_n=n_electrons, estimated_parity=parity,
+                   estimated_f_nc=estimated_f_nc, estimated_theta_tilde=estimated_theta_tilde,
+                   criterion=criterion, lambda_divergent=lam_div, sigma_divergent=sig_div,
+                   f_nc_hat_cross=cross, cross_gap=gap)
 
 
 @dataclass(frozen=True)

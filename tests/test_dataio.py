@@ -368,9 +368,11 @@ class TestRunConfig:
 
 
 def _verdict(kind=VerdictKind.NO_NC_DETECTED, f_nc=None, theta=None):
+    """A verdict with no lambda fit and a divergent sigma fit; a detection keeps a cross-check."""
     fit = PowerLawFit(
         amplitude=3.0, exponent=-2.0, r_squared=1.0, n_points_used=50, residual_floor=0.0
     )
+    detected = kind is VerdictKind.ODD_NC_DETECTED
     return Verdict(
         kind=kind,
         lambda_fit=None,
@@ -379,7 +381,11 @@ def _verdict(kind=VerdictKind.NO_NC_DETECTED, f_nc=None, theta=None):
         estimated_parity="odd",
         estimated_f_nc=f_nc,
         estimated_theta_tilde=theta,
-        diagnostics=("lambda: no usable signal above the noise floor",),
+        criterion="case1" if detected else "commutative_odd",
+        lambda_divergent=False,
+        sigma_divergent=True,
+        f_nc_hat_cross=2.5e-5 if detected else None,
+        cross_gap=0.58 if detected else None,
     )
 
 
@@ -394,6 +400,13 @@ class TestResultsReport:
         write_results_report(_result(_verdict(f_nc=0.0, theta=0.0)), RunConfig(), path)
         text = path.read_text()
         assert "verdict: NoNcDetected\n" in text
+        # the diagnostics are rendered from the verdict's facts, one numbered line each
+        assert "diagnostic_01: lambda: no usable signal above the noise floor\n" in text
+        assert ("diagnostic_02: sigma: amplitude 3.0000e+00, exponent -2.0000, r2 1.000000, "
+                "points 50, divergent=yes\n") in text
+        assert "diagnostic_03: electron number estimate: 3 (odd)\n" in text
+        assert ("diagnostic_04: commutative odd pattern: lambda absent, sigma ~ +N/f^2\n"
+                in text and "diagnostic_05" not in text)
 
     def test_float_format(self, tmp_path):
         path = tmp_path / "report.txt"
@@ -404,6 +417,8 @@ class TestResultsReport:
         text = path.read_text()
         assert "f_nc_hat: 1.5828e-05\n" in text
         assert "theta_tilde_hat: 1.7600e-61\n" in text
+        assert ("diagnostic_05: f_nc cross-check: primary 1.5828e-05, cross 2.5000e-05, "
+                "relative gap 5.8000e-01\n") in text
 
     def test_key_sorted_and_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -614,15 +629,20 @@ class TestWriters:
             write_table(path, "a,b", columns)
         assert not path.exists()
 
-    def test_write_table_memory_flat_in_rows(self, tmp_path):
+    def test_write_table_memory_flat_in_rows(self, tmp_path, monkeypatch):
+        # a 16th of the block at a 16th of the rows: the same number of blocks as
+        # 1e4, 1e5 and 4e5 rows at the real block, for a 16th of the traced floats
+        scale = 16
+        monkeypatch.setattr(dataio, "_BLOCK", dataio._BLOCK // scale)
         rng = np.random.default_rng(3)
         peaks = {}
-        for rows in (10_000, 100_000, 400_000):
+        for rows in (10_000 // scale, 100_000 // scale, 400_000 // scale):
             columns = tuple(rng.normal(size=rows) for _ in range(3))
             peaks[rows] = traced_peak(write_table, tmp_path / "t.csv", "a,b,c", columns)
-        # about 1 MB at every size; the whole columns as lists took 10 MB at 1e5 rows
-        assert peaks[100_000] < 2e6
-        assert max(peaks.values()) - min(peaks.values()) < 0.2e6
+        # about 70 kB at every size; the whole columns as lists took 10 MB at 1e5
+        # rows, and hold 96 bytes per row
+        assert peaks[100_000 // scale] < 2e6 / scale
+        assert max(peaks.values()) - min(peaks.values()) < 0.2e6 / scale
 
     def test_emit_plot_memory(self, tmp_path):
         rng = np.random.default_rng(4)

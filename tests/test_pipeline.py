@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -570,6 +571,190 @@ class TestClassify:
         tight = RunConfig(exponent_tol=0.01)
         v = classify(_fit(-6e-5, -2.2), _fit(3.0, -2.0), 3, "odd", tight)
         assert v.kind is not VerdictKind.ODD_NC_DETECTED
+
+
+# Each branch of the criterion with the diagnostics that classify wrote while a
+# verdict stored them as text; the rendered lines must keep these bytes.
+NO_SIGNAL = "no usable signal above the noise floor"
+GOLDEN_VERDICTS = {
+    "odd detection": ((_fit(-6e-5, -2.0), _fit(2.99994, -2.0), 3, "odd"), "case1", (
+        "lambda: amplitude -6.0000e-05, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "sigma: amplitude 2.9999e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "electron number estimate: 3 (odd)",
+        "criterion case 1: odd-ring divergence pattern",
+        "f_nc cross-check: primary 1.0000e-05, cross 1.0000e-05, relative gap 1.0000e-12",
+    )),
+    "even detection": ((_fit(-4.08, -2.0), _fit(-8e-2, -2.0), 4, "even"), "case2", (
+        "lambda: amplitude -4.0800e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "sigma: amplitude -8.0000e-02, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "electron number estimate: 4 (even)",
+        "criterion case 2: even-ring divergence pattern (lambda < sigma)",
+        "f_nc cross-check: primary 1.0000e-02, cross 1.0000e-02, relative gap 8.6736e-16",
+    )),
+    "commutative odd": ((None, _fit(3.0, -2.0), 3, "odd"), "commutative_odd", (
+        f"lambda: {NO_SIGNAL}",
+        "sigma: amplitude 3.0000e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "electron number estimate: 3 (odd)",
+        "commutative odd pattern: lambda absent, sigma ~ +N/f^2",
+    )),
+    "commutative even": ((_fit(-4.0, -2.0), None, 4, "even"), "commutative_even", (
+        "lambda: amplitude -4.0000e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        f"sigma: {NO_SIGNAL}",
+        "electron number estimate: 4 (even)",
+        "commutative even pattern: sigma absent, lambda ~ -N/f^2",
+    )),
+    "no case": ((_fit(-6e-5, -2.4, r2=0.987654321, n=37), _fit(3.0, -1.9, floor=2.0), 3, "odd"),
+                "none", (
+        "lambda: amplitude -6.0000e-05, exponent -2.4000, r2 0.987654, points 37, divergent=no",
+        "sigma: amplitude 3.0000e+00, exponent -1.9000, r2 1.000000, points 50, divergent=no",
+        "electron number estimate: 3 (odd)",
+        "no criterion case matches the observed divergence pattern",
+    )),
+    "no fits": ((None, None, 3, "odd"), "none", (
+        f"lambda: {NO_SIGNAL}", f"sigma: {NO_SIGNAL}", "electron number estimate: 3 (odd)",
+        "no criterion case matches the observed divergence pattern",
+    )),
+    # a zero amplitude passes the tests against a negative floor but has no sign
+    "zero amplitude": ((_fit(0.0, -2.0, floor=-1.0), _fit(3.0, -2.0), 3, "odd"),
+                       "commutative_odd", (
+        "lambda: amplitude 0.0000e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "sigma: amplitude 3.0000e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "electron number estimate: 3 (odd)",
+        "commutative odd pattern: lambda absent, sigma ~ +N/f^2",
+    )),
+}
+CRITERION_KINDS = {
+    "case1": VerdictKind.ODD_NC_DETECTED,
+    "case2": VerdictKind.EVEN_NC_DETECTED,
+    "commutative_odd": VerdictKind.NO_NC_DETECTED,
+    "commutative_even": VerdictKind.NO_NC_DETECTED,
+    "none": VerdictKind.INCONCLUSIVE,
+}
+
+
+def reference_classify(lambda_fit, sigma_fit, n, parity, config=RunConfig()):
+    """(kind, diagnostics) as classify built them while a verdict stored its prose."""
+    def divergence(fit, name):
+        if fit is None:
+            return False, False, f"{name}: {NO_SIGNAL}"
+        divergent = (abs(fit.exponent + 2.0) <= config.exponent_tol
+                     and abs(fit.amplitude) > config.amplitude_floor_mult * fit.residual_floor)
+        note = (f"{name}: amplitude {fit.amplitude:.4e}, exponent {fit.exponent:.4f}, "
+                f"r2 {fit.r_squared:.6f}, points {fit.n_points_used}, "
+                f"divergent={'yes' if divergent else 'no'}")
+        return divergent and fit.amplitude < 0.0, divergent and fit.amplitude > 0.0, note
+
+    lam_neg, lam_pos, lam_note = divergence(lambda_fit, "lambda")
+    sig_neg, sig_pos, sig_note = divergence(sigma_fit, "sigma")
+    notes = [lam_note, sig_note, f"electron number estimate: {n} ({parity})"]
+    if lam_neg and sig_pos:
+        kind = VerdictKind.ODD_NC_DETECTED
+        line = "criterion case 1: odd-ring divergence pattern"
+    elif lam_neg and sig_neg and lambda_fit.amplitude < sigma_fit.amplitude:
+        kind = VerdictKind.EVEN_NC_DETECTED
+        line = "criterion case 2: even-ring divergence pattern (lambda < sigma)"
+    elif not (lam_neg or lam_pos) and sig_pos:
+        kind = VerdictKind.NO_NC_DETECTED
+        line = "commutative odd pattern: lambda absent, sigma ~ +N/f^2"
+    elif not (sig_neg or sig_pos) and lam_neg:
+        kind = VerdictKind.NO_NC_DETECTED
+        line = "commutative even pattern: sigma absent, lambda ~ -N/f^2"
+    else:
+        kind = VerdictKind.INCONCLUSIVE
+        line = "no criterion case matches the observed divergence pattern"
+    notes.append(line)
+    if kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
+        est = estimate_theta_tilde(kind, lambda_fit, sigma_fit, n, radius=config.radius_m,
+                                   alpha=config.alpha)
+        notes.append(f"f_nc cross-check: primary {est.f_nc_hat:.4e}, "
+                     f"cross {est.f_nc_hat_cross:.4e}, relative gap {est.cross_gap:.4e}")
+    return kind, tuple(notes)
+
+
+# fits near every edge of the criterion: absent, signed zero, NaN, either side of
+# the exponent band and of the amplitude floor (which may be negative)
+EDGE_FITS = st.none() | st.builds(
+    _fit,
+    amplitude=st.sampled_from([0.0, -0.0, math.nan, math.inf, -3.0, 3.0, -4.08, -8e-2, -6e-5])
+    | st.floats(-10.0, 10.0),
+    exponent=st.sampled_from([-2.0, -2.3, -1.7, -2.31, math.nan]) | st.floats(-3.0, -1.0),
+    floor=st.sampled_from([0.0, -1.0, 1e-6, 1.0, math.nan]) | st.floats(-1.0, 3.0),
+    r2=st.floats(0.0, 1.0),
+    n=st.integers(5, 10**6),
+)
+
+
+class TestVerdictFacts:
+    """A verdict keeps the criterion's key and flags; its diagnostics are rendered from them."""
+
+    @pytest.mark.parametrize("name", GOLDEN_VERDICTS)
+    def test_golden_diagnostics(self, name):
+        args, criterion, lines = GOLDEN_VERDICTS[name]
+        v = classify(*args)
+        assert (v.criterion, v.kind) == (criterion, CRITERION_KINDS[criterion])
+        assert v.diagnostics == lines
+        assert (v.lambda_divergent, v.sigma_divergent) == tuple(
+            line.endswith("divergent=yes") for line in lines[:2])
+
+    def test_golden_covers_every_branch(self):
+        assert {c for _, c, _ in GOLDEN_VERDICTS.values()} == set(CRITERION_KINDS)
+
+    @given(lam=EDGE_FITS, sig=EDGE_FITS, n=st.integers(1, 10001))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_prose_classifier(self, lam, sig, n):
+        parity = "odd" if n % 2 else "even"
+        v = classify(lam, sig, n, parity)
+        assert (v.kind, v.diagnostics) == reference_classify(lam, sig, n, parity)
+        assert v.kind is CRITERION_KINDS[v.criterion]
+        detected = v.criterion in ("case1", "case2")
+        assert (v.f_nc_hat_cross is not None, v.cross_gap is not None) == (detected, detected)
+
+    def test_slotted_and_read_only(self):
+        v = classify(_fit(-6e-5, -2.0), _fit(3.0, -2.0), 3, "odd")
+        assert not hasattr(v, "__dict__") and not hasattr(v.lambda_fit, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.criterion = "none"
+        # CPython 3.11's frozen slotted __setattr__ raises TypeError for a non-field name
+        with pytest.raises((AttributeError, TypeError)):
+            v.diagnostics = ()
+        assert v.diagnostics == v.diagnostics and v.diagnostics is not v.diagnostics
+
+
+def batch_small_mix(seed: int = 1) -> list[tuple]:
+    """(ring, f_min, noise sigma, noise seed) of the 600 traces in one draw of the
+    benchmark's batch_small mix: noisy commutative rings and noiseless detections."""
+    rng = random.Random(seed)
+    specs = [(n, 0.0, mult * n, rng.randrange(2**31))
+             for n in (3, 4) for mult in (0.0, 0.01, 0.1) for _ in range(50)]
+    specs += [(n, f_nc, 0.0, None)
+              for n in (3, 4, 101, 10000, 10001) for f_nc in (1e-5, 1e-3, 1e-2) for _ in range(20)]
+    rng.shuffle(specs)
+    return [(ring_with(n, f_nc), max(1e-3, f_nc) if n % 2 == 0 else 1e-3, sigma, noise_seed)
+            for n, f_nc, sigma, noise_seed in specs]
+
+
+def test_retained_memory_per_verdict():
+    def verdict(ring, f_min, sigma, noise_seed):
+        trace = synthesize_trace(ring, f_min, 0.4, 128, noise_sigma=sigma, seed=noise_seed)
+        return analyze_trace(trace).verdict
+
+    inputs = batch_small_mix()
+    # build each grid's shared plan, and import numpy.random by one noisy trace,
+    # first, so that what the traced pass holds is its verdicts
+    for spec in {(spec[1], spec[2] > 0.0): spec for spec in inputs}.values():
+        verdict(*spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdicts = [verdict(*spec) for spec in inputs]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # about 505 bytes: the slotted verdict, its two slotted fits and their floats;
+    # 1100 when each verdict kept its diagnostics as text in an instance dict
+    assert len(verdicts) == 600 and held / len(verdicts) < 600
 
 
 class TestEstimateThetaTilde:
