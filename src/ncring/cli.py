@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ncring.constants import E_CHARGE, FLUX_QUANTUM, HBAR, H_PLANCK, M_ELECTRON
 from ncring.dataio import (
     read_config,
     read_trace_csv,
@@ -75,13 +76,12 @@ def _write_signatures(
 def cmd_constants(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ring = config.ring()
-    c = ring.constants
     rows = [
-        ("hbar_J_s", c.hbar),
-        ("e_charge_C", c.e_charge),
-        ("h_planck_J_s", c.h_planck),
-        ("m_electron_kg", c.m_electron),
-        ("flux_quantum_Wb", c.flux_quantum),
+        ("hbar_J_s", HBAR),
+        ("e_charge_C", E_CHARGE),
+        ("h_planck_J_s", H_PLANCK),
+        ("m_electron_kg", M_ELECTRON),
+        ("flux_quantum_Wb", FLUX_QUANTUM),
         ("radius_m", ring.radius),
         ("n_electrons", ring.n_electrons),
         ("parity", ring.parity),

@@ -1,32 +1,10 @@
-"""Physical constants (CODATA 2018) used throughout the package."""
+"""Physical constants in SI units, fixed at their CODATA 2018 values (h and e exact).
 
-from dataclasses import dataclass
+The elementary charge is a magnitude; formulas carry any sign of the electron charge.
+"""
 
-from ncring.errors import InvalidRange
-
-
-@dataclass(frozen=True)
-class PhysConstants:
-    """Fundamental constants in SI units.
-
-    The elementary charge is stored as a magnitude; any sign structure of
-    the electron charge is carried explicitly by the formulas that need it.
-    """
-
-    hbar: float = 1.054571817e-34        # J s
-    e_charge: float = 1.602176634e-19    # C, magnitude
-    h_planck: float = 6.62607015e-34     # J s
-    m_electron: float = 9.1093837015e-31  # kg
-
-    def __post_init__(self):
-        for name in ("hbar", "e_charge", "h_planck", "m_electron"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidRange(f"{name} must be strictly positive")
-
-    @property
-    def flux_quantum(self) -> float:
-        """Magnetic flux quantum phi0 = h/e in Wb, derived from the stored fields."""
-        return self.h_planck / self.e_charge
-
-
-CODATA2018 = PhysConstants()
+HBAR = 1.054571817e-34  # J s
+E_CHARGE = 1.602176634e-19  # C, magnitude
+H_PLANCK = 6.62607015e-34  # J s
+M_ELECTRON = 9.1093837015e-31  # kg
+FLUX_QUANTUM = H_PLANCK / E_CHARGE  # phi0 = h/e in Wb

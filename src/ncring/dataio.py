@@ -22,6 +22,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from ncring.constants import FLUX_QUANTUM
 from ncring.errors import InvalidRange, ParseError, UnitMismatch
 from ncring.model import RingSystem
 from ncring.pipeline import MIN_TRACE_POINTS, AnalysisResult, CurrentTrace, RunConfig, TraceMeta
@@ -138,15 +139,15 @@ def write_trace_csv(
 ) -> None:
     """Write a trace as CSV with `# key: value` metadata comments.
 
-    Reduced units use the `f,J` header; SI output (`phi_wb,J_A`) needs a
-    ring to supply the flux quantum and the current scale.
+    Reduced units use the `f,J` header; SI output (`phi_wb,J_A`) scales the
+    flux by the flux quantum and needs a ring to supply the current scale.
     """
     if units == "reduced":
         header, f, j = _HEADER_REDUCED, trace.f, trace.j
     elif units == "si":
         if ring is None:
             raise UnitMismatch("SI output needs a ring to fix the current scale")
-        header, f, j = _HEADER_SI, trace.f * ring.constants.flux_quantum, trace.j * ring.j0
+        header, f, j = _HEADER_SI, trace.f * FLUX_QUANTUM, trace.j * ring.j0
     else:
         raise InvalidRange(f"units must be 'reduced' or 'si', got {units!r}")
     write_table(path, header, (f, j), comments=_meta_lines(trace.meta))
@@ -246,8 +247,9 @@ def read_trace_csv(
     """Parse a trace CSV written by :func:`write_trace_csv` (or compatible).
 
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
-    is converted on load with the scales of `ring`, or of the ring in the
-    file's own metadata comments when no ring is passed.  The data rows
+    is converted on load by the flux quantum and by the current scale of
+    `ring`, or of the ring in the file's own metadata comments when no ring
+    is passed.  The data rows
     are parsed in one numpy call; when that call refuses them, the file is
     read again row by row, which gives the same values and the errors
     below with the line they occur on.  Raises ParseError
@@ -284,7 +286,7 @@ def read_trace_csv(
                 f"SI trace metadata gives current scale j0 = {ring_hint.j0!r} A, "
                 f"but the configured ring gives j0 = {scale_ring.j0!r} A"
             )
-        f = f / scale_ring.constants.flux_quantum
+        f = f / FLUX_QUANTUM
         j = j / scale_ring.j0
     if ring is not None:
         # radius and alpha turn the fitted f_nc into theta_tilde

@@ -24,7 +24,7 @@ class ZeroFlux(NcRingError):
 
 
 class WindowTooSmall(NcRingError):
-    """The level-enumeration window cannot hold the requested filling."""
+    """The filling oracle's fixed level window cannot hold the filling at this flux."""
 
 
 class NearDegeneracy(NcRingError):

@@ -9,9 +9,10 @@ Everything downstream is computed in reduced units:
 * currents in units of  j0 = (e/h) epsilon0
 * magnetic flux in units of the flux quantum phi0 = h/e
 
-SI conversion happens only at the I/O boundary (see :mod:`ncring.dataio`).
-Scalar-or-array inputs are accepted wherever it is natural; scalars come
-back as plain floats.
+hbar, e and h are fixed at their CODATA 2018 values (the constants
+module); the mass m is a ring field.  SI conversion happens only at the I/O
+boundary (see :mod:`ncring.dataio`).  Scalar-or-array inputs are accepted
+wherever it is natural; scalars come back as plain floats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from ncring.constants import CODATA2018, PhysConstants
+from ncring.constants import E_CHARGE, FLUX_QUANTUM, HBAR, H_PLANCK, M_ELECTRON
 from ncring.errors import InvalidRange, ZeroFlux, check_integer
 
 Parity = Literal["odd", "even"]
@@ -66,24 +67,21 @@ class SwParams:
                 )
 
 
-def check_sw_constraint(
-    sw: SwParams, tol: float, constants: PhysConstants = CODATA2018
-) -> bool:
+def check_sw_constraint(sw: SwParams, tol: float) -> bool:
     """True iff alpha^2 + theta*theta_tilde / (2 alpha^2 hbar^2) == 1 within tol."""
     if not tol > 0.0:
         raise InvalidRange("tol must be strictly positive")
-    hbar = constants.hbar
-    lhs = sw.alpha**2 + sw.theta * sw.theta_tilde / (2.0 * sw.alpha**2 * hbar**2)
+    lhs = sw.alpha**2 + sw.theta * sw.theta_tilde / (2.0 * sw.alpha**2 * HBAR**2)
     return abs(lhs - 1.0) <= tol
 
 
-def effective_field(sw: SwParams, constants: PhysConstants = CODATA2018) -> float:
+def effective_field(sw: SwParams) -> float:
     """Effective magnetic field B_z = theta_tilde / (e alpha^2 hbar) in tesla.
 
     Uses the charge magnitude; the returned value is the field an electron
     inside the ring would appear to see, taken positive along +z.
     """
-    return sw.theta_tilde / (constants.e_charge * sw.alpha**2 * constants.hbar)
+    return sw.theta_tilde / (E_CHARGE * sw.alpha**2 * HBAR)
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,7 @@ class RingSystem:
     radius: float
     n_electrons: int
     sw: SwParams
-    mass: float = CODATA2018.m_electron
-    constants: PhysConstants = CODATA2018
+    mass: float = M_ELECTRON
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -127,7 +124,6 @@ class RingSystem:
         radius: float = 1e-6,
         alpha: float = 1.0,
         mass: float | None = None,
-        constants: PhysConstants = CODATA2018,
     ) -> "RingSystem":
         """Build a ring whose reduced noncommutative flux is (up to rounding) f_nc.
 
@@ -137,15 +133,14 @@ class RingSystem:
         if f_nc < 0.0:
             raise InvalidRange(f"f_nc must be non-negative, got {f_nc}")
         try:
-            theta_tilde = f_nc * (constants.hbar * alpha / radius) ** 2
+            theta_tilde = f_nc * (HBAR * alpha / radius) ** 2
         except (OverflowError, ZeroDivisionError):  # radius 0 or below ~1e-188
             theta_tilde = 0.0  # the ring below refuses the radius or its epsilon0
         return cls(
             radius=radius,
             n_electrons=n_electrons,
             sw=SwParams(alpha=alpha, theta_tilde=theta_tilde),
-            mass=constants.m_electron if mass is None else mass,
-            constants=constants,
+            mass=M_ELECTRON if mass is None else mass,
         )
 
     @property
@@ -160,31 +155,27 @@ class RingSystem:
     @property
     def epsilon0(self) -> float:
         """Natural energy scale hbar^2 / (2 m* R^2) in J."""
-        return self.constants.hbar**2 / (2.0 * self.m_star * self.radius**2)
+        return HBAR**2 / (2.0 * self.m_star * self.radius**2)
 
     @property
     def j0(self) -> float:
         """Natural current scale (e/h) epsilon0 in A (magnitude convention)."""
-        return self.constants.e_charge * self.epsilon0 / self.constants.h_planck
+        return E_CHARGE * self.epsilon0 / H_PLANCK
 
     @property
     def f_nc(self) -> float:
         """Reduced flux R^2 theta_tilde / (hbar^2 alpha^2) generated by theta_tilde."""
-        return (
-            self.radius**2
-            * self.sw.theta_tilde
-            / (self.constants.hbar * self.sw.alpha) ** 2
-        )
+        return self.radius**2 * self.sw.theta_tilde / (HBAR * self.sw.alpha) ** 2
 
     @property
     def phi_nc(self) -> float:
         """Absolute noncommutative flux f_nc * phi0 in Wb."""
-        return self.f_nc * self.constants.flux_quantum
+        return self.f_nc * FLUX_QUANTUM
 
     @property
     def b_eff(self) -> float:
         """Effective field theta_tilde / (e alpha^2 hbar) in T."""
-        return effective_field(self.sw, self.constants)
+        return effective_field(self.sw)
 
 
 def _maybe_scalar(out: np.ndarray, scalar: bool):

@@ -3,16 +3,18 @@
 Levels are enumerated, sorted and summed explicitly so that the closed-form
 ground-state energy and current can be checked against a construction that
 never calls them.  One kernel, :func:`_fill`, fills a whole flux array for
-one ring: the level columns n = 0, -1, 1, -2, 2, ... are laid out in
-tie-break order, each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a
-correctly rounded product, and a stable sort along each row fills the N
-lowest; it refuses a flux that is not finite or lies a window or more
-from f_nc.  Filled levels are summed per row with math.fsum.  The scalar
-oracles are its one-point case; of the sweep helpers at the bottom, which
-back both the test suite and the `verify` CLI subcommand, the ground-state
-sweep fills one row per flux point and the current sweep fills the f + h
-and f - h rows of a ring in one call.  The signature differences alone are
-built on the closed-form current; every sweep is tallied by :func:`_sweep`.
+one ring.  It enumerates the levels of the fixed window |n| <= m, with
+m = N // 2 + 5, in the tie-break column order n = 0, -1, 1, -2, 2, ...;
+each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a correctly
+rounded product, and a stable sort along each row fills the N lowest.  It
+refuses a flux that is not finite or lies m or more from f_nc, and a
+filling that reaches |n| = m.  Filled levels are summed per row with
+math.fsum.  The scalar oracles are its one-point case; of the sweep helpers
+at the bottom, which back both the test suite and the `verify` CLI
+subcommand, the ground-state sweep fills one row per flux point and the
+current sweep fills the f + h and f - h rows of a ring in one call.  The
+signature differences alone are built on the closed-form current; every
+sweep is tallied by :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from ncring.model import (
 
 __all__ = [
     "LevelFilling",
-    "default_window",
     "ground_state_by_filling",
     "current_by_finite_difference",
     "signature_by_finite_difference",
@@ -59,18 +60,10 @@ class LevelFilling:
 
     occupied: tuple[int, ...]
     total_energy: float
-    window: int
 
 
-def default_window(n_electrons: int) -> int:
-    """A window comfortably larger than the filled shell."""
-    return n_electrons // 2 + 5
-
-
-def _fill(
-    ring: RingSystem, f: np.ndarray, window: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occupy the N lowest levels among n in [-window, window] at each flux of `f`.
+def _fill(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupy the N lowest levels among n in [-m, m], m = N // 2 + 5, at each flux of `f`.
 
     Returns (levels, order, n): `levels` is the (len(f), 2m + 1) block of
     level energies, one row per flux, whose columns hold the quantum numbers
@@ -78,20 +71,18 @@ def _fill(
     array `order` lists the columns filled at f[b], in filling order.  A
     stable sort along each row breaks exact degeneracies by smaller |n|,
     then negative n.  Raises InvalidRange for a non-finite flux, and
-    WindowTooSmall if the window cannot hold the filling, if |f - f_nc| >=
-    window, or if a filled level sits on the enumeration boundary.
+    WindowTooSmall if |f - f_nc| >= m or if a filled level sits on the
+    enumeration boundary.
     """
     n_el = ring.n_electrons
-    m = default_window(n_el) if window is None else check_integer("window", window)
-    if m < n_el / 2 + 2:
-        raise WindowTooSmall(
-            f"window {m} too small for {n_el} electrons; need >= N/2 + 2"
-        )
+    m = n_el // 2 + 5  # five levels past the filled shell on each side at f = f_nc
     if not np.isfinite(f).all():
         raise InvalidRange(f"flux must be finite, got {f[~np.isfinite(f)][0]}")
     x = f - ring.f_nc  # the lowest level sits near n = -x, so |x| < m must hold
     if (far := np.abs(x) >= m).any():
-        raise WindowTooSmall(f"flux {f[far][0]} lies {m} or more from f_nc; enlarge the window")
+        raise WindowTooSmall(
+            f"flux {f[far][0]} lies {m} or more from f_nc; shift it toward f_nc by whole quanta"
+        )
     k = np.arange(2 * m + 1)
     n = (k + 1) // 2 * (1 - 2 * (k % 2))  # tie-break order 0, -1, 1, -2, 2, ...
     u = n + x[:, None]
@@ -101,7 +92,7 @@ def _fill(
     order = np.argsort(levels, axis=1, kind="stable")[:, :n_el]
     if order.max() >= 2 * m - 1:  # the last two columns hold n = -m and n = +m
         raise WindowTooSmall(
-            f"filling touches the enumeration boundary +-{m}; enlarge the window"
+            f"filling touches the enumeration boundary +-{m}; shift f toward f_nc by whole quanta"
         )
     return levels, order, n
 
@@ -112,43 +103,35 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _filled_energies(ring: RingSystem, f: np.ndarray) -> np.ndarray:
-    """Ground-state energy by filling, in the default window, at each flux of `f`."""
-    levels, order, _ = _fill(ring, f, None)
+    """Ground-state energy by filling at each flux of `f`."""
+    levels, order, _ = _fill(ring, f)
     return _fsum_rows(np.take_along_axis(levels, order, axis=1))
 
 
-def ground_state_by_filling(
-    ring: RingSystem, f: float, window: int | None = None
-) -> LevelFilling:
-    """Occupy the N lowest levels among n in [-window, window] and sum them.
+def ground_state_by_filling(ring: RingSystem, f: float) -> LevelFilling:
+    """Occupy the N lowest levels among n in [-m, m], m = N // 2 + 5, and sum them.
 
     The tie-break at degeneracies (smaller |n| first, then negative n) is
     arbitrary but total-ordered, so identical inputs always produce the
-    identical filling.  Raises WindowTooSmall if the window cannot hold the
-    filling or if the filled set touches the enumeration boundary, and
-    InvalidRange if the window is not an integer.
+    identical filling.  Raises InvalidRange for a non-finite flux, and
+    WindowTooSmall if f lies m or more from f_nc or if the filled set
+    touches the enumeration boundary.
     """
-    levels, order, n = _fill(ring, np.array([float(f)]), window)
-    return LevelFilling(
-        occupied=tuple(n[order[0]].tolist()),
-        total_energy=math.fsum(levels[0, order[0]].tolist()),
-        window=len(n) // 2,
-    )
+    levels, order, n = _fill(ring, np.array([float(f)]))
+    return LevelFilling(tuple(n[order[0]].tolist()), math.fsum(levels[0, order[0]].tolist()))
 
 
-def _finite_difference_current(
-    ring: RingSystem, f: np.ndarray, h: float, window: int | None = None
-) -> np.ndarray:
+def _finite_difference_current(ring: RingSystem, f: np.ndarray, h: float) -> np.ndarray:
     """-dE_g/df at each flux of `f` by the telescoped central difference.
 
     The f + h and f - h rows are filled as one block; the occupation moved
     at a point when its two rows fill different columns.
     """
-    if not h > 0.0:
-        raise InvalidRange("h must be strictly positive")
+    if not 0.0 < h < math.inf:
+        raise InvalidRange(f"h must be finite and strictly positive, got {h}")
     b = len(f)
     fpm = np.concatenate((f + h, f - h))
-    _, order, n = _fill(ring, fpm, window)
+    _, order, n = _fill(ring, fpm)
     columns = np.sort(order, axis=1)
     moved = np.any(columns[:b] != columns[b:], axis=1)
     if moved.any():
@@ -160,9 +143,7 @@ def _finite_difference_current(
     return -_fsum_rows(2.0 * n[order[:b]] + x[:b] + x[b:])
 
 
-def current_by_finite_difference(
-    ring: RingSystem, f: float, h: float = 1e-6, window: int | None = None
-) -> float:
+def current_by_finite_difference(ring: RingSystem, f: float, h: float = 1e-6) -> float:
     """Central difference -[E_g(f+h) - E_g(f-h)] / (2h) from the filling oracle.
 
     Because every occupied level is a quadratic in the flux, the difference
@@ -175,7 +156,7 @@ def current_by_finite_difference(
     catastrophic cancellation that would otherwise swamp the O(N) signal.
     Raises NearDegeneracy if the occupation changes between f-h and f+h.
     """
-    return float(_finite_difference_current(ring, np.array([float(f)]), h, window)[0])
+    return float(_finite_difference_current(ring, np.array([float(f)]), h)[0])
 
 
 def boundary_distance(ring: RingSystem, f):
@@ -240,8 +221,10 @@ class SweepResult:
 
 
 def zone_flux_grid(n_flux: int = 101) -> np.ndarray:
-    """n_flux flux values strictly inside (-1, 1)."""
-    return np.linspace(-1.0, 1.0, check_integer("n_flux", n_flux) + 2)[1:-1]
+    """n_flux >= 1 flux values strictly inside (-1, 1)."""
+    if check_integer("n_flux", n_flux) < 1:
+        raise InvalidRange(f"n_flux must be at least 1, got {n_flux}")
+    return np.linspace(-1.0, 1.0, n_flux + 2)[1:-1]
 
 
 # The `verify` sweeps' fixed settings; a (full, quick) pair is indexed by `quick`.

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ncring.constants import CODATA2018
+from ncring.constants import HBAR, M_ELECTRON
 from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
@@ -90,7 +90,7 @@ class RunConfig:
     n_electrons: int = 10000
     alpha: float = 1.0
     theta_tilde: float = 1.76e-61
-    mass_kg: float = CODATA2018.m_electron
+    mass_kg: float = M_ELECTRON
     f_min: float = 1e-3
     f_max: float = 0.4
     n_points: int = 256
@@ -675,7 +675,7 @@ def estimate_theta_tilde(
     else:
         raise NotDetected(f"no parameter estimate for verdict {kind.value}")
     gap = abs(primary - cross) / max(abs(primary), 1e-300)
-    theta_tilde = primary * (CODATA2018.hbar * alpha / radius) ** 2
+    theta_tilde = primary * (HBAR * alpha / radius) ** 2
     return NcEstimate(
         f_nc_hat=primary,
         f_nc_hat_cross=cross,

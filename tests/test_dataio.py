@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncring import cli, dataio, pipeline
-from ncring.constants import CODATA2018
+from ncring.constants import FLUX_QUANTUM
 from ncring.dataio import (
     _meta_lines,
     parse_config,
@@ -80,7 +80,7 @@ class TestTraceCsv:
         assert [line[2:].split(":")[0] for line in lines[2:]] == list(dataio._RING_KEYS)
 
     def test_si_header_converted_on_load(self, tmp_path):
-        phi0 = CODATA2018.flux_quantum
+        phi0 = FLUX_QUANTUM
         ring = ring_with(3, 0.0)
         rows = "\n".join(
             f"{(0.1 + 0.01 * i) * phi0!r},{-6.0 * (0.1 + 0.01 * i) * ring.j0!r}"
@@ -99,7 +99,7 @@ class TestTraceCsv:
         path = tmp_path / "si.csv"
         path.write_text(f"phi_wb,J_A\n{rows}\n")
         trace = read_trace_csv(path, ring=ring)
-        assert trace.f[0] == 4.13567e-16 / CODATA2018.flux_quantum
+        assert trace.f[0] == 4.13567e-16 / FLUX_QUANTUM
         assert trace.f[0] == pytest.approx(0.1, rel=1e-5)
 
     def test_si_write_needs_ring(self, tmp_path):
@@ -450,7 +450,7 @@ def reference_trace_csv(trace, units="reduced", ring=None) -> str:
         for f, j in zip(trace.f, trace.j):
             lines.append(f"{float(f)!r},{float(j)!r}")
     else:
-        phi0 = CODATA2018.flux_quantum
+        phi0 = FLUX_QUANTUM
         lines.append("phi_wb,J_A")
         for f, j in zip(trace.f, trace.j):
             lines.append(f"{float(f) * phi0!r},{float(j) * ring.j0!r}")

@@ -9,7 +9,7 @@ import pytest
 import ncring
 from ncring.errors import InvalidRange
 from ncring.model import RingSystem, SwParams
-from ncring.oracle import ground_state_by_filling, zone_flux_grid
+from ncring.oracle import zone_flux_grid
 from ncring.pipeline import RunConfig, differentiate_trace, synthesize_trace
 
 BUILTIN_EXCEPTIONS = {
@@ -59,7 +59,6 @@ RING = RingSystem.from_f_nc(n_electrons=3, f_nc=1e-3)
      ("n_points", lambda: RunConfig(n_points=True)),
      ("n_electrons", lambda: RunConfig(n_electrons=True)),
      ("n_electrons", lambda: RingSystem(radius=1e-6, n_electrons=True, sw=SwParams())),
-     ("window", lambda: ground_state_by_filling(RING, 0.1, window=True)),
      ("n_flux", lambda: zone_flux_grid(True))],
 )
 def test_bool_is_not_an_integer(name, call):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncring.constants import CODATA2018, PhysConstants
+from ncring.constants import E_CHARGE, FLUX_QUANTUM, HBAR, H_PLANCK, M_ELECTRON
 from ncring.errors import InvalidRange, ZeroFlux
 from ncring.model import (
     RingSystem,
@@ -26,31 +26,20 @@ from ncring.model import (
 
 THETA_TILDE_REF = 1.76e-61
 
-# unit-scale constants make f_nc exactly representable, which the
-# bit-exactness properties below rely on
-UNIT = PhysConstants(hbar=1.0, e_charge=1.0, h_planck=1.0, m_electron=1.0)
-
 
 def ring_with(n_electrons: int, f_nc: float) -> RingSystem:
     return RingSystem.from_f_nc(n_electrons=n_electrons, f_nc=f_nc)
 
 
 def unit_ring(n_electrons: int, f_nc: float) -> RingSystem:
-    return RingSystem.from_f_nc(
-        n_electrons=n_electrons, f_nc=f_nc, radius=1.0, constants=UNIT
-    )
+    # at radius hbar (and alpha 1) theta_tilde is f_nc * 1.0 and the ring's f_nc is
+    # hbar^2 f_nc / hbar^2: exact for a dyadic f_nc, which the bit-exactness properties use
+    return RingSystem.from_f_nc(n_electrons=n_electrons, f_nc=f_nc, radius=HBAR)
 
 
-class TestPhysConstants:
+class TestConstants:
     def test_flux_quantum_is_h_over_e(self):
-        c = CODATA2018
-        assert c.flux_quantum == c.h_planck / c.e_charge
-
-    def test_positive_fields_required(self):
-        with pytest.raises(ValueError):
-            PhysConstants(hbar=0.0)
-        with pytest.raises(ValueError):
-            PhysConstants(e_charge=-1e-19)
+        assert FLUX_QUANTUM == H_PLANCK / E_CHARGE
 
 
 class TestSwParams:
@@ -83,8 +72,7 @@ class TestSwParams:
     def test_constraint_solved_for_theta(self):
         # theta * theta_tilde = 2 alpha^2 hbar^2 (1 - alpha^2) restores the identity
         alpha = 0.9
-        hbar = CODATA2018.hbar
-        theta = 2.0 * alpha**2 * hbar**2 * (1.0 - alpha**2) / THETA_TILDE_REF
+        theta = 2.0 * alpha**2 * HBAR**2 * (1.0 - alpha**2) / THETA_TILDE_REF
         sw = SwParams(alpha=alpha, theta=theta, theta_tilde=THETA_TILDE_REF)
         assert check_sw_constraint(sw, tol=1e-12)
 
@@ -99,7 +87,7 @@ class TestEffectiveField:
 
     def test_reference_magnitude(self):
         # independent arithmetic: B = theta_tilde / (e hbar) at alpha = 1
-        expected = THETA_TILDE_REF / (CODATA2018.e_charge * CODATA2018.hbar)
+        expected = THETA_TILDE_REF / (E_CHARGE * HBAR)
         b = effective_field(SwParams(alpha=1.0, theta_tilde=THETA_TILDE_REF))
         assert b == pytest.approx(expected, rel=1e-14)
         assert b == pytest.approx(1.0417e-8, rel=1e-4)
@@ -131,7 +119,7 @@ class TestNoncommutativeFlux:
 
     def test_phi_nc_consistent(self):
         ring = ring_with(3, 1e-5)
-        assert ring.phi_nc == ring.f_nc * CODATA2018.flux_quantum
+        assert ring.phi_nc == ring.f_nc * FLUX_QUANTUM
 
 
 class TestRingSystem:
@@ -140,11 +128,11 @@ class TestRingSystem:
             radius=1e-6,
             n_electrons=4,
             sw=SwParams(alpha=0.8, theta_tilde=THETA_TILDE_REF),
-            mass=CODATA2018.m_electron,
+            mass=M_ELECTRON,
         )
         assert ring.m_star == ring.mass / 0.8
-        assert ring.epsilon0 == CODATA2018.hbar**2 / (2.0 * ring.m_star * ring.radius**2)
-        assert ring.j0 == CODATA2018.e_charge * ring.epsilon0 / CODATA2018.h_planck
+        assert ring.epsilon0 == HBAR**2 / (2.0 * ring.m_star * ring.radius**2)
+        assert ring.j0 == E_CHARGE * ring.epsilon0 / H_PLANCK
         assert ring.parity == "even"
 
     def test_rebuild_and_compare(self):
@@ -250,6 +238,7 @@ class TestEigenenergy:
         f = k / 1024.0
         f_nc = f_nc_num / 1024.0
         ring = unit_ring(3, f_nc)
+        assert ring.f_nc == f_nc
         left = sorted(eigenenergy(ring, n, f) for n in range(-m, m + 1))
         right = sorted(eigenenergy(ring, n, f + 1.0) for n in range(-m - 1, m))
         assert left == right

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall
@@ -22,7 +22,6 @@ from ncring.oracle import (
     boundary_distance,
     current_by_finite_difference,
     current_sweep,
-    default_window,
     ground_state_by_filling,
     ground_state_sweep,
     signature_by_finite_difference,
@@ -40,10 +39,9 @@ def ring_with(n_electrons: int, f_nc: float) -> RingSystem:
 
 
 def reference_filling(ring: RingSystem, f: float, window: int | None = None) -> LevelFilling:
+    """The filling among n in [-window, window]; by default the kernel's window N // 2 + 5."""
     n_el = ring.n_electrons
-    m = default_window(n_el) if window is None else int(window)
-    if m < n_el / 2 + 2:
-        raise WindowTooSmall("window too small")
+    m = n_el // 2 + 5 if window is None else window
     x = float(f) - ring.f_nc
     offset = 0.75 * ring.f_nc**2
     levels = [((n + x) * (n + x) - offset, n) for n in range(-m, m + 1)]
@@ -54,15 +52,12 @@ def reference_filling(ring: RingSystem, f: float, window: int | None = None) -> 
     return LevelFilling(
         occupied=tuple(n for _, n in filled),
         total_energy=math.fsum(e for e, _ in filled),
-        window=m,
     )
 
 
-def reference_current(
-    ring: RingSystem, f: float, h: float = 1e-6, window: int | None = None
-) -> float:
-    fill_p = reference_filling(ring, f + h, window)
-    fill_m = reference_filling(ring, f - h, window)
+def reference_current(ring: RingSystem, f: float, h: float = 1e-6) -> float:
+    fill_p = reference_filling(ring, f + h)
+    fill_m = reference_filling(ring, f - h)
     if sorted(fill_p.occupied) != sorted(fill_m.occupied):
         raise NearDegeneracy("occupation changes")
     xp = (f + h) - ring.f_nc
@@ -77,18 +72,21 @@ def outcome(fn, *args, **kwargs):
     except (WindowTooSmall, NearDegeneracy) as exc:
         return type(exc)
     if isinstance(result, LevelFilling):
-        return result.occupied, result.total_energy.hex(), result.window
+        return result.occupied, result.total_energy.hex()
     if isinstance(result, np.ndarray):
         return [v.hex() for v in result.tolist()]
     return result.hex()
 
 
 @st.composite
-def filling_cases(draw):
-    """A ring, a window from below N/2 + 2 upward (or the default) and a flux batch.
+def filling_cases(draw, reach=7.0):
+    """A ring and a flux batch.
 
-    The batch mixes drawn fluxes with exact level degeneracies x = f - f_nc
-    in {0, +-0.5, +-1}, where only the column order breaks the tie.
+    The batch mixes fluxes drawn from [-reach, reach] with exact level
+    degeneracies x = f - f_nc in {0, +-0.5, +-1}, where only the column order
+    breaks the tie.  From about 4.5 away from f_nc on, the filling reaches the
+    edge |n| = N // 2 + 5 of the kernel's window, and past it the flux is
+    refused, so the default reach draws both refusals.
     """
     n = draw(st.integers(1, 60))
     f_nc = draw(
@@ -97,16 +95,15 @@ def filling_cases(draw):
             st.floats(0.0, 0.5, allow_nan=False, allow_infinity=False),
         )
     )
-    window = draw(st.one_of(st.none(), st.integers(max(0, n // 2 - 1), n // 2 + 8)))
     degenerate = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]).map(lambda x: x + f_nc)
-    drawn = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    drawn = st.floats(-reach, reach, allow_nan=False, allow_infinity=False)
     f = draw(st.lists(st.one_of(degenerate, drawn), min_size=1, max_size=12))
-    return ring_with(n, f_nc), window, f
+    return ring_with(n, f_nc), f
 
 
 class TestGroundStateByFilling:
     def test_three_electron_filling(self):
-        fill = ground_state_by_filling(ring_with(3, 0.0), 0.1, window=5)
+        fill = ground_state_by_filling(ring_with(3, 0.0), 0.1)
         assert sorted(fill.occupied) == [-1, 0, 1]
         assert fill.total_energy == pytest.approx(2.03, rel=1e-12)
 
@@ -117,7 +114,7 @@ class TestGroundStateByFilling:
 
     def test_two_electron_filling_order(self):
         # filled in ascending energy: n=0 (0.01) before n=-1 (0.81)
-        fill = ground_state_by_filling(ring_with(2, 0.0), 0.1, window=5)
+        fill = ground_state_by_filling(ring_with(2, 0.0), 0.1)
         assert fill.occupied == (0, -1)
         assert fill.total_energy == pytest.approx(0.82, rel=1e-12)
 
@@ -131,19 +128,11 @@ class TestGroundStateByFilling:
         fill = ground_state_by_filling(ring_with(3, 0.0), 0.0)
         assert fill.occupied == (0, -1, 1)
 
-    def test_window_precondition(self):
-        with pytest.raises(WindowTooSmall):
-            ground_state_by_filling(ring_with(10, 0.0), 0.1, window=6)
-
-    @pytest.mark.parametrize("window", [7.9, "9", 9.0])
-    def test_window_must_be_an_integer(self, window):
-        with pytest.raises(InvalidRange, match=f"window must be an integer, got {window!r}"):
-            ground_state_by_filling(ring_with(3, 0.0), 0.1, window=window)
-
     def test_boundary_touch_detected(self):
-        # a large unreduced flux pushes the filled shell onto the window edge
-        with pytest.raises(WindowTooSmall):
-            ground_state_by_filling(ring_with(3, 0.0), 6.0, window=6)
+        # 4.6 from f_nc, within the window of N = 3 (6), the three lowest levels are
+        # n = -5, -4 and -6: the filled shell reaches the window's edge
+        with pytest.raises(WindowTooSmall, match=r"^filling touches the enumeration boundary \+-6;"):
+            ground_state_by_filling(ring_with(3, 0.0), 4.6)
 
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
     def test_non_finite_flux_refused(self, f):
@@ -155,8 +144,8 @@ class TestGroundStateByFilling:
     def test_flux_a_window_from_f_nc_refused(self, f):
         # at 1e17 every (n + f)^2 in the window rounds to one value: unchecked, the
         # stable sort keeps the first columns and (0, -1, 1) comes back with no error
-        with pytest.raises(WindowTooSmall, match="lies 6 or more from f_nc"):
-            ground_state_by_filling(ring_with(3, 0.0), f)  # default window: 6
+        with pytest.raises(WindowTooSmall, match=r"^flux \S+ lies 6 or more from f_nc;"):
+            ground_state_by_filling(ring_with(3, 0.0), f)  # the window of N = 3: 6
 
     def test_determinism(self):
         ring = ring_with(6, 1e-3)
@@ -182,12 +171,12 @@ class TestGroundStateByFilling:
     )
     @settings(max_examples=60, deadline=None)
     def test_window_saturation(self, n, f, f_nc):
+        # five more levels on each side than the kernel enumerates change nothing
         ring = ring_with(n, f_nc)
-        m = n // 2 + 4
-        small = ground_state_by_filling(ring, f, window=m)
-        large = ground_state_by_filling(ring, f, window=m + 5)
-        assert sorted(small.occupied) == sorted(large.occupied)
-        assert small.total_energy == large.total_energy
+        fill = ground_state_by_filling(ring, f)
+        large = reference_filling(ring, f, window=n // 2 + 10)
+        assert sorted(fill.occupied) == sorted(large.occupied)
+        assert fill.total_energy == large.total_energy
 
     @given(n=st.integers(1, 30), f=st.floats(-0.9, 0.9, allow_nan=False))
     @settings(max_examples=60, deadline=None)
@@ -202,19 +191,17 @@ class TestFillingKernelMatchesReference:
     @given(case=filling_cases())
     @settings(max_examples=200, deadline=None)
     def test_ground_state_by_filling(self, case):
-        ring, window, fluxes = case
+        ring, fluxes = case
         for f in fluxes:
-            assert outcome(ground_state_by_filling, ring, f, window) == outcome(
-                reference_filling, ring, f, window
-            )
+            assert outcome(ground_state_by_filling, ring, f) == outcome(reference_filling, ring, f)
 
     @given(case=filling_cases(), h=st.sampled_from([1e-6, 1e-3, 0.25]))
     @settings(max_examples=200, deadline=None)
     def test_current_by_finite_difference(self, case, h):
-        ring, window, fluxes = case
+        ring, fluxes = case
         for f in fluxes:
-            assert outcome(current_by_finite_difference, ring, f, h, window) == outcome(
-                reference_current, ring, f, h, window
+            assert outcome(current_by_finite_difference, ring, f, h) == outcome(
+                reference_current, ring, f, h
             )
 
     @given(case=filling_cases(), h=st.sampled_from([1e-6, 1e-3]))
@@ -222,20 +209,18 @@ class TestFillingKernelMatchesReference:
     def test_batched_rows(self, case, h):
         # the sweeps fill a whole flux array at once: each row must be the
         # reference filling of its own point, and a batch fails iff a point does
-        ring, window, fluxes = case
+        ring, fluxes = case
         f = np.array(fluxes)
-        fills = [outcome(reference_filling, ring, v, window) for v in fluxes]
+        fills = [outcome(reference_filling, ring, v) for v in fluxes]
         if WindowTooSmall in fills:
-            assert outcome(oracle._fill, ring, f, window) is WindowTooSmall
+            assert outcome(oracle._fill, ring, f) is WindowTooSmall
         else:
-            levels, order, n = oracle._fill(ring, f, window)
-            rows = [
-                (tuple(n[o].tolist()), math.fsum(e[o].tolist()).hex(), len(n) // 2)
-                for o, e in zip(order, levels)
-            ]
+            levels, order, n = oracle._fill(ring, f)
+            rows = [(tuple(n[o].tolist()), math.fsum(e[o].tolist()).hex())
+                    for o, e in zip(order, levels)]
             assert rows == fills
-        currents = [outcome(reference_current, ring, v, h, window) for v in fluxes]
-        batch = outcome(oracle._finite_difference_current, ring, f, h, window)
+        currents = [outcome(reference_current, ring, v, h) for v in fluxes]
+        batch = outcome(oracle._finite_difference_current, ring, f, h)
         if WindowTooSmall in currents:
             assert batch in (WindowTooSmall, NearDegeneracy)
         elif NearDegeneracy in currents:
@@ -243,16 +228,13 @@ class TestFillingKernelMatchesReference:
         else:
             assert batch == currents
 
-    @given(case=filling_cases())
+    @given(case=filling_cases(reach=3.0))  # every flux within 3 of zero fills
     @settings(max_examples=100, deadline=None)
     def test_levels_are_model_eigenenergies(self, case):
         # squares are correctly rounded products, so each level is the model's bit for bit
-        ring, window, fluxes = case
+        ring, fluxes = case
         f = np.array(fluxes)
-        try:
-            levels, _, n = oracle._fill(ring, f, window)
-        except WindowTooSmall:
-            assume(False)
+        levels, _, n = oracle._fill(ring, f)
         expected = eigenenergy(ring, n, f[:, None])
         assert [v.hex() for v in levels.flat] == [v.hex() for v in expected.flat]
 
@@ -275,7 +257,7 @@ class TestOracleIndependence:
         assert len(fill.occupied) == 7
         assert current_by_finite_difference(ring, 0.13) == pytest.approx(-14 * 0.12, rel=1e-9)
         f = zone_flux_grid(31)
-        assert oracle._fill(ring, f, None)[1].shape == (31, 7)
+        assert oracle._fill(ring, f)[1].shape == (31, 7)
         f = f[np.abs(f - 0.51) > 0.05]
         assert oracle._finite_difference_current(ring, f, 1e-6).shape == f.shape
 
@@ -301,6 +283,12 @@ class TestCurrentByFiniteDifference:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             current_by_finite_difference(ring_with(3, 0.0), 0.1, h=0.0)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_step_must_be_finite(self, h):
+        # an infinite step was once reported as the flux f + h: "flux must be finite, got inf"
+        with pytest.raises(InvalidRange, match=f"^h must be finite and strictly positive, got {h}$"):
+            current_by_finite_difference(ring_with(3, 0.0), 0.1, h=h)
 
     @pytest.mark.parametrize("f, error", [(math.nan, InvalidRange), (math.inf, InvalidRange),
                                           (-math.inf, InvalidRange), (1e17, WindowTooSmall),
@@ -418,6 +406,12 @@ class TestSweeps:
         assert (result.n_points, result.rows_filled) == (0, 0)
         assert not result.passed
         assert result.summary().endswith("over 0 points, worst at N=0, f_nc=0, f=0  [FAIL]")
+
+    @pytest.mark.parametrize("n_flux", [0, -1, -5])
+    def test_n_flux_must_be_positive(self, n_flux):
+        # unchecked, 0 and -1 gave an empty grid and -5 numpy's untyped ValueError
+        with pytest.raises(InvalidRange, match=f"^n_flux must be at least 1, got {n_flux}$"):
+            zone_flux_grid(n_flux)
 
     def test_n_flux_must_be_an_integer(self):
         with pytest.raises(InvalidRange, match="n_flux must be an integer, got 2.5"):
