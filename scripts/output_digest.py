@@ -16,10 +16,18 @@ more row, ``fit/power_law``, digests public ``fit_power_law`` over a fixed
 mix of inputs no analysis hands it: unsorted, non-positive and NaN flux,
 infinite and NaN values, floors, and too few or single-flux usable points.
 
+The same pass over the mix gives a verdict table (columns in
+:data:`TABLE_HEADER`), one row per trace on its shared grid, which
+``tests/golden/verdicts.csv`` holds and ``tests/test_golden.py`` compares.
+
 Two checkouts produce the same bytes exactly when they print the same lines,
 so a change that claims identical outputs is checked by running this script
 against the source tree of each (``--src``, by default this checkout's
-``src``).
+``src``).  The script prints the golden file's header, versions included, so
+
+    python3 scripts/output_digest.py > tests/golden/output_digest.txt
+
+regenerates that file.
 """
 
 from __future__ import annotations
@@ -28,12 +36,18 @@ import argparse
 import contextlib
 import hashlib
 import io
+import platform
 import random
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+HEADER = """\
+# The lines scripts/output_digest.py prints for this tree; tests/test_golden.py reruns its
+# runs in-process and compares.  Float reprs and BLAS sums may differ on another build, so
+# the lines hold for these versions only.  After an intended output change, or on a new
+# build, regenerate this file: python3 scripts/output_digest.py > tests/golden/output_digest.txt"""
 
 # configuration files written under the root before the runs; a flag names one as <out>/NAME
 CONFIGS = {
@@ -91,6 +105,9 @@ MIX_RINGS = [(n, f_nc) for n in (3, 4, 7, 10, 101, 1000, 10000, 10001)
              for f_nc in (0.0, 1e-5, 1e-3, 1e-2)]
 MIX_NOISE = (0.0, 1e-9, 1e-6, 1e-3, 0.05)
 MIX_WINDOWS = ((1e-3, 1e-1), (1e-3, 3e-2), (1e-2, 0.4), (0.5, 0.6), (1e-4, 1.0))
+# a trace's inputs, then its verdict, N, parity and f_nc estimate, or its error's class name
+TABLE_HEADER = ("index,n,f_nc,grid,points,noise_sigma,seed,fit_f_lo,fit_f_hi,smoothing_window,"
+                "verdict,estimated_n,estimated_parity,f_nc_hat")
 
 
 def verdict_facts(verdict) -> bytes:
@@ -110,8 +127,10 @@ def verdict_facts(verdict) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def analysis_digests() -> list[tuple[str, str]]:
-    """(sha256, name) of the mix's analyses on shared grids and on copied ones.
+def analysis_digests() -> tuple[list[tuple[str, str]], list[str]]:
+    """(sha256, name) of the mix's analyses on shared grids and on copied ones,
+    and the verdict table: :data:`TABLE_HEADER`, then one row per trace on its
+    shared grid, floats by repr.
 
     Each digest covers, per trace, :func:`verdict_facts`, ``lam``, ``sig``,
     ``method``, the noise rms and the floor, or the error the analysis raised.
@@ -124,29 +143,38 @@ def analysis_digests() -> list[tuple[str, str]]:
 
     rng = random.Random(MIX_TRACES)
     shared, copied = hashlib.sha256(), hashlib.sha256()
-    for _ in range(MIX_TRACES):
+    table = [TABLE_HEADER]
+    for index in range(MIX_TRACES):
         n, f_nc = rng.choice(MIX_RINGS)
         ring = RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
         f_min = max(1e-3, f_nc) if n % 2 == 0 else 1e-3
-        trace = synthesize_trace(ring, f_min, 0.4, rng.randint(64, 256),
-                                 noise_sigma=rng.choice(MIX_NOISE) * n,
-                                 seed=rng.randrange(2**31), grid=rng.choice(("log", "uniform")))
+        points, noise = rng.randint(64, 256), rng.choice(MIX_NOISE) * n
+        seed, grid = rng.randrange(2**31), rng.choice(("log", "uniform"))
+        trace = synthesize_trace(ring, f_min, 0.4, points, noise_sigma=noise, seed=seed, grid=grid)
         f_lo, f_hi = rng.choice(MIX_WINDOWS)
-        config = RunConfig(n_electrons=n, smoothing_window=rng.choice((1, 3, 5)),
-                           fit_f_lo=f_lo, fit_f_hi=f_hi)
+        window = rng.choice((1, 3, 5))
+        config = RunConfig(n_electrons=n, smoothing_window=window, fit_f_lo=f_lo, fit_f_hi=f_hi)
         copy = CurrentTrace(f=np.array(trace.f), j=trace.j, meta=trace.meta)
         for digest, analysed in ((shared, trace), (copied, copy)):
             try:
                 result = analyze_trace(analysed, config)
             except NcRingError as exc:  # an analysis that raises is digested by its error
                 digest.update(repr(exc).encode())
-                continue
-            digest.update(verdict_facts(result.verdict))
-            digest.update(result.lam.tobytes() + result.sig.tobytes())
-            digest.update(result.method.encode())
-            digest.update(f"{result.trace_noise_rms.hex()} {result.residual_floor.hex()}".encode())
+                outcome = f"{type(exc).__name__},,,"
+            else:
+                verdict = result.verdict
+                digest.update(verdict_facts(verdict))
+                digest.update(result.lam.tobytes() + result.sig.tobytes())
+                digest.update(result.method.encode())
+                digest.update(
+                    f"{result.trace_noise_rms.hex()} {result.residual_floor.hex()}".encode())
+                outcome = (f"{verdict.kind.value},{verdict.estimated_n},"
+                           f"{verdict.estimated_parity},{verdict.estimated_f_nc!r}")
+            if digest is shared:
+                table.append(f"{index},{n},{f_nc!r},{grid},{points},{noise!r},{seed},"
+                             f"{f_lo!r},{f_hi!r},{window},{outcome}")
     return [(shared.hexdigest(), "analysis/shared_grid"),
-            (copied.hexdigest(), "analysis/copied_grid")]
+            (copied.hexdigest(), "analysis/copied_grid")], table
 
 
 FIT_CASES = 2000
@@ -207,14 +235,23 @@ def digests(root: Path) -> list[tuple[str, str]]:
     return sorted(rows, key=lambda row: row[1])
 
 
+def header() -> list[str]:
+    """The golden file's comment lines: :data:`HEADER`, then the Python and numpy versions."""
+    import numpy as np
+
+    return [*HEADER.splitlines(), f"# python {platform.python_version()}",
+            f"# numpy {np.__version__}"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree to import ncring from (default: this checkout's)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    print("\n".join(header()))
     with tempfile.TemporaryDirectory() as tmp:
-        for digest, name in digests(Path(tmp)) + analysis_digests() + fit_digest():
+        for digest, name in digests(Path(tmp)) + analysis_digests()[0] + fit_digest():
             print(f"{digest}  {name}")
     return 0
 

@@ -85,9 +85,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
         ("radius_m", ring.radius),
         ("n_electrons", ring.n_electrons),
         ("parity", ring.parity),
-        ("alpha", ring.sw.alpha),
-        ("theta", ring.sw.theta),
-        ("theta_tilde", ring.sw.theta_tilde),
+        ("alpha", ring.alpha),
+        ("theta_tilde", ring.theta_tilde),
         ("mass_kg", ring.mass),
         ("m_star_kg", ring.m_star),
         ("epsilon0_J", ring.epsilon0),

@@ -81,8 +81,22 @@ def serialize_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _not_utf8(path: str | Path) -> ParseError:
+    """The ParseError naming the first line of `path` that is not UTF-8, found in its bytes."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line=lineno)
+    return ParseError("not UTF-8 text")  # the file changed since it was read
+
+
 def read_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    """Parse a UTF-8 configuration file with :func:`parse_config`."""
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:  # parse_config raises only ParseError
+        raise _not_utf8(path) from None
 
 
 def write_config(config: RunConfig, path: str | Path) -> None:
@@ -99,8 +113,7 @@ def _meta_lines(meta: TraceMeta) -> list[str]:
     lines.append(f"# noise_sigma: {meta.noise_sigma!r}")
     ring = meta.ring_hint
     if ring is not None:
-        values = (int(ring.n_electrons), ring.radius, ring.sw.alpha, ring.sw.theta_tilde,
-                  ring.mass)
+        values = (int(ring.n_electrons), ring.radius, ring.alpha, ring.theta_tilde, ring.mass)
         lines += [f"# {key}: {value!r}" for key, value in zip(_RING_KEYS, values)]
     return lines
 
@@ -244,28 +257,31 @@ def read_trace_csv(
     path: str | Path,
     ring: RingSystem | None = None,
 ) -> CurrentTrace:
-    """Parse a trace CSV written by :func:`write_trace_csv` (or compatible).
+    """Parse a UTF-8 trace CSV written by :func:`write_trace_csv` (or compatible).
 
     Accepts the reduced header `f,J` or the SI header `phi_wb,J_A`; SI data
     is converted on load by the flux quantum and by the current scale of
     `ring`, or of the ring in the file's own metadata comments when no ring
-    is passed.  The data rows
-    are parsed in one numpy call; when that call refuses them, the file is
-    read again row by row, which gives the same values and the errors
-    below with the line they occur on.  Raises ParseError
-    with a line number for malformed or non-finite content or for a
-    repeated source, seed, noise_sigma or ring key, and naming the key for
-    a ring, seed or noise_sigma value in the metadata that does not parse
-    or is invalid; UnitMismatch when SI data has no usable scale, when
-    the two rings give different scales, or when the file states a radius
-    or alpha that differs from `ring`'s.  CurrentTrace checks the flux:
-    NonMonotonicFlux when unsorted, InvalidRange when not positive.
+    is passed.  The data rows are parsed in one numpy call; when that call
+    refuses them, the file is read again row by row, which gives the same
+    values and the errors below with the line they occur on.  Raises
+    ParseError with a line number for bytes that are not UTF-8, for
+    malformed or non-finite content or for a repeated source, seed,
+    noise_sigma or ring key, and naming the key for a ring, seed or
+    noise_sigma value in the metadata that does not parse or is invalid;
+    UnitMismatch when SI data has no usable scale, when the two rings give
+    different scales, or when the file states a radius or alpha that
+    differs from `ring`'s.  CurrentTrace checks the flux: NonMonotonicFlux
+    when unsorted, InvalidRange when not positive.
     """
-    with open(path, "r", newline="") as fh:
-        meta, header, xy = _scan(fh, bulk=True)
-    if xy is None:  # the row loop finds the offending line and names it
-        with open(path, "r", newline="") as fh:
-            meta, header, xy = _scan(fh, bulk=False)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            meta, header, xy = _scan(fh, bulk=True)
+        if xy is None:  # the row loop finds the offending line and names it
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                meta, header, xy = _scan(fh, bulk=False)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if header is None:
         raise ParseError("no header line found (empty file?)")
     if len(xy) < MIN_TRACE_POINTS:
@@ -290,7 +306,7 @@ def read_trace_csv(
         j = j / scale_ring.j0
     if ring is not None:
         # radius and alpha turn the fitted f_nc into theta_tilde
-        for key, given in (("radius_m", ring.radius), ("alpha", ring.sw.alpha)):
+        for key, given in (("radius_m", ring.radius), ("alpha", ring.alpha)):
             if key in stated and not math.isclose(stated[key], given, rel_tol=1e-9):
                 raise UnitMismatch(
                     f"trace metadata gives {key} = {stated[key]!r}, "

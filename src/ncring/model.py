@@ -3,6 +3,8 @@
 The linear map to canonical operators turns the free ring Hamiltonian into
 one with an effective mass m* = m/alpha and an effective magnetic flux
 phi_nc generated by the momentum-momentum commutator scale theta_tilde.
+The position-position scale theta enters no ring observable, so
+:class:`RingSystem` holds only radius, N, alpha, theta_tilde and m.
 Everything downstream is computed in reduced units:
 
 * energies in units of  epsilon0 = hbar^2 / (2 m* R^2)
@@ -10,9 +12,9 @@ Everything downstream is computed in reduced units:
 * magnetic flux in units of the flux quantum phi0 = h/e
 
 hbar, e and h are fixed at their CODATA 2018 values (the constants
-module); the mass m is a ring field.  SI conversion happens only at the I/O
-boundary (see :mod:`ncring.dataio`).  Scalar-or-array inputs are accepted
-wherever it is natural; scalars come back as plain floats.
+module).  SI conversion happens only at the I/O boundary (see
+:mod:`ncring.dataio`).  Scalar-or-array inputs are accepted wherever it is
+natural; scalars come back as plain floats.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ Parity = Literal["odd", "even"]
 
 __all__ = [
     "Parity",
-    "SwParams",
     "RingSystem",
-    "check_sw_constraint",
-    "effective_field",
     "reduce_to_zone",
     "eigenenergy",
     "ground_state_energy",
@@ -44,60 +43,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SwParams:
-    """Parameters of the linear map between noncommutative and canonical operators.
-
-    alpha is the dimensionless scaling of the map; theta is the
-    position-position commutator scale (kg m^2 s^-1 m); theta_tilde is the
-    momentum-momentum commutator scale (kg^2 m^2 s^-2).  theta enters only
-    the map constraint, not the ring observables.
-    """
-
-    alpha: float = 1.0
-    theta: float = 0.0
-    theta_tilde: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidRange(f"alpha must lie in (0, 1], got {self.alpha}")
-        for name in ("theta", "theta_tilde"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise InvalidRange(
-                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
-                )
-
-
-def check_sw_constraint(sw: SwParams, tol: float) -> bool:
-    """True iff alpha^2 + theta*theta_tilde / (2 alpha^2 hbar^2) == 1 within tol."""
-    if not tol > 0.0:
-        raise InvalidRange("tol must be strictly positive")
-    lhs = sw.alpha**2 + sw.theta * sw.theta_tilde / (2.0 * sw.alpha**2 * HBAR**2)
-    return abs(lhs - 1.0) <= tol
-
-
-def effective_field(sw: SwParams) -> float:
-    """Effective magnetic field B_z = theta_tilde / (e alpha^2 hbar) in tesla.
-
-    Uses the charge magnitude; the returned value is the field an electron
-    inside the ring would appear to see, taken positive along +z.
-    """
-    return sw.theta_tilde / (E_CHARGE * sw.alpha**2 * HBAR)
-
-
-@dataclass(frozen=True)
 class RingSystem:
-    """A 1D ring of N electrons with map parameters attached.
+    """A 1D ring of N electrons, its map parameters and its mass, as one flat record.
 
-    All derived scales are recomputed from the stored fields on access, so
-    they can never drift out of sync with the inputs.
+    alpha is the dimensionless scaling of the linear map; theta_tilde is the
+    momentum-momentum commutator scale (kg^2 m^2 s^-2); mass is the bare
+    mass m (kg).  All derived scales are recomputed from the stored fields
+    on access, so they can never drift out of sync with the inputs.
     """
 
     radius: float
     n_electrons: int
-    sw: SwParams
+    alpha: float = 1.0
+    theta_tilde: float = 0.0
     mass: float = M_ELECTRON
 
     def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise InvalidRange(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not 0.0 <= self.theta_tilde < math.inf:
+            raise InvalidRange(
+                f"theta_tilde must be finite and non-negative, got {self.theta_tilde}"
+            )
         if not self.radius > 0.0:
             raise InvalidRange(f"radius must be strictly positive, got {self.radius}")
         n = self.n_electrons  # isinstance takes a bool for an int; check_integer refuses it
@@ -117,31 +84,18 @@ class RingSystem:
                 )
 
     @classmethod
-    def from_f_nc(
-        cls,
-        n_electrons: int,
-        f_nc: float,
-        radius: float = 1e-6,
-        alpha: float = 1.0,
-        mass: float | None = None,
-    ) -> "RingSystem":
-        """Build a ring whose reduced noncommutative flux is (up to rounding) f_nc.
+    def from_f_nc(cls, n_electrons: int, f_nc: float, radius: float = 1e-6) -> "RingSystem":
+        """The ring (alpha 1, electron mass) whose reduced flux is, up to rounding, f_nc.
 
-        Convenience for sweeps parameterized directly by f_nc; inverts
-        f_nc = R^2 theta_tilde / (hbar^2 alpha^2).
+        Inverts f_nc = R^2 theta_tilde / hbar^2, for sweeps parameterized by f_nc.
         """
-        if f_nc < 0.0:
-            raise InvalidRange(f"f_nc must be non-negative, got {f_nc}")
+        if not 0.0 <= f_nc < math.inf:
+            raise InvalidRange(f"f_nc must be finite and non-negative, got {f_nc}")
         try:
-            theta_tilde = f_nc * (HBAR * alpha / radius) ** 2
+            theta_tilde = f_nc * (HBAR / radius) ** 2
         except (OverflowError, ZeroDivisionError):  # radius 0 or below ~1e-188
             theta_tilde = 0.0  # the ring below refuses the radius or its epsilon0
-        return cls(
-            radius=radius,
-            n_electrons=n_electrons,
-            sw=SwParams(alpha=alpha, theta_tilde=theta_tilde),
-            mass=M_ELECTRON if mass is None else mass,
-        )
+        return cls(radius=radius, n_electrons=n_electrons, theta_tilde=theta_tilde)
 
     @property
     def parity(self) -> Parity:
@@ -150,7 +104,7 @@ class RingSystem:
     @property
     def m_star(self) -> float:
         """Effective mass m* = m / alpha in kg."""
-        return self.mass / self.sw.alpha
+        return self.mass / self.alpha
 
     @property
     def epsilon0(self) -> float:
@@ -165,7 +119,7 @@ class RingSystem:
     @property
     def f_nc(self) -> float:
         """Reduced flux R^2 theta_tilde / (hbar^2 alpha^2) generated by theta_tilde."""
-        return self.radius**2 * self.sw.theta_tilde / (HBAR * self.sw.alpha) ** 2
+        return self.radius**2 * self.theta_tilde / (HBAR * self.alpha) ** 2
 
     @property
     def phi_nc(self) -> float:
@@ -174,8 +128,8 @@ class RingSystem:
 
     @property
     def b_eff(self) -> float:
-        """Effective field theta_tilde / (e alpha^2 hbar) in T."""
-        return effective_field(self.sw)
+        """Effective field theta_tilde / (e alpha^2 hbar) in T, by |e|, taken along +z."""
+        return self.theta_tilde / (E_CHARGE * self.alpha**2 * HBAR)
 
 
 def _maybe_scalar(out: np.ndarray, scalar: bool):

@@ -49,7 +49,7 @@ from ncring.errors import (
     TooFewPoints,
     check_integer,
 )
-from ncring.model import Parity, RingSystem, SwParams, persistent_current
+from ncring.model import Parity, RingSystem, persistent_current
 
 __all__ = [
     "MIN_TRACE_POINTS",
@@ -81,6 +81,7 @@ _EPS = float(np.finfo(float).eps)
 class RunConfig:
     """One run's worth of parameters, round-trippable through a config file.
 
+    The first five fields are the ring's (:meth:`ring`), which checks them.
     A fit counts as 1/f^2-divergent when its exponent lies within
     exponent_tol of -2 and its |amplitude| exceeds amplitude_floor_mult
     times the recorded residual floor.
@@ -110,7 +111,7 @@ class RunConfig:
                 raise InvalidRange(f"{name} must be finite, got {value}")
         if check_integer("seed", self.seed) < 0:
             raise InvalidRange(f"seed must be non-negative, got {self.seed}")
-        self.ring()  # RingSystem and SwParams validate the ring fields
+        self.ring()  # the ring checks its five fields, alpha first
         _check_grid(self.f_min, self.f_max, self.n_points, self.grid)  # checked, not built
         for name in ("fit_f_lo", "fit_f_hi", "exponent_tol", "amplitude_floor_mult"):
             if not getattr(self, name) > 0.0:
@@ -126,12 +127,8 @@ class RunConfig:
             raise InvalidRange("smoothing_window must be an odd integer >= 1")
 
     def ring(self) -> RingSystem:
-        return RingSystem(
-            radius=self.radius_m,
-            n_electrons=self.n_electrons,
-            sw=SwParams(alpha=self.alpha, theta_tilde=self.theta_tilde),
-            mass=self.mass_kg,
-        )
+        return RingSystem(radius=self.radius_m, n_electrons=self.n_electrons, alpha=self.alpha,
+                          theta_tilde=self.theta_tilde, mass=self.mass_kg)
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,8 @@ def _line_fit(
 
 def _linear_fit(trace: CurrentTrace) -> tuple[float, float, float]:
     """OLS of the trace's j on f; returns (intercept, slope, rms residual)."""
-    intercept, slope, ss_res, _ = _line_fit(trace._plan.centring, trace.j)
+    with np.errstate(over="ignore", invalid="ignore"):  # a current near 1e308 squares to inf
+        intercept, slope, ss_res, _ = _line_fit(trace._plan.centring, trace.j)
     return intercept, slope, math.sqrt(ss_res / (len(trace) - 2))
 
 

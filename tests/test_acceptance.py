@@ -20,7 +20,6 @@ from ncring.dataio import (
 )
 from ncring.model import (
     RingSystem,
-    SwParams,
     lambda_signature,
     sigma_signature,
 )
@@ -37,9 +36,7 @@ def ring_with(n_electrons: int, f_nc: float) -> RingSystem:
 
 
 def test_criterion_1_reference_flux_value():
-    ring = RingSystem(
-        radius=1e-6, n_electrons=3, sw=SwParams(alpha=1.0, theta_tilde=1.76e-61)
-    )
+    ring = RingSystem(radius=1e-6, n_electrons=3, theta_tilde=1.76e-61)
     f_nc = ring.f_nc
     rel = abs(f_nc - 1.5828e-5) / 1.5828e-5
     assert rel <= 1e-3, f"f_nc = {f_nc} deviates {rel:.2e} from 1.5828e-5"

@@ -94,6 +94,18 @@ class TestExitCodes:
         assert run_cli("constants", "--alpha", "1.5") == 2
         assert "alpha must lie in (0, 1]" in capsys.readouterr().err
 
+    def test_non_utf8_trace_or_config_exits_two(self, tmp_path, capsys):
+        # each ended as "internal error: UnicodeDecodeError", exit 1
+        trace, config = tmp_path / "bad.csv", tmp_path / "bad.cfg"
+        trace.write_bytes(b"f,J\n\xff\xfe,1\n")
+        config.write_bytes(b"alpha = \xff\n")
+        assert run_cli("analyze", str(trace), "--out", str(tmp_path)) == 2
+        assert run_cli("constants", "--config", str(config)) == 2
+        assert capsys.readouterr().err == (
+            "ncring: error: line 2: not UTF-8 text: invalid start byte at byte 0\n"
+            "ncring: error: line 1: not UTF-8 text: invalid start byte at byte 8\n"
+        )
+
     @pytest.mark.parametrize("command", ["spectrum", "signatures", "simulate"])
     def test_grid_without_distinct_points_exits_two(self, tmp_path, capsys, command):
         # bounds 1e-15 apart round 8 log points onto repeated values

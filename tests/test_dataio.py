@@ -24,7 +24,7 @@ from ncring.dataio import (
     write_trace_csv,
 )
 from ncring.errors import InvalidRange, NonMonotonicFlux, ParseError, UnitMismatch
-from ncring.model import RingSystem, SwParams, eigenenergy
+from ncring.model import RingSystem, eigenenergy
 from ncring.pipeline import (
     MIN_TRACE_POINTS,
     AnalysisResult,
@@ -66,7 +66,7 @@ class TestTraceCsv:
         assert hint is not None
         assert hint.n_electrons == 5
         assert hint.radius == ring.radius
-        assert hint.sw.theta_tilde == ring.sw.theta_tilde
+        assert hint.theta_tilde == ring.theta_tilde
 
     def test_ring_metadata_lines(self):
         # one line per key the reader interprets; a numpy N is written as a plain int
@@ -74,8 +74,8 @@ class TestTraceCsv:
         lines = _meta_lines(TraceMeta(ring_hint=ring))
         assert lines == [
             "# source: synthetic", "# noise_sigma: 0.0", "# n_electrons: 5",
-            f"# radius_m: {ring.radius!r}", f"# alpha: {ring.sw.alpha!r}",
-            f"# theta_tilde: {ring.sw.theta_tilde!r}", f"# mass_kg: {ring.mass!r}",
+            f"# radius_m: {ring.radius!r}", f"# alpha: {ring.alpha!r}",
+            f"# theta_tilde: {ring.theta_tilde!r}", f"# mass_kg: {ring.mass!r}",
         ]
         assert [line[2:].split(":")[0] for line in lines[2:]] == list(dataio._RING_KEYS)
 
@@ -158,6 +158,19 @@ class TestTraceCsv:
         with pytest.raises(UnitMismatch, match=r"radius_m = 2e-06"):
             read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
         assert read_trace_csv(path, ring=ring).meta.ring_hint is None
+
+    @pytest.mark.parametrize("row", [0, -3], ids=["metadata", "data"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3"])
+    def test_non_utf8_line_is_parse_error(self, tmp_path, row, bad):
+        # a data row fails numpy's bulk parse first, then the row loop's decoding
+        path = tmp_path / "bad.csv"
+        write_trace_csv(synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[row] = bad + lines[row]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            read_trace_csv(path)
+        assert err.value.line == range(1, len(lines) + 1)[row]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -290,6 +303,12 @@ class TestRunConfig:
         write_config(config, path)
         assert read_config(path) == config
 
+    def test_non_utf8_config_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"n_electrons = 3\nalpha = 0.5\xc3\n")
+        with pytest.raises(ParseError, match=r"^line 2: not UTF-8 text: unexpected end of data"):
+            read_config(path)
+
     def test_unknown_key(self):
         with pytest.raises(ParseError) as err:
             parse_config("radius = 1e-6\n")
@@ -364,7 +383,7 @@ class TestRunConfig:
     def test_ring_and_options(self):
         config = RunConfig(n_electrons=3, alpha=0.5)
         ring = config.ring()
-        assert ring.n_electrons == 3 and ring.sw.alpha == 0.5
+        assert ring.n_electrons == 3 and ring.alpha == 0.5
 
 
 def _verdict(kind=VerdictKind.NO_NC_DETECTED, f_nc=None, theta=None):
@@ -655,8 +674,7 @@ class TestWriters:
 
 def test_analysis_of_large_file_trace_memory(tmp_path):
     # perfbench's cli_large trace, read back from its file as `ncring analyze` does
-    ring = RingSystem(radius=1e-6, n_electrons=10001,
-                      sw=SwParams(alpha=1.0, theta_tilde=1.76e-61))
+    ring = RingSystem(radius=1e-6, n_electrons=10001, theta_tilde=1.76e-61)
     write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=7),
                     tmp_path / "trace.csv")
     trace = read_trace_csv(tmp_path / "trace.csv", ring=ring)

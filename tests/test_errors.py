@@ -8,7 +8,7 @@ import pytest
 
 import ncring
 from ncring.errors import InvalidRange
-from ncring.model import RingSystem, SwParams
+from ncring.model import RingSystem
 from ncring.oracle import zone_flux_grid
 from ncring.pipeline import RunConfig, differentiate_trace, synthesize_trace
 
@@ -58,7 +58,7 @@ RING = RingSystem.from_f_nc(n_electrons=3, f_nc=1e-3)
          synthesize_trace(RING, 1e-3, 0.4, 64), 3, smoothing_window=True)),
      ("n_points", lambda: RunConfig(n_points=True)),
      ("n_electrons", lambda: RunConfig(n_electrons=True)),
-     ("n_electrons", lambda: RingSystem(radius=1e-6, n_electrons=True, sw=SwParams())),
+     ("n_electrons", lambda: RingSystem(radius=1e-6, n_electrons=True)),
      ("n_flux", lambda: zone_flux_grid(True))],
 )
 def test_bool_is_not_an_integer(name, call):

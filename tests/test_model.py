@@ -1,4 +1,4 @@
-"""Closed-form model: constants, map constraint, spectrum, current, signatures."""
+"""Closed-form model: constants, ring fields, spectrum, current, signatures."""
 
 import math
 import re
@@ -13,9 +13,6 @@ from ncring.constants import E_CHARGE, FLUX_QUANTUM, HBAR, H_PLANCK, M_ELECTRON
 from ncring.errors import InvalidRange, ZeroFlux
 from ncring.model import (
     RingSystem,
-    SwParams,
-    check_sw_constraint,
-    effective_field,
     eigenenergy,
     ground_state_energy,
     lambda_signature,
@@ -42,79 +39,55 @@ class TestConstants:
         assert FLUX_QUANTUM == H_PLANCK / E_CHARGE
 
 
-class TestSwParams:
+class TestMapParameters:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
-            SwParams(alpha=0.0)
+            RingSystem(radius=1e-6, n_electrons=3, alpha=0.0)
         with pytest.raises(ValueError):
-            SwParams(alpha=1.2)
+            RingSystem(radius=1e-6, n_electrons=3, alpha=1.2)
         with pytest.raises(ValueError):
-            SwParams(theta=-1.0)
-        with pytest.raises(ValueError):
-            SwParams(theta_tilde=-1.0)
+            RingSystem(radius=1e-6, n_electrons=3, theta_tilde=-1.0)
 
-    @pytest.mark.parametrize("name", ["theta", "theta_tilde"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_scales_refused(self, name, value):
+    def test_non_finite_scales_refused(self, value):
         # `x < 0.0` is False for NaN, so a sign check alone lets it through
-        with pytest.raises(InvalidRange, match=f"^{name} must be finite and non-negative"):
-            SwParams(**{name: value})
+        with pytest.raises(InvalidRange, match="^theta_tilde must be finite and non-negative"):
+            RingSystem(radius=1e-6, n_electrons=3, theta_tilde=value)
 
-    def test_constraint_alpha_one_zero_theta(self):
-        sw = SwParams(alpha=1.0, theta=0.0, theta_tilde=THETA_TILDE_REF)
-        assert check_sw_constraint(sw, tol=1e-12)
-
-    def test_constraint_alpha_one_nonzero_theta_fails(self):
-        # theta large enough that theta*theta_tilde/(2 hbar^2) exceeds tol
-        sw = SwParams(alpha=1.0, theta=1e-18, theta_tilde=THETA_TILDE_REF)
-        assert not check_sw_constraint(sw, tol=1e-12)
-
-    def test_constraint_solved_for_theta(self):
-        # theta * theta_tilde = 2 alpha^2 hbar^2 (1 - alpha^2) restores the identity
-        alpha = 0.9
-        theta = 2.0 * alpha**2 * HBAR**2 * (1.0 - alpha**2) / THETA_TILDE_REF
-        sw = SwParams(alpha=alpha, theta=theta, theta_tilde=THETA_TILDE_REF)
-        assert check_sw_constraint(sw, tol=1e-12)
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            check_sw_constraint(SwParams(), tol=0.0)
+    def test_alpha_checked_before_radius(self):
+        with pytest.raises(InvalidRange, match=r"^alpha must lie in \(0, 1\], got 2\.0$"):
+            RingSystem(radius=-1.0, n_electrons=3, alpha=2.0)
 
 
 class TestEffectiveField:
     def test_zero_theta_tilde(self):
-        assert effective_field(SwParams(alpha=1.0, theta_tilde=0.0)) == 0.0
+        assert RingSystem(radius=1e-6, n_electrons=3).b_eff == 0.0
 
     def test_reference_magnitude(self):
         # independent arithmetic: B = theta_tilde / (e hbar) at alpha = 1
         expected = THETA_TILDE_REF / (E_CHARGE * HBAR)
-        b = effective_field(SwParams(alpha=1.0, theta_tilde=THETA_TILDE_REF))
+        b = RingSystem(radius=1e-6, n_electrons=3, theta_tilde=THETA_TILDE_REF).b_eff
         assert b == pytest.approx(expected, rel=1e-14)
         assert b == pytest.approx(1.0417e-8, rel=1e-4)
 
     def test_inverse_alpha_squared_scaling(self):
-        b1 = effective_field(SwParams(alpha=1.0, theta_tilde=THETA_TILDE_REF))
-        b2 = effective_field(SwParams(alpha=0.5, theta_tilde=THETA_TILDE_REF))
+        b1 = RingSystem(radius=1e-6, n_electrons=3, theta_tilde=THETA_TILDE_REF).b_eff
+        b2 = RingSystem(radius=1e-6, n_electrons=3, alpha=0.5, theta_tilde=THETA_TILDE_REF).b_eff
         assert b2 == 4.0 * b1
 
 
 class TestNoncommutativeFlux:
     def test_reference_value(self):
-        ring = RingSystem(
-            radius=1e-6,
-            n_electrons=3,
-            sw=SwParams(alpha=1.0, theta_tilde=THETA_TILDE_REF),
-        )
+        ring = RingSystem(radius=1e-6, n_electrons=3, theta_tilde=THETA_TILDE_REF)
         assert ring.f_nc == pytest.approx(1.5828e-5, rel=1e-3)
 
     def test_zero_theta_tilde(self):
-        ring = RingSystem(radius=1e-6, n_electrons=3, sw=SwParams())
+        ring = RingSystem(radius=1e-6, n_electrons=3)
         assert ring.f_nc == 0.0
 
     def test_quadratic_radius_scaling(self):
-        sw = SwParams(alpha=1.0, theta_tilde=THETA_TILDE_REF)
-        small = RingSystem(radius=1e-6, n_electrons=3, sw=sw)
-        big = RingSystem(radius=2e-6, n_electrons=3, sw=sw)
+        small = RingSystem(radius=1e-6, n_electrons=3, theta_tilde=THETA_TILDE_REF)
+        big = RingSystem(radius=2e-6, n_electrons=3, theta_tilde=THETA_TILDE_REF)
         assert big.f_nc == 4.0 * small.f_nc
 
     def test_phi_nc_consistent(self):
@@ -127,7 +100,8 @@ class TestRingSystem:
         ring = RingSystem(
             radius=1e-6,
             n_electrons=4,
-            sw=SwParams(alpha=0.8, theta_tilde=THETA_TILDE_REF),
+            alpha=0.8,
+            theta_tilde=THETA_TILDE_REF,
             mass=M_ELECTRON,
         )
         assert ring.m_star == ring.mass / 0.8
@@ -138,19 +112,18 @@ class TestRingSystem:
     def test_rebuild_and_compare(self):
         # derived values are pure functions of the stored fields
         a = ring_with(7, 1e-3)
-        b = RingSystem(
-            radius=a.radius, n_electrons=a.n_electrons, sw=a.sw, mass=a.mass
-        )
+        b = RingSystem(radius=a.radius, n_electrons=a.n_electrons, alpha=a.alpha,
+                       theta_tilde=a.theta_tilde, mass=a.mass)
         for name in ("m_star", "epsilon0", "j0", "f_nc", "phi_nc", "b_eff"):
             assert getattr(a, name) == getattr(b, name)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RingSystem(radius=0.0, n_electrons=3, sw=SwParams())
+            RingSystem(radius=0.0, n_electrons=3)
         with pytest.raises(ValueError):
-            RingSystem(radius=1e-6, n_electrons=0, sw=SwParams())
+            RingSystem(radius=1e-6, n_electrons=0)
         with pytest.raises(ValueError):
-            RingSystem(radius=1e-6, n_electrons=3, sw=SwParams(), mass=-1.0)
+            RingSystem(radius=1e-6, n_electrons=3, mass=-1.0)
         with pytest.raises(ValueError):
             RingSystem.from_f_nc(n_electrons=3, f_nc=-1e-5)
 
@@ -165,13 +138,19 @@ class TestRingSystem:
              "radius_1e150"],
     )
     def test_out_of_range_scales_refused(self, radius, alpha, theta_tilde, scale):
-        sw = SwParams(alpha=alpha, theta_tilde=theta_tilde)
         with pytest.raises(InvalidRange, match=f"^the ring's {re.escape(scale)}: "):
-            RingSystem(radius=radius, n_electrons=3, sw=sw)
+            RingSystem(radius=radius, n_electrons=3, alpha=alpha, theta_tilde=theta_tilde)
 
     def test_from_f_nc_zero_radius(self):
         with pytest.raises(InvalidRange, match=r"^radius must be strictly positive, got 0\.0$"):
             RingSystem.from_f_nc(3, 0.01, radius=0.0)
+
+    @pytest.mark.parametrize("f_nc", [-1e-5, math.nan, math.inf])
+    def test_from_f_nc_refuses_by_name(self, f_nc):
+        # a NaN or inf once reached the ring as theta_tilde and was refused by that name
+        message = f"^f_nc must be finite and non-negative, got {f_nc}$"
+        with pytest.raises(InvalidRange, match=message):
+            RingSystem.from_f_nc(3, f_nc)
 
 
 class TestReduceToZone:
