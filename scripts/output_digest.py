@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import platform
@@ -139,7 +140,7 @@ def analysis_digests() -> tuple[list[tuple[str, str]], list[str]]:
 
     from ncring.errors import NcRingError
     from ncring.model import RingSystem
-    from ncring.pipeline import CurrentTrace, RunConfig, analyze_trace, synthesize_trace
+    from ncring.pipeline import RunConfig, analyze_trace, synthesize_trace
 
     rng = random.Random(MIX_TRACES)
     shared, copied = hashlib.sha256(), hashlib.sha256()
@@ -154,7 +155,7 @@ def analysis_digests() -> tuple[list[tuple[str, str]], list[str]]:
         f_lo, f_hi = rng.choice(MIX_WINDOWS)
         window = rng.choice((1, 3, 5))
         config = RunConfig(n_electrons=n, smoothing_window=window, fit_f_lo=f_lo, fit_f_hi=f_hi)
-        copy = CurrentTrace(f=np.array(trace.f), j=trace.j, meta=trace.meta)
+        copy = dataclasses.replace(trace, f=np.array(trace.f))
         for digest, analysed in ((shared, trace), (copied, copy)):
             try:
                 result = analyze_trace(analysed, config)

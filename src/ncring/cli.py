@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -230,6 +231,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one tree serves every call of main in a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncring",

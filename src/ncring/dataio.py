@@ -7,7 +7,8 @@ plot is drawn from) is written by :func:`write_table`, the one row writer:
 comma-joined shortest round-trip floats, converted and written one block of
 `_BLOCK` rows at a time, so no whole column is held as a Python list (a
 3-column table peaks at about 1 MB under tracemalloc at any number of
-rows).  Human-facing reports use %.4e.
+rows).  Human-facing reports use %.4e.  A trace's ring metadata lines are
+its writer's `ring`; its reader keeps their `n_electrons` on the trace.
 SI-to-reduced conversion happens here and nowhere else, and so do the
 parsing and serializing of :class:`ncring.pipeline.RunConfig`'s file form.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from ncring.constants import FLUX_QUANTUM
 from ncring.errors import InvalidRange, ParseError, UnitMismatch
 from ncring.model import RingSystem
-from ncring.pipeline import MIN_TRACE_POINTS, AnalysisResult, CurrentTrace, RunConfig, TraceMeta
+from ncring.pipeline import MIN_TRACE_POINTS, AnalysisResult, CurrentTrace, RunConfig
 
 __all__ = [
     "parse_config",
@@ -41,8 +42,8 @@ __all__ = [
 _HEADER_REDUCED = "f,J"
 _HEADER_SI = "phi_wb,J_A"
 
-_RING_HINT_KEYS = ("n_electrons", "radius_m", "alpha", "theta_tilde")
-_RING_KEYS = (*_RING_HINT_KEYS, "mass_kg")  # metadata keys named as RunConfig fields
+_RING_KEYS = ("n_electrons", "radius_m", "alpha", "theta_tilde", "mass_kg")  # RunConfig names
+_FILE_RING_KEYS = set(_RING_KEYS[:4])  # the keys a file's ring needs; mass_kg has a default
 _META_KEYS = ("source", "seed", "noise_sigma", *_RING_KEYS)  # the keys the reader interprets
 
 _CONFIG_TYPES = get_type_hints(RunConfig)  # field name -> int, float or str
@@ -106,12 +107,11 @@ def write_config(config: RunConfig, path: str | Path) -> None:
         fh.write(serialize_config(config))
 
 
-def _meta_lines(meta: TraceMeta) -> list[str]:
-    lines = [f"# source: {meta.source}"]
-    if meta.seed is not None:
-        lines.append(f"# seed: {meta.seed}")
-    lines.append(f"# noise_sigma: {meta.noise_sigma!r}")
-    ring = meta.ring_hint
+def _meta_lines(trace: CurrentTrace, ring: RingSystem | None) -> list[str]:
+    lines = [f"# source: {trace.source}"]
+    if trace.seed is not None:
+        lines.append(f"# seed: {trace.seed}")
+    lines.append(f"# noise_sigma: {trace.noise_sigma!r}")
     if ring is not None:
         values = (int(ring.n_electrons), ring.radius, ring.alpha, ring.theta_tilde, ring.mass)
         lines += [f"# {key}: {value!r}" for key, value in zip(_RING_KEYS, values)]
@@ -154,6 +154,7 @@ def write_trace_csv(
 
     Reduced units use the `f,J` header; SI output (`phi_wb,J_A`) scales the
     flux by the flux quantum and needs a ring to supply the current scale.
+    The ring metadata lines are `ring`'s, and there are none without one.
     """
     if units == "reduced":
         header, f, j = _HEADER_REDUCED, trace.f, trace.j
@@ -163,7 +164,7 @@ def write_trace_csv(
         header, f, j = _HEADER_SI, trace.f * FLUX_QUANTUM, trace.j * ring.j0
     else:
         raise InvalidRange(f"units must be 'reduced' or 'si', got {units!r}")
-    write_table(path, header, (f, j), comments=_meta_lines(trace.meta))
+    write_table(path, header, (f, j), comments=_meta_lines(trace, ring))
 
 
 def _stated(meta: dict[str, str], keys) -> dict[str, float | int]:
@@ -272,7 +273,8 @@ def read_trace_csv(
     UnitMismatch when SI data has no usable scale, when the two rings give
     different scales, or when the file states a radius or alpha that
     differs from `ring`'s.  CurrentTrace checks the flux: NonMonotonicFlux
-    when unsorted, InvalidRange when not positive.
+    when unsorted, InvalidRange when not positive.  The trace keeps the
+    file's source (else "ingested"), seed, noise_sigma and n_electrons.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -289,17 +291,16 @@ def read_trace_csv(
 
     f, j = xy[:, 0], xy[:, 1]
     stated = _stated(meta, _RING_KEYS)
-    has_hint = all(key in stated for key in _RING_HINT_KEYS)
-    ring_hint = RunConfig(**stated).ring() if has_hint else None
+    file_ring = RunConfig(**stated).ring() if stated.keys() >= _FILE_RING_KEYS else None
     if header == _HEADER_SI:
-        scale_ring = ring if ring is not None else ring_hint
+        scale_ring = ring if ring is not None else file_ring
         if scale_ring is None:
             raise UnitMismatch(
                 "SI trace has no current scale: pass a ring or include ring metadata"
             )
-        if ring_hint is not None and not math.isclose(ring_hint.j0, scale_ring.j0, rel_tol=1e-9):
+        if file_ring is not None and not math.isclose(file_ring.j0, scale_ring.j0, rel_tol=1e-9):
             raise UnitMismatch(
-                f"SI trace metadata gives current scale j0 = {ring_hint.j0!r} A, "
+                f"SI trace metadata gives current scale j0 = {file_ring.j0!r} A, "
                 f"but the configured ring gives j0 = {scale_ring.j0!r} A"
             )
         f = f / FLUX_QUANTUM
@@ -314,13 +315,9 @@ def read_trace_csv(
                 )
 
     noise = _stated(meta, ("seed", "noise_sigma"))
-    trace_meta = TraceMeta(
-        source=meta.get("source", "ingested"),
-        seed=noise.get("seed"),
-        noise_sigma=noise.get("noise_sigma", 0.0),
-        ring_hint=ring_hint,
-    )
-    return CurrentTrace(f=f, j=j, meta=trace_meta)
+    return CurrentTrace(f=f, j=j, source=meta.get("source", "ingested"), seed=noise.get("seed"),
+                        noise_sigma=noise.get("noise_sigma", 0.0),
+                        n_electrons=stated.get("n_electrons"))
 
 
 def _fmt_report_value(value) -> str:

@@ -33,6 +33,7 @@ Parity = Literal["odd", "even"]
 __all__ = [
     "Parity",
     "RingSystem",
+    "check_electron_number",
     "reduce_to_zone",
     "eigenenergy",
     "ground_state_energy",
@@ -40,6 +41,12 @@ __all__ = [
     "lambda_signature",
     "sigma_signature",
 ]
+
+
+def check_electron_number(n) -> None:
+    """Refuse (InvalidRange) an electron number that is not a positive integer, a bool included."""
+    if not (isinstance(n, (int, np.integer)) and check_integer("n_electrons", n) >= 1):
+        raise InvalidRange(f"n_electrons must be a positive integer, got {n}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,7 @@ class RingSystem:
             )
         if not self.radius > 0.0:
             raise InvalidRange(f"radius must be strictly positive, got {self.radius}")
-        n = self.n_electrons  # isinstance takes a bool for an int; check_integer refuses it
-        if not (isinstance(n, (int, np.integer)) and check_integer("n_electrons", n) >= 1):
-            raise InvalidRange(f"n_electrons must be a positive integer, got {n}")
+        check_electron_number(self.n_electrons)
         if not self.mass > 0.0:
             raise InvalidRange(f"mass must be strictly positive, got {self.mass}")
         for name in ("f_nc", "epsilon0", "j0"):

@@ -18,9 +18,8 @@ The stages mirror how the measurement side would proceed:
 
 :class:`RunConfig` is the one configuration type (ring, grid, thresholds)
 and the one check of the fit window; it checks its grid by :func:`flux_grid`'s
-rule without building it.  :func:`analyze_trace` takes it plus ``blind=``,
-which decides whether ring metadata in the trace may supply the electron
-number.
+rule without building it.  :func:`analyze_trace` takes it plus ``blind=``;
+``blind=False`` takes N from the trace's ``n_electrons``, not from the fit.
 
 What stages 2-4 derive from the flux alone (the line fit's centring, the
 stencil weights, the fit window's points and their log10 f centring) lives
@@ -49,17 +48,15 @@ from ncring.errors import (
     TooFewPoints,
     check_integer,
 )
-from ncring.model import Parity, RingSystem, persistent_current
+from ncring.model import Parity, RingSystem, check_electron_number, persistent_current
 
 __all__ = [
     "MIN_TRACE_POINTS",
     "RunConfig",
-    "TraceMeta",
     "CurrentTrace",
     "PowerLawFit",
     "VerdictKind",
     "Verdict",
-    "NcEstimate",
     "AnalysisResult",
     "flux_grid",
     "check_zone",
@@ -131,14 +128,6 @@ class RunConfig:
                           theta_tilde=self.theta_tilde, mass=self.mass_kg)
 
 
-@dataclass(frozen=True)
-class TraceMeta:
-    source: str = "synthetic"  # "synthetic" | "ingested"
-    seed: int | None = None
-    noise_sigma: float = 0.0
-    ring_hint: RingSystem | None = None
-
-
 def _readonly(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     arr.flags.writeable = False
@@ -159,19 +148,25 @@ def _check_flux(f: np.ndarray, j: np.ndarray | None = None) -> None:
 
 @dataclass(frozen=True)
 class CurrentTrace:
-    """Sampled (f, J) data in reduced units, flux strictly increasing.
+    """Sampled (f, J) data in reduced units, flux strictly increasing, with its provenance.
 
-    Every trace holds one grid plan.  Only :func:`synthesize_trace` shares a
-    :func:`flux_grid` array, with that grid's plan; any other trace copies its
-    flux, out of the caller's reach, and builds its own plan over the copy.
+    `n_electrons` is the electron number it states, None or a positive integer
+    (else InvalidRange).  It holds one grid plan.  Only :func:`synthesize_trace`
+    shares a :func:`flux_grid` array, with that grid's plan; any other trace
+    copies its flux, out of the caller's reach, and builds its own plan on it.
     """
 
     f: np.ndarray
     j: np.ndarray
-    meta: TraceMeta = field(default_factory=TraceMeta)
+    source: str = "synthetic"  # "synthetic" | "ingested"
+    seed: int | None = None
+    noise_sigma: float = 0.0
+    n_electrons: int | None = None
     _plan: _GridPlan | None = field(default=None, repr=False, compare=False)  # None on input only
 
     def __post_init__(self):
+        if self.n_electrons is not None:
+            check_electron_number(self.n_electrons)
         shared = self._plan is not None and self.f is self._plan.f  # not after replace(f=...)
         if not shared:
             object.__setattr__(self, "_plan", _GridPlan(_readonly(self.f)))
@@ -302,23 +297,22 @@ def synthesize_trace(
 
     The window must pass :func:`check_zone`.  Noise is Gaussian, i.i.d. per
     point, drawn in ascending-f order from a generator seeded with the
-    non-negative `seed`, and recorded in the metadata.
+    non-negative `seed` it needs; the trace records both and the ring's N.
     """
     _check_grid(f_min, f_max, n_points, grid)
     plan = _shared_plan(f_min, f_max, n_points, grid)
     check_zone(ring, f_min, f_max)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    if seed is None and noise_sigma > 0.0:
+        raise InvalidRange(f"noise_sigma = {noise_sigma} needs a seed, got seed=None")
     if seed is not None and check_integer("seed", seed) < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
     j = persistent_current(ring, plan.f)
     if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        j = j + rng.normal(0.0, noise_sigma, n_points)
-    meta = TraceMeta(
-        source="synthetic", seed=seed, noise_sigma=noise_sigma, ring_hint=ring
-    )
-    return CurrentTrace(f=plan.f, j=j, meta=meta, _plan=plan)
+        j = j + np.random.default_rng(seed).normal(0.0, noise_sigma, n_points)
+    return CurrentTrace(f=plan.f, j=j, seed=seed, noise_sigma=noise_sigma,
+                        n_electrons=ring.n_electrons, _plan=plan)
 
 
 def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -618,32 +612,13 @@ def classify(
     estimated_f_nc = estimated_theta_tilde = 0.0 if kind is VerdictKind.NO_NC_DETECTED else None
     cross = gap = None
     if kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
-        estimate = estimate_theta_tilde(
-            kind, lambda_fit, sigma_fit, n_electrons, radius=config.radius_m, alpha=config.alpha
-        )
-        estimated_f_nc, estimated_theta_tilde = estimate.f_nc_hat, estimate.theta_tilde_hat
-        cross, gap = estimate.f_nc_hat_cross, estimate.cross_gap
+        estimated_f_nc, estimated_theta_tilde, cross, gap = estimate_theta_tilde(
+            kind, lambda_fit, sigma_fit, n_electrons, radius=config.radius_m, alpha=config.alpha)
     return Verdict(kind=kind, lambda_fit=lambda_fit, sigma_fit=sigma_fit,
                    estimated_n=n_electrons, estimated_parity=parity,
                    estimated_f_nc=estimated_f_nc, estimated_theta_tilde=estimated_theta_tilde,
                    criterion=criterion, lambda_divergent=lam_div, sigma_divergent=sig_div,
                    f_nc_hat_cross=cross, cross_gap=gap)
-
-
-@dataclass(frozen=True)
-class NcEstimate:
-    """Inversion of the fitted amplitudes into physical parameters.
-
-    f_nc_hat comes from the f_nc-proportional signature of the detected
-    parity; f_nc_hat_cross re-derives it from the other signature as a
-    consistency check (much noisier for small f_nc, since there the signal
-    is a tiny correction to an O(N) amplitude).
-    """
-
-    f_nc_hat: float
-    f_nc_hat_cross: float
-    cross_gap: float
-    theta_tilde_hat: float
 
 
 def estimate_theta_tilde(
@@ -653,8 +628,11 @@ def estimate_theta_tilde(
     n_electrons: int,
     radius: float,
     alpha: float,
-) -> NcEstimate:
-    """Invert fitted amplitudes into (f_nc, theta_tilde) for a detection.
+) -> tuple[float, float, float, float]:
+    """Invert fitted amplitudes into (f_nc, theta_tilde, f_nc_cross, cross_gap) for a detection.
+
+    f_nc_cross re-derives f_nc from the other signature as a check, much noisier for
+    small f_nc (a tiny correction to an O(N) amplitude); cross_gap is their relative gap.
 
     odd:  A_lambda = -2 N f_nc         -> f_nc = -A_lambda / (2N)
           A_sigma  = N (1 - 2 f_nc)    -> cross-check (1 - A_sigma/N) / 2
@@ -673,13 +651,7 @@ def estimate_theta_tilde(
     else:
         raise NotDetected(f"no parameter estimate for verdict {kind.value}")
     gap = abs(primary - cross) / max(abs(primary), 1e-300)
-    theta_tilde = primary * (HBAR * alpha / radius) ** 2
-    return NcEstimate(
-        f_nc_hat=primary,
-        f_nc_hat_cross=cross,
-        cross_gap=gap,
-        theta_tilde_hat=theta_tilde,
-    )
+    return primary, primary * (HBAR * alpha / radius) ** 2, cross, gap
 
 
 @dataclass(frozen=True)
@@ -724,18 +696,19 @@ def analyze_trace(
 ) -> AnalysisResult:
     """Run the full detection chain on a current trace.
 
-    One straight-line fit gives the electron number, the parity and the
-    noise level.  In blind mode (default) the electron number comes from
-    that fit; otherwise a ring hint in the trace metadata supplies it.
-    Windows, thresholds and the ring scales come from `config`.
+    One straight-line fit gives the noise level and, in blind mode (default),
+    the electron number and parity; otherwise they come from the trace's
+    `n_electrons` (InvalidRange when it states none).  Windows, thresholds
+    and the ring scales come from `config`.
     """
     intercept, slope, sigma_j = _linear_fit(trace)
-    hint = None if blind else trace.meta.ring_hint
     parity: Parity
-    if hint is not None:
-        n_est, parity = hint.n_electrons, hint.parity
-    else:
+    if blind:
         n_est, parity = _electron_number(intercept, slope)
+    elif trace.n_electrons is None:
+        raise InvalidRange("a non-blind analysis needs the trace's n_electrons; it states none")
+    else:
+        n_est, parity = trace.n_electrons, ("odd" if trace.n_electrons % 2 else "even")
     lam, sig, method = differentiate_trace(trace, n_est, smoothing_window=config.smoothing_window)
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.

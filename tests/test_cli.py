@@ -166,6 +166,30 @@ class TestExitCodes:
         assert "radius_m = 2e-06" in err and err.count("\n") == 1
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("dropped, stated", [((), 101), (("# theta_tilde",), 101),
+                                                 (("# theta_tilde", "# n_electrons"), None)],
+                             ids=["full_ring", "n_only", "no_n"])
+    def test_no_blind_takes_the_stated_electron_number(self, tmp_path, capsys, dropped, stated):
+        # J doubled, so the fit reads N = 202; --no-blind reads the file's n_electrons,
+        # and a file that states none is bad input
+        assert run_cli("simulate", "--n-electrons", "101", "--noise-sigma", "0.3", "--seed", "4",
+                       "--points", "64", "--out", str(tmp_path)) == 0
+        trace, out = tmp_path / "trace.csv", tmp_path / "analysis"
+        lines = trace.read_text().splitlines()
+        header = lines.index("f,J")
+        rows = [f"{f},{2.0 * float(j)!r}"
+                for f, j in (row.split(",") for row in lines[header + 1:])]
+        kept = [line for line in lines[:header + 1] if not line.startswith(dropped)]
+        trace.write_text("\n".join(kept + rows) + "\n")
+        capsys.readouterr()
+        rc = run_cli("analyze", str(trace), "--no-blind", "--out", str(out))
+        if stated is None:
+            err = capsys.readouterr().err
+            assert rc == 2 and "n_electrons" in err and err.count("\n") == 1
+            assert not (out / "report.txt").exists()
+        else:
+            assert rc == 0 and f"estimated_n: {stated}\n" in (out / "report.txt").read_text()
+
     def test_invalid_ring_metadata_exits_two(self, tmp_path, capsys):
         assert run_cli("simulate", "--n-electrons", "3", "--out", str(tmp_path)) == 0
         trace = tmp_path / "trace.csv"
@@ -333,6 +357,9 @@ def subcommands() -> dict[str, argparse.ArgumentParser]:
 
 
 class TestOptionTable:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_each_command_takes_only_the_flags_it_reads(self):
         parsed = {
             name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]

@@ -31,7 +31,6 @@ from ncring.pipeline import (
     CurrentTrace,
     PowerLawFit,
     RunConfig,
-    TraceMeta,
     Verdict,
     VerdictKind,
     flux_grid,
@@ -53,25 +52,23 @@ class TestTraceCsv:
         back = read_trace_csv(path)
         assert np.array_equal(back.f, trace.f)
         assert np.array_equal(back.j, trace.j)
-        assert back.meta.seed == 42
-        assert back.meta.noise_sigma == 0.01
-        assert back.meta.source == "synthetic"
+        assert back.seed == 42
+        assert back.noise_sigma == 0.01
+        assert back.source == "synthetic"
+        assert back.n_electrons is None  # written without a ring: no ring lines
 
-    def test_ring_hint_round_trip(self, tmp_path):
+    def test_n_electrons_round_trip(self, tmp_path):
         ring = ring_with(5, 1e-4)
         trace = synthesize_trace(ring, 1e-3, 0.4, 32)
+        assert trace.n_electrons == 5
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        hint = read_trace_csv(path).meta.ring_hint
-        assert hint is not None
-        assert hint.n_electrons == 5
-        assert hint.radius == ring.radius
-        assert hint.theta_tilde == ring.theta_tilde
+        write_trace_csv(trace, path, ring=ring)
+        assert read_trace_csv(path).n_electrons == 5
 
     def test_ring_metadata_lines(self):
         # one line per key the reader interprets; a numpy N is written as a plain int
         ring = RingSystem.from_f_nc(n_electrons=np.int64(5), f_nc=1e-4)
-        lines = _meta_lines(TraceMeta(ring_hint=ring))
+        lines = _meta_lines(synthesize_trace(ring, 1e-3, 0.4, 16), ring)
         assert lines == [
             "# source: synthetic", "# noise_sigma: 0.0", "# n_electrons: 5",
             f"# radius_m: {ring.radius!r}", f"# alpha: {ring.alpha!r}",
@@ -132,7 +129,7 @@ class TestTraceCsv:
         write_trace_csv(trace, path, units="si", ring=ring)
         with pytest.raises(UnitMismatch, match=repr(ring.j0)):
             read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
-        assert read_trace_csv(path, ring=ring).meta.ring_hint.radius == 2e-6
+        assert read_trace_csv(path, ring=ring).n_electrons == 3
 
     @pytest.mark.parametrize("key, value", [("radius_m", 2e-6), ("alpha", 0.5)])
     def test_reduced_read_refuses_other_radius_or_alpha(self, tmp_path, key, value):
@@ -143,21 +140,21 @@ class TestTraceCsv:
         write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 16), path, ring=ring)
         with pytest.raises(UnitMismatch, match=f"{key} = {value!r}"):
             read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
-        assert read_trace_csv(path, ring=ring).meta.ring_hint == ring
+        assert read_trace_csv(path, ring=ring).n_electrons == 3
 
     def test_stated_radius_checked_without_full_ring(self, tmp_path):
-        # the file states its radius but not its N or theta_tilde: no ring
-        # hint, yet the radius still has to match the configured ring's
+        # the file states its radius but not its N or theta_tilde: no N on
+        # the trace, yet the radius still has to match the configured ring's
         ring = RunConfig(radius_m=2e-6, n_electrons=3).ring()
         path = tmp_path / "partial.csv"
-        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 16), path)
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 16), path, ring=ring)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(
             line for line in lines if not line.startswith(("# n_electrons", "# theta_tilde"))
         ))
         with pytest.raises(UnitMismatch, match=r"radius_m = 2e-06"):
             read_trace_csv(path, ring=RunConfig(n_electrons=3).ring())
-        assert read_trace_csv(path, ring=ring).meta.ring_hint is None
+        assert read_trace_csv(path, ring=ring).n_electrons is None
 
     @pytest.mark.parametrize("row", [0, -3], ids=["metadata", "data"])
     @pytest.mark.parametrize("bad", [b"\xff", b"\xc3"])
@@ -179,7 +176,8 @@ class TestTraceCsv:
     )
     def test_invalid_stated_ring_value_is_parse_error(self, tmp_path, key, value):
         path = tmp_path / "bad.csv"
-        write_trace_csv(synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16), path)
+        ring = ring_with(3, 1e-5)
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 16), path, ring=ring)
         text = path.read_text()
         stated = next(line for line in text.splitlines() if line.startswith(f"# {key}:"))
         path.write_text(text.replace(stated, f"# {key}: {value}"))
@@ -208,8 +206,9 @@ class TestTraceCsv:
     )
     def test_repeated_metadata_key_is_parse_error(self, tmp_path, key):
         path = tmp_path / "repeated.csv"
-        trace = synthesize_trace(ring_with(3, 1e-5), 1e-3, 0.4, 16, noise_sigma=0.01, seed=9)
-        write_trace_csv(trace, path)
+        ring = ring_with(3, 1e-5)
+        trace = synthesize_trace(ring, 1e-3, 0.4, 16, noise_sigma=0.01, seed=9)
+        write_trace_csv(trace, path, ring=ring)
         lines = path.read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}:"))
         lines.insert(row + 1, lines[row])  # even an agreeing repeat is refused
@@ -234,8 +233,8 @@ class TestTraceCsv:
         path = tmp_path / "hand.csv"
         path.write_text(f"f,J\n{rows}\n")
         trace = read_trace_csv(path)
-        assert trace.meta.source == "ingested"
-        assert trace.meta.ring_hint is None
+        assert trace.source == "ingested"
+        assert trace.n_electrons is None
         assert estimate_electron_number(trace) == (3, "odd")
 
     def test_empty_file_is_parse_error(self, tmp_path):
@@ -463,7 +462,7 @@ class TestResultsReport:
 # The per-row writers that preceded dataio.write_table, kept as a byte
 # reference: every data CSV must stay exactly what they wrote.
 def reference_trace_csv(trace, units="reduced", ring=None) -> str:
-    lines = _meta_lines(trace.meta)
+    lines = _meta_lines(trace, ring)
     if units == "reduced":
         lines.append("f,J")
         for f, j in zip(trace.f, trace.j):
@@ -545,7 +544,7 @@ class TestRowBytes:
         ring = RunConfig(radius_m=2e-6, n_electrons=3).ring()
         rng = np.random.default_rng(7)
         f = np.geomspace(1e-12, 1e3, 500) * (1.0 + 1e-3 * rng.random(500))
-        awkward = CurrentTrace(f=f, j=awkward_floats(rng, 500), meta=TraceMeta(ring_hint=ring))
+        awkward = CurrentTrace(f=f, j=awkward_floats(rng, 500))
         # more rows than write_table writes per chunk
         noisy = synthesize_trace(ring, 1e-3, 0.4, 10_000, noise_sigma=0.01, seed=3)
         for trace in (awkward, noisy):
@@ -697,7 +696,8 @@ def read_outcome(path, bulk: bool = True):
             trace = read_trace_csv(path)
         except ParseError as err:
             return type(err), str(err), err.line
-    return trace.f.tobytes(), trace.j.tobytes(), trace.meta
+    return (trace.f.tobytes(), trace.j.tobytes(),
+            (trace.source, trace.seed, trace.noise_sigma, trace.n_electrons))
 
 
 def scan_rows(path, bulk: bool) -> np.ndarray | None:

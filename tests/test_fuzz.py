@@ -4,7 +4,6 @@ Every input must end in exit 0 (the command ran) or exit 2 (bad input); exit 1
 is a defect.  Sizes are not fuzzed: a request for 1e18 rows is a separate question.
 """
 
-import functools
 import random
 import re
 
@@ -40,13 +39,12 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     return b"\n".join(lines)
 
 
-def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys, monkeypatch):
-    # main builds the same parser on every call; building it once keeps 1000 runs fast
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
     run = RunConfig(n_electrons=3, n_points=64, noise_sigma=1e-6, seed=1)
     trace, config = tmp_path / "trace.csv", tmp_path / "run.cfg"
     write_trace_csv(synthesize_trace(run.ring(), run.f_min, run.f_max, run.n_points,
-                                     noise_sigma=run.noise_sigma, seed=run.seed), trace)
+                                     noise_sigma=run.noise_sigma, seed=run.seed),
+                    trace, ring=run.ring())
     config.write_text(serialize_config(run))
     base = {trace: trace.read_bytes(), config: config.read_bytes()}
     rng = random.Random(INPUTS)

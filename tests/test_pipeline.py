@@ -27,12 +27,11 @@ from ncring.errors import (
     NotDetected,
     TooFewPoints,
 )
-from ncring.model import RingSystem, lambda_signature, sigma_signature
+from ncring.model import RingSystem, lambda_signature, persistent_current, sigma_signature
 from ncring.pipeline import (
     CurrentTrace,
     PowerLawFit,
     RunConfig,
-    TraceMeta,
     VerdictKind,
     _centre,
     _electron_number,
@@ -142,6 +141,15 @@ class TestSynthesizeTrace:
         with pytest.raises(InvalidRange, match="seed must be an integer, got 1.5"):
             synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 64, noise_sigma=0.1, seed=1.5)
 
+    def test_noise_needs_a_seed(self):
+        # an unseeded generator would draw different noise on each call
+        ring = RingSystem.from_f_nc(3, 1e-2)
+        with pytest.raises(InvalidRange, match="needs a seed, got seed=None"):
+            synthesize_trace(ring, 1e-3, 0.4, 64, noise_sigma=0.1)
+        trace = synthesize_trace(ring, 1e-3, 0.4, 64)  # noiseless needs none
+        assert (trace.seed, trace.noise_sigma, trace.n_electrons) == (None, 0.0, 3)
+        assert bits(trace.j) == bits(persistent_current(ring, trace.f))
+
     def test_even_ring_must_start_at_f_nc(self):
         ring = ring_with(4, 1e-2)
         with pytest.raises(InvalidRange):
@@ -164,6 +172,16 @@ class TestSynthesizeTrace:
                              (f, np.append(np.zeros(9), -np.inf))):
             with pytest.raises(InvalidRange, match="must be finite"):
                 CurrentTrace(f=bad_f, j=bad_j)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True, "3"])
+    def test_stated_electron_number_is_a_positive_integer(self, n):
+        # the ring's own check and message
+        f = np.linspace(0.1, 0.4, 10)
+        with pytest.raises(InvalidRange, match="n_electrons must be"):
+            CurrentTrace(f=f, j=-2.0 * f, n_electrons=n)
+        with pytest.raises(InvalidRange, match="n_electrons must be"):
+            RingSystem(radius=1e-6, n_electrons=n)
+        assert CurrentTrace(f=f, j=-2.0 * f, n_electrons=np.int64(1)).n_electrons == 1
 
 
 class TestFluxGrid:
@@ -664,10 +682,10 @@ def reference_classify(lambda_fit, sigma_fit, n, parity, config=RunConfig()):
         line = "no criterion case matches the observed divergence pattern"
     notes.append(line)
     if kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
-        est = estimate_theta_tilde(kind, lambda_fit, sigma_fit, n, radius=config.radius_m,
-                                   alpha=config.alpha)
-        notes.append(f"f_nc cross-check: primary {est.f_nc_hat:.4e}, "
-                     f"cross {est.f_nc_hat_cross:.4e}, relative gap {est.cross_gap:.4e}")
+        f_nc, _, cross, gap = estimate_theta_tilde(kind, lambda_fit, sigma_fit, n,
+                                                   radius=config.radius_m, alpha=config.alpha)
+        notes.append(f"f_nc cross-check: primary {f_nc:.4e}, "
+                     f"cross {cross:.4e}, relative gap {gap:.4e}")
     return kind, tuple(notes)
 
 
@@ -762,31 +780,31 @@ class TestEstimateThetaTilde:
         n = 10001
         lam = _fit(-2.0 * n * 1.5828e-5, -2.0)
         sig = _fit(n * (1.0 - 2.0 * 1.5828e-5), -2.0)
-        est = estimate_theta_tilde(
+        f_nc, theta_tilde, _, gap = estimate_theta_tilde(
             VerdictKind.ODD_NC_DETECTED, lam, sig, n, radius=1e-6, alpha=1.0
         )
-        assert est.f_nc_hat == pytest.approx(1.5828e-5, rel=1e-12)
-        assert est.theta_tilde_hat == pytest.approx(THETA_TILDE_REF, rel=2e-3)
-        assert est.cross_gap < 1e-9
+        assert f_nc == pytest.approx(1.5828e-5, rel=1e-12)
+        assert theta_tilde == pytest.approx(THETA_TILDE_REF, rel=2e-3)
+        assert gap < 1e-9
 
     def test_even_inversion(self):
         n = 4
         f_nc = 1e-2
         lam = _fit(-n * (1.0 + 2.0 * f_nc), -2.0)
         sig = _fit(-2.0 * n * f_nc, -2.0)
-        est = estimate_theta_tilde(
+        primary, _, cross, _ = estimate_theta_tilde(
             VerdictKind.EVEN_NC_DETECTED, lam, sig, n, radius=1e-6, alpha=1.0
         )
-        assert est.f_nc_hat == pytest.approx(f_nc, rel=1e-12)
-        assert est.f_nc_hat_cross == pytest.approx(f_nc, rel=1e-9)
+        assert primary == pytest.approx(f_nc, rel=1e-12)
+        assert cross == pytest.approx(f_nc, rel=1e-9)
 
     def test_zero_amplitude_maps_to_zero(self):
-        est = estimate_theta_tilde(
+        f_nc, theta_tilde, _, _ = estimate_theta_tilde(
             VerdictKind.ODD_NC_DETECTED, _fit(-0.0, -2.0), _fit(3.0, -2.0), 3,
             radius=1e-6, alpha=1.0,
         )
-        assert est.f_nc_hat == 0.0
-        assert est.theta_tilde_hat == 0.0
+        assert f_nc == 0.0
+        assert theta_tilde == 0.0
 
     def test_not_detected_refused(self):
         with pytest.raises(NotDetected):
@@ -833,6 +851,17 @@ class TestAnalyzeTrace:
         blind = analyze_trace(trace, blind=True)
         informed = analyze_trace(trace, blind=False)
         assert blind.verdict.estimated_n == informed.verdict.estimated_n == 3
+
+    def test_informed_reads_the_stated_electron_number(self):
+        # J doubled: the fit reads N = 6 (even), the trace states 3 (odd)
+        trace = make_trace(ring_with(3, 1e-5))
+        doubled = dataclasses.replace(trace, j=2.0 * trace.j)
+        assert analyze_trace(doubled).verdict.estimated_n == 6
+        informed = analyze_trace(doubled, blind=False).verdict
+        assert (informed.estimated_n, informed.estimated_parity) == (3, "odd")
+        unstated = dataclasses.replace(doubled, n_electrons=None)
+        with pytest.raises(InvalidRange, match="n_electrons"):
+            analyze_trace(unstated, blind=False)
 
     def test_seed_determinism(self):
         ring = ring_with(3, 1e-5)
@@ -1032,7 +1061,7 @@ class TestGridPlan:
                 shared = synthesize_trace(ring_with(n, f_nc), 1e-3, 0.4, 96, noise_sigma=noise,
                                           seed=n, grid=grid)
                 assert shared._plan is not None
-                copied = CurrentTrace(f=np.array(shared.f), j=shared.j, meta=shared.meta)
+                copied = dataclasses.replace(shared, f=np.array(shared.f))
                 assert copied._plan is not shared._plan and copied._plan.f is copied.f
                 assert not np.shares_memory(copied.f, shared.f)
                 verdict, lam, sig, sigma_j, floor = plain_analysis(shared, config)
