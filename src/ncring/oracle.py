@@ -1,6 +1,6 @@
 """Brute-force reference implementations used to validate the closed forms.
 
-Levels are enumerated, sorted and summed explicitly so that the closed-form
+Levels are enumerated and sorted explicitly so that the closed-form
 ground-state energy and current can be checked against a construction that
 never calls them.  One kernel, :func:`_fill`, fills a whole flux array for
 one ring.  It enumerates the levels of the fixed window |n| <= m, with
@@ -8,13 +8,12 @@ m = N // 2 + 5, in the tie-break column order n = 0, -1, 1, -2, 2, ...;
 each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a correctly
 rounded product, and a stable sort along each row fills the N lowest.  It
 refuses a flux that is not finite or lies m or more from f_nc, and a
-filling that reaches |n| = m.  Filled levels are summed per row with
-math.fsum.  The scalar oracles are its one-point case; of the sweep helpers
-at the bottom, which back both the test suite and the `verify` CLI
-subcommand, the ground-state sweep fills one row per flux point and the
-current sweep fills the f + h and f - h rows of a ring in one call.  The
-signature differences alone are built on the closed-form current; every
-sweep is tallied by :func:`_sweep`.
+filling that reaches |n| = m.  The scalar oracles are its one-point case,
+summed with math.fsum.  The filling sweeps at the bottom, behind the test
+suite and the `verify` CLI subcommand, fill one row per point and compare
+with E and J = -dE/df evaluated exactly on that occupation from its sums of
+n and n^2.  The signature differences alone are built on the closed-form
+current; every sweep is tallied by :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -100,12 +99,6 @@ def _fill(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row."""
     return np.fromiter(map(math.fsum, a.tolist()), float, len(a))
-
-
-def _filled_energies(ring: RingSystem, f: np.ndarray) -> np.ndarray:
-    """Ground-state energy by filling at each flux of `f`."""
-    levels, order, _ = _fill(ring, f)
-    return _fsum_rows(np.take_along_axis(levels, order, axis=1))
 
 
 def ground_state_by_filling(ring: RingSystem, f: float) -> LevelFilling:
@@ -204,7 +197,7 @@ class SweepResult:
     max_dev: float
     tol: float
     worst: tuple[int, float, float]  # (N, f_nc, f)
-    rows_filled: int  # level rows the filling kernel filled; 0 for the signature sweep
+    rows_filled: int  # rows the filling kernel filled: one per point, 0 for the signature sweep
 
     @property
     def passed(self) -> bool:
@@ -231,9 +224,7 @@ def zone_flux_grid(n_flux: int = 101) -> np.ndarray:
 FILLING_N = (range(1, 61), range(1, 13))  # N values of the ground-state and current sweeps
 FILLING_F_NC = (0.0, 1e-5, 0.01, 0.3)
 FILLING_POINTS = (101, 31)  # zone_flux_grid sizes
-FILLING_EXCLUSION = 1e-4  # points this close to a level crossing are skipped; > 10 CURRENT_H
-CURRENT_H = 1e-6  # central-difference step of the current sweep
-GROUND_STATE_TOL, CURRENT_TOL = 1e-12, 1e-10
+GROUND_STATE_TOL, CURRENT_TOL = 1e-14, 1e-12
 SIGNATURE_N, SIGNATURE_F_NC = (3, 4), (0.0, 1e-5, 1e-2)
 SIGNATURE_SPAN, SIGNATURE_POINTS = (1e-3, 0.4), (40, 15)  # log grid bounds and sizes
 SIGNATURE_TOL = 1e-6
@@ -261,29 +252,92 @@ def _sweep(label, tol, rows, deviations) -> SweepResult:
     return SweepResult(label, count, max_dev, tol, worst, rows * count)
 
 
-def _filling_deviations(quick, closed, oracle):
-    """(ring, f, |closed - oracle| / max(1, |closed|)) per ring of the filling sweep,
-    on the grid points farther than FILLING_EXCLUSION from a level crossing;
-    `closed` and `oracle` take a ring and its kept flux array."""
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly: Dekker's TwoProduct on
+    Veltkamp's split into 26-bit halves, valid for |a|, |b| < 2**996 and so for the
+    filling sweeps' bounded inputs, |f| < 1, f_nc < 1/2 and N <= 60."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _compensated_sum(terms):
+    """sum(terms) as a pair (hi, lo) by Ogita, Rump and Oishi's Sum2 with an
+    error-free last step: within about n^2 u^2 sum |term|, u = 2**-53."""
+    s, c = terms[0], 0.0
+    for t in terms[1:]:
+        s, e = _two_sum(s, t)
+        c = c + e
+    return _two_sum(s, c)
+
+
+def _occupation_sums(ring: RingSystem, f: np.ndarray) -> np.ndarray:
+    """Rows S1 = sum n and S2 = sum n^2 over the levels `_fill` occupies at each flux."""
+    _, order, n = _fill(ring, f)
+    occupied = n[order]
+    return np.stack((occupied.sum(axis=1), (occupied * occupied).sum(axis=1))).astype(float)
+
+
+def _exact_energy(n_el, f_nc, f, sums):
+    """E = S2 + 2 S1 x + N x^2 - (3/4) N f_nc^2, x = f - f_nc, as a pair (hi, lo) within a
+    few u^2 max(1, |E|): first-order products are split exactly, second-order ones rounded."""
+    s1, s2 = sums
+    xh, xl = _two_sum(f, -f_nc)
+    q, qe = _two_prod(f_nc, f_nc)
+    c, ce = _two_prod(0.75 * n_el, q)
+    a, ae = _two_prod(2.0 * s1, xh)
+    g, ge = _two_prod(xh, xh)
+    k, ke = _two_prod(float(n_el), g)
+    return _compensated_sum([s2, -c, -ce, -0.75 * n_el * qe, a, ae, 2.0 * s1 * xl,
+                             k, ke, n_el * ge, 2.0 * n_el * xh * xl, n_el * xl * xl])
+
+
+def _exact_current(n_el, f_nc, f, sums):
+    """J = -dE/df = -2 (S1 + N x) as a pair (hi, lo), every product split exactly."""
+    xh, xl = _two_sum(f, -f_nc)
+    p, pe = _two_prod(float(n_el), xh)
+    r, re = _two_prod(float(n_el), xl)
+    hi, lo = _compensated_sum([sums[0], p, pe, r, re])
+    return -2.0 * hi, -2.0 * lo
+
+
+def _filling_deviations(quick, closed, exact):
+    """(ring, f, |closed - exact| / max(1, |closed|)) per ring of the filling sweep, on its
+    grid points off a level crossing, where J is undefined; `exact` takes (N, f_nc, f,
+    occupation sums) over one N's block of rings, filled once per point."""
     grid = zone_flux_grid(FILLING_POINTS[quick])
-    for ring in _sweep_rings(FILLING_N[quick], FILLING_F_NC):
-        f = grid[boundary_distance(ring, grid) > FILLING_EXCLUSION]
-        if f.size:
-            value = closed(ring, f)
-            yield ring, f, np.abs(value - oracle(ring, f)) / np.maximum(1.0, np.abs(value))
+    for n in FILLING_N[quick]:
+        block = [(ring, f) for ring in _sweep_rings((n,), FILLING_F_NC)
+                 if (f := grid[boundary_distance(ring, grid) > 0.0]).size]
+        sizes = [len(f) for _, f in block]
+        value = np.concatenate([closed(ring, f) for ring, f in block])
+        sums = np.concatenate([_occupation_sums(ring, f) for ring, f in block], axis=1)
+        f_nc = np.repeat([ring.f_nc for ring, _ in block], sizes)
+        hi, lo = exact(n, f_nc, np.concatenate([f for _, f in block]), sums)
+        dev = np.abs((value - hi) - lo) / np.maximum(1.0, np.abs(value))
+        for (ring, f), d in zip(block, np.split(dev, np.cumsum(sizes)[:-1])):
+            yield ring, f, d
 
 
 def ground_state_sweep(quick: bool = False) -> SweepResult:
-    """Max of |E_g(closed) - E_g(oracle)| / max(1, |E_g|) over the filling sweep."""
+    """Max of |E_g(closed) - E_g(exact)| / max(1, |E_g|) over the filling sweep."""
     return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL, 1,
-                  _filling_deviations(quick, ground_state_energy, _filled_energies))
+                  _filling_deviations(quick, ground_state_energy, _exact_energy))
 
 
 def current_sweep(quick: bool = False) -> SweepResult:
-    """Max of |J(closed) + dE_g/df(oracle)| / max(1, |J|) over the filling sweep."""
-    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL, 2, _filling_deviations(
-        quick, persistent_current, lambda ring, f: _finite_difference_current(ring, f, CURRENT_H),
-    ))
+    """Max of |J(closed) + dE_g/df(exact)| / max(1, |J|) over the filling sweep."""
+    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL, 1,
+                  _filling_deviations(quick, persistent_current, _exact_current))
 
 
 def signature_sweep(quick: bool = False) -> SweepResult:

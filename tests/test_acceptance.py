@@ -47,9 +47,9 @@ def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
     result = ground_state_sweep()
     elapsed = time.perf_counter() - start
-    assert result.tol <= 1e-12 and result.passed, result.summary()
-    assert (result.n_points, result.rows_filled) == (24180, 24180)
-    assert elapsed < 10.0, f"sweep took {elapsed:.1f}s, budget 10s"
+    assert result.tol <= 1e-14 and result.passed, result.summary()
+    assert (result.n_points, result.rows_filled) == (24210, 24210)
+    assert elapsed < 2.0, f"sweep took {elapsed:.1f}s, budget 2s"
     _report(2, f"max normalized deviation {result.max_dev:.2e} <= {result.tol:.0e} "
                f"in {elapsed:.1f}s")
 
@@ -58,9 +58,9 @@ def test_criterion_3_thermodynamic_consistency():
     start = time.perf_counter()
     result = current_sweep()
     elapsed = time.perf_counter() - start
-    assert result.tol <= 1e-10 and result.passed, result.summary()
-    assert (result.n_points, result.rows_filled) == (24180, 48360)
-    assert elapsed < 10.0, f"sweep took {elapsed:.1f}s, budget 10s"
+    assert result.tol <= 1e-12 and result.passed, result.summary()
+    assert (result.n_points, result.rows_filled) == (24210, 24210)
+    assert elapsed < 2.0, f"sweep took {elapsed:.1f}s, budget 2s"
     _report(3, f"max normalized deviation {result.max_dev:.2e} <= {result.tol:.0e} "
                f"in {elapsed:.1f}s")
 

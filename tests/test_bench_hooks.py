@@ -87,8 +87,8 @@ def test_tracer_counts_verify(capsys):
     signature = signature_sweep(quick=True)
     counts = traced_counts(["verify", "--quick"])
     filling_points = sum(sweep.n_points for sweep in filling)
-    assert counts["oracle.points_checked"] == filling_points + signature.n_points == 3072
-    assert counts["oracle.filling_points"] == filling_points == 2904
+    assert counts["oracle.points_checked"] == filling_points + signature.n_points == 3108
+    assert counts["oracle.filling_points"] == filling_points == 2940
 
 
 @pytest.mark.parametrize(

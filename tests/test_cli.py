@@ -481,10 +481,10 @@ class TestCommands:
     def test_verify_quick(self, capsys):
         assert run_cli("verify", "--quick") == 0
         assert capsys.readouterr().out == (
-            "ground-state closed form vs filling oracle: max dev 3.255e-16 (tol 1e-12) "
-            "over 1452 points, worst at N=5, f_nc=0.01, f=-0.5625  [OK]\n"
-            "current closed form vs -dE/df oracle: max dev 6.883e-15 (tol 1e-10) "
-            "over 1452 points, worst at N=12, f_nc=1e-05, f=-0.5  [OK]\n"
+            "ground-state closed form vs filling oracle: max dev 1.888e-16 (tol 1e-14) "
+            "over 1470 points, worst at N=2, f_nc=1e-05, f=-0.1875  [OK]\n"
+            "current closed form vs -dE/df oracle: max dev 2.220e-15 (tol 1e-12) "
+            "over 1470 points, worst at N=11, f_nc=0.3, f=-0.75  [OK]\n"
             "signature closed forms vs finite differences: max dev 3.003e-08 (tol 1e-06) "
             "over 168 points, worst at N=4, f_nc=1e-05, f=0.00153413  [OK]\n"
             "verification passed\n"
@@ -493,10 +493,10 @@ class TestCommands:
     def test_verify_full(self, capsys):
         assert run_cli("verify") == 0
         assert capsys.readouterr().out == (
-            "ground-state closed form vs filling oracle: max dev 3.403e-16 (tol 1e-12) "
-            "over 24180 points, worst at N=3, f_nc=1e-05, f=0.54902  [OK]\n"
-            "current closed form vs -dE/df oracle: max dev 1.090e-13 (tol 1e-10) "
-            "over 24180 points, worst at N=60, f_nc=1e-05, f=0.490196  [OK]\n"
+            "ground-state closed form vs filling oracle: max dev 2.977e-16 (tol 1e-14) "
+            "over 24210 points, worst at N=2, f_nc=0.3, f=-0.803922  [OK]\n"
+            "current closed form vs -dE/df oracle: max dev 1.310e-14 (tol 1e-12) "
+            "over 24210 points, worst at N=59, f_nc=0.3, f=-0.705882  [OK]\n"
             "signature closed forms vs finite differences: max dev 3.860e-08 (tol 1e-06) "
             "over 450 points, worst at N=4, f_nc=1e-05, f=0.0738152  [OK]\n"
             "verification passed\n"

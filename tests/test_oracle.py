@@ -1,6 +1,7 @@
 """Brute-force oracle: level filling, finite differences, sweep agreement."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -240,7 +241,8 @@ class TestFillingKernelMatchesReference:
 
 
 class TestOracleIndependence:
-    def test_oracles_never_call_the_closed_forms(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def refuse_closed_forms(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called a closed form it checks")
 
@@ -252,6 +254,8 @@ class TestOracleIndependence:
             "reduce_to_zone",
         ):
             monkeypatch.setattr(oracle, name, refuse)
+
+    def test_oracles_never_call_the_closed_forms(self):
         ring = ring_with(7, 0.01)
         fill = ground_state_by_filling(ring, 0.13)
         assert len(fill.occupied) == 7
@@ -260,6 +264,19 @@ class TestOracleIndependence:
         assert oracle._fill(ring, f)[1].shape == (31, 7)
         f = f[np.abs(f - 0.51) > 0.05]
         assert oracle._finite_difference_current(ring, f, 1e-6).shape == f.shape
+
+    def test_exact_references_never_call_the_closed_forms(self):
+        # the sweeps' reference side: fill, occupation sums, then exact E and J
+        ring = ring_with(7, 0.01)
+        f = np.array([0.13, -0.2])
+        sums = oracle._occupation_sums(ring, f)
+        assert sums.tolist() == [[0.0, 0.0], [28.0, 28.0]]  # n = -3..3 at both points
+        f_nc = np.full(2, ring.f_nc)
+        energy = np.add(*oracle._exact_energy(7, f_nc, f, sums))
+        current = np.add(*oracle._exact_current(7, f_nc, f, sums))
+        x = f - ring.f_nc
+        assert energy == pytest.approx(28.0 + 7 * (x * x - 0.75 * ring.f_nc**2), rel=1e-15)
+        assert current == pytest.approx(-14 * x, rel=1e-15)
 
 
 class TestCurrentByFiniteDifference:
@@ -384,17 +401,16 @@ class TestSweeps:
         assert isinstance(boundary_distance(ring, 0.3), float)
         assert d.tolist() == [boundary_distance(ring, float(f)) for f in grid]
 
-    # the `verify --quick` sweeps; the filling kernel fills one row per
-    # ground-state point and the f + h and f - h rows per current point
+    # the `verify --quick` sweeps; the filling kernel fills one row per point
     def test_ground_state_sweep_small(self):
         result = ground_state_sweep(quick=True)
         assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (1452, 1452)
+        assert (result.n_points, result.rows_filled) == (1470, 1470)
 
     def test_current_sweep_small(self):
         result = current_sweep(quick=True)
         assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (1452, 2904)
+        assert (result.n_points, result.rows_filled) == (1470, 1470)
 
     def test_signature_sweep_small(self):
         result = signature_sweep(quick=True)
@@ -416,3 +432,59 @@ class TestSweeps:
     def test_n_flux_must_be_an_integer(self):
         with pytest.raises(InvalidRange, match="n_flux must be an integer, got 2.5"):
             zone_flux_grid(2.5)
+
+
+class TestExactReferences:
+    """The filling sweeps compare each closed form with an exact E or J on the
+    occupation `_fill` chooses, evaluated by error-free transformations."""
+
+    @pytest.mark.parametrize("sweep, reference, closed", [
+        (ground_state_sweep, "_exact_energy", ground_state_energy),
+        (current_sweep, "_exact_current", persistent_current),
+    ])
+    def test_reference_matches_rational_arithmetic(self, monkeypatch, sweep, reference, closed):
+        # every point of the quick sweep, against Fraction sums over the filled levels
+        blocks = []
+        exact = getattr(oracle, reference)
+
+        def record(n, f_nc, f, sums):
+            blocks.append((n, f_nc, f, exact(n, f_nc, f, sums)))
+            return blocks[-1][-1]
+
+        monkeypatch.setattr(oracle, reference, record)
+        assert sweep(quick=True).passed
+        checked = 0
+        for n, f_nc, f, (hi, lo) in blocks:
+            for value in np.unique(f_nc):
+                ring, at = ring_with(n, float(value)), f_nc == value
+                _, order, levels = oracle._fill(ring, f[at])
+                fnc = Fraction(ring.f_nc)
+                for fb, occupied, h, l, c in zip(f[at].tolist(), levels[order].tolist(),
+                                                  hi[at].tolist(), lo[at].tolist(),
+                                                  closed(ring, f[at]).tolist()):
+                    x = Fraction(fb) - fnc
+                    if closed is ground_state_energy:
+                        truth = sum((k + x) ** 2 for k in occupied) - Fraction(3, 4) * n * fnc**2
+                    else:
+                        truth = -2 * sum(k + x for k in occupied)
+                    assert abs(Fraction(h) + Fraction(l) - truth) <= 1e-28 * max(1.0, abs(c))
+                    checked += 1
+        assert checked == 1470
+
+    @pytest.mark.parametrize("sweep, name", [
+        (ground_state_sweep, "ground_state_energy"),
+        (current_sweep, "persistent_current"),
+    ])
+    @pytest.mark.parametrize("shift, passes", [(10.0, False), (0.1, True)])
+    def test_sweep_resolves_its_tolerance(self, monkeypatch, sweep, name, shift, passes):
+        # a closed form off by 10 tol fails its sweep; one off by tol / 10 passes
+        closed = getattr(oracle, name)
+        tol = sweep(quick=True).tol
+
+        def shifted(ring, f):
+            value = closed(ring, f)
+            return value + shift * tol * np.maximum(1.0, np.abs(value))
+
+        monkeypatch.setattr(oracle, name, shifted)
+        result = sweep(quick=True)
+        assert result.passed is passes, result.summary()
