@@ -23,7 +23,8 @@ The same pass over the mix gives a verdict table (columns in
 Two checkouts produce the same bytes exactly when they print the same lines,
 so a change that claims identical outputs is checked by running this script
 against the source tree of each (``--src``, by default this checkout's
-``src``).  The script prints the golden file's header, versions included, so
+``src``).  The script prints the golden file's header, versions and numpy's
+SIMD dispatch included, so
 
     python3 scripts/output_digest.py > tests/golden/output_digest.txt
 
@@ -237,11 +238,14 @@ def digests(root: Path) -> list[tuple[str, str]]:
 
 
 def header() -> list[str]:
-    """The golden file's comment lines: :data:`HEADER`, then the Python and numpy versions."""
+    """The golden file's comment lines: :data:`HEADER`, then the Python and numpy
+    versions and the SIMD extensions numpy dispatches to on this host, which
+    ``NPY_DISABLE_CPU_FEATURES`` narrows and which move log-grid bits."""
     import numpy as np
 
+    simd = np.__config__.CONFIG.get("SIMD Extensions", {}).get("found", [])
     return [*HEADER.splitlines(), f"# python {platform.python_version()}",
-            f"# numpy {np.__version__}"]
+            f"# numpy {np.__version__}", f"# numpy SIMD found: {' '.join(simd) or 'none'}"]
 
 
 def main(argv: list[str] | None = None) -> int:

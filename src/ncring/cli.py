@@ -38,7 +38,8 @@ from ncring.dataio import (
 from ncring.errors import InputError, InvalidRange, NcRingError
 from ncring.model import eigenenergy, lambda_signature, sigma_signature
 from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
-from ncring.pipeline import RunConfig, analyze_trace, check_zone, flux_grid, synthesize_trace
+from ncring.pipeline import (MAX_ROWS, RunConfig, analyze_trace, check_zone, flux_grid,
+                             synthesize_trace)
 from ncring.svgplot import emit_plot
 
 _INPUT_ERRORS = (InputError, FileNotFoundError, FileExistsError,
@@ -107,6 +108,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     k = args.n_levels
     if k < 0:
         raise InvalidRange("--n-levels must be non-negative")
+    if (rows := config.n_points * (2 * k + 1)) > MAX_ROWS:
+        raise InvalidRange(f"--points x (2 --n-levels + 1) must be at most {MAX_ROWS}, got {rows}")
     out = _out_dir(args) / "spectrum.csv"
     grid = flux_grid(config.f_min, config.f_max, config.n_points, config.grid)
     levels = np.arange(-k, k + 1)

@@ -8,19 +8,19 @@ m = N // 2 + 5, in the tie-break column order n = 0, -1, 1, -2, 2, ...;
 each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a correctly
 rounded product, and a stable sort along each row fills the N lowest.  It
 refuses a flux that is not finite or lies m or more from f_nc, and a
-filling that reaches |n| = m.  The scalar oracles are its one-point case,
-summed with math.fsum.  The filling sweeps at the bottom, behind the test
-suite and the `verify` CLI subcommand, fill one row per point and compare
-with E and J = -dE/df evaluated exactly on that occupation from its sums of
-n and n^2.  The signature differences alone are built on the closed-form
-current; every sweep is tallied by :func:`_sweep`.
+filling that reaches |n| = m.  The scalar oracles are its one-point case.
+The three sweeps at the bottom, behind the test suite and the `verify` CLI
+subcommand, run one path, :func:`_sweep`: it fills one row per point, drops
+a level crossing (the row's N-th and (N+1)-th levels tie), and compares each
+closed form with E, J = -dE/df or the two signatures, exact on the filled
+occupation from its sums of n and n^2.  No sweep calls the scalar oracles,
+:func:`boundary_distance` or a model function but the closed form it checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -148,12 +148,16 @@ def current_by_finite_difference(ring: RingSystem, f: float, h: float = 1e-6) ->
     telescoped quotient instead of subtracting two O(N^3) totals avoids the
     catastrophic cancellation that would otherwise swamp the O(N) signal.
     Raises NearDegeneracy if the occupation changes between f-h and f+h.
+    No sweep calls it; it stays as the tests' reference and a traced benchmark name.
     """
     return float(_finite_difference_current(ring, np.array([float(f)]), h)[0])
 
 
 def boundary_distance(ring: RingSystem, f):
-    """Distance in f from the nearest ground-state level crossing (scalar or array)."""
+    """Distance in f from the nearest ground-state level crossing (scalar or array).
+
+    It takes the model's zone reduction, so no sweep calls it: the sweeps find
+    crossings from the filling, and the tests check the two agree."""
     x = np.asarray(reduce_to_zone(np.asarray(f, dtype=float) - ring.f_nc, ring.parity))
     d = 0.5 - np.abs(x) if ring.parity == "odd" else np.minimum(x, 1.0 - x)
     return float(d) if d.ndim == 0 else d
@@ -167,7 +171,8 @@ def signature_by_finite_difference(ring: RingSystem, f, h=1e-7):
     element.  The step is caller-chosen: relative accuracy of the difference
     degrades like eps*|J/f|/(2h) at large f, so sweeps scale h with f.
     Requires f - h > 0 and at least 10h of clearance from any level crossing
-    (NearDegeneracy otherwise) at every point.
+    (NearDegeneracy otherwise) at every point.  No sweep calls it; it stays as
+    the tests' reference and a traced benchmark name.
     """
     if not np.all(h > 0.0):
         raise InvalidRange("h must be strictly positive")
@@ -197,7 +202,7 @@ class SweepResult:
     max_dev: float
     tol: float
     worst: tuple[int, float, float]  # (N, f_nc, f)
-    rows_filled: int  # rows the filling kernel filled: one per point, 0 for the signature sweep
+    rows_filled: int  # rows the filling kernel filled: one per flux, crossings included
 
     @property
     def passed(self) -> bool:
@@ -227,29 +232,7 @@ FILLING_POINTS = (101, 31)  # zone_flux_grid sizes
 GROUND_STATE_TOL, CURRENT_TOL = 1e-14, 1e-12
 SIGNATURE_N, SIGNATURE_F_NC = (3, 4), (0.0, 1e-5, 1e-2)
 SIGNATURE_SPAN, SIGNATURE_POINTS = (1e-3, 0.4), (40, 15)  # log grid bounds and sizes
-SIGNATURE_TOL = 1e-6
-
-
-def _sweep_rings(
-    n_values: Iterable[int], f_nc_values: Iterable[float]
-) -> Iterable[RingSystem]:
-    for n in n_values:
-        for f_nc in f_nc_values:
-            yield RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
-
-
-def _sweep(label, tol, rows, deviations) -> SweepResult:
-    """Max over `deviations`, (ring, f, dev) triples with one row of `dev` per flux of
-    a non-empty `f`, filled at `rows` kernel rows per point; the worst point is
-    the first row-major maximum."""
-    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
-    for ring, f, dev in deviations:
-        count += dev.size
-        i = int(np.argmax(dev))
-        if dev.flat[i] > max_dev:
-            row = i // (dev.size // len(f))
-            max_dev, worst = float(dev.flat[i]), (ring.n_electrons, ring.f_nc, float(f[row]))
-    return SweepResult(label, count, max_dev, tol, worst, rows * count)
+SIGNATURE_TOL = 1e-14
 
 
 def _two_sum(a, b):
@@ -262,7 +245,7 @@ def _two_sum(a, b):
 def _two_prod(a, b):
     """(p, e) with p = fl(a * b) and p + e = a * b exactly: Dekker's TwoProduct on
     Veltkamp's split into 26-bit halves, valid for |a|, |b| < 2**996 and so for the
-    filling sweeps' bounded inputs, |f| < 1, f_nc < 1/2 and N <= 60."""
+    sweeps' bounded inputs, |f| < 1, f_nc < 1/2 and N <= 60."""
     p = a * b
     ca, cb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
     ah, bh = ca - (ca - a), cb - (cb - b)
@@ -280,11 +263,15 @@ def _compensated_sum(terms):
     return _two_sum(s, c)
 
 
-def _occupation_sums(ring: RingSystem, f: np.ndarray) -> np.ndarray:
-    """Rows S1 = sum n and S2 = sum n^2 over the levels `_fill` occupies at each flux."""
-    _, order, n = _fill(ring, f)
-    occupied = n[order]
-    return np.stack((occupied.sum(axis=1), (occupied * occupied).sum(axis=1))).astype(float)
+def _occupation_sums(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fluxes of `f` off a level crossing (their `_fill` row's N-th and (N+1)-th levels
+    differ), and rows S1 = sum n and S2 = sum n^2 over the levels filled at each of them."""
+    levels, order, n = _fill(ring, f)
+    n_el = ring.n_electrons
+    lowest = np.partition(levels, (n_el - 1, n_el), axis=1)
+    off = lowest[:, n_el - 1] != lowest[:, n_el]
+    occupied = n[order[off]]
+    return f[off], np.stack((occupied.sum(axis=1), (occupied**2).sum(axis=1))).astype(float)
 
 
 def _exact_energy(n_el, f_nc, f, sums):
@@ -310,58 +297,70 @@ def _exact_current(n_el, f_nc, f, sums):
     return -2.0 * hi, -2.0 * lo
 
 
-def _filling_deviations(quick, closed, exact):
-    """(ring, f, |closed - exact| / max(1, |closed|)) per ring of the filling sweep, on its
-    grid points off a level crossing, where J is undefined; `exact` takes (N, f_nc, f,
-    occupation sums) over one N's block of rings, filled once per point."""
-    grid = zone_flux_grid(FILLING_POINTS[quick])
-    for n in FILLING_N[quick]:
-        block = [(ring, f) for ring in _sweep_rings((n,), FILLING_F_NC)
-                 if (f := grid[boundary_distance(ring, grid) > 0.0]).size]
-        sizes = [len(f) for _, f in block]
-        value = np.concatenate([closed(ring, f) for ring, f in block])
-        sums = np.concatenate([_occupation_sums(ring, f) for ring, f in block], axis=1)
-        f_nc = np.repeat([ring.f_nc for ring, _ in block], sizes)
-        hi, lo = exact(n, f_nc, np.concatenate([f for _, f in block]), sums)
+def _exact_signatures(n_el, f_nc, f, sums):
+    """d(J/f)/df = (2 S1 - 2N f_nc) / f^2 and d((J - N)/f)/df, that plus N / f^2, for
+    J = -2 (S1 + N x), as (len(f), 2) pairs (hi, lo) within a few u^2 of each value: the
+    numerators are summed over an exact 2N f_nc, then divided by the exact f^2 and refined."""
+    p, pe = _two_prod(2.0 * n_el, f_nc[:, None])
+    hi, lo = _compensated_sum([2.0 * sums[0][:, None] + [0.0, n_el], -p, -pe])
+    g, ge = _two_prod(f[:, None], f[:, None])
+    q = hi / g
+    t, te = _two_prod(q, g)
+    return q, (((hi - t) - te) + lo - q * ge) / g  # hi - t is exact: q g lies within an ulp of hi
+
+
+def _sweep(label, tol, n_values, f_nc_values, points, closed, exact) -> SweepResult:
+    """Max of |closed - exact| / max(1, |closed|) over each ring's fluxes `points(ring)` off a
+    level crossing, where J is undefined.  Each flux is filled once; `exact` takes (N, f_nc,
+    f, occupation sums) over one N's block of rings, and the worst point is the first
+    row-major maximum."""
+    max_dev, worst, count, rows = 0.0, (0, 0.0, 0.0), 0, 0
+    for n in n_values:
+        block = []
+        for f_nc in f_nc_values:
+            ring = RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
+            f = points(ring)
+            rows += len(f)
+            block.append((ring, *_occupation_sums(ring, f)))
+        rings, kept, sums = zip(*block)
+        f = np.concatenate(kept)
+        f_nc = np.repeat([ring.f_nc for ring in rings], [len(k) for k in kept])
+        value = np.concatenate([closed(ring, k) for ring, k in zip(rings, kept)])
+        hi, lo = exact(n, f_nc, f, np.concatenate(sums, axis=1))
         dev = np.abs((value - hi) - lo) / np.maximum(1.0, np.abs(value))
-        for (ring, f), d in zip(block, np.split(dev, np.cumsum(sizes)[:-1])):
-            yield ring, f, d
+        count += dev.size
+        if dev.size and dev.max() > max_dev:
+            row = int(np.argmax(dev)) // (dev.size // len(f))
+            max_dev, worst = float(dev.max()), (n, float(f_nc[row]), float(f[row]))
+    return SweepResult(label, count, max_dev, tol, worst, rows)
 
 
 def ground_state_sweep(quick: bool = False) -> SweepResult:
     """Max of |E_g(closed) - E_g(exact)| / max(1, |E_g|) over the filling sweep."""
-    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL, 1,
-                  _filling_deviations(quick, ground_state_energy, _exact_energy))
+    grid = zone_flux_grid(FILLING_POINTS[quick])
+    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL,
+                  FILLING_N[quick], FILLING_F_NC, lambda ring: grid,
+                  ground_state_energy, _exact_energy)
 
 
 def current_sweep(quick: bool = False) -> SweepResult:
     """Max of |J(closed) + dE_g/df(exact)| / max(1, |J|) over the filling sweep."""
-    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL, 1,
-                  _filling_deviations(quick, persistent_current, _exact_current))
+    grid = zone_flux_grid(FILLING_POINTS[quick])
+    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL,
+                  FILLING_N[quick], FILLING_F_NC, lambda ring: grid,
+                  persistent_current, _exact_current)
 
 
 def signature_sweep(quick: bool = False) -> SweepResult:
-    """Max relative deviation of the signature closed forms from finite differences.
+    """Max of |closed - exact| / max(1, |closed|) over both signatures on a log grid.
 
-    Each signature is compared at relative tolerance where its closed form
-    is nonzero; an identically-zero closed form (the commutative limit of
-    one signature per parity) is instead required to vanish to tol of the
-    dominant signature scale N/f^2.  Even-parity points below f_nc sit on
-    the wrapped branch of the current where the closed forms do not apply
-    and are skipped.  The step is scaled with f to balance truncation
-    against rounding.
+    On an even ring the closed forms hold only on the branch f > f_nc, so the
+    grid's points at or below f_nc are not filled.
     """
     grid = np.geomspace(*SIGNATURE_SPAN, SIGNATURE_POINTS[quick])
-    step = np.maximum(1e-7, 1e-4 * grid)
-
-    def deviations():
-        for ring in _sweep_rings(SIGNATURE_N, SIGNATURE_F_NC):
-            keep = grid > ring.f_nc + 10.0 * step if ring.parity == "even" else slice(None)
-            f, h = grid[keep], step[keep]
-            if f.size:
-                fd = np.column_stack(signature_by_finite_difference(ring, f, h=h))
-                closed = np.column_stack((lambda_signature(ring, f), sigma_signature(ring, f)))
-                scale = ring.n_electrons / f[:, None] ** 2
-                yield ring, f, np.abs(fd - closed) / np.where(closed == 0.0, scale, np.abs(closed))
-
-    return _sweep("signature closed forms vs finite differences", SIGNATURE_TOL, 0, deviations())
+    return _sweep("signature closed forms vs filling oracle", SIGNATURE_TOL,
+                  SIGNATURE_N, SIGNATURE_F_NC,
+                  lambda ring: grid[grid > ring.f_nc] if ring.parity == "even" else grid,
+                  lambda ring, f: np.column_stack((lambda_signature(ring, f),
+                                                   sigma_signature(ring, f))),
+                  _exact_signatures)

@@ -52,6 +52,7 @@ from ncring.model import Parity, RingSystem, check_electron_number, persistent_c
 
 __all__ = [
     "MIN_TRACE_POINTS",
+    "MAX_ROWS",
     "RunConfig",
     "CurrentTrace",
     "PowerLawFit",
@@ -71,6 +72,7 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8  # minimum for differentiation plus a 5-point fit
+MAX_ROWS = 10_000_000  # the most grid points, or spectrum (f, n) rows, that one run may request
 _EPS = float(np.finfo(float).eps)
 
 
@@ -191,6 +193,8 @@ def _check_grid(f_min: float, f_max: float, n_points: int, grid: str) -> None:
         raise InvalidRange(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
     if check_integer("n_points", n_points) < MIN_TRACE_POINTS:
         raise InvalidRange(f"need at least {MIN_TRACE_POINTS} points, got {n_points}")
+    if n_points > MAX_ROWS:
+        raise InvalidRange(f"need at most {MAX_ROWS} points, got {n_points}")
     if grid not in ("log", "uniform"):
         raise InvalidRange(f"grid must be 'log' or 'uniform', got {grid!r}")
 

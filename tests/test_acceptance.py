@@ -48,7 +48,7 @@ def test_criterion_2_oracle_equivalence():
     result = ground_state_sweep()
     elapsed = time.perf_counter() - start
     assert result.tol <= 1e-14 and result.passed, result.summary()
-    assert (result.n_points, result.rows_filled) == (24210, 24210)
+    assert (result.n_points, result.rows_filled) == (24210, 24240)
     assert elapsed < 2.0, f"sweep took {elapsed:.1f}s, budget 2s"
     _report(2, f"max normalized deviation {result.max_dev:.2e} <= {result.tol:.0e} "
                f"in {elapsed:.1f}s")
@@ -59,7 +59,7 @@ def test_criterion_3_thermodynamic_consistency():
     result = current_sweep()
     elapsed = time.perf_counter() - start
     assert result.tol <= 1e-12 and result.passed, result.summary()
-    assert (result.n_points, result.rows_filled) == (24210, 24210)
+    assert (result.n_points, result.rows_filled) == (24210, 24240)
     assert elapsed < 2.0, f"sweep took {elapsed:.1f}s, budget 2s"
     _report(3, f"max normalized deviation {result.max_dev:.2e} <= {result.tol:.0e} "
                f"in {elapsed:.1f}s")

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from ncring import cli
 from ncring.cli import build_parser, main
 from ncring.dataio import write_config
 from ncring.errors import InputError, NcRingError
-from ncring.pipeline import RunConfig
+from ncring.pipeline import MAX_ROWS, RunConfig
 from ncring.svgplot import emit_plot
 
 
@@ -93,6 +94,28 @@ class TestExitCodes:
         # so is an alpha outside the map's (0, 1], caught by the ring's own check
         assert run_cli("constants", "--alpha", "1.5") == 2
         assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--points", "1000000000000"],
+         "need at most 10000000 points, got 1000000000000"),
+        (["spectrum", "--n-levels", "1000000000000000000"],
+         "--points x (2 --n-levels + 1) must be at most 10000000, got 512000000000000000256"),
+    ])
+    def test_oversized_request_exits_two_before_allocating(self, tmp_path, capsys, argv,
+                                                           message):
+        # they ended as "internal error: MemoryError" and "ValueError: array is too big", exit 1
+        build_parser()  # built once per process; its tree is not the request's allocation
+        tracemalloc.start()
+        try:
+            rc = run_cli(*argv, "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == f"ncring: error: {message}\n"
+        assert peak < 1 << 20
+        assert not any(tmp_path.iterdir())
+        assert RunConfig(n_points=MAX_ROWS).n_points == MAX_ROWS  # the cap itself is allowed
 
     def test_non_utf8_trace_or_config_exits_two(self, tmp_path, capsys):
         # each ended as "internal error: UnicodeDecodeError", exit 1
@@ -485,8 +508,8 @@ class TestCommands:
             "over 1470 points, worst at N=2, f_nc=1e-05, f=-0.1875  [OK]\n"
             "current closed form vs -dE/df oracle: max dev 2.220e-15 (tol 1e-12) "
             "over 1470 points, worst at N=11, f_nc=0.3, f=-0.75  [OK]\n"
-            "signature closed forms vs finite differences: max dev 3.003e-08 (tol 1e-06) "
-            "over 168 points, worst at N=4, f_nc=1e-05, f=0.00153413  [OK]\n"
+            "signature closed forms vs filling oracle: max dev 2.198e-16 (tol 1e-14) "
+            "over 168 points, worst at N=4, f_nc=1e-05, f=0.4  [OK]\n"
             "verification passed\n"
         )
 
@@ -497,8 +520,8 @@ class TestCommands:
             "over 24210 points, worst at N=2, f_nc=0.3, f=-0.803922  [OK]\n"
             "current closed form vs -dE/df oracle: max dev 1.310e-14 (tol 1e-12) "
             "over 24210 points, worst at N=59, f_nc=0.3, f=-0.705882  [OK]\n"
-            "signature closed forms vs finite differences: max dev 3.860e-08 (tol 1e-06) "
-            "over 450 points, worst at N=4, f_nc=1e-05, f=0.0738152  [OK]\n"
+            "signature closed forms vs filling oracle: max dev 2.198e-16 (tol 1e-14) "
+            "over 450 points, worst at N=4, f_nc=1e-05, f=0.4  [OK]\n"
             "verification passed\n"
         )
 

@@ -30,6 +30,7 @@ def mix(script):
 
 
 def versions(lines: list[str]) -> list[str]:
+    """The header's Python and numpy versions and numpy's SIMD dispatch line."""
     return [line for line in lines if line.startswith(("# python ", "# numpy "))]
 
 

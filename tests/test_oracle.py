@@ -1,5 +1,6 @@
 """Brute-force oracle: level filling, finite differences, sweep agreement."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -266,17 +267,50 @@ class TestOracleIndependence:
         assert oracle._finite_difference_current(ring, f, 1e-6).shape == f.shape
 
     def test_exact_references_never_call_the_closed_forms(self):
-        # the sweeps' reference side: fill, occupation sums, then exact E and J
+        # the sweeps' reference side: fill, crossing test and occupation sums, then
+        # exact E, J and signatures; 0.51 + f_nc is a level crossing and is dropped
         ring = ring_with(7, 0.01)
-        f = np.array([0.13, -0.2])
-        sums = oracle._occupation_sums(ring, f)
+        f, sums = oracle._occupation_sums(ring, np.array([0.13, 0.51, -0.2]))
+        assert f.tolist() == [0.13, -0.2]
         assert sums.tolist() == [[0.0, 0.0], [28.0, 28.0]]  # n = -3..3 at both points
         f_nc = np.full(2, ring.f_nc)
         energy = np.add(*oracle._exact_energy(7, f_nc, f, sums))
         current = np.add(*oracle._exact_current(7, f_nc, f, sums))
+        lam, sig = np.add(*oracle._exact_signatures(7, f_nc, f, sums)).T
         x = f - ring.f_nc
         assert energy == pytest.approx(28.0 + 7 * (x * x - 0.75 * ring.f_nc**2), rel=1e-15)
         assert current == pytest.approx(-14 * x, rel=1e-15)
+        assert lam == pytest.approx(-14 * ring.f_nc / f**2, rel=1e-15)
+        assert sig == pytest.approx(7 * (1 - 2 * ring.f_nc) / f**2, rel=1e-15)
+
+
+def signature_columns(ring, f):
+    """The two signature closed forms as the signature sweep compares them."""
+    return np.column_stack((lambda_signature(ring, f), sigma_signature(ring, f)))
+
+
+class TestSweepIndependence:
+    @pytest.mark.parametrize("sweep, checked", [
+        (ground_state_sweep, {"ground_state_energy"}),
+        (current_sweep, {"persistent_current"}),
+        (signature_sweep, {"lambda_signature", "sigma_signature"}),
+    ])
+    def test_sweep_calls_no_model_function_but_its_closed_form(self, monkeypatch, sweep,
+                                                                 checked):
+        # every model function the oracle imports, reduce_to_zone included, is refused,
+        # except the closed forms this sweep checks; the ring record stays usable
+        imported = {name for name, value in vars(oracle).items()
+                    if inspect.isfunction(value) and value.__module__ == "ncring.model"}
+        assert {"reduce_to_zone", *checked} < imported
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep called a model function it does not check")
+
+        for name in imported - checked:
+            monkeypatch.setattr(oracle, name, refuse)
+        result = sweep(quick=True)
+        assert result.passed, result.summary()
+        assert result.n_points == (168 if sweep is signature_sweep else 1470)
 
 
 class TestCurrentByFiniteDifference:
@@ -401,25 +435,29 @@ class TestSweeps:
         assert isinstance(boundary_distance(ring, 0.3), float)
         assert d.tolist() == [boundary_distance(ring, float(f)) for f in grid]
 
-    # the `verify --quick` sweeps; the filling kernel fills one row per point
+    # the `verify --quick` sweeps; the filling kernel fills one row per flux, and the
+    # 18 of 1488 filling fluxes on a level crossing are not checked
     def test_ground_state_sweep_small(self):
         result = ground_state_sweep(quick=True)
         assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (1470, 1470)
+        assert (result.n_points, result.rows_filled) == (1470, 1488)
 
     def test_current_sweep_small(self):
         result = current_sweep(quick=True)
         assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (1470, 1470)
+        assert (result.n_points, result.rows_filled) == (1470, 1488)
 
     def test_signature_sweep_small(self):
+        # two signatures per flux; an even ring's fluxes at or below f_nc are not filled
         result = signature_sweep(quick=True)
         assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (168, 0)
+        assert (result.n_points, result.rows_filled) == (168, 84)
 
     def test_sweep_over_no_points_fails(self):
-        result = oracle._sweep("empty", 1e-12, 1, iter(()))
-        assert (result.n_points, result.rows_filled) == (0, 0)
+        # both fluxes sit on a level crossing of the one-electron ring: filled, not checked
+        result = oracle._sweep("empty", 1e-12, (1,), (0.0,), lambda ring: np.array([0.5, -0.5]),
+                               persistent_current, oracle._exact_current)
+        assert (result.n_points, result.rows_filled) == (0, 2)
         assert not result.passed
         assert result.summary().endswith("over 0 points, worst at N=0, f_nc=0, f=0  [FAIL]")
 
@@ -434,16 +472,62 @@ class TestSweeps:
             zone_flux_grid(2.5)
 
 
+class TestCrossings:
+    """The sweeps drop a flux whose N-th and (N+1)-th filled levels tie; that
+    keeps exactly the fluxes that the model's zone reduction places off a
+    level crossing."""
+
+    @pytest.mark.parametrize("n_values, f_nc_values, grid, dropped_points", [
+        (oracle.FILLING_N[0], oracle.FILLING_F_NC, zone_flux_grid(oracle.FILLING_POINTS[0]), 30),
+        (oracle.FILLING_N[1], oracle.FILLING_F_NC, zone_flux_grid(oracle.FILLING_POINTS[1]), 18),
+        (oracle.SIGNATURE_N, oracle.SIGNATURE_F_NC,
+         np.geomspace(*oracle.SIGNATURE_SPAN, oracle.SIGNATURE_POINTS[0]), 0),
+        (oracle.SIGNATURE_N, oracle.SIGNATURE_F_NC,
+         np.geomspace(*oracle.SIGNATURE_SPAN, oracle.SIGNATURE_POINTS[1]), 0),
+        (range(1, 61), (*oracle.FILLING_F_NC, 0.125, 0.2, 0.49), None, 1380),  # exact crossings
+    ])
+    def test_tie_test_keeps_what_boundary_distance_keeps(self, n_values, f_nc_values, grid,
+                                                          dropped_points):
+        dropped = 0
+        for n in n_values:
+            for f_nc in f_nc_values:
+                ring = ring_with(n, f_nc)
+                f = grid
+                if grid is None:  # crossings at x = f - f_nc = +-1/2, +-3/2 (odd N) or 0, +-1
+                    x = np.array([-1.5, -0.5, 0.5, 1.5] if n % 2 else [-1.0, 0.0, 1.0])
+                    x = np.concatenate((x, x + 0.25))  # and points a quarter flux past them
+                    f = ring.f_nc + x
+                    f = f[f - ring.f_nc == x]  # where x is exact, the crossing is exact
+                kept, _ = oracle._occupation_sums(ring, f)
+                assert kept.tolist() == f[boundary_distance(ring, f) > 0.0].tolist(), (n, f_nc)
+                dropped += len(f) - len(kept)
+        assert dropped == dropped_points
+
+
+def rational_reference(closed, n, f_nc, f, occupied):
+    """The exact values that the sweep of `closed` compares with, in Fraction arithmetic."""
+    x = f - f_nc
+    if closed is ground_state_energy:
+        return [sum((k + x) ** 2 for k in occupied) - Fraction(3, 4) * n * f_nc**2]
+    if closed is persistent_current:
+        return [-2 * sum(k + x for k in occupied)]
+    a = -2 * sum(k - f_nc for k in occupied)  # J = a - 2 N f, so J/f = a/f - 2 N
+    return [-a / f**2, (n - a) / f**2]  # d(J/f)/df and d((J - N)/f)/df
+
+
 class TestExactReferences:
-    """The filling sweeps compare each closed form with an exact E or J on the
-    occupation `_fill` chooses, evaluated by error-free transformations."""
+    """Each sweep compares its closed form with an exact E, J or pair of
+    signatures on the occupation `_fill` chooses, evaluated by error-free
+    transformations."""
 
     @pytest.mark.parametrize("sweep, reference, closed", [
         (ground_state_sweep, "_exact_energy", ground_state_energy),
         (current_sweep, "_exact_current", persistent_current),
+        (signature_sweep, "_exact_signatures", signature_columns),
     ])
     def test_reference_matches_rational_arithmetic(self, monkeypatch, sweep, reference, closed):
-        # every point of the quick sweep, against Fraction sums over the filled levels
+        # every point of the quick sweep, against Fraction sums over the filled levels;
+        # the references are within a few u^2 = 1.2e-32 relative, bounded here by 1e-30
         blocks = []
         exact = getattr(oracle, reference)
 
@@ -452,28 +536,28 @@ class TestExactReferences:
             return blocks[-1][-1]
 
         monkeypatch.setattr(oracle, reference, record)
-        assert sweep(quick=True).passed
+        result = sweep(quick=True)
+        assert result.passed
         checked = 0
         for n, f_nc, f, (hi, lo) in blocks:
             for value in np.unique(f_nc):
                 ring, at = ring_with(n, float(value)), f_nc == value
                 _, order, levels = oracle._fill(ring, f[at])
-                fnc = Fraction(ring.f_nc)
-                for fb, occupied, h, l, c in zip(f[at].tolist(), levels[order].tolist(),
-                                                  hi[at].tolist(), lo[at].tolist(),
-                                                  closed(ring, f[at]).tolist()):
-                    x = Fraction(fb) - fnc
-                    if closed is ground_state_energy:
-                        truth = sum((k + x) ** 2 for k in occupied) - Fraction(3, 4) * n * fnc**2
-                    else:
-                        truth = -2 * sum(k + x for k in occupied)
-                    assert abs(Fraction(h) + Fraction(l) - truth) <= 1e-28 * max(1.0, abs(c))
-                    checked += 1
-        assert checked == 1470
+                columns = [np.reshape(part, (at.sum(), -1)).tolist()
+                           for part in (hi[at], lo[at], closed(ring, f[at]))]
+                for fb, occupied, *row in zip(f[at].tolist(), levels[order].tolist(), *columns):
+                    truth = rational_reference(closed, n, Fraction(ring.f_nc), Fraction(fb),
+                                               occupied)
+                    for t, h, l, c in zip(truth, *row, strict=True):
+                        assert abs(Fraction(h) + Fraction(l) - t) <= 1e-30 * max(1.0, abs(c))
+                        checked += 1
+        assert checked == result.n_points
 
     @pytest.mark.parametrize("sweep, name", [
         (ground_state_sweep, "ground_state_energy"),
         (current_sweep, "persistent_current"),
+        (signature_sweep, "lambda_signature"),
+        (signature_sweep, "sigma_signature"),
     ])
     @pytest.mark.parametrize("shift, passes", [(10.0, False), (0.1, True)])
     def test_sweep_resolves_its_tolerance(self, monkeypatch, sweep, name, shift, passes):
