@@ -144,19 +144,18 @@ def _maybe_scalar(out: np.ndarray, scalar: bool):
 def reduce_to_zone(x, parity: Parity):
     """Reduce a flux offset to the fundamental zone of its parity.
 
-    odd  -> [-1/2, 1/2), via x - floor(x + 1/2)
+    odd  -> [-1/2, 1/2), via x - rint(x)
     even -> [0, 1),      via x - floor(x)
 
     Both conventions are half-open so that a value sitting exactly on a
-    level crossing is mapped deterministically to the left branch.
+    level crossing is mapped deterministically to the left branch.  The odd
+    difference is exact, so only rint's ties to even, y = +1/2, move.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     if parity == "odd":
-        y = arr - np.floor(arr + 0.5)
-        # guard the one-ulp spill that floor(x + 0.5) can produce at the edges
+        y = arr - np.rint(arr)
         y = np.where(y >= 0.5, y - 1.0, y)
-        y = np.where(y < -0.5, y + 1.0, y)
     elif parity == "even":
         y = arr - np.floor(arr)
         y = np.where(y >= 1.0, y - 1.0, y)

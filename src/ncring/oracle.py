@@ -1,20 +1,20 @@
 """Brute-force reference implementations used to validate the closed forms.
 
-Levels are enumerated and sorted explicitly so that the closed-form
-ground-state energy and current can be checked against a construction that
-never calls them.  One kernel, :func:`_fill`, fills a whole flux array for
-one ring.  It enumerates the levels of the fixed window |n| <= m, with
-m = N // 2 + 5, in the tie-break column order n = 0, -1, 1, -2, 2, ...;
-each level (n + x) * (n + x) - 0.75 f_nc^2 is squared as a correctly
-rounded product, and a stable sort along each row fills the N lowest.  It
-refuses a flux that is not finite or lies m or more from f_nc, and a
-filling that reaches |n| = m.  The scalar oracles are its one-point case.
-The three sweeps at the bottom, behind the test suite and the `verify` CLI
-subcommand, run one path, :func:`_sweep`: it fills one row per point, drops
-a level crossing (the row's N-th and (N+1)-th levels tie), and compares each
-closed form with E, J = -dE/df or the two signatures, exact on the filled
-occupation from its sums of n and n^2.  No sweep calls the scalar oracles,
-:func:`boundary_distance` or a model function but the closed form it checks.
+Levels are enumerated and sorted explicitly, so no oracle calls a closed
+form.  One kernel, :func:`_fill`, fills a whole flux array for one ring.  It
+enumerates the levels of the fixed window |n| <= m, with m = N // 2 + 5, in
+the tie-break column order n = 0, -1, 1, -2, 2, ...; each level
+(n + x) * (n + x) - 0.75 f_nc^2 is squared as a correctly rounded product,
+and a stable sort along each row fills the N lowest.  It refuses a flux that
+is not finite or lies m or more from f_nc, and a filling that reaches
+|n| = m.  The scalar oracles are its one-point case; the two finite
+differences fill f - d and f + d as one block and refuse (NearDegeneracy) a
+point where the two occupations differ.  The three sweeps at the bottom,
+behind the test suite and the `verify` CLI subcommand, run one path,
+:func:`_sweep`: it fills one row per point, drops a level crossing (the
+row's N-th and (N+1)-th levels tie), and compares each closed form with E,
+J = -dE/df or the two signatures, exact on the filled occupation from its
+sums of n and n^2.  A sweep calls no model function but the closed form it checks.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall, check_integer
-from ncring.model import (
-    RingSystem,
-    persistent_current,
-    ground_state_energy,
-    lambda_signature,
-    sigma_signature,
-    reduce_to_zone,
-)
+from ncring.model import (RingSystem, ground_state_energy, lambda_signature, persistent_current,
+                          sigma_signature)
 
 __all__ = [
     "LevelFilling",
     "ground_state_by_filling",
     "current_by_finite_difference",
     "signature_by_finite_difference",
-    "boundary_distance",
     "SweepResult",
     "zone_flux_grid",
     "ground_state_sweep",
@@ -96,11 +89,6 @@ def _fill(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return levels, order, n
 
 
-def _fsum_rows(a: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row."""
-    return np.fromiter(map(math.fsum, a.tolist()), float, len(a))
-
-
 def ground_state_by_filling(ring: RingSystem, f: float) -> LevelFilling:
     """Occupy the N lowest levels among n in [-m, m], m = N // 2 + 5, and sum them.
 
@@ -114,26 +102,19 @@ def ground_state_by_filling(ring: RingSystem, f: float) -> LevelFilling:
     return LevelFilling(tuple(n[order[0]].tolist()), math.fsum(levels[0, order[0]].tolist()))
 
 
-def _finite_difference_current(ring: RingSystem, f: np.ndarray, h: float) -> np.ndarray:
-    """-dE_g/df at each flux of `f` by the telescoped central difference.
+def _occupation_between(ring: RingSystem, f: np.ndarray, d, message: str) -> np.ndarray:
+    """The quantum numbers filled at each f + d, one row per flux, in filling order.
 
-    The f + h and f - h rows are filled as one block; the occupation moved
-    at a point when its two rows fill different columns.
+    f + d and f - d are filled as one block; where the two fill different
+    levels, a level crossing lies between them and NearDegeneracy(message)
+    is raised.
     """
-    if not 0.0 < h < math.inf:
-        raise InvalidRange(f"h must be finite and strictly positive, got {h}")
     b = len(f)
-    fpm = np.concatenate((f + h, f - h))
-    _, order, n = _fill(ring, fpm)
+    _, order, n = _fill(ring, np.concatenate((f + d, f - d)))
     columns = np.sort(order, axis=1)
-    moved = np.any(columns[:b] != columns[b:], axis=1)
-    if moved.any():
-        raise NearDegeneracy(
-            f"occupation changes across f = {float(f[moved][0])} +- {h}; "
-            "move away from the crossing"
-        )
-    x = (fpm - ring.f_nc)[:, None]
-    return -_fsum_rows(2.0 * n[order[:b]] + x[:b] + x[b:])
+    if np.any(columns[:b] != columns[b:]):
+        raise NearDegeneracy(message)
+    return n[order[:b]]
 
 
 def current_by_finite_difference(ring: RingSystem, f: float, h: float = 1e-6) -> float:
@@ -150,27 +131,23 @@ def current_by_finite_difference(ring: RingSystem, f: float, h: float = 1e-6) ->
     Raises NearDegeneracy if the occupation changes between f-h and f+h.
     No sweep calls it; it stays as the tests' reference and a traced benchmark name.
     """
-    return float(_finite_difference_current(ring, np.array([float(f)]), h)[0])
-
-
-def boundary_distance(ring: RingSystem, f):
-    """Distance in f from the nearest ground-state level crossing (scalar or array).
-
-    It takes the model's zone reduction, so no sweep calls it: the sweeps find
-    crossings from the filling, and the tests check the two agree."""
-    x = np.asarray(reduce_to_zone(np.asarray(f, dtype=float) - ring.f_nc, ring.parity))
-    d = 0.5 - np.abs(x) if ring.parity == "odd" else np.minimum(x, 1.0 - x)
-    return float(d) if d.ndim == 0 else d
+    if not 0.0 < h < math.inf:
+        raise InvalidRange(f"h must be finite and strictly positive, got {h}")
+    f = float(f)
+    occupied = _occupation_between(ring, np.array([f]), h, f"occupation changes across "
+                                   f"f = {f} +- {h}; move away from the crossing")
+    xp, xm = (f + h) - ring.f_nc, (f - h) - ring.f_nc
+    return -math.fsum((2.0 * occupied[0] + xp + xm).tolist())
 
 
 def signature_by_finite_difference(ring: RingSystem, f, h=1e-7):
-    """Central differences of J/f and (J - N)/f built on the closed-form current.
+    """Central differences of J/f and (J - N)/f, J = -2 (S1 + N x) of the filled occupation.
 
     `f` and `h` are scalars or arrays of one shape: a scalar call returns two
     floats, an array call two arrays equal to its scalar calls element by
     element.  The step is caller-chosen: relative accuracy of the difference
-    degrades like eps*|J/f|/(2h) at large f, so sweeps scale h with f.
-    Requires f - h > 0 and at least 10h of clearance from any level crossing
+    degrades like eps*|J/f|/(2h) at large f, so callers scale h with f.
+    Requires f - h > 0, and the same occupation at f - 10h and f + 10h
     (NearDegeneracy otherwise) at every point.  No sweep calls it; it stays as
     the tests' reference and a traced benchmark name.
     """
@@ -178,17 +155,20 @@ def signature_by_finite_difference(ring: RingSystem, f, h=1e-7):
         raise InvalidRange("h must be strictly positive")
     if not np.all(f - h > 0.0):
         raise InvalidRange(f"need f - h > 0, got f={f}, h={h}")
-    if np.any(boundary_distance(ring, f) <= 10.0 * h):
-        raise NearDegeneracy(
-            f"f = {f} is within 10h of a level crossing; differences are invalid"
-        )
+    shape = np.broadcast_shapes(np.shape(f), np.shape(h))
+    fb, hb = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in (f, h))
+    occupied = _occupation_between(ring, fb, 10.0 * hb, f"f = {f} is within 10h of a level "
+                                   "crossing; differences are invalid")
     n = ring.n_electrons
-    fp, fm = f + h, f - h
-    jp = persistent_current(ring, fp)
-    jm = persistent_current(ring, fm)
-    lam = (jp / fp - jm / fm) / (2.0 * h)
-    sig = ((jp - n) / fp - (jm - n) / fm) / (2.0 * h)
-    return lam, sig
+    sums = [occupied.sum(axis=1).astype(float)]  # S1; J reads no S2
+    fp, fm = fb + hb, fb - hb
+    jp = _exact_current(n, ring.f_nc, fp, sums)[0]
+    jm = _exact_current(n, ring.f_nc, fm, sums)[0]
+    lam = (jp / fp - jm / fm) / (2.0 * hb)
+    sig = ((jp - n) / fp - (jm - n) / fm) / (2.0 * hb)
+    if not shape:
+        return float(lam[0]), float(sig[0])
+    return lam.reshape(shape), sig.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -95,26 +95,52 @@ class TestExitCodes:
         assert run_cli("constants", "--alpha", "1.5") == 2
         assert "alpha must lie in (0, 1]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--points", "1000000000000"],
-         "need at most 10000000 points, got 1000000000000"),
-        (["spectrum", "--n-levels", "1000000000000000000"],
+    # every size argument at an absurd value: above pipeline.MAX_ROWS, or invalid.  Each is
+    # refused before it allocates; {trace} and {config} name a 64-point trace and a config
+    # file asking for 1e12 points.  A 25-digit seed is no size, so it runs.
+    @pytest.mark.parametrize("argv, rc, message", [
+        *[([command, "--points", "1000000000000"], 2,
+           "need at most 10000000 points, got 1000000000000")
+          for command in ("simulate", "current", "signatures", "spectrum")],
+        (["simulate", "--points", "-5"], 2, "need at least 8 points, got -5"),
+        (["spectrum", "--n-levels", "1000000000000000000"], 2,
          "--points x (2 --n-levels + 1) must be at most 10000000, got 512000000000000000256"),
+        (["spectrum", "--n-levels", "-1"], 2, "--n-levels must be non-negative"),
+        (["analyze", "{trace}", "--smoothing-window", "1000000000001"], 2,
+         "smoothing window 1000000000001 too wide for 64 points"),
+        (["analyze", "{trace}", "--smoothing-window", "-3"], 2,
+         "smoothing_window must be an odd integer >= 1"),
+        (["simulate", "--config", "{config}"], 2,
+         "need at most 10000000 points, got 1000000000000"),
+        (["analyze", "{trace}", "--config", "{config}"], 2,
+         "need at most 10000000 points, got 1000000000000"),
+        (["simulate", "--seed", "-1" + "0" * 24], 2,
+         "seed must be non-negative, got -1" + "0" * 24),
+        (["simulate", "--seed", "1" + "0" * 24, "--noise-sigma", "1e-6"], 0, None),
     ])
-    def test_oversized_request_exits_two_before_allocating(self, tmp_path, capsys, argv,
-                                                           message):
-        # they ended as "internal error: MemoryError" and "ValueError: array is too big", exit 1
+    def test_absurd_size_request_allocates_nothing(self, tmp_path, capsys, argv, rc, message):
+        # 1e12 points and 1e18 levels ended as "internal error: MemoryError" and
+        # "ValueError: array is too big", exit 1
+        trace, config, out = tmp_path / "trace.csv", tmp_path / "big.cfg", tmp_path / "out"
+        assert run_cli("simulate", "--points", "64", "--out", str(tmp_path)) == 0
+        config.write_text("n_points = 1000000000000\n")
+        capsys.readouterr()
+        argv = [arg.format(trace=trace, config=config) for arg in argv]
         build_parser()  # built once per process; its tree is not the request's allocation
         tracemalloc.start()
         try:
-            rc = run_cli(*argv, "--out", str(tmp_path))
+            code = run_cli(*argv, "--out", str(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rc == 2
-        assert capsys.readouterr().err == f"ncring: error: {message}\n"
+        assert code == rc
         assert peak < 1 << 20
-        assert not any(tmp_path.iterdir())
+        if message is None:
+            assert capsys.readouterr().err == ""
+            assert [p.name for p in out.iterdir()] == ["trace.csv"]
+        else:
+            assert capsys.readouterr().err == f"ncring: error: {message}\n"
+            assert not out.exists()
         assert RunConfig(n_points=MAX_ROWS).n_points == MAX_ROWS  # the cap itself is allowed
 
     def test_non_utf8_trace_or_config_exits_two(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Seeded input fuzz: mutated trace and configuration files through in-process `ncring analyze`.
 
 Every input must end in exit 0 (the command ran) or exit 2 (bad input); exit 1
-is a defect.  Sizes are not fuzzed: a request for 1e18 rows is a separate question.
+is a defect.  Sizes are not fuzzed here: test_cli's test_absurd_size_request_allocates_nothing
+takes every size argument at an absurd value under tracemalloc.
 """
 
 import random

@@ -165,6 +165,19 @@ class TestReduceToZone:
         assert reduce_to_zone(1.0, "even") == 0.0
         assert reduce_to_zone(-1e-20, "even") == 0.0
 
+    def test_odd_point_one_ulp_inside_the_zone_stays(self):
+        # x - floor(x + 1/2) rounded 0.5 - 2^-54 onto the far branch, so an N = 1 ring
+        # read J = +1 where its filled level n = 0 gives J = -2x, about -1
+        from ncring.oracle import ground_state_by_filling
+
+        x = 0.5 - 2**-54
+        assert reduce_to_zone(x, "odd") == x
+        assert reduce_to_zone(-x, "odd") == -x
+        ring = ring_with(1, 0.0)
+        assert ground_state_by_filling(ring, x).occupied == (0,)
+        assert persistent_current(ring, x) == -2.0 * x
+        assert ground_state_energy(ring, x) == x * x
+
     def test_bad_parity_rejected(self):
         with pytest.raises(ValueError):
             reduce_to_zone(0.1, "both")

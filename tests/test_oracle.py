@@ -21,7 +21,6 @@ from ncring.model import (
 from ncring import oracle
 from ncring.oracle import (
     LevelFilling,
-    boundary_distance,
     current_by_finite_difference,
     current_sweep,
     ground_state_by_filling,
@@ -206,9 +205,9 @@ class TestFillingKernelMatchesReference:
                 reference_current, ring, f, h
             )
 
-    @given(case=filling_cases(), h=st.sampled_from([1e-6, 1e-3]))
+    @given(case=filling_cases())
     @settings(max_examples=100, deadline=None)
-    def test_batched_rows(self, case, h):
+    def test_batched_rows(self, case):
         # the sweeps fill a whole flux array at once: each row must be the
         # reference filling of its own point, and a batch fails iff a point does
         ring, fluxes = case
@@ -221,14 +220,6 @@ class TestFillingKernelMatchesReference:
             rows = [(tuple(n[o].tolist()), math.fsum(e[o].tolist()).hex())
                     for o, e in zip(order, levels)]
             assert rows == fills
-        currents = [outcome(reference_current, ring, v, h) for v in fluxes]
-        batch = outcome(oracle._finite_difference_current, ring, f, h)
-        if WindowTooSmall in currents:
-            assert batch in (WindowTooSmall, NearDegeneracy)
-        elif NearDegeneracy in currents:
-            assert batch is NearDegeneracy
-        else:
-            assert batch == currents
 
     @given(case=filling_cases(reach=3.0))  # every flux within 3 of zero fills
     @settings(max_examples=100, deadline=None)
@@ -241,19 +232,19 @@ class TestFillingKernelMatchesReference:
         assert [v.hex() for v in levels.flat] == [v.hex() for v in expected.flat]
 
 
+def model_functions():
+    """The names of the `ncring.model` functions that `oracle` imports."""
+    return {name for name, value in vars(oracle).items()
+            if inspect.isfunction(value) and value.__module__ == "ncring.model"}
+
+
 class TestOracleIndependence:
     @pytest.fixture(autouse=True)
-    def refuse_closed_forms(self, monkeypatch):
+    def refuse_model_functions(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the oracle called a closed form it checks")
+            raise AssertionError("the oracle called a model function")
 
-        for name in (
-            "ground_state_energy",
-            "persistent_current",
-            "lambda_signature",
-            "sigma_signature",
-            "reduce_to_zone",
-        ):
+        for name in model_functions():
             monkeypatch.setattr(oracle, name, refuse)
 
     def test_oracles_never_call_the_closed_forms(self):
@@ -263,8 +254,13 @@ class TestOracleIndependence:
         assert current_by_finite_difference(ring, 0.13) == pytest.approx(-14 * 0.12, rel=1e-9)
         f = zone_flux_grid(31)
         assert oracle._fill(ring, f)[1].shape == (31, 7)
-        f = f[np.abs(f - 0.51) > 0.05]
-        assert oracle._finite_difference_current(ring, f, 1e-6).shape == f.shape
+        lam, sig = signature_by_finite_difference(ring, 0.13)
+        assert lam == pytest.approx(-14 * ring.f_nc / 0.13**2, rel=1e-6)
+        assert sig == pytest.approx(7 * (1 - 2 * ring.f_nc) / 0.13**2, rel=1e-6)
+        f = np.geomspace(1e-3, 0.4, 15)
+        lam, sig = signature_by_finite_difference(ring, f, h=1e-4 * f)
+        assert lam == pytest.approx(-14 * ring.f_nc / f**2, rel=1e-6)
+        assert sig == pytest.approx(7 * (1 - 2 * ring.f_nc) / f**2, rel=1e-6)
 
     def test_exact_references_never_call_the_closed_forms(self):
         # the sweeps' reference side: fill, crossing test and occupation sums, then
@@ -297,16 +293,18 @@ class TestSweepIndependence:
     ])
     def test_sweep_calls_no_model_function_but_its_closed_form(self, monkeypatch, sweep,
                                                                  checked):
-        # every model function the oracle imports, reduce_to_zone included, is refused,
-        # except the closed forms this sweep checks; the ring record stays usable
+        # the oracle imports from the model only the ring record and the four closed
+        # forms; each is refused except those this sweep checks
         imported = {name for name, value in vars(oracle).items()
-                    if inspect.isfunction(value) and value.__module__ == "ncring.model"}
-        assert {"reduce_to_zone", *checked} < imported
+                    if getattr(value, "__module__", None) == "ncring.model"}
+        assert imported == {"RingSystem", "ground_state_energy", "persistent_current",
+                            "lambda_signature", "sigma_signature"}
+        assert model_functions() == imported - {"RingSystem"}
 
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep called a model function it does not check")
 
-        for name in imported - checked:
+        for name in model_functions() - checked:
             monkeypatch.setattr(oracle, name, refuse)
         result = sweep(quick=True)
         assert result.passed, result.summary()
@@ -419,22 +417,6 @@ class TestSweeps:
         assert len(grid) == 101
         assert grid[0] > -1.0 and grid[-1] < 1.0
 
-    def test_boundary_distance(self):
-        ring = ring_with(3, 0.0)
-        assert boundary_distance(ring, 0.5) == pytest.approx(0.0, abs=1e-15)
-        assert boundary_distance(ring, 0.25) == pytest.approx(0.25)
-        even = ring_with(4, 0.0)
-        assert boundary_distance(even, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert boundary_distance(even, 0.75) == pytest.approx(0.25)
-
-    @pytest.mark.parametrize("n_electrons", [3, 4])
-    def test_boundary_distance_array_matches_scalar(self, n_electrons):
-        ring = ring_with(n_electrons, 0.01)
-        grid = zone_flux_grid(101)
-        d = boundary_distance(ring, grid)
-        assert isinstance(boundary_distance(ring, 0.3), float)
-        assert d.tolist() == [boundary_distance(ring, float(f)) for f in grid]
-
     # the `verify --quick` sweeps; the filling kernel fills one row per flux, and the
     # 18 of 1488 filling fluxes on a level crossing are not checked
     def test_ground_state_sweep_small(self):
@@ -474,8 +456,9 @@ class TestSweeps:
 
 class TestCrossings:
     """The sweeps drop a flux whose N-th and (N+1)-th filled levels tie; that
-    keeps exactly the fluxes that the model's zone reduction places off a
-    level crossing."""
+    keeps exactly the fluxes whose offset x = f - f_nc, reduced to the zone of
+    the ring's parity, lies off a level crossing: |x| < 1/2 for odd N, x > 0
+    for even N."""
 
     @pytest.mark.parametrize("n_values, f_nc_values, grid, dropped_points", [
         (oracle.FILLING_N[0], oracle.FILLING_F_NC, zone_flux_grid(oracle.FILLING_POINTS[0]), 30),
@@ -486,8 +469,8 @@ class TestCrossings:
          np.geomspace(*oracle.SIGNATURE_SPAN, oracle.SIGNATURE_POINTS[1]), 0),
         (range(1, 61), (*oracle.FILLING_F_NC, 0.125, 0.2, 0.49), None, 1380),  # exact crossings
     ])
-    def test_tie_test_keeps_what_boundary_distance_keeps(self, n_values, f_nc_values, grid,
-                                                          dropped_points):
+    def test_tie_test_keeps_the_fluxes_off_a_crossing(self, n_values, f_nc_values, grid,
+                                                       dropped_points):
         dropped = 0
         for n in n_values:
             for f_nc in f_nc_values:
@@ -499,7 +482,9 @@ class TestCrossings:
                     f = ring.f_nc + x
                     f = f[f - ring.f_nc == x]  # where x is exact, the crossing is exact
                 kept, _ = oracle._occupation_sums(ring, f)
-                assert kept.tolist() == f[boundary_distance(ring, f) > 0.0].tolist(), (n, f_nc)
+                x = f - ring.f_nc
+                off = np.abs(x - np.rint(x)) < 0.5 if n % 2 else x - np.floor(x) > 0.0
+                assert kept.tolist() == f[off].tolist(), (n, f_nc)
                 dropped += len(f) - len(kept)
         assert dropped == dropped_points
 
