@@ -159,7 +159,6 @@ def reduce_to_zone(x, parity: Parity):
     elif parity == "even":
         y = arr - np.floor(arr)
         y = np.where(y >= 1.0, y - 1.0, y)
-        y = np.where(y < 0.0, y + 1.0, y)
     else:
         raise InvalidRange(f"parity must be 'odd' or 'even', got {parity!r}")
     return _maybe_scalar(y, scalar)

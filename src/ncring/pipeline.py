@@ -22,9 +22,10 @@ rule without building it.  :func:`analyze_trace` takes it plus ``blind=``;
 ``blind=False`` takes N from the trace's ``n_electrons``, not from the fit.
 
 What stages 2-4 derive from the flux alone (the line fit's centring, the
-stencil weights, the fit window's points and their log10 f centring) lives
-in one grid plan, and every trace holds exactly one.  The traces of
-:func:`synthesize_trace` share their :func:`flux_grid` grid's plan, built
+stencil weights, the fit window's points, their log10 f centring and the
+noise floor's scale) lives in one grid plan, and every trace holds exactly
+one; a trace's noise floor is its noise level times that scale.  The traces
+of :func:`synthesize_trace` share their :func:`flux_grid` grid's plan, built
 once; any other flux is copied into its trace, which builds and keeps its own.
 """
 
@@ -219,13 +220,12 @@ def _shared_plan(f_min: float, f_max: float, n_points: int, grid: str) -> _GridP
 
 
 class _FitWindow(NamedTuple):
-    """One fit window's interior grid points and centred log10 f: what fits and floor read."""
+    """One fit window's interior grid points, centred log10 f and floor scale."""
 
     bounds: tuple[float, float]  # (fit_f_lo, fit_f_hi)
     cut: slice  # of the interior grid f[1:-1]
     f: np.ndarray  # f[1:-1][cut]
-    d2: np.ndarray  # (f[2:] - f[:-2])[cut]
-    f_sq: np.ndarray  # f**2
+    floor_scale: float  # median of f / (f[2:] - f[:-2])[cut], 0.0 for no point
     log_centring: tuple[float, np.ndarray, float] | None  # _log_centring(f), for full rows
 
 
@@ -235,8 +235,10 @@ class _GridPlan:
     It lives as long as the last trace that holds it.  Each part is built on
     first use and then reused: the J line fit's centring, :func:`_derivative`'s
     stencil weights, and the last :class:`_FitWindow` asked for with its centred
-    log10 f.  Parts hold only the quantities numpy would evaluate first anyway,
-    so every result keeps its bits.
+    log10 f and floor scale.  The centring and stencil hold only the quantities
+    numpy would evaluate first anyway, so those results keep their bits; the
+    floor takes its median before the noise scaling, so it equals the per-point
+    form sqrt(2) sigma f^2 / (sqrt(W) f d2) to rounding only.
     """
 
     def __init__(self, f: np.ndarray):
@@ -262,10 +264,10 @@ class _GridPlan:
         if window is None or window.bounds != (f_lo, f_hi):
             f, f_int = self.f, self.f[1:-1]
             cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
-            with np.errstate(over="ignore"):  # as in _noise_floor
-                self._window = window = _FitWindow(
-                    (f_lo, f_hi), cut, f_int[cut], f[2:][cut] - f[:-2][cut], f_int[cut] ** 2,
-                    _log_centring(f_int[cut]))
+            f_w = f_int[cut]
+            # f / d2 < ~2**53 on a strictly increasing grid, so the scale is always finite
+            scale = float(np.median(f_w / (f[2:][cut] - f[:-2][cut]))) if f_w.size else 0.0
+            self._window = window = _FitWindow((f_lo, f_hi), cut, f_w, scale, _log_centring(f_w))
         return window
 
 
@@ -669,28 +671,17 @@ class AnalysisResult:
 
 
 def _noise_floor(window: _FitWindow, sigma_j: float, smoothing_window: int) -> float:
-    """Amplitude-equivalent noise scale of the derivative estimates.
+    """Amplitude-equivalent noise of the derivative estimates; 0 for an empty window.
 
-    Trace noise sigma_j propagates into the central differences as
-    ~ sqrt(2) sigma_j / (sqrt(W) f d2f) at each interior point, which on a
-    log grid is a constant times 1/f^2, i.e. exactly the shape of a true
-    divergence.  Scaling by f^2 and taking the median over the interior
-    points of the fit window therefore yields a floor directly comparable
-    with a fitted 1/f^2 amplitude; 0 for an empty window.
+    Trace noise sigma_j reaches the central differences as ~ sqrt(2) sigma_j /
+    (sqrt(W) f d2f) at each interior point, on a log grid a constant times
+    1/f^2, the shape of a true divergence.  Its median times f^2 over the fit
+    window, sqrt(2) sigma_j / sqrt(W) times the window's floor scale, is a
+    floor directly comparable with a fitted 1/f^2 amplitude.
     """
-    f_int = window.f
-    if not f_int.size:
-        return 0.0
-    # overflows near f = 0 as in differentiate_trace, with the same outcome
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(smoothing_window) * f_int * window.d2)
-        amp_equiv = s_val * window.f_sq
-    # np.median in one partition: its kth set, its mean of the middle pair, its NaN rule
-    mid, odd = divmod(f_int.size, 2)
-    part = np.partition(amp_equiv, [mid, -1] if odd else [mid - 1, mid, -1])
-    if np.isnan(part[-1]):
-        return float(part[-1])
-    return float(part[mid] if odd else (part[mid - 1] + part[mid]) / 2)
+    if not window.f.size:
+        return 0.0  # also for a NaN or infinite sigma_j
+    return math.sqrt(2.0) * sigma_j / math.sqrt(smoothing_window) * window.floor_scale
 
 
 def analyze_trace(

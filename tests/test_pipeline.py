@@ -881,8 +881,24 @@ class TestAnalyzeTrace:
         assert v.lambda_fit.n_points_used == v.sigma_fit.n_points_used == 62
         sigma_j = max(result.trace_noise_rms, np.finfo(float).eps * np.abs(trace.j).max())
         f = trace.f
-        amp_equiv = math.sqrt(2.0) * sigma_j / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
-        assert result.residual_floor == float(np.median(amp_equiv))
+        scale = float(np.median(f[1:-1] / (f[2:] - f[:-2])))
+        assert result.residual_floor == math.sqrt(2.0) * sigma_j * scale
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize("n_points", [64, 256, 1024])
+    def test_log_grid_floor_closed_form(self, n_points, window):
+        # on a log grid f / d2 = 1 / (r - 1/r) at every interior point, with
+        # r = f[1] / f[0], so the floor is sqrt(2) sigma / (sqrt(W) 2 sinh(log r))
+        trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, n_points, noise_sigma=3e-3,
+                                 seed=n_points + window)
+        result = analyze_trace(trace, RunConfig(n_electrons=3, smoothing_window=window))
+        sigma_floor = max(result.trace_noise_rms, np.finfo(float).eps * np.abs(trace.j).max())
+        r = trace.f[1] / trace.f[0]
+        closed = math.sqrt(2.0) * sigma_floor / (math.sqrt(window) * (r - 1.0 / r))
+        assert result.residual_floor == pytest.approx(closed, rel=1e-12, abs=0.0)
+        if (n_points, window) == (256, 1):
+            ratio = result.residual_floor / result.trace_noise_rms
+            assert ratio == pytest.approx(30.0920815520576, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "n, n_points, grid, f_max",
@@ -919,9 +935,9 @@ class TestAnalyzeTrace:
 
 
 # Exactness pins.  The pipeline takes faster routes than these plain numpy
-# forms (one stacked pass for both signatures, sum / n for the mean, one
-# partition for the median, a cached grid); the routes must give the same
-# bits, so every comparison below is on the raw bytes.
+# forms (one stacked pass for both signatures, sum / n for the mean, the
+# floor's median taken once per fit window, a cached grid); the routes must
+# give the same bits, so every comparison below is on the raw bytes.
 
 
 def plain_line_fit(x, y):
@@ -952,11 +968,11 @@ def plain_signature(f, u, window):
 
 def plain_noise_floor(f, sigma_j, window, f_window):
     f_int, d2 = f[1:-1], f[2:] - f[:-2]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s_val = math.sqrt(2.0) * sigma_j / (math.sqrt(window) * f_int * d2)
-        amp_equiv = s_val * f_int**2
     in_window = (f_int >= f_window[0]) & (f_int <= f_window[1])
-    return float(np.median(amp_equiv[in_window])) if in_window.any() else 0.0
+    if not in_window.any():
+        return 0.0
+    scale = float(np.median(f_int[in_window] / d2[in_window]))
+    return math.sqrt(2.0) * sigma_j / math.sqrt(window) * scale
 
 
 def plain_power_law(f, values, f_window, floor):
@@ -1014,16 +1030,19 @@ class TestExactness:
         plan = _GridPlan(f)
         floor = _noise_floor(plan.window(*f_window), 0.03, window)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, window, f_window))
-        assert _noise_floor(plan.window(0.5, 0.6), 0.03, window) == 0.0  # no point in the window
+        for sigma_j in (0.03, math.nan, math.inf):  # no point in the window, whatever the noise
+            assert _noise_floor(plan.window(0.5, 0.6), sigma_j, window) == 0.0
 
     def test_noise_floor_nan_amplitude(self):
-        # at f ~ 1e-200 both f d2f and f^2 underflow to 0, so one amplitude is inf * 0
+        # at f ~ 1e-200 both f d2f and f^2 underflow to 0, so the per-point
+        # amplitude f^2 / (f d2f) is inf * 0 there; f / d2f is finite on any
+        # strictly increasing grid, and so is the floor built on it
         f = np.concatenate([[1e-200, 2e-200, 3e-200], np.geomspace(1e-3, 0.4, 20)])
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             amp = 0.03 / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
         assert np.isnan(amp).sum() == 1
         floor = _noise_floor(_GridPlan(f).window(1e-300, 1.0), 0.03, 1)  # every interior point
-        assert math.isnan(floor)
+        assert math.isfinite(floor)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, 1, (1e-300, 1.0)))
 
     def test_analyze_trace_mix(self):
