@@ -37,7 +37,7 @@ from ncring.dataio import (
 )
 from ncring.errors import InputError, InvalidRange, NcRingError
 from ncring.model import eigenenergy, lambda_signature, sigma_signature
-from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep
+from ncring.oracle import current_sweep, ground_state_sweep, signature_sweep, zone_filling
 from ncring.pipeline import (MAX_ROWS, RunConfig, analyze_trace, check_zone, flux_grid,
                              synthesize_trace)
 from ncring.svgplot import emit_plot
@@ -175,7 +175,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    sweeps = [ground_state_sweep(args.quick), current_sweep(args.quick),
+    filled = zone_filling(args.quick)  # the two zone sweeps check the same rings
+    sweeps = [ground_state_sweep(args.quick, filled), current_sweep(args.quick, filled),
               signature_sweep(args.quick)]
     ok = True
     for sweep in sweeps:

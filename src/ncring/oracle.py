@@ -10,11 +10,12 @@ is not finite or lies m or more from f_nc, and a filling that reaches
 |n| = m.  The scalar oracles are its one-point case; the two finite
 differences fill f - d and f + d as one block and refuse (NearDegeneracy) a
 point where the two occupations differ.  The three sweeps at the bottom,
-behind the test suite and the `verify` CLI subcommand, run one path,
-:func:`_sweep`: it fills one row per point, drops a level crossing (the
-row's N-th and (N+1)-th levels tie), and compares each closed form with E,
-J = -dE/df or the two signatures, exact on the filled occupation from its
-sums of n and n^2.  A sweep calls no model function but the closed form it checks.
+behind the test suite and the `verify` CLI subcommand, compare each closed form
+with E, J = -dE/df or the two signatures, exact from the sums of n and n^2 of a
+:class:`Filling`: one row filled per point, a level crossing (the row's N-th and
+(N+1)-th levels tie) dropped.  The ground-state and current sweeps of one
+`verify` share one fill, :func:`zone_filling`.  A sweep calls no model function
+but the closed form it checks.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "signature_by_finite_difference",
     "SweepResult",
     "zone_flux_grid",
+    "Filling",
+    "zone_filling",
     "ground_state_sweep",
     "current_sweep",
     "signature_sweep",
@@ -182,7 +185,7 @@ class SweepResult:
     max_dev: float
     tol: float
     worst: tuple[int, float, float]  # (N, f_nc, f)
-    rows_filled: int  # rows the filling kernel filled: one per flux, crossings included
+    rows_filled: int  # rows of the fill the sweep compared against, crossings included
 
     @property
     def passed(self) -> bool:
@@ -289,46 +292,62 @@ def _exact_signatures(n_el, f_nc, f, sums):
     return q, (((hi - t) - te) + lo - q * ge) / g  # hi - t is exact: q g lies within an ulp of hi
 
 
-def _sweep(label, tol, n_values, f_nc_values, points, closed, exact) -> SweepResult:
-    """Max of |closed - exact| / max(1, |closed|) over each ring's fluxes `points(ring)` off a
-    level crossing, where J is undefined.  Each flux is filled once; `exact` takes (N, f_nc,
-    f, occupation sums) over one N's block of rings, and the worst point is the first
-    row-major maximum."""
-    max_dev, worst, count, rows = 0.0, (0, 0.0, 0.0), 0, 0
+@dataclass(frozen=True)
+class Filling:
+    """Rings filled once, for every sweep that compares against them."""
+
+    quick: bool  # the `verify` size it was built for
+    blocks: tuple  # per N: (N, rings, kept fluxes per ring, their f_nc, sums S1 and S2)
+    rows: int  # fluxes filled, level crossings included
+
+
+def _filling(n_values, f_nc_values, points, quick) -> Filling:
+    """Fill each ring's `points(ring)`; keep those off a crossing, where J is undefined."""
+    blocks, rows = [], 0
     for n in n_values:
-        block = []
-        for f_nc in f_nc_values:
-            ring = RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
-            f = points(ring)
-            rows += len(f)
-            block.append((ring, *_occupation_sums(ring, f)))
-        rings, kept, sums = zip(*block)
-        f = np.concatenate(kept)
+        rings = [RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc) for f_nc in f_nc_values]
+        fluxes = [points(ring) for ring in rings]
+        rows += sum(map(len, fluxes))
+        kept, sums = zip(*map(_occupation_sums, rings, fluxes))
         f_nc = np.repeat([ring.f_nc for ring in rings], [len(k) for k in kept])
+        blocks.append((n, rings, kept, f_nc, np.concatenate(sums, axis=1)))
+    return Filling(quick, tuple(blocks), rows)
+
+
+def zone_filling(quick: bool = False) -> Filling:
+    """The rings of the ground-state and current sweeps, each filled once over the zone grid."""
+    grid = zone_flux_grid(FILLING_POINTS[quick])
+    return _filling(FILLING_N[quick], FILLING_F_NC, lambda ring: grid, quick)
+
+
+def _sweep(label, tol, quick, filled, closed, exact) -> SweepResult:
+    """Max of |closed - exact| / max(1, |closed|) over `filled`, a filling of this `verify` size;
+    `exact` takes (N, f_nc, f, sums) per N's block; the worst point is the first row-major max."""
+    if filled.quick != quick:
+        raise InvalidRange(f"a filling for quick={filled.quick} cannot serve quick={quick}")
+    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
+    for n, rings, kept, f_nc, sums in filled.blocks:
+        f = np.concatenate(kept)
         value = np.concatenate([closed(ring, k) for ring, k in zip(rings, kept)])
-        hi, lo = exact(n, f_nc, f, np.concatenate(sums, axis=1))
+        hi, lo = exact(n, f_nc, f, sums)
         dev = np.abs((value - hi) - lo) / np.maximum(1.0, np.abs(value))
         count += dev.size
         if dev.size and dev.max() > max_dev:
             row = int(np.argmax(dev)) // (dev.size // len(f))
             max_dev, worst = float(dev.max()), (n, float(f_nc[row]), float(f[row]))
-    return SweepResult(label, count, max_dev, tol, worst, rows)
+    return SweepResult(label, count, max_dev, tol, worst, filled.rows)
 
 
-def ground_state_sweep(quick: bool = False) -> SweepResult:
-    """Max of |E_g(closed) - E_g(exact)| / max(1, |E_g|) over the filling sweep."""
-    grid = zone_flux_grid(FILLING_POINTS[quick])
-    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL,
-                  FILLING_N[quick], FILLING_F_NC, lambda ring: grid,
-                  ground_state_energy, _exact_energy)
+def ground_state_sweep(quick: bool = False, filled: Filling | None = None) -> SweepResult:
+    """Max of |E_g(closed) - E_g(exact)| / max(1, |E_g|) over `filled`, or zone_filling(quick)."""
+    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL, quick,
+                  filled or zone_filling(quick), ground_state_energy, _exact_energy)
 
 
-def current_sweep(quick: bool = False) -> SweepResult:
-    """Max of |J(closed) + dE_g/df(exact)| / max(1, |J|) over the filling sweep."""
-    grid = zone_flux_grid(FILLING_POINTS[quick])
-    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL,
-                  FILLING_N[quick], FILLING_F_NC, lambda ring: grid,
-                  persistent_current, _exact_current)
+def current_sweep(quick: bool = False, filled: Filling | None = None) -> SweepResult:
+    """Max of |J(closed) + dE_g/df(exact)| / max(1, |J|) over `filled`, or zone_filling(quick)."""
+    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL, quick,
+                  filled or zone_filling(quick), persistent_current, _exact_current)
 
 
 def signature_sweep(quick: bool = False) -> SweepResult:
@@ -338,9 +357,9 @@ def signature_sweep(quick: bool = False) -> SweepResult:
     grid's points at or below f_nc are not filled.
     """
     grid = np.geomspace(*SIGNATURE_SPAN, SIGNATURE_POINTS[quick])
-    return _sweep("signature closed forms vs filling oracle", SIGNATURE_TOL,
-                  SIGNATURE_N, SIGNATURE_F_NC,
-                  lambda ring: grid[grid > ring.f_nc] if ring.parity == "even" else grid,
+    filled = _filling(SIGNATURE_N, SIGNATURE_F_NC,
+                      lambda ring: grid[grid > ring.f_nc] if ring.parity == "even" else grid, quick)
+    return _sweep("signature closed forms vs filling oracle", SIGNATURE_TOL, quick, filled,
                   lambda ring, f: np.column_stack((lambda_signature(ring, f),
                                                    sigma_signature(ring, f))),
                   _exact_signatures)

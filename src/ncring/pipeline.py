@@ -265,8 +265,10 @@ class _GridPlan:
             f, f_int = self.f, self.f[1:-1]
             cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
             f_w = f_int[cut]
-            # f / d2 < ~2**53 on a strictly increasing grid, so the scale is always finite
-            scale = float(np.median(f_w / (f[2:][cut] - f[:-2][cut]))) if f_w.size else 0.0
+            # np.median's arithmetic, less its numpy.ma import; f / d2 < ~2**53, so it is finite
+            mid = ((f_w.size - 1) // 2, f_w.size // 2)
+            r = np.partition(f_w / (f[2:][cut] - f[:-2][cut]), mid) if f_w.size else np.zeros(1)
+            scale = float((r[mid[0]] + r[mid[1]]) / 2)  # 0.0 for an empty window
             self._window = window = _FitWindow((f_lo, f_hi), cut, f_w, scale, _log_centring(f_w))
         return window
 
@@ -355,7 +357,10 @@ def _linear_fit(trace: CurrentTrace) -> tuple[float, float, float]:
     """OLS of the trace's j on f; returns (intercept, slope, rms residual)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a current near 1e308 squares to inf
         intercept, slope, ss_res, _ = _line_fit(trace._plan.centring, trace.j)
-    return intercept, slope, math.sqrt(ss_res / (len(trace) - 2))
+    fit = intercept, slope, math.sqrt(ss_res / (len(trace) - 2))
+    if not all(map(math.isfinite, fit)):
+        raise DegenerateFit(f"the line fit of J on f overflows: intercept, slope, rms = {fit}")
+    return fit
 
 
 def _electron_number(intercept: float, slope: float) -> tuple[int, Parity]:

@@ -328,6 +328,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.splitlines()[-1].startswith("ncring: error:")
 
+    def test_overflowing_non_blind_line_fit_exits_two(self, tmp_path):
+        # no N is estimated from the slope, so the fit itself refuses its NaN
+        f = np.geomspace(0.2, 0.4, 32).tolist()
+        rows = "".join(f"{x!r},{1.5e308 * (-1) ** i!r}\n" for i, x in enumerate(f))
+        (tmp_path / "trace.csv").write_text("# n_electrons: 3\nf,J\n" + rows)
+        proc = run_module("analyze", str(tmp_path / "trace.csv"), "--no-blind",
+                          "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("ncring: error: the line fit of J on f overflows")
+        assert not (tmp_path / "report.txt").exists()
+
     def test_header_only_trace_exits_two_quietly(self, tmp_path):
         # numpy warns when the bulk row parse finds no rows; the error alone
         # reaches stderr (a child process, outside the suite's warning filters)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncring.cli import main
 from ncring.errors import InvalidRange, NearDegeneracy, WindowTooSmall
 from ncring.model import (
     RingSystem,
@@ -27,6 +28,7 @@ from ncring.oracle import (
     ground_state_sweep,
     signature_by_finite_difference,
     signature_sweep,
+    zone_filling,
     zone_flux_grid,
 )
 
@@ -437,8 +439,9 @@ class TestSweeps:
 
     def test_sweep_over_no_points_fails(self):
         # both fluxes sit on a level crossing of the one-electron ring: filled, not checked
-        result = oracle._sweep("empty", 1e-12, (1,), (0.0,), lambda ring: np.array([0.5, -0.5]),
-                               persistent_current, oracle._exact_current)
+        filled = oracle._filling((1,), (0.0,), lambda ring: np.array([0.5, -0.5]), False)
+        result = oracle._sweep("empty", 1e-12, False, filled, persistent_current,
+                               oracle._exact_current)
         assert (result.n_points, result.rows_filled) == (0, 2)
         assert not result.passed
         assert result.summary().endswith("over 0 points, worst at N=0, f_nc=0, f=0  [FAIL]")
@@ -452,6 +455,35 @@ class TestSweeps:
     def test_n_flux_must_be_an_integer(self):
         with pytest.raises(InvalidRange, match="n_flux must be an integer, got 2.5"):
             zone_flux_grid(2.5)
+
+
+class TestZoneFilling:
+    """The ground-state and current sweeps of one `verify` compare against one fill."""
+
+    @pytest.mark.parametrize("argv, fills", [(["verify"], 246), (["verify", "--quick"], 54)])
+    def test_verify_fills_each_ring_once(self, monkeypatch, capsys, argv, fills):
+        # 240 or 48 zone rings, filled once for both sweeps, and the 6 signature rings
+        calls = []
+        fill = oracle._occupation_sums
+
+        def counted(ring, f):
+            calls.append(ring)
+            return fill(ring, f)
+
+        monkeypatch.setattr(oracle, "_occupation_sums", counted)
+        assert main(argv) == 0
+        assert len(calls) == fills
+
+    @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep])
+    def test_shared_filling_gives_the_sweep_result(self, sweep):
+        assert sweep(quick=True, filled=zone_filling(True)) == sweep(quick=True)
+
+    @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep])
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_filling_of_the_other_size_is_refused(self, sweep, quick):
+        filled = zone_filling(not quick)
+        with pytest.raises(InvalidRange, match=f"filling for quick={not quick} cannot serve"):
+            sweep(quick=quick, filled=filled)
 
 
 class TestCrossings:

@@ -83,6 +83,23 @@ def test_pipeline_imports_no_io_plot_or_oracle():
     assert not {"ncring.dataio", "ncring.oracle", "ncring.svgplot"} & set(loaded)
 
 
+def test_analysis_imports_no_masked_arrays():
+    # the floor's median is taken by np.partition; np.median's first call imports numpy.ma
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys\n"
+            "from ncring.model import RingSystem\n"
+            "from ncring.pipeline import analyze_trace, synthesize_trace\n"
+            "ring = RingSystem.from_f_nc(n_electrons=3, f_nc=1e-5)\n"
+            "analyze_trace(synthesize_trace(ring, 1e-3, 0.4, 256, noise_sigma=1e-4, seed=1))\n"
+            "print('numpy.ma' in sys.modules)")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert loaded == "False\n"
+
+
 class TestSynthesizeTrace:
     def test_noiseless_odd_is_exactly_linear(self):
         ring = ring_with(3, 0.0)
@@ -255,6 +272,16 @@ class TestEstimateElectronNumber:
         trace = CurrentTrace(f=f, j=-1e300 * np.arange(16))
         with np.errstate(all="ignore"), pytest.raises(DegenerateFit):
             estimate_electron_number(trace)
+
+    def test_overflowing_fit_is_degenerate_fit(self):
+        # finite currents whose mean overflows: the fit of a non-blind analysis, which
+        # estimates no N from its slope, gave a NaN noise rms and "Inconclusive"
+        f = np.geomspace(0.2, 0.4, 32)
+        trace = CurrentTrace(f=f, j=1.5e308 * (-1.0) ** np.arange(32), n_electrons=3)
+        with pytest.raises(DegenerateFit, match="line fit of J on f overflows"):
+            analyze_trace(trace, blind=False)
+        with pytest.raises(DegenerateFit, match="line fit of J on f overflows"):
+            trace_noise_rms(trace)
 
     def test_noise_rms_estimate(self):
         ring = ring_with(3, 0.0)
