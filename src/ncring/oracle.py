@@ -12,10 +12,12 @@ differences fill f - d and f + d as one block and refuse (NearDegeneracy) a
 point where the two occupations differ.  The three sweeps at the bottom,
 behind the test suite and the `verify` CLI subcommand, compare each closed form
 with E, J = -dE/df or the two signatures, exact from the sums of n and n^2 of a
-:class:`Filling`: one row filled per point, a level crossing (the row's N-th and
-(N+1)-th levels tie) dropped.  The ground-state and current sweeps of one
-`verify` share one fill, :func:`zone_filling`.  A sweep calls no model function
-but the closed form it checks.
+:class:`Filling`: one row filled per point, a level crossing (the N-th and
+(N+1)-th levels of the row's one sort tie) dropped.  The closed form is called
+once per ring, the exact references once per block of 4096 kept rows, which may
+span several N.  The ground-state and current sweeps of one `verify` share one
+fill, :func:`zone_filling`.  A sweep calls no model function but the closed
+form it checks.
 """
 
 from __future__ import annotations
@@ -57,17 +59,17 @@ class LevelFilling:
     total_energy: float
 
 
-def _fill(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fill(ring: RingSystem, f: np.ndarray, spare: int = 0) -> tuple[np.ndarray, ...]:
     """Occupy the N lowest levels among n in [-m, m], m = N // 2 + 5, at each flux of `f`.
 
     Returns (levels, order, n): `levels` is the (len(f), 2m + 1) block of
     level energies, one row per flux, whose columns hold the quantum numbers
-    `n` in tie-break order 0, -1, 1, -2, 2, ...; row b of the (len(f), N)
-    array `order` lists the columns filled at f[b], in filling order.  A
-    stable sort along each row breaks exact degeneracies by smaller |n|,
-    then negative n.  Raises InvalidRange for a non-finite flux, and
-    WindowTooSmall if |f - f_nc| >= m or if a filled level sits on the
-    enumeration boundary.
+    `n` in tie-break order 0, -1, 1, -2, 2, ...; row b of the (len(f), N + spare)
+    array `order` lists the columns filled at f[b], in filling order, and
+    then the `spare` lowest empty ones.  A stable sort along each row breaks
+    exact degeneracies by smaller |n|, then negative n.  Raises InvalidRange
+    for a non-finite flux, and WindowTooSmall if |f - f_nc| >= m or if a
+    filled level sits on the enumeration boundary.
     """
     n_el = ring.n_electrons
     m = n_el // 2 + 5  # five levels past the filled shell on each side at f = f_nc
@@ -84,8 +86,8 @@ def _fill(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     # the product is the correctly rounded square, as in model.eigenenergy;
     # libm pow (float_power, **) misrounds a few squares in ten thousand
     levels = u * u - 0.75 * ring.f_nc**2
-    order = np.argsort(levels, axis=1, kind="stable")[:, :n_el]
-    if order.max() >= 2 * m - 1:  # the last two columns hold n = -m and n = +m
+    order = np.argsort(levels, axis=1, kind="stable")[:, :n_el + spare]
+    if order[:, :n_el].max() >= 2 * m - 1:  # the last two columns hold n = -m and n = +m
         raise WindowTooSmall(
             f"filling touches the enumeration boundary +-{m}; shift f toward f_nc by whole quanta"
         )
@@ -216,6 +218,7 @@ GROUND_STATE_TOL, CURRENT_TOL = 1e-14, 1e-12
 SIGNATURE_N, SIGNATURE_F_NC = (3, 4), (0.0, 1e-5, 1e-2)
 SIGNATURE_SPAN, SIGNATURE_POINTS = (1e-3, 0.4), (40, 15)  # log grid bounds and sizes
 SIGNATURE_TOL = 1e-14
+_BLOCK = 4096  # rows per exact-reference call: few calls, temporaries of a few hundred kB
 
 
 def _two_sum(a, b):
@@ -249,24 +252,24 @@ def _compensated_sum(terms):
 def _occupation_sums(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fluxes of `f` off a level crossing (their `_fill` row's N-th and (N+1)-th levels
     differ), and rows S1 = sum n and S2 = sum n^2 over the levels filled at each of them."""
-    levels, order, n = _fill(ring, f)
-    n_el = ring.n_electrons
-    lowest = np.partition(levels, (n_el - 1, n_el), axis=1)
-    off = lowest[:, n_el - 1] != lowest[:, n_el]
-    occupied = n[order[off]]
+    levels, order, n = _fill(ring, f, spare=1)
+    edge = levels[np.arange(len(f))[:, None], order[:, -2:]]  # the N-th and (N+1)-th levels
+    off = edge[:, 0] != edge[:, 1]
+    occupied = n[order[off, :-1]]
     return f[off], np.stack((occupied.sum(axis=1), (occupied**2).sum(axis=1))).astype(float)
 
 
 def _exact_energy(n_el, f_nc, f, sums):
     """E = S2 + 2 S1 x + N x^2 - (3/4) N f_nc^2, x = f - f_nc, as a pair (hi, lo) within a
-    few u^2 max(1, |E|): first-order products are split exactly, second-order ones rounded."""
+    few u^2 max(1, |E|): first-order products are split exactly, second-order ones rounded.
+    Here and below, N is a scalar or one per row of f; each row's bits are the same."""
     s1, s2 = sums
     xh, xl = _two_sum(f, -f_nc)
     q, qe = _two_prod(f_nc, f_nc)
     c, ce = _two_prod(0.75 * n_el, q)
     a, ae = _two_prod(2.0 * s1, xh)
     g, ge = _two_prod(xh, xh)
-    k, ke = _two_prod(float(n_el), g)
+    k, ke = _two_prod(n_el, g)
     return _compensated_sum([s2, -c, -ce, -0.75 * n_el * qe, a, ae, 2.0 * s1 * xl,
                              k, ke, n_el * ge, 2.0 * n_el * xh * xl, n_el * xl * xl])
 
@@ -274,8 +277,8 @@ def _exact_energy(n_el, f_nc, f, sums):
 def _exact_current(n_el, f_nc, f, sums):
     """J = -dE/df = -2 (S1 + N x) as a pair (hi, lo), every product split exactly."""
     xh, xl = _two_sum(f, -f_nc)
-    p, pe = _two_prod(float(n_el), xh)
-    r, re = _two_prod(float(n_el), xl)
+    p, pe = _two_prod(n_el, xh)
+    r, re = _two_prod(n_el, xl)
     hi, lo = _compensated_sum([sums[0], p, pe, r, re])
     return -2.0 * hi, -2.0 * lo
 
@@ -284,8 +287,9 @@ def _exact_signatures(n_el, f_nc, f, sums):
     """d(J/f)/df = (2 S1 - 2N f_nc) / f^2 and d((J - N)/f)/df, that plus N / f^2, for
     J = -2 (S1 + N x), as (len(f), 2) pairs (hi, lo) within a few u^2 of each value: the
     numerators are summed over an exact 2N f_nc, then divided by the exact f^2 and refined."""
+    n_el = np.reshape(n_el, (-1, 1))
     p, pe = _two_prod(2.0 * n_el, f_nc[:, None])
-    hi, lo = _compensated_sum([2.0 * sums[0][:, None] + [0.0, n_el], -p, -pe])
+    hi, lo = _compensated_sum([2.0 * sums[0][:, None] + [0.0, 1.0] * n_el, -p, -pe])
     g, ge = _two_prod(f[:, None], f[:, None])
     q = hi / g
     t, te = _two_prod(q, g)
@@ -294,24 +298,30 @@ def _exact_signatures(n_el, f_nc, f, sums):
 
 @dataclass(frozen=True)
 class Filling:
-    """Rings filled once, for every sweep that compares against them."""
+    """Rings filled once, for every sweep that compares against them: per ring, the ring and
+    its kept fluxes, for one closed-form call each; per kept row, flat in ring order, N, f_nc,
+    f and the (2, rows) sums S1, S2, which `_sweep` reads in blocks of `_BLOCK` rows."""
 
     quick: bool  # the `verify` size it was built for
-    blocks: tuple  # per N: (N, rings, kept fluxes per ring, their f_nc, sums S1 and S2)
+    rings: tuple  # (ring, kept fluxes) pairs
+    n: np.ndarray
+    f_nc: np.ndarray
+    f: np.ndarray
+    sums: np.ndarray
     rows: int  # fluxes filled, level crossings included
 
 
 def _filling(n_values, f_nc_values, points, quick) -> Filling:
     """Fill each ring's `points(ring)`; keep those off a crossing, where J is undefined."""
-    blocks, rows = [], 0
-    for n in n_values:
-        rings = [RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc) for f_nc in f_nc_values]
-        fluxes = [points(ring) for ring in rings]
-        rows += sum(map(len, fluxes))
-        kept, sums = zip(*map(_occupation_sums, rings, fluxes))
-        f_nc = np.repeat([ring.f_nc for ring in rings], [len(k) for k in kept])
-        blocks.append((n, rings, kept, f_nc, np.concatenate(sums, axis=1)))
-    return Filling(quick, tuple(blocks), rows)
+    rings = [RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
+             for n in n_values for f_nc in f_nc_values]
+    fluxes = [points(ring) for ring in rings]
+    kept, sums = zip(*map(_occupation_sums, rings, fluxes))
+    counts = [len(k) for k in kept]
+    return Filling(quick, tuple(zip(rings, kept)),
+                   np.repeat([float(ring.n_electrons) for ring in rings], counts),
+                   np.repeat([ring.f_nc for ring in rings], counts), np.concatenate(kept),
+                   np.concatenate(sums, axis=1), sum(map(len, fluxes)))
 
 
 def zone_filling(quick: bool = False) -> Filling:
@@ -321,21 +331,21 @@ def zone_filling(quick: bool = False) -> Filling:
 
 
 def _sweep(label, tol, quick, filled, closed, exact) -> SweepResult:
-    """Max of |closed - exact| / max(1, |closed|) over `filled`, a filling of this `verify` size;
-    `exact` takes (N, f_nc, f, sums) per N's block; the worst point is the first row-major max."""
+    """Max of |closed - exact| / max(1, |closed|) over `filled`, of this `verify` size; `exact`
+    takes (N, f_nc, f, sums) per block of `_BLOCK` rows; the worst point is the first max."""
     if filled.quick != quick:
         raise InvalidRange(f"a filling for quick={filled.quick} cannot serve quick={quick}")
-    max_dev, worst, count = 0.0, (0, 0.0, 0.0), 0
-    for n, rings, kept, f_nc, sums in filled.blocks:
-        f = np.concatenate(kept)
-        value = np.concatenate([closed(ring, k) for ring, k in zip(rings, kept)])
-        hi, lo = exact(n, f_nc, f, sums)
-        dev = np.abs((value - hi) - lo) / np.maximum(1.0, np.abs(value))
-        count += dev.size
-        if dev.size and dev.max() > max_dev:
-            row = int(np.argmax(dev)) // (dev.size // len(f))
-            max_dev, worst = float(dev.max()), (n, float(f_nc[row]), float(f[row]))
-    return SweepResult(label, count, max_dev, tol, worst, filled.rows)
+    value = np.concatenate([closed(ring, kept) for ring, kept in filled.rings])
+    dev = np.empty_like(value)
+    for start in range(0, len(value), _BLOCK):
+        b = slice(start, start + _BLOCK)
+        hi, lo = exact(filled.n[b], filled.f_nc[b], filled.f[b], filled.sums[:, b])
+        dev[b] = np.abs((value[b] - hi) - lo) / np.maximum(1.0, np.abs(value[b]))
+    max_dev, worst = float(dev.max(initial=0.0)), (0, 0.0, 0.0)
+    if not max_dev <= 0.0:  # a NaN deviation is the worst
+        row = np.unravel_index(np.argmax(dev), dev.shape)[0]
+        worst = (int(filled.n[row]), float(filled.f_nc[row]), float(filled.f[row]))
+    return SweepResult(label, dev.size, max_dev, tol, worst, filled.rows)
 
 
 def ground_state_sweep(quick: bool = False, filled: Filling | None = None) -> SweepResult:

@@ -338,11 +338,12 @@ def _log_centring(f: np.ndarray) -> tuple[float, np.ndarray, float] | None:
 
 def _line_fit(
     centred: tuple[float, np.ndarray, float], y: np.ndarray
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float, np.ndarray]:
     """Least-squares line y ~ intercept + slope * x on data centred by :func:`_centre`.
 
-    Returns (intercept, slope, ss_res, ss_tot); ss_res sums the explicit
-    residuals, so it is never negative.  x needs two distinct values.
+    Returns (intercept, slope, ss_res, dy); ss_res sums the explicit
+    residuals, so it is never negative, and dy = y - mean(y), whose dy @ dy
+    is ss_tot.  x needs two distinct values.
     """
     x_bar, dx, dx_dx = centred
     y_bar = float(y.sum()) / len(y)
@@ -350,7 +351,7 @@ def _line_fit(
     slope = float(dx @ dy / dx_dx)
     res = slope * dx
     np.subtract(dy, res, out=res)  # dy - slope * dx, with one temporary
-    return float(y_bar - slope * x_bar), slope, float(res @ res), float(dy @ dy)
+    return float(y_bar - slope * x_bar), slope, float(res @ res), dy
 
 
 def _linear_fit(trace: CurrentTrace) -> tuple[float, float, float]:
@@ -513,7 +514,8 @@ def _power_law(f: np.ndarray, log_centring: tuple[float, np.ndarray, float] | No
         log_centring, y = _log_centring(f[use]), y[use]
     if log_centring is None:
         raise InsufficientSignal(f"{n_used} usable points share the single flux {f[use][0]:g}")
-    intercept, slope, ss_res, ss_tot = _line_fit(log_centring, np.log10(y, out=y))
+    intercept, slope, ss_res, dy = _line_fit(log_centring, np.log10(y, out=y))
+    ss_tot = float(dy @ dy)
     # ss_tot = 0 means a constant y, which the line fits exactly
     r_squared = max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0.0 else 1.0
     n_pos = int(np.count_nonzero((values > 0.0) & use))

@@ -94,6 +94,16 @@ class TestNoncommutativeFlux:
         ring = ring_with(3, 1e-5)
         assert ring.phi_nc == ring.f_nc * FLUX_QUANTUM
 
+    def test_radius_drops_out_of_the_nc_current_scale(self):
+        # f_nc grows as R^2 and j0 falls as 1/R^2, so the amplitude 2N f_nc j0 that carries
+        # f_nc is the same for every radius and scales as 1/alpha
+        scales = [ring.f_nc * ring.j0 * ring.alpha
+                  for radius in (1e-7, 1e-6, 1e-5, 1e-4) for alpha in (1.0, 0.5, 0.25, 0.1)
+                  for ring in [RingSystem(radius=radius, n_electrons=3, alpha=alpha,
+                                          theta_tilde=THETA_TILDE_REF)]]
+        assert max(scales) - min(scales) <= 1e-15 * min(scales)
+        assert float(f"{scales[0]:.6e}") == 2.335867e-17  # amperes
+
 
 class TestRingSystem:
     def test_derived_scales(self):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -545,29 +546,31 @@ class TestExactReferences:
     def test_reference_matches_rational_arithmetic(self, monkeypatch, sweep, reference, closed):
         # every point of the quick sweep, against Fraction sums over the filled levels;
         # the references are within a few u^2 = 1.2e-32 relative, bounded here by 1e-30
-        blocks = []
+        calls = []
         exact = getattr(oracle, reference)
 
         def record(n, f_nc, f, sums):
-            blocks.append((n, f_nc, f, exact(n, f_nc, f, sums)))
-            return blocks[-1][-1]
+            calls.append((n, f_nc, f, exact(n, f_nc, f, sums)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(oracle, reference, record)
         result = sweep(quick=True)
         assert result.passed
+        n, f_nc, f, hi, lo = (np.concatenate(part) for part in
+                              zip(*((n, f_nc, f, *pair) for n, f_nc, f, pair in calls)))
         checked = 0
-        for n, f_nc, f, (hi, lo) in blocks:
-            for value in np.unique(f_nc):
-                ring, at = ring_with(n, float(value)), f_nc == value
-                _, order, levels = oracle._fill(ring, f[at])
-                columns = [np.reshape(part, (at.sum(), -1)).tolist()
-                           for part in (hi[at], lo[at], closed(ring, f[at]))]
-                for fb, occupied, *row in zip(f[at].tolist(), levels[order].tolist(), *columns):
-                    truth = rational_reference(closed, n, Fraction(ring.f_nc), Fraction(fb),
-                                               occupied)
-                    for t, h, l, c in zip(truth, *row, strict=True):
-                        assert abs(Fraction(h) + Fraction(l) - t) <= 1e-30 * max(1.0, abs(c))
-                        checked += 1
+        for group in np.unique(np.column_stack((n, f_nc)), axis=0):  # one (N, f_nc) ring each
+            at = (n == group[0]) & (f_nc == group[1])
+            ring = ring_with(int(group[0]), float(group[1]))
+            _, order, levels = oracle._fill(ring, f[at])
+            columns = [np.reshape(part, (at.sum(), -1)).tolist()
+                       for part in (hi[at], lo[at], closed(ring, f[at]))]
+            for fb, occupied, *row in zip(f[at].tolist(), levels[order].tolist(), *columns):
+                truth = rational_reference(closed, ring.n_electrons, Fraction(ring.f_nc),
+                                           Fraction(fb), occupied)
+                for t, h, l, c in zip(truth, *row, strict=True):
+                    assert abs(Fraction(h) + Fraction(l) - t) <= 1e-30 * max(1.0, abs(c))
+                    checked += 1
         assert checked == result.n_points
 
     @pytest.mark.parametrize("sweep, name", [
@@ -589,3 +592,102 @@ class TestExactReferences:
         monkeypatch.setattr(oracle, name, shifted)
         result = sweep(quick=True)
         assert result.passed is passes, result.summary()
+
+
+SWEEP_REFERENCES = [(ground_state_sweep, "_exact_energy"), (current_sweep, "_exact_current"),
+                    (signature_sweep, "_exact_signatures")]
+
+
+class TestBlockPass:
+    """`_sweep` calls each exact reference on consecutive blocks of `_BLOCK` kept rows,
+    with N one per row, and takes the worst point over all rows at once."""
+
+    @pytest.mark.parametrize("sweep, reference", SWEEP_REFERENCES)
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_blocks_give_the_bits_of_one_call_per_ring(self, monkeypatch, sweep, reference,
+                                                        quick):
+        calls = []
+        exact = getattr(oracle, reference)
+
+        def record(n, f_nc, f, sums):
+            calls.append((n, f_nc, f, sums, exact(n, f_nc, f, sums)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(oracle, reference, record)
+        result = sweep(quick=quick)
+        assert result.passed
+        n, f_nc, f, hi, lo = (np.concatenate(part) for part in
+                              zip(*((n, f_nc, f, *pair) for n, f_nc, f, _, pair in calls)))
+        sums = np.concatenate([call[3] for call in calls], axis=1)
+        assert all(len(call[2]) == oracle._BLOCK for call in calls[:-1])
+        if sweep is not signature_sweep and not quick:
+            # a block boundary falls inside the rows of one N
+            assert any(a[0][-1] == b[0][0] for a, b in zip(calls, calls[1:]))
+        covered = 0
+        for group_n, group_f_nc in np.unique(np.column_stack((n, f_nc)), axis=0):
+            at = (n == group_n) & (f_nc == group_f_nc)  # one (N, f_nc) ring, a scalar N
+            group_hi, group_lo = exact(int(group_n), f_nc[at], f[at], sums[:, at])
+            assert np.array_equal(group_hi, hi[at]) and np.array_equal(group_lo, lo[at])
+            covered += at.sum()
+        assert covered == len(n) == result.n_points // (hi.size // len(n))
+
+    @pytest.mark.parametrize("argv, calls", [(["verify"], 13), (["verify", "--quick"], 3)])
+    def test_verify_calls_the_exact_references_per_block(self, monkeypatch, capsys, argv,
+                                                         calls):
+        # 6 + 6 blocks of the 24210 zone rows and 1 of the signature rows; 1 + 1 + 1 quick
+        made = []
+        for _, reference in SWEEP_REFERENCES:
+            def counted(*args, exact=getattr(oracle, reference)):
+                made.append(exact)
+                return exact(*args)
+
+            monkeypatch.setattr(oracle, reference, counted)
+        assert main(argv) == 0
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep, signature_sweep])
+    def test_small_blocks_give_the_same_result(self, monkeypatch, sweep):
+        expected = sweep(quick=True)
+        monkeypatch.setattr(oracle, "_BLOCK", 7)
+        assert sweep(quick=True) == expected
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_worst_point_is_the_first_row_major_max(self, monkeypatch, column):
+        # every row from the third ring on deviates by exactly 1 in one column; the worst
+        # point is the first of them, in the second of five-row blocks
+        monkeypatch.setattr(oracle, "_BLOCK", 5)
+        filled = oracle._filling((3, 4), (0.0, 1e-5), lambda ring: np.geomspace(0.02, 0.4, 4),
+                                 False)
+        later = [ring for ring, _ in filled.rings[2:]]
+
+        def closed(ring, f):
+            value = signature_columns(ring, f)
+            if ring in later:
+                value[:, column] = 1e300  # (1e300 - hi) - lo rounds to 1e300
+            return value
+
+        result = oracle._sweep("tie", 1e-14, False, filled, closed, oracle._exact_signatures)
+        assert (result.max_dev, result.n_points) == (1.0, 32)
+        assert result.worst == (4, 0.0, filled.rings[2][1][0])
+
+    def test_nan_deviation_fails_the_sweep(self):
+        filled = zone_filling(True)
+        result = oracle._sweep("nan", 1e-12, True, filled,
+                               lambda ring, f: np.where(f > 0.5, np.nan, f),
+                               oracle._exact_current)
+        assert math.isnan(result.max_dev) and not result.passed
+        first = int(np.argmax(filled.f > 0.5))
+        assert result.worst == (int(filled.n[first]), filled.f_nc[first], filled.f[first])
+
+    @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep])
+    def test_full_sweep_peak_memory(self, sweep):
+        # the blocks bound the exact references' temporaries; one call over all 24210
+        # rows peaked at 5.6 MB (energy) and 3.3 MB (current)
+        filled = zone_filling(False)
+        tracemalloc.start()
+        try:
+            sweep(False, filled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6

@@ -392,7 +392,7 @@ class TestLineFit:
     @settings(max_examples=200, deadline=None)
     def test_matches_lstsq(self, data):
         x, y = data
-        intercept, slope, ss_res, ss_tot = _line_fit(_centre(x), y)
+        intercept, slope, ss_res, dy = _line_fit(_centre(x), y)
         ref_intercept, ref_slope, ref_ss_res = reference_line_fit(x, y)
         # rounding y (~eps |y|) moves each coefficient by its conditioning
         # times that, and each residual by about as much; 1e-10 is ~1e6 eps
@@ -404,7 +404,8 @@ class TestLineFit:
         assert ss_res >= 0.0
         shift = 1e-10 * y_scale * math.sqrt(len(x))  # bound on |residuals - ref residuals|
         assert abs(ss_res - ref_ss_res) <= shift * (2.0 * math.sqrt(ref_ss_res) + shift)
-        assert ss_tot == pytest.approx(float(np.sum((y - y.mean()) ** 2)), rel=1e-12, abs=0.0)
+        assert float(dy @ dy) == pytest.approx(float(np.sum((y - y.mean()) ** 2)), rel=1e-12,
+                                               abs=0.0)
 
 
 class TestFitPowerLaw:
