@@ -4,9 +4,8 @@
 
 Each performance change commits one such file at the repository root,
 ``BENCH_<n>.json``.  The script imports ncring from this checkout's ``src``,
-pins BLAS to one thread before numpy is imported, and at both ``verify`` sizes
-(``full`` and ``quick``) times, as the median of REPEATS runs after one
-warm-up run:
+pins BLAS to one thread before numpy is imported, and times, as the median of
+REPEATS runs after one warm-up run:
 
 * ``oracle.zone_filling``: the fill of the ground-state and current sweeps;
 * ``oracle.ground_state_sweep`` and ``oracle.current_sweep``: the comparison
@@ -16,8 +15,9 @@ warm-up run:
   discarded.
 
 The file records the Python and numpy versions, the machine and its CPU
-count, and the BLAS thread settings, next to the medians in seconds.  Other
-layers of the program are not timed yet.
+count, and the BLAS thread settings, next to the medians in seconds, and
+``src_lines``: the line count of each module of ``src/ncring`` and their total,
+as ``wc -l`` counts them.  Other layers of the program are not timed yet.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np  # noqa: E402
 from ncring import cli, oracle  # noqa: E402
 
 REPEATS = 15
-SIZES = {"full": False, "quick": True}
 
 
 def median_time(call, repeats: int = REPEATS) -> float:
@@ -59,26 +58,29 @@ def median_time(call, repeats: int = REPEATS) -> float:
     return statistics.median(times)
 
 
-def verify(argv: list[str]) -> None:
+def verify() -> None:
     with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"ncring {' '.join(argv)} failed")
+        if cli.main(["verify"]) != 0:
+            raise RuntimeError("ncring verify failed")
 
 
-def layers() -> dict[str, dict[str, float]]:
-    timed: dict[str, dict[str, float]] = {}
-    for size, quick in SIZES.items():
-        filled = oracle.zone_filling(quick)
-        calls = {
-            "oracle.zone_filling": lambda: oracle.zone_filling(quick),
-            "oracle.ground_state_sweep": lambda: oracle.ground_state_sweep(quick, filled),
-            "oracle.current_sweep": lambda: oracle.current_sweep(quick, filled),
-            "oracle.signature_sweep": lambda: oracle.signature_sweep(quick),
-            "cli.verify": lambda: verify(["verify", "--quick"] if quick else ["verify"]),
-        }
-        for name, call in calls.items():
-            timed.setdefault(name, {})[size] = median_time(call)
-    return timed
+def layers() -> dict[str, float]:
+    filled = oracle.zone_filling()
+    calls = {
+        "oracle.zone_filling": oracle.zone_filling,
+        "oracle.ground_state_sweep": lambda: oracle.ground_state_sweep(filled),
+        "oracle.current_sweep": lambda: oracle.current_sweep(filled),
+        "oracle.signature_sweep": oracle.signature_sweep,
+        "cli.verify": verify,
+    }
+    return {name: median_time(call) for name, call in calls.items()}
+
+
+def src_lines() -> dict[str, int]:
+    """Lines of each module of src/ncring, by file name, and their total."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((ROOT / "src" / "ncring").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def main() -> None:
@@ -95,11 +97,12 @@ def main() -> None:
         "repeats": REPEATS,
         "unit": "s",
         "median_s": layers(),
+        "src_lines": src_lines(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    for name, sizes in record["median_s"].items():
-        print(f"{name:28s}" + "".join(f"  {size} {value * 1e3:8.3f} ms"
-                                      for size, value in sizes.items()))
+    for name, value in record["median_s"].items():
+        print(f"{name:28s}  {value * 1e3:8.3f} ms")
+    print(f"{'src/ncring lines':28s}  {record['src_lines']['total']:8d}")
 
 
 if __name__ == "__main__":

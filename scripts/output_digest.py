@@ -88,7 +88,6 @@ STANDALONE = {
     "current": ["current"],
     "current_si_n101": ["current", "--config", "<out>/si_n101.cfg"],
     "signatures": ["signatures"],
-    "verify_quick": ["verify", "--quick"],
     "verify": ["verify"],
 }
 

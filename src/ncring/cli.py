@@ -175,9 +175,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    filled = zone_filling(args.quick)  # the two zone sweeps check the same rings
-    sweeps = [ground_state_sweep(args.quick, filled), current_sweep(args.quick, filled),
-              signature_sweep(args.quick)]
+    filled = zone_filling()  # the two zone sweeps check the same rings
+    sweeps = [ground_state_sweep(filled), current_sweep(filled), signature_sweep()]
     ok = True
     for sweep in sweeps:
         print(sweep.summary())
@@ -216,7 +215,6 @@ _ANALYSIS = (
     ("--no-blind", dict(dest="blind", action="store_false",
                         help="allow ring metadata in the trace to bypass estimation")),
 )
-_QUICK = (("--quick", dict(action="store_true", help="smaller sweeps for a fast check")),)
 
 # name -> (function, help, flag groups): the one table that builds and dispatches the commands
 _COMMANDS = {
@@ -231,7 +229,7 @@ _COMMANDS = {
                  (_CONFIG, _OUT, _RING, _GRID, _NOISE)),
     "analyze": (cmd_analyze, "run the detection pipeline on a trace CSV",
                 (_CONFIG, _OUT, _RING, _ANALYSIS)),
-    "verify": (cmd_verify, "check closed forms against brute-force oracles", (_QUICK,)),
+    "verify": (cmd_verify, "check closed forms against brute-force oracles", ()),
 }
 
 

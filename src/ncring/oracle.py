@@ -9,15 +9,15 @@ and a stable sort along each row fills the N lowest.  It refuses a flux that
 is not finite or lies m or more from f_nc, and a filling that reaches
 |n| = m.  The scalar oracles are its one-point case; the two finite
 differences fill f - d and f + d as one block and refuse (NearDegeneracy) a
-point where the two occupations differ.  The three sweeps at the bottom,
-behind the test suite and the `verify` CLI subcommand, compare each closed form
-with E, J = -dE/df or the two signatures, exact from the sums of n and n^2 of a
-:class:`Filling`: one row filled per point, a level crossing (the N-th and
-(N+1)-th levels of the row's one sort tie) dropped.  The closed form is called
-once per ring, the exact references once per block of 4096 kept rows, which may
-span several N.  The ground-state and current sweeps of one `verify` share one
-fill, :func:`zone_filling`.  A sweep calls no model function but the closed
-form it checks.
+point where the two occupations differ.  The three sweeps at the bottom, behind
+the `verify` CLI subcommand and on the rings and grids the module constants fix,
+compare each closed form with E, J = -dE/df or the two signatures, exact from
+the sums of n and n^2 of a :class:`Filling`: one row filled per point, a level
+crossing (the N-th and (N+1)-th levels of the row's one sort tie) dropped.  The
+closed form is called once per ring, the exact references once per block of
+4096 kept rows, which may span several N.  The ground-state and current sweeps
+of one `verify` share one fill, :func:`zone_filling`.  A sweep calls no model
+function but the closed form it checks.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _fill(ring: RingSystem, f: np.ndarray, spare: int = 0) -> tuple[np.ndarray, 
     # libm pow (float_power, **) misrounds a few squares in ten thousand
     levels = u * u - 0.75 * ring.f_nc**2
     order = np.argsort(levels, axis=1, kind="stable")[:, :n_el + spare]
-    if order[:, :n_el].max() >= 2 * m - 1:  # the last two columns hold n = -m and n = +m
+    if order[:, :n_el].max(initial=0) >= 2 * m - 1:  # the last two columns: n = -m and +m
         raise WindowTooSmall(
             f"filling touches the enumeration boundary +-{m}; shift f toward f_nc by whole quanta"
         )
@@ -210,13 +210,13 @@ def zone_flux_grid(n_flux: int = 101) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n_flux + 2)[1:-1]
 
 
-# The `verify` sweeps' fixed settings; a (full, quick) pair is indexed by `quick`.
-FILLING_N = (range(1, 61), range(1, 13))  # N values of the ground-state and current sweeps
+# The `verify` sweeps' fixed settings.
+FILLING_N = range(1, 61)  # N values of the ground-state and current sweeps
 FILLING_F_NC = (0.0, 1e-5, 0.01, 0.3)
-FILLING_POINTS = (101, 31)  # zone_flux_grid sizes
+FILLING_POINTS = 101  # zone_flux_grid size
 GROUND_STATE_TOL, CURRENT_TOL = 1e-14, 1e-12
 SIGNATURE_N, SIGNATURE_F_NC = (3, 4), (0.0, 1e-5, 1e-2)
-SIGNATURE_SPAN, SIGNATURE_POINTS = (1e-3, 0.4), (40, 15)  # log grid bounds and sizes
+SIGNATURE_SPAN, SIGNATURE_POINTS = (1e-3, 0.4), 40  # log grid bounds and size
 SIGNATURE_TOL = 1e-14
 _BLOCK = 4096  # rows per exact-reference call: few calls, temporaries of a few hundred kB
 
@@ -302,7 +302,6 @@ class Filling:
     its kept fluxes, for one closed-form call each; per kept row, flat in ring order, N, f_nc,
     f and the (2, rows) sums S1, S2, which `_sweep` reads in blocks of `_BLOCK` rows."""
 
-    quick: bool  # the `verify` size it was built for
     rings: tuple  # (ring, kept fluxes) pairs
     n: np.ndarray
     f_nc: np.ndarray
@@ -311,30 +310,28 @@ class Filling:
     rows: int  # fluxes filled, level crossings included
 
 
-def _filling(n_values, f_nc_values, points, quick) -> Filling:
+def _filling(n_values, f_nc_values, points) -> Filling:
     """Fill each ring's `points(ring)`; keep those off a crossing, where J is undefined."""
     rings = [RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
              for n in n_values for f_nc in f_nc_values]
     fluxes = [points(ring) for ring in rings]
     kept, sums = zip(*map(_occupation_sums, rings, fluxes))
     counts = [len(k) for k in kept]
-    return Filling(quick, tuple(zip(rings, kept)),
+    return Filling(tuple(zip(rings, kept)),
                    np.repeat([float(ring.n_electrons) for ring in rings], counts),
                    np.repeat([ring.f_nc for ring in rings], counts), np.concatenate(kept),
                    np.concatenate(sums, axis=1), sum(map(len, fluxes)))
 
 
-def zone_filling(quick: bool = False) -> Filling:
+def zone_filling() -> Filling:
     """The rings of the ground-state and current sweeps, each filled once over the zone grid."""
-    grid = zone_flux_grid(FILLING_POINTS[quick])
-    return _filling(FILLING_N[quick], FILLING_F_NC, lambda ring: grid, quick)
+    grid = zone_flux_grid(FILLING_POINTS)
+    return _filling(FILLING_N, FILLING_F_NC, lambda ring: grid)
 
 
-def _sweep(label, tol, quick, filled, closed, exact) -> SweepResult:
-    """Max of |closed - exact| / max(1, |closed|) over `filled`, of this `verify` size; `exact`
-    takes (N, f_nc, f, sums) per block of `_BLOCK` rows; the worst point is the first max."""
-    if filled.quick != quick:
-        raise InvalidRange(f"a filling for quick={filled.quick} cannot serve quick={quick}")
+def _sweep(label, tol, filled, closed, exact) -> SweepResult:
+    """Max of |closed - exact| / max(1, |closed|) over `filled`; `exact` takes
+    (N, f_nc, f, sums) per block of `_BLOCK` rows; the worst point is the first max."""
     value = np.concatenate([closed(ring, kept) for ring, kept in filled.rings])
     dev = np.empty_like(value)
     for start in range(0, len(value), _BLOCK):
@@ -348,28 +345,28 @@ def _sweep(label, tol, quick, filled, closed, exact) -> SweepResult:
     return SweepResult(label, dev.size, max_dev, tol, worst, filled.rows)
 
 
-def ground_state_sweep(quick: bool = False, filled: Filling | None = None) -> SweepResult:
-    """Max of |E_g(closed) - E_g(exact)| / max(1, |E_g|) over `filled`, or zone_filling(quick)."""
-    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL, quick,
-                  filled or zone_filling(quick), ground_state_energy, _exact_energy)
+def ground_state_sweep(filled: Filling | None = None) -> SweepResult:
+    """Max of |E_g(closed) - E_g(exact)| / max(1, |E_g|) over `filled`, or zone_filling()."""
+    return _sweep("ground-state closed form vs filling oracle", GROUND_STATE_TOL,
+                  filled or zone_filling(), ground_state_energy, _exact_energy)
 
 
-def current_sweep(quick: bool = False, filled: Filling | None = None) -> SweepResult:
-    """Max of |J(closed) + dE_g/df(exact)| / max(1, |J|) over `filled`, or zone_filling(quick)."""
-    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL, quick,
-                  filled or zone_filling(quick), persistent_current, _exact_current)
+def current_sweep(filled: Filling | None = None) -> SweepResult:
+    """Max of |J(closed) + dE_g/df(exact)| / max(1, |J|) over `filled`, or zone_filling()."""
+    return _sweep("current closed form vs -dE/df oracle", CURRENT_TOL,
+                  filled or zone_filling(), persistent_current, _exact_current)
 
 
-def signature_sweep(quick: bool = False) -> SweepResult:
+def signature_sweep() -> SweepResult:
     """Max of |closed - exact| / max(1, |closed|) over both signatures on a log grid.
 
     On an even ring the closed forms hold only on the branch f > f_nc, so the
     grid's points at or below f_nc are not filled.
     """
-    grid = np.geomspace(*SIGNATURE_SPAN, SIGNATURE_POINTS[quick])
+    grid = np.geomspace(*SIGNATURE_SPAN, SIGNATURE_POINTS)
     filled = _filling(SIGNATURE_N, SIGNATURE_F_NC,
-                      lambda ring: grid[grid > ring.f_nc] if ring.parity == "even" else grid, quick)
-    return _sweep("signature closed forms vs filling oracle", SIGNATURE_TOL, quick, filled,
+                      lambda ring: grid[grid > ring.f_nc] if ring.parity == "even" else grid)
+    return _sweep("signature closed forms vs filling oracle", SIGNATURE_TOL, filled,
                   lambda ring, f: np.column_stack((lambda_signature(ring, f),
                                                    sigma_signature(ring, f))),
                   _exact_signatures)

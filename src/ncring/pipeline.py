@@ -12,8 +12,8 @@ The stages mirror how the measurement side would proceed:
    of the interior grid per trace, by one kernel that reuses the window's
    centred log10 f (usable points sharing one flux are InsufficientSignal),
 5. classify the pair of fits: the divergence pattern picks the criterion's
-   branch, kept as a key (case1, case2, commutative_odd, commutative_even, none)
-   with two divergence flags; ``Verdict.diagnostics`` renders the prose on access,
+   branch, kept as a key (case1, case2, commutative_odd, commutative_even, none, case1_even,
+   case2_odd) with two divergence flags; ``Verdict.diagnostics`` renders the prose on access,
 6. invert the fitted amplitudes into f_nc and theta_tilde.
 
 :class:`RunConfig` is the one configuration type (ring, grid, thresholds)
@@ -547,6 +547,8 @@ _CRITERIA = {
                          "commutative even pattern: sigma absent, lambda ~ -N/f^2"),
     "none": (VerdictKind.INCONCLUSIVE,
              "no criterion case matches the observed divergence pattern"),
+    "case1_even": (VerdictKind.INCONCLUSIVE, "criterion case 1 contradicts the even parity"),
+    "case2_odd": (VerdictKind.INCONCLUSIVE, "criterion case 2 contradicts the odd parity"),
 }
 
 
@@ -554,8 +556,8 @@ _CRITERIA = {
 class Verdict:
     """The criterion's facts; `diagnostics` renders their prose on each access.
 
-    `criterion` is the branch's key (`case1`, `case2`, `commutative_odd`,
-    `commutative_even`, `none`), the two flags say which fit diverges, and a
+    `criterion` is the branch's key (`case1`, `case2`, `commutative_odd`, `commutative_even`,
+    `none`, `case1_even`, `case2_odd`), the two flags say which fit diverges, and a
     detection keeps its f_nc cross-check (else None).
     """
 
@@ -610,8 +612,8 @@ def classify(
     odd ring; case 2 (both divergent-negative with lambda's amplitude below
     sigma's) detects an even ring.  One commutative-limit signature absent
     while the other shows its parity's persistent divergence means no effect
-    was detected; anything else is inconclusive.  The verdict keeps the key
-    and both flags; its prose is rendered on access.  A detection also keeps
+    was detected; anything else, or a case against `parity`, is inconclusive.  The verdict
+    keeps the key and both flags; its prose is rendered on access.  A detection also keeps
     :func:`estimate_theta_tilde`'s f_nc, theta_tilde (`config`'s ring) and cross-check.
     """
     lam_div, sig_div = _divergent(lambda_fit, config), _divergent(sigma_fit, config)
@@ -621,6 +623,8 @@ def classify(
     criterion = ("case1" if lam < 0.0 < sig else "case2" if lam < sig < 0.0
                  else "commutative_odd" if lam == 0.0 < sig
                  else "commutative_even" if sig == 0.0 > lam else "none")
+    if (criterion, parity) in (("case1", "even"), ("case2", "odd")):
+        criterion = f"{criterion}_{parity}"  # the pattern contradicts the estimated parity
     kind = _CRITERIA[criterion][0]
     estimated_f_nc = estimated_theta_tilde = 0.0 if kind is VerdictKind.NO_NC_DETECTED else None
     cross = gap = None

@@ -82,13 +82,13 @@ def test_tracer_counts_simulate_analyze(tmp_path, capsys):
 
 
 def test_tracer_counts_verify(capsys):
-    # the sweeps that `verify --quick` runs, called directly
-    filling = [ground_state_sweep(quick=True), current_sweep(quick=True)]
-    signature = signature_sweep(quick=True)
-    counts = traced_counts(["verify", "--quick"])
+    # the sweeps that `verify` runs, called directly
+    filling = [ground_state_sweep(), current_sweep()]
+    signature = signature_sweep()
+    counts = traced_counts(["verify"])
     filling_points = sum(sweep.n_points for sweep in filling)
-    assert counts["oracle.points_checked"] == filling_points + signature.n_points == 3108
-    assert counts["oracle.filling_points"] == filling_points == 2940
+    assert counts["oracle.points_checked"] == filling_points + signature.n_points == 48870
+    assert counts["oracle.filling_points"] == filling_points == 48420
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ncring
-from ncring import cli
+from ncring import cli, oracle
 from ncring.cli import build_parser, main
 from ncring.dataio import write_config
 from ncring.errors import InputError, NcRingError
@@ -406,9 +406,9 @@ OPTIONS = {
     "signatures": ["--config", "--out", *RING_FLAGS, *GRID_FLAGS],
     "simulate": ["--config", "--out", *RING_FLAGS, *GRID_FLAGS, "--seed", "--noise-sigma"],
     "analyze": ["--config", "--out", *RING_FLAGS, "--smoothing-window", "--no-blind"],
-    "verify": ["--quick"],
+    "verify": [],
 }
-SWITCHES = {"--no-blind", "--quick"}  # flags that take no value
+SWITCHES = {"--no-blind"}  # flags that take no value
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -430,7 +430,7 @@ class TestOptionTable:
             for name, (_, _, groups) in cli._COMMANDS.items()
         }
         assert parsed == tabled == OPTIONS
-        assert sum(map(len, parsed.values())) == 57
+        assert sum(map(len, parsed.values())) == 56
 
     @pytest.mark.parametrize("command", OPTIONS)
     def test_every_other_flag_is_refused(self, capsys, command):
@@ -538,18 +538,6 @@ class TestCommands:
         assert "# n_electrons: 4" in header
         assert "# seed: 1" in header
 
-    def test_verify_quick(self, capsys):
-        assert run_cli("verify", "--quick") == 0
-        assert capsys.readouterr().out == (
-            "ground-state closed form vs filling oracle: max dev 1.888e-16 (tol 1e-14) "
-            "over 1470 points, worst at N=2, f_nc=1e-05, f=-0.1875  [OK]\n"
-            "current closed form vs -dE/df oracle: max dev 2.220e-15 (tol 1e-12) "
-            "over 1470 points, worst at N=11, f_nc=0.3, f=-0.75  [OK]\n"
-            "signature closed forms vs filling oracle: max dev 2.198e-16 (tol 1e-14) "
-            "over 168 points, worst at N=4, f_nc=1e-05, f=0.4  [OK]\n"
-            "verification passed\n"
-        )
-
     def test_verify_full(self, capsys):
         assert run_cli("verify") == 0
         assert capsys.readouterr().out == (
@@ -561,6 +549,28 @@ class TestCommands:
             "over 450 points, worst at N=4, f_nc=1e-05, f=0.4  [OK]\n"
             "verification passed\n"
         )
+
+    def test_verify_takes_no_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--quick")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
+
+    def test_verify_with_a_wrong_closed_form_fails(self, monkeypatch, capsys):
+        current = oracle.persistent_current
+        monkeypatch.setattr(oracle, "persistent_current", lambda ring, f: current(ring, f) + 1.0)
+        assert run_cli("verify") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[-6:] for line in lines[:3]] == ["  [OK]", "[FAIL]", "  [OK]"]
+        assert lines[3:] == ["verification FAILED: closed forms disagree with the oracles"]
+
+    def test_analyze_slope_under_one_electron_exits_two(self, tmp_path, capsys):
+        rows = "".join(f"{x!r},{-0.5 * x!r}\n" for x in np.linspace(0.01, 0.4, 16).tolist())
+        (tmp_path / "trace.csv").write_text("f,J\n" + rows)
+        assert run_cli("analyze", str(tmp_path / "trace.csv"), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "ncring: error: slope -0.5 implies a non-physical electron count\n")
+        assert not (tmp_path / "report.txt").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NCRING_OUT", str(tmp_path / "envout"))

@@ -104,6 +104,12 @@ class TestTraceCsv:
         with pytest.raises(UnitMismatch):
             write_trace_csv(trace, tmp_path / "si.csv", units="si", ring=None)
 
+    def test_unknown_units_refused(self, tmp_path):
+        trace = synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 16)
+        with pytest.raises(InvalidRange, match="^units must be 'reduced' or 'si', got 'kelvin'$"):
+            write_trace_csv(trace, tmp_path / "k.csv", units="kelvin")
+        assert not (tmp_path / "k.csv").exists()
+
     def test_si_read_needs_scale(self, tmp_path):
         rows = "\n".join(f"{1e-16 * (i + 1)!r},1e-12" for i in range(10))
         path = tmp_path / "si.csv"

@@ -288,6 +288,38 @@ def signature_columns(ring, f):
     return np.column_stack((lambda_signature(ring, f), sigma_signature(ring, f)))
 
 
+# each sweep's tolerance, the names of its closed forms and of its exact reference in `oracle`
+SWEEPS = {
+    ground_state_sweep: (oracle.GROUND_STATE_TOL, ("ground_state_energy",), "_exact_energy"),
+    current_sweep: (oracle.CURRENT_TOL, ("persistent_current",), "_exact_current"),
+    signature_sweep: (oracle.SIGNATURE_TOL, ("lambda_signature", "sigma_signature"),
+                      "_exact_signatures"),
+}
+
+
+def small_filling(sweep) -> oracle.Filling:
+    """A small filling of `sweep`'s kind: N = 1..12 on a 31-point zone grid, or the
+    signature rings on a 15-point log grid, an even ring's points at or below f_nc left out."""
+    if sweep is signature_sweep:
+        grid = np.geomspace(*oracle.SIGNATURE_SPAN, 15)
+        return oracle._filling(oracle.SIGNATURE_N, oracle.SIGNATURE_F_NC, lambda ring:
+                               grid[grid > ring.f_nc] if ring.parity == "even" else grid)
+    return oracle._filling(range(1, 13), oracle.FILLING_F_NC, lambda ring: zone_flux_grid(31))
+
+
+def small_sweep(sweep) -> oracle.SweepResult:
+    """`sweep`'s comparison over `small_filling(sweep)`, through `oracle._sweep`; the closed
+    forms and the exact reference are read from `oracle` at call time, as `sweep` reads them."""
+    tol, names, reference = SWEEPS[sweep]
+
+    def closed(ring, f):
+        values = [getattr(oracle, name)(ring, f) for name in names]
+        return values[0] if len(values) == 1 else np.column_stack(values)
+
+    return oracle._sweep(sweep.__name__, tol, small_filling(sweep), closed,
+                         getattr(oracle, reference))
+
+
 class TestSweepIndependence:
     @pytest.mark.parametrize("sweep, checked", [
         (ground_state_sweep, {"ground_state_energy"}),
@@ -309,9 +341,9 @@ class TestSweepIndependence:
 
         for name in model_functions() - checked:
             monkeypatch.setattr(oracle, name, refuse)
-        result = sweep(quick=True)
+        result = sweep()
         assert result.passed, result.summary()
-        assert result.n_points == (168 if sweep is signature_sweep else 1470)
+        assert result.n_points == (450 if sweep is signature_sweep else 24210)
 
 
 class TestCurrentByFiniteDifference:
@@ -406,6 +438,17 @@ class TestSignatureByFiniteDifference:
         assert lam.tolist() == [p[0] for p in pairs]
         assert sig.tolist() == [p[1] for p in pairs]
 
+    def test_empty_flux_array_gives_empty_arrays(self):
+        # the fill's boundary check once took the max of an empty block: numpy's untyped
+        # ValueError "zero-size array to reduction operation maximum"
+        lam, sig = signature_by_finite_difference(ring_with(3, 0.0), np.array([]), h=1e-7)
+        assert (lam.shape, sig.shape) == ((0,), (0,))
+
+    def test_step_array_holding_zero_refused(self):
+        with pytest.raises(InvalidRange, match="^h must be strictly positive$"):
+            signature_by_finite_difference(ring_with(3, 0.0), np.array([0.1, 0.2]),
+                                           h=np.array([1e-7, 0.0]))
+
     def test_array_call_refuses_any_point_near_a_crossing(self):
         f = np.array([0.1, 0.2, 0.4999999, 0.3])
         with pytest.raises(NearDegeneracy, match="within 10h of a level crossing"):
@@ -420,28 +463,18 @@ class TestSweeps:
         assert len(grid) == 101
         assert grid[0] > -1.0 and grid[-1] < 1.0
 
-    # the `verify --quick` sweeps; the filling kernel fills one row per flux, and the
-    # 18 of 1488 filling fluxes on a level crossing are not checked
-    def test_ground_state_sweep_small(self):
-        result = ground_state_sweep(quick=True)
-        assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (1470, 1488)
-
-    def test_current_sweep_small(self):
-        result = current_sweep(quick=True)
-        assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (1470, 1488)
-
-    def test_signature_sweep_small(self):
+    # the ground-state and current sweeps' counts are pinned by test_acceptance.py's
+    # criteria 2 and 3: 30 of their 24240 filled fluxes sit on a level crossing
+    def test_signature_sweep(self):
         # two signatures per flux; an even ring's fluxes at or below f_nc are not filled
-        result = signature_sweep(quick=True)
+        result = signature_sweep()
         assert result.passed, result.summary()
-        assert (result.n_points, result.rows_filled) == (168, 84)
+        assert (result.n_points, result.rows_filled) == (450, 225)
 
     def test_sweep_over_no_points_fails(self):
         # both fluxes sit on a level crossing of the one-electron ring: filled, not checked
-        filled = oracle._filling((1,), (0.0,), lambda ring: np.array([0.5, -0.5]), False)
-        result = oracle._sweep("empty", 1e-12, False, filled, persistent_current,
+        filled = oracle._filling((1,), (0.0,), lambda ring: np.array([0.5, -0.5]))
+        result = oracle._sweep("empty", 1e-12, filled, persistent_current,
                                oracle._exact_current)
         assert (result.n_points, result.rows_filled) == (0, 2)
         assert not result.passed
@@ -461,9 +494,8 @@ class TestSweeps:
 class TestZoneFilling:
     """The ground-state and current sweeps of one `verify` compare against one fill."""
 
-    @pytest.mark.parametrize("argv, fills", [(["verify"], 246), (["verify", "--quick"], 54)])
-    def test_verify_fills_each_ring_once(self, monkeypatch, capsys, argv, fills):
-        # 240 or 48 zone rings, filled once for both sweeps, and the 6 signature rings
+    def test_verify_fills_each_ring_once(self, monkeypatch, capsys):
+        # 240 zone rings, filled once for both sweeps, and the 6 signature rings
         calls = []
         fill = oracle._occupation_sums
 
@@ -472,19 +504,12 @@ class TestZoneFilling:
             return fill(ring, f)
 
         monkeypatch.setattr(oracle, "_occupation_sums", counted)
-        assert main(argv) == 0
-        assert len(calls) == fills
+        assert main(["verify"]) == 0
+        assert len(calls) == 246
 
     @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep])
     def test_shared_filling_gives_the_sweep_result(self, sweep):
-        assert sweep(quick=True, filled=zone_filling(True)) == sweep(quick=True)
-
-    @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep])
-    @pytest.mark.parametrize("quick", [False, True])
-    def test_filling_of_the_other_size_is_refused(self, sweep, quick):
-        filled = zone_filling(not quick)
-        with pytest.raises(InvalidRange, match=f"filling for quick={not quick} cannot serve"):
-            sweep(quick=quick, filled=filled)
+        assert sweep(filled=zone_filling()) == sweep()
 
 
 class TestCrossings:
@@ -494,12 +519,11 @@ class TestCrossings:
     for even N."""
 
     @pytest.mark.parametrize("n_values, f_nc_values, grid, dropped_points", [
-        (oracle.FILLING_N[0], oracle.FILLING_F_NC, zone_flux_grid(oracle.FILLING_POINTS[0]), 30),
-        (oracle.FILLING_N[1], oracle.FILLING_F_NC, zone_flux_grid(oracle.FILLING_POINTS[1]), 18),
+        (oracle.FILLING_N, oracle.FILLING_F_NC, zone_flux_grid(oracle.FILLING_POINTS), 30),
+        (range(1, 13), oracle.FILLING_F_NC, zone_flux_grid(31), 18),  # small_filling's
         (oracle.SIGNATURE_N, oracle.SIGNATURE_F_NC,
-         np.geomspace(*oracle.SIGNATURE_SPAN, oracle.SIGNATURE_POINTS[0]), 0),
-        (oracle.SIGNATURE_N, oracle.SIGNATURE_F_NC,
-         np.geomspace(*oracle.SIGNATURE_SPAN, oracle.SIGNATURE_POINTS[1]), 0),
+         np.geomspace(*oracle.SIGNATURE_SPAN, oracle.SIGNATURE_POINTS), 0),
+        (oracle.SIGNATURE_N, oracle.SIGNATURE_F_NC, np.geomspace(*oracle.SIGNATURE_SPAN, 15), 0),
         (range(1, 61), (*oracle.FILLING_F_NC, 0.125, 0.2, 0.49), None, 1380),  # exact crossings
     ])
     def test_tie_test_keeps_the_fluxes_off_a_crossing(self, n_values, f_nc_values, grid,
@@ -544,7 +568,7 @@ class TestExactReferences:
         (signature_sweep, "_exact_signatures", signature_columns),
     ])
     def test_reference_matches_rational_arithmetic(self, monkeypatch, sweep, reference, closed):
-        # every point of the quick sweep, against Fraction sums over the filled levels;
+        # every point of the small sweep, against Fraction sums over the filled levels;
         # the references are within a few u^2 = 1.2e-32 relative, bounded here by 1e-30
         calls = []
         exact = getattr(oracle, reference)
@@ -554,7 +578,7 @@ class TestExactReferences:
             return calls[-1][-1]
 
         monkeypatch.setattr(oracle, reference, record)
-        result = sweep(quick=True)
+        result = small_sweep(sweep)
         assert result.passed
         n, f_nc, f, hi, lo = (np.concatenate(part) for part in
                               zip(*((n, f_nc, f, *pair) for n, f_nc, f, pair in calls)))
@@ -571,7 +595,7 @@ class TestExactReferences:
                 for t, h, l, c in zip(truth, *row, strict=True):
                     assert abs(Fraction(h) + Fraction(l) - t) <= 1e-30 * max(1.0, abs(c))
                     checked += 1
-        assert checked == result.n_points
+        assert checked == result.n_points == (168 if sweep is signature_sweep else 1470)
 
     @pytest.mark.parametrize("sweep, name", [
         (ground_state_sweep, "ground_state_energy"),
@@ -583,14 +607,14 @@ class TestExactReferences:
     def test_sweep_resolves_its_tolerance(self, monkeypatch, sweep, name, shift, passes):
         # a closed form off by 10 tol fails its sweep; one off by tol / 10 passes
         closed = getattr(oracle, name)
-        tol = sweep(quick=True).tol
+        tol = SWEEPS[sweep][0]
 
         def shifted(ring, f):
             value = closed(ring, f)
             return value + shift * tol * np.maximum(1.0, np.abs(value))
 
         monkeypatch.setattr(oracle, name, shifted)
-        result = sweep(quick=True)
+        result = small_sweep(sweep)
         assert result.passed is passes, result.summary()
 
 
@@ -603,9 +627,9 @@ class TestBlockPass:
     with N one per row, and takes the worst point over all rows at once."""
 
     @pytest.mark.parametrize("sweep, reference", SWEEP_REFERENCES)
-    @pytest.mark.parametrize("quick", [False, True])
+    @pytest.mark.parametrize("small", [False, True])
     def test_blocks_give_the_bits_of_one_call_per_ring(self, monkeypatch, sweep, reference,
-                                                        quick):
+                                                        small):
         calls = []
         exact = getattr(oracle, reference)
 
@@ -614,13 +638,13 @@ class TestBlockPass:
             return calls[-1][-1]
 
         monkeypatch.setattr(oracle, reference, record)
-        result = sweep(quick=quick)
+        result = small_sweep(sweep) if small else sweep()
         assert result.passed
         n, f_nc, f, hi, lo = (np.concatenate(part) for part in
                               zip(*((n, f_nc, f, *pair) for n, f_nc, f, _, pair in calls)))
         sums = np.concatenate([call[3] for call in calls], axis=1)
         assert all(len(call[2]) == oracle._BLOCK for call in calls[:-1])
-        if sweep is not signature_sweep and not quick:
+        if sweep is not signature_sweep and not small:
             # a block boundary falls inside the rows of one N
             assert any(a[0][-1] == b[0][0] for a, b in zip(calls, calls[1:]))
         covered = 0
@@ -631,10 +655,8 @@ class TestBlockPass:
             covered += at.sum()
         assert covered == len(n) == result.n_points // (hi.size // len(n))
 
-    @pytest.mark.parametrize("argv, calls", [(["verify"], 13), (["verify", "--quick"], 3)])
-    def test_verify_calls_the_exact_references_per_block(self, monkeypatch, capsys, argv,
-                                                         calls):
-        # 6 + 6 blocks of the 24210 zone rows and 1 of the signature rows; 1 + 1 + 1 quick
+    def test_verify_calls_the_exact_references_per_block(self, monkeypatch, capsys):
+        # 6 + 6 blocks of the 24210 zone rows and 1 of the signature rows
         made = []
         for _, reference in SWEEP_REFERENCES:
             def counted(*args, exact=getattr(oracle, reference)):
@@ -642,22 +664,21 @@ class TestBlockPass:
                 return exact(*args)
 
             monkeypatch.setattr(oracle, reference, counted)
-        assert main(argv) == 0
-        assert len(made) == calls
+        assert main(["verify"]) == 0
+        assert len(made) == 13
 
     @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep, signature_sweep])
     def test_small_blocks_give_the_same_result(self, monkeypatch, sweep):
-        expected = sweep(quick=True)
+        expected = small_sweep(sweep)
         monkeypatch.setattr(oracle, "_BLOCK", 7)
-        assert sweep(quick=True) == expected
+        assert small_sweep(sweep) == expected
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_worst_point_is_the_first_row_major_max(self, monkeypatch, column):
         # every row from the third ring on deviates by exactly 1 in one column; the worst
         # point is the first of them, in the second of five-row blocks
         monkeypatch.setattr(oracle, "_BLOCK", 5)
-        filled = oracle._filling((3, 4), (0.0, 1e-5), lambda ring: np.geomspace(0.02, 0.4, 4),
-                                 False)
+        filled = oracle._filling((3, 4), (0.0, 1e-5), lambda ring: np.geomspace(0.02, 0.4, 4))
         later = [ring for ring, _ in filled.rings[2:]]
 
         def closed(ring, f):
@@ -666,13 +687,13 @@ class TestBlockPass:
                 value[:, column] = 1e300  # (1e300 - hi) - lo rounds to 1e300
             return value
 
-        result = oracle._sweep("tie", 1e-14, False, filled, closed, oracle._exact_signatures)
+        result = oracle._sweep("tie", 1e-14, filled, closed, oracle._exact_signatures)
         assert (result.max_dev, result.n_points) == (1.0, 32)
         assert result.worst == (4, 0.0, filled.rings[2][1][0])
 
     def test_nan_deviation_fails_the_sweep(self):
-        filled = zone_filling(True)
-        result = oracle._sweep("nan", 1e-12, True, filled,
+        filled = small_filling(current_sweep)
+        result = oracle._sweep("nan", 1e-12, filled,
                                lambda ring, f: np.where(f > 0.5, np.nan, f),
                                oracle._exact_current)
         assert math.isnan(result.max_dev) and not result.passed
@@ -683,10 +704,10 @@ class TestBlockPass:
     def test_full_sweep_peak_memory(self, sweep):
         # the blocks bound the exact references' temporaries; one call over all 24210
         # rows peaked at 5.6 MB (energy) and 3.3 MB (current)
-        filled = zone_filling(False)
+        filled = zone_filling()
         tracemalloc.start()
         try:
-            sweep(False, filled)
+            sweep(filled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

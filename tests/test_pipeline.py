@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncring import pipeline
@@ -262,6 +262,13 @@ class TestEstimateElectronNumber:
         f = np.linspace(0.01, 0.4, 16)
         trace = CurrentTrace(f=f, j=2.0 * f)
         with pytest.raises(DegenerateFit):
+            estimate_electron_number(trace)
+
+    def test_slope_under_one_electron_is_degenerate_fit(self):
+        f = np.linspace(0.01, 0.4, 16)
+        trace = CurrentTrace(f=f, j=-0.5 * f)
+        with pytest.raises(DegenerateFit, match="^slope -0.5 implies a non-physical electron "
+                                                "count$"):
             estimate_electron_number(trace)
 
     def test_infinite_slope_is_degenerate_fit(self):
@@ -608,6 +615,24 @@ class TestClassify:
         v = classify(_fit(-1e-6, -2.0, floor=1e-6), _fit(3.0, -2.0), 3, "odd")
         assert v.kind is VerdictKind.NO_NC_DETECTED
 
+    def test_odd_case_on_an_even_parity_is_inconclusive(self):
+        # a commutative even ring under a current offset of -0.08 shows case 1's pattern
+        t = synthesize_trace(ring_with(4, 0.0), 0.02, 0.4, 256, noise_sigma=4e-4, seed=1)
+        v = analyze_trace(CurrentTrace(t.f, t.j - 0.08)).verdict
+        assert (v.kind, v.criterion) == (VerdictKind.INCONCLUSIVE, "case1_even")
+        assert (v.estimated_n, v.estimated_parity) == (4, "even")
+        assert v.lambda_divergent and v.sigma_divergent
+        assert v.estimated_f_nc is None and v.f_nc_hat_cross is None
+        assert v.diagnostics[-1] == "criterion case 1 contradicts the even parity"
+
+    def test_even_case_on_an_odd_parity_is_inconclusive(self):
+        # the parity compared is the one classify is given, not that of N
+        v = classify(_fit(-4.08, -2.0), _fit(-8e-2, -2.0), 4, "odd")
+        assert (v.kind, v.criterion) == (VerdictKind.INCONCLUSIVE, "case2_odd")
+        assert v.estimated_f_nc is None
+        assert v.diagnostics[-1] == "criterion case 2 contradicts the odd parity"
+        assert classify(_fit(-4.08, -2.0), _fit(-8e-2, -2.0), 3, "even").criterion == "case2"
+
     def test_even_ordering_required(self):
         # both divergent-negative but lambda above sigma: not case two
         v = classify(_fit(-1e-2, -2.0), _fit(-4.0, -2.0), 4, "even")
@@ -619,8 +644,8 @@ class TestClassify:
         assert v.kind is not VerdictKind.ODD_NC_DETECTED
 
 
-# Each branch of the criterion with the diagnostics that classify wrote while a
-# verdict stored them as text; the rendered lines must keep these bytes.
+# Each branch of the criterion with its diagnostics; the lines of the first seven are
+# those classify wrote while a verdict stored them as text, and must keep these bytes.
 NO_SIGNAL = "no usable signal above the noise floor"
 GOLDEN_VERDICTS = {
     "odd detection": ((_fit(-6e-5, -2.0), _fit(2.99994, -2.0), 3, "odd"), "case1", (
@@ -668,6 +693,19 @@ GOLDEN_VERDICTS = {
         "electron number estimate: 3 (odd)",
         "commutative odd pattern: lambda absent, sigma ~ +N/f^2",
     )),
+    "odd case, even parity": ((_fit(-6e-5, -2.0), _fit(2.99994, -2.0), 4, "even"),
+                              "case1_even", (
+        "lambda: amplitude -6.0000e-05, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "sigma: amplitude 2.9999e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "electron number estimate: 4 (even)",
+        "criterion case 1 contradicts the even parity",
+    )),
+    "even case, odd parity": ((_fit(-4.08, -2.0), _fit(-8e-2, -2.0), 3, "odd"), "case2_odd", (
+        "lambda: amplitude -4.0800e+00, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "sigma: amplitude -8.0000e-02, exponent -2.0000, r2 1.000000, points 50, divergent=yes",
+        "electron number estimate: 3 (odd)",
+        "criterion case 2 contradicts the odd parity",
+    )),
 }
 CRITERION_KINDS = {
     "case1": VerdictKind.ODD_NC_DETECTED,
@@ -675,11 +713,14 @@ CRITERION_KINDS = {
     "commutative_odd": VerdictKind.NO_NC_DETECTED,
     "commutative_even": VerdictKind.NO_NC_DETECTED,
     "none": VerdictKind.INCONCLUSIVE,
+    "case1_even": VerdictKind.INCONCLUSIVE,
+    "case2_odd": VerdictKind.INCONCLUSIVE,
 }
 
 
 def reference_classify(lambda_fit, sigma_fit, n, parity, config=RunConfig()):
-    """(kind, diagnostics) as classify built them while a verdict stored its prose."""
+    """(kind, diagnostics) as classify built them while a verdict stored its prose, a case
+    that contradicts `parity` then made inconclusive."""
     def divergence(fit, name):
         if fit is None:
             return False, False, f"{name}: {NO_SIGNAL}"
@@ -708,6 +749,11 @@ def reference_classify(lambda_fit, sigma_fit, n, parity, config=RunConfig()):
     else:
         kind = VerdictKind.INCONCLUSIVE
         line = "no criterion case matches the observed divergence pattern"
+    number, against = {VerdictKind.ODD_NC_DETECTED: (1, "even"),
+                       VerdictKind.EVEN_NC_DETECTED: (2, "odd")}.get(kind, (0, None))
+    if parity == against:
+        kind = VerdictKind.INCONCLUSIVE
+        line = f"criterion case {number} contradicts the {parity} parity"
     notes.append(line)
     if kind in (VerdictKind.ODD_NC_DETECTED, VerdictKind.EVEN_NC_DETECTED):
         f_nc, _, cross, gap = estimate_theta_tilde(kind, lambda_fit, sigma_fit, n,
@@ -745,10 +791,13 @@ class TestVerdictFacts:
     def test_golden_covers_every_branch(self):
         assert {c for _, c, _ in GOLDEN_VERDICTS.values()} == set(CRITERION_KINDS)
 
-    @given(lam=EDGE_FITS, sig=EDGE_FITS, n=st.integers(1, 10001))
+    @given(lam=EDGE_FITS, sig=EDGE_FITS, n=st.integers(1, 10001),
+           parity=st.sampled_from(["odd", "even"]))
+    # a drawn pair seldom shows a case, so each case is also given against the other parity
+    @example(lam=_fit(-6e-5, -2.0), sig=_fit(3.0, -2.0), n=4, parity="even")
+    @example(lam=_fit(-4.08, -2.0), sig=_fit(-8e-2, -2.0), n=3, parity="odd")
     @settings(max_examples=200, deadline=None)
-    def test_matches_prose_classifier(self, lam, sig, n):
-        parity = "odd" if n % 2 else "even"
+    def test_matches_prose_classifier(self, lam, sig, n, parity):
         v = classify(lam, sig, n, parity)
         assert (v.kind, v.diagnostics) == reference_classify(lam, sig, n, parity)
         assert v.kind is CRITERION_KINDS[v.criterion]

@@ -79,6 +79,18 @@ class TestEmitPlot:
         drawn = re.search(r'<polyline [^>]*points="([^"]*)"', text).group(1).split()
         assert len(drawn) == 2
 
+    def test_no_drawable_point_draws_no_line(self, tmp_path):
+        text = emit_plot([("s", [(0.0, 1.0), (-1.0, 2.0)])], tmp_path / "none.svg").read_text()
+        assert "dropped 2 non-positive points" in text
+        assert "<polyline" not in text
+        assert ">s</text>" in text  # the legend still names the series
+
+    def test_points_sharing_one_x_widen_the_x_axis(self, tmp_path):
+        # one decade each side of the shared log10 x: the points sit mid-plot
+        points = [(0.5, 1.0), (0.5, 10.0), (0.5, 100.0)]
+        text = emit_plot([("s", points)], tmp_path / "x.svg").read_text()
+        assert drawn(text) == ["315.00,425.00", "315.00,232.50", "315.00,40.00"]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("column", [0, 1])
     def test_log_axis_drops_non_finite_points(self, tmp_path, bad, column):
