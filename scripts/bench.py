@@ -1,4 +1,4 @@
-"""Time the oracle layer of ncring in-process and write the medians as JSON.
+"""Time the oracle and pipeline layers of ncring in-process and write the medians as JSON.
 
     python3 scripts/bench.py OUT.json
 
@@ -12,12 +12,18 @@ REPEATS runs after one warm-up run:
   against a filling built beforehand, as ``ncring verify`` runs them;
 * ``oracle.signature_sweep``: its own fill and comparison;
 * ``cli.verify``: ``ncring verify`` through ``cli.main``, standard output
-  discarded.
+  discarded;
+* ``pipeline.shared_grid_128``: ``synthesize_trace`` plus ``analyze_trace`` of
+  one 128-point noisy trace on a shared ``flux_grid`` grid;
+* ``pipeline.copied_grid_128``: ``analyze_trace`` of that trace with its flux
+  copied, so the analysis computes its grid terms itself;
+* ``pipeline.file_trace_1e5``: ``read_trace_csv`` plus ``analyze_trace`` of a
+  1e5-point N = 10001 log-grid trace, written beforehand to a temporary file.
 
 The file records the Python and numpy versions, the machine and its CPU
 count, and the BLAS thread settings, next to the medians in seconds, and
 ``src_lines``: the line count of each module of ``src/ncring`` and their total,
-as ``wc -l`` counts them.  Other layers of the program are not timed yet.
+as ``wc -l`` counts them.  The other layers of ROADMAP aim 1 are not timed yet.
 """
 
 from __future__ import annotations
@@ -29,11 +35,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,6 +51,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from ncring import cli, oracle  # noqa: E402
+from ncring.dataio import read_trace_csv, write_trace_csv  # noqa: E402
+from ncring.model import RingSystem  # noqa: E402
+from ncring.pipeline import analyze_trace, synthesize_trace  # noqa: E402
 
 REPEATS = 15
 
@@ -64,14 +75,24 @@ def verify() -> None:
             raise RuntimeError("ncring verify failed")
 
 
-def layers() -> dict[str, float]:
+def layers(work: Path) -> dict[str, float]:
     filled = oracle.zone_filling()
+    ring = RingSystem.from_f_nc(3, 1e-3)
+    short = synthesize_trace(ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1)
+    copied = dataclasses.replace(short, f=short.f.copy())
+    large = RingSystem(radius=1e-6, n_electrons=10001, theta_tilde=1.76e-61)
+    path = work / "trace.csv"
+    write_trace_csv(synthesize_trace(large, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=1), path)
     calls = {
         "oracle.zone_filling": oracle.zone_filling,
         "oracle.ground_state_sweep": lambda: oracle.ground_state_sweep(filled),
         "oracle.current_sweep": lambda: oracle.current_sweep(filled),
         "oracle.signature_sweep": oracle.signature_sweep,
         "cli.verify": verify,
+        "pipeline.shared_grid_128": lambda: analyze_trace(
+            synthesize_trace(ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1)),
+        "pipeline.copied_grid_128": lambda: analyze_trace(copied),
+        "pipeline.file_trace_1e5": lambda: analyze_trace(read_trace_csv(path, ring=large)),
     }
     return {name: median_time(call) for name, call in calls.items()}
 
@@ -87,6 +108,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
     out = parser.parse_args().out
+    with tempfile.TemporaryDirectory() as work:
+        medians = layers(Path(work))
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -96,7 +119,7 @@ def main() -> None:
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "repeats": REPEATS,
         "unit": "s",
-        "median_s": layers(),
+        "median_s": medians,
         "src_lines": src_lines(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -162,7 +162,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args)
     trace = read_trace_csv(args.trace, ring=config.ring())
     f, result = trace.f, analyze_trace(trace, config, blind=args.blind)
-    del trace  # its current and grid plan are freed before the files are written
+    del trace  # its current is freed before the files are written
     out_dir = _out_dir(args)
     _write_signatures(out_dir / "derived_signatures", f, result.lam, result.sig,
                       comments=(f"# method: {result.method}",))

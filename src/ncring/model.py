@@ -34,6 +34,7 @@ __all__ = [
     "Parity",
     "RingSystem",
     "check_electron_number",
+    "theta_tilde_from_f_nc",
     "reduce_to_zone",
     "eigenenergy",
     "ground_state_energy",
@@ -47,6 +48,11 @@ def check_electron_number(n) -> None:
     """Refuse (InvalidRange) an electron number that is not a positive integer, a bool included."""
     if not (isinstance(n, (int, np.integer)) and check_integer("n_electrons", n) >= 1):
         raise InvalidRange(f"n_electrons must be a positive integer, got {n}")
+
+
+def theta_tilde_from_f_nc(f_nc: float, radius: float, alpha: float = 1.0) -> float:
+    """The theta_tilde whose :attr:`RingSystem.f_nc`, R^2 theta_tilde / (hbar alpha)^2, is f_nc."""
+    return f_nc * (HBAR * alpha / radius) ** 2
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class RingSystem:
         if not 0.0 <= f_nc < math.inf:
             raise InvalidRange(f"f_nc must be finite and non-negative, got {f_nc}")
         try:
-            theta_tilde = f_nc * (HBAR / radius) ** 2
+            theta_tilde = theta_tilde_from_f_nc(f_nc, radius)
         except (OverflowError, ZeroDivisionError):  # radius 0 or below ~1e-188
             theta_tilde = 0.0  # the ring below refuses the radius or its epsilon0
         return cls(radius=radius, n_electrons=n_electrons, theta_tilde=theta_tilde)

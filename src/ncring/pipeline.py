@@ -23,10 +23,10 @@ rule without building it.  :func:`analyze_trace` takes it plus ``blind=``;
 
 What stages 2-4 derive from the flux alone (the line fit's centring, the
 stencil weights, the fit window's points, their log10 f centring and the
-noise floor's scale) lives in one grid plan, and every trace holds exactly
-one; a trace's noise floor is its noise level times that scale.  The traces
-of :func:`synthesize_trace` share their :func:`flux_grid` grid's plan, built
-once; any other flux is copied into its trace, which builds and keeps its own.
+noise floor's scale) are pure functions of the flux; a trace's noise floor is
+its noise level times that scale.  They are memoized per :func:`flux_grid`
+request for the traces of :func:`synthesize_trace`, which share its grid; any
+other flux is copied into its trace, and each call computes and frees its own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ncring.constants import HBAR, M_ELECTRON
+from ncring.constants import M_ELECTRON
 from ncring.errors import (
     DegenerateFit,
     InsufficientSignal,
@@ -49,7 +49,8 @@ from ncring.errors import (
     TooFewPoints,
     check_integer,
 )
-from ncring.model import Parity, RingSystem, check_electron_number, persistent_current
+from ncring.model import (Parity, RingSystem, check_electron_number, persistent_current,
+                          theta_tilde_from_f_nc)
 
 __all__ = [
     "MIN_TRACE_POINTS",
@@ -131,8 +132,11 @@ class RunConfig:
                           theta_tilde=self.theta_tilde, mass=self.mass_kg)
 
 
-def _readonly(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
+def _readonly(a, name: str) -> np.ndarray:
+    try:
+        arr = np.array(a, dtype=float)
+    except (TypeError, ValueError) as err:  # text, ragged rows or objects with no float
+        raise InvalidRange(f"{name} must hold real numbers: {err}") from None
     arr.flags.writeable = False
     return arr
 
@@ -154,9 +158,9 @@ class CurrentTrace:
     """Sampled (f, J) data in reduced units, flux strictly increasing, with its provenance.
 
     `n_electrons` is the electron number it states, None or a positive integer
-    (else InvalidRange).  It holds one grid plan.  Only :func:`synthesize_trace`
-    shares a :func:`flux_grid` array, with that grid's plan; any other trace
-    copies its flux, out of the caller's reach, and builds its own plan on it.
+    (else InvalidRange).  Only :func:`synthesize_trace` shares a :func:`flux_grid`
+    array, recording its request so that the grid's terms are computed once; any
+    other trace copies its flux, out of the caller's reach.
     """
 
     f: np.ndarray
@@ -165,21 +169,21 @@ class CurrentTrace:
     seed: int | None = None
     noise_sigma: float = 0.0
     n_electrons: int | None = None
-    _plan: _GridPlan | None = field(default=None, repr=False, compare=False)  # None on input only
+    _grid: tuple | None = field(default=None, repr=False, compare=False)  # a flux_grid request
 
     def __post_init__(self):
         if self.n_electrons is not None:
             check_electron_number(self.n_electrons)
-        shared = self._plan is not None and self.f is self._plan.f  # not after replace(f=...)
+        shared = self._grid is not None and self.f is _grid(*self._grid)  # not on replace(f=...)
         if not shared:
-            object.__setattr__(self, "_plan", _GridPlan(_readonly(self.f)))
-            object.__setattr__(self, "f", self._plan.f)
-        object.__setattr__(self, "j", _readonly(self.j))
+            object.__setattr__(self, "_grid", None)
+            object.__setattr__(self, "f", _readonly(self.f, "f"))
+        object.__setattr__(self, "j", _readonly(self.j, "j"))
         if self.f.ndim != 1 or self.f.shape != self.j.shape:
             raise InvalidRange("f and j must be 1D arrays of equal length")
         if not shared:
             _check_flux(self.f, self.j)
-        elif not np.isfinite(self.j).all():  # the plan checked its grid when it was built
+        elif not np.isfinite(self.j).all():  # _grid checked the flux when it built it
             raise InvalidRange("flux and current values must be finite")
 
     def __len__(self) -> int:
@@ -203,74 +207,62 @@ def _check_grid(f_min: float, f_max: float, n_points: int, grid: str) -> None:
 def flux_grid(f_min: float, f_max: float, n_points: int, grid: str = "log") -> np.ndarray:
     """n_points >= MIN_TRACE_POINTS flux values from 0 < f_min to f_max, log or uniform.
 
-    One read-only float64 array, with its plan, serves every call with the same
-    arguments; bounds too close for n_points distinct values raise NonMonotonicFlux.
+    One read-only float64 array serves every call with the same arguments;
+    bounds too close for n_points distinct values raise NonMonotonicFlux.
     """
     _check_grid(f_min, f_max, n_points, grid)
-    return _shared_plan(f_min, f_max, n_points, grid).f
+    return _grid(f_min, f_max, n_points, grid)
 
 
 @functools.lru_cache(maxsize=8, typed=True)  # typed: a float32 bound computes its own grid
-def _shared_plan(f_min: float, f_max: float, n_points: int, grid: str) -> _GridPlan:
-    """The plan over the grid of a checked :func:`flux_grid` request; the grid is checked here."""
+def _grid(f_min: float, f_max: float, n_points: int, grid: str) -> np.ndarray:
+    """The grid of a checked :func:`flux_grid` request, itself checked once here."""
     f = (np.geomspace if grid == "log" else np.linspace)(f_min, f_max, n_points, dtype=float)
     f.flags.writeable = False
     _check_flux(f)
-    return _GridPlan(f)
+    return f
 
 
 class _FitWindow(NamedTuple):
     """One fit window's interior grid points, centred log10 f and floor scale."""
 
-    bounds: tuple[float, float]  # (fit_f_lo, fit_f_hi)
     cut: slice  # of the interior grid f[1:-1]
     f: np.ndarray  # f[1:-1][cut]
     floor_scale: float  # median of f / (f[2:] - f[:-2])[cut], 0.0 for no point
     log_centring: tuple[float, np.ndarray, float] | None  # _log_centring(f), for full rows
 
 
-class _GridPlan:
-    """What every analysis of a trace on one flux grid derives from the flux alone.
+def _stencil(f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """h1*h1, h2*h2, h2*h2 - h1*h1, h1*h2*(h1+h2) and the two endpoint spacings of f."""
+    h1 = f[1:-1] - f[:-2]
+    h2 = f[2:] - f[1:-1]
+    h1_sq, h2_sq = h1 * h1, h2 * h2
+    return h1_sq, h2_sq, h2_sq - h1_sq, h1 * h2 * (h1 + h2), f[1] - f[0], f[-1] - f[-2]
 
-    It lives as long as the last trace that holds it.  Each part is built on
-    first use and then reused: the J line fit's centring, :func:`_derivative`'s
-    stencil weights, and the last :class:`_FitWindow` asked for with its centred
-    log10 f and floor scale.  The centring and stencil hold only the quantities
-    numpy would evaluate first anyway, so those results keep their bits; the
-    floor takes its median before the noise scaling, so it equals the per-point
-    form sqrt(2) sigma f^2 / (sqrt(W) f d2) to rounding only.
-    """
 
-    def __init__(self, f: np.ndarray):
-        self.f = f
-        self._window: _FitWindow | None = None
+def _window(f: np.ndarray, f_lo: float, f_hi: float) -> _FitWindow:
+    """The interior points of f with f_lo <= f <= f_hi, found on the sorted grid."""
+    f_int = f[1:-1]
+    cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
+    f_w = f_int[cut]
+    # np.median's arithmetic, less its numpy.ma import; f / d2 < ~2**53, so it is finite
+    mid = ((f_w.size - 1) // 2, f_w.size // 2)
+    r = np.partition(f_w / (f[2:][cut] - f[:-2][cut]), mid) if f_w.size else np.zeros(1)
+    scale = float((r[mid[0]] + r[mid[1]]) / 2)  # 0.0 for an empty window
+    return _FitWindow(cut, f_w, scale, _log_centring(f_w))
 
-    @functools.cached_property
-    def centring(self) -> tuple[float, np.ndarray, float]:
-        return _centre(self.f)
 
-    @functools.cached_property
-    def stencil(self) -> tuple[np.ndarray, ...]:
-        """h1*h1, h2*h2, h2*h2 - h1*h1, h1*h2*(h1+h2) and the two endpoint spacings."""
-        f = self.f
-        h1 = f[1:-1] - f[:-2]
-        h2 = f[2:] - f[1:-1]
-        h1_sq, h2_sq = h1 * h1, h2 * h2
-        return h1_sq, h2_sq, h2_sq - h1_sq, h1 * h2 * (h1 + h2), f[1] - f[0], f[-1] - f[-2]
+def _term(trace: CurrentTrace, part, *args):
+    """part(trace.f, *args), memoized per grid request on a shared grid; each part holds only
+    what numpy would evaluate first anyway, so a result keeps its bits either way."""
+    return part(trace.f, *args) if trace._grid is None else _shared_term(part, *trace._grid, *args)
 
-    def window(self, f_lo: float, f_hi: float) -> _FitWindow:
-        """The interior points with f_lo <= f <= f_hi, found on the sorted grid."""
-        window = self._window
-        if window is None or window.bounds != (f_lo, f_hi):
-            f, f_int = self.f, self.f[1:-1]
-            cut = slice(np.searchsorted(f_int, f_lo), np.searchsorted(f_int, f_hi, "right"))
-            f_w = f_int[cut]
-            # np.median's arithmetic, less its numpy.ma import; f / d2 < ~2**53, so it is finite
-            mid = ((f_w.size - 1) // 2, f_w.size // 2)
-            r = np.partition(f_w / (f[2:][cut] - f[:-2][cut]), mid) if f_w.size else np.zeros(1)
-            scale = float((r[mid[0]] + r[mid[1]]) / 2)  # 0.0 for an empty window
-            self._window = window = _FitWindow((f_lo, f_hi), cut, f_w, scale, _log_centring(f_w))
-        return window
+
+# batch_small's 2 grid requests and 1 fit window fill 6 entries (centring, stencil, window);
+# the digest's 2400-trace mix asks for 2769 (602 requests, 1565 windows) and hits 84 of 7200.
+@functools.lru_cache(maxsize=24, typed=True)  # a flat request: typed keys its bounds as _grid's
+def _shared_term(part, f_min: float, f_max: float, n_points: int, grid: str, *args):
+    return part(_grid(f_min, f_max, n_points, grid), *args)
 
 
 def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
@@ -308,7 +300,7 @@ def synthesize_trace(
     non-negative `seed` it needs; the trace records both and the ring's N.
     """
     _check_grid(f_min, f_max, n_points, grid)
-    plan = _shared_plan(f_min, f_max, n_points, grid)
+    f = _grid(f_min, f_max, n_points, grid)
     check_zone(ring, f_min, f_max)
     if not 0.0 <= noise_sigma < math.inf:
         raise InvalidRange(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
@@ -316,11 +308,11 @@ def synthesize_trace(
         raise InvalidRange(f"noise_sigma = {noise_sigma} needs a seed, got seed=None")
     if seed is not None and check_integer("seed", seed) < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
-    j = persistent_current(ring, plan.f)
+    j = persistent_current(ring, f)
     if noise_sigma > 0.0:
         j = j + np.random.default_rng(seed).normal(0.0, noise_sigma, n_points)
-    return CurrentTrace(f=plan.f, j=j, seed=seed, noise_sigma=noise_sigma,
-                        n_electrons=ring.n_electrons, _plan=plan)
+    return CurrentTrace(f=f, j=j, seed=seed, noise_sigma=noise_sigma,
+                        n_electrons=ring.n_electrons, _grid=(f_min, f_max, n_points, grid))
 
 
 def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -357,7 +349,7 @@ def _line_fit(
 def _linear_fit(trace: CurrentTrace) -> tuple[float, float, float]:
     """OLS of the trace's j on f; returns (intercept, slope, rms residual)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a current near 1e308 squares to inf
-        intercept, slope, ss_res, _ = _line_fit(trace._plan.centring, trace.j)
+        intercept, slope, ss_res, _ = _line_fit(_term(trace, _centre), trace.j)
     fit = intercept, slope, math.sqrt(ss_res / (len(trace) - 2))
     if not all(map(math.isfinite, fit)):
         raise DegenerateFit(f"the line fit of J on f overflows: intercept, slope, rms = {fit}")
@@ -414,9 +406,8 @@ def _derivative(stencil: tuple[np.ndarray, ...], y: np.ndarray) -> np.ndarray:
 
     Interior points use the 3-point central stencil with the standard
     nonuniform weights (exact for quadratics); the two endpoints fall back
-    to 2-point one-sided differences.  `stencil` is the grid's
-    :attr:`_GridPlan.stencil`, with h1 and h2 the spacings below and above
-    each interior point.
+    to 2-point one-sided differences.  `stencil` is :func:`_stencil` of the
+    grid, with h1 and h2 the spacings below and above each interior point.
     """
     h1_sq, h2_sq, h_diff, denom, first, last = stencil
     d = np.empty(y.shape)
@@ -456,7 +447,7 @@ def differentiate_trace(
     # inf and NaN estimates are masked by the power-law fits and dropped from the plot
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u_v = np.array((trace.j, trace.j - n_electrons)) / trace.f
-        lam, sig = _derivative(trace._plan.stencil, _moving_average(u_v, smoothing_window))
+        lam, sig = _derivative(_term(trace, _stencil), _moving_average(u_v, smoothing_window))
     method = (
         f"moving_average(width={smoothing_window});"
         "central3(nonuniform);endpoints=one_sided2"
@@ -656,9 +647,10 @@ def estimate_theta_tilde(
     even: A_sigma  = -2 N f_nc         -> f_nc = -A_sigma / (2N)
           A_lambda = -N (1 + 2 f_nc)   -> cross-check -(1 + A_lambda/N) / 2
 
-    theta_tilde follows from f_nc = R^2 theta_tilde / (hbar^2 alpha^2).
+    theta_tilde is model.theta_tilde_from_f_nc(f_nc); N must be a positive integer.
     """
     n = n_electrons
+    check_electron_number(n)
     if kind is VerdictKind.ODD_NC_DETECTED:
         primary = -lambda_fit.amplitude / (2.0 * n)
         cross = (1.0 - sigma_fit.amplitude / n) / 2.0
@@ -668,7 +660,7 @@ def estimate_theta_tilde(
     else:
         raise NotDetected(f"no parameter estimate for verdict {kind.value}")
     gap = abs(primary - cross) / max(abs(primary), 1e-300)
-    return primary, primary * (HBAR * alpha / radius) ** 2, cross, gap
+    return primary, theta_tilde_from_f_nc(primary, radius, alpha), cross, gap
 
 
 @dataclass(frozen=True)
@@ -688,7 +680,8 @@ def _noise_floor(window: _FitWindow, sigma_j: float, smoothing_window: int) -> f
     (sqrt(W) f d2f) at each interior point, on a log grid a constant times
     1/f^2, the shape of a true divergence.  Its median times f^2 over the fit
     window, sqrt(2) sigma_j / sqrt(W) times the window's floor scale, is a
-    floor directly comparable with a fitted 1/f^2 amplitude.
+    floor directly comparable with a fitted 1/f^2 amplitude; taking the median before
+    the noise scaling changes it by rounding only.
     """
     if not window.f.size:
         return 0.0  # also for a NaN or infinite sigma_j
@@ -721,7 +714,7 @@ def analyze_trace(
     sigma_floor = max(sigma_j, float(_EPS * np.abs(trace.j).max()))
     # the fit window of the interior grid: the one-sided endpoints (see
     # differentiate_trace) are never fitted
-    window = trace._plan.window(config.fit_f_lo, config.fit_f_hi)
+    window = _term(trace, _window, config.fit_f_lo, config.fit_f_hi)
     floor = _noise_floor(window, sigma_floor, config.smoothing_window)
 
     fits: list[PowerLawFit | None] = []

@@ -611,7 +611,7 @@ class TestFileContract:
         assert_plot_of_table(run / "derived_signatures", tmp_path)
 
     def test_analyze_holds_no_trace_while_writing(self, tmp_path, monkeypatch, capsys):
-        # the trace, with its current and grid plan, is freed before the files set the peak
+        # the trace, with its current, is freed before the files set the peak
         run = tmp_path / "run"
         assert run_cli("simulate", "--n-electrons", "3", "--out", str(run)) == 0
         read, write = cli.read_trace_csv, cli._write_signatures

@@ -380,10 +380,10 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_grid_checked_not_built(self):
-        # a config only checks its grid: nothing is allocated, cached or planned
-        cache = pipeline._shared_plan.cache_info()
+        # a config only checks its grid: nothing is allocated or cached
+        cache = pipeline._grid.cache_info()
         RunConfig(n_points=10**7, grid="uniform")
-        assert pipeline._shared_plan.cache_info() == cache
+        assert pipeline._grid.cache_info() == cache
 
     def test_ring_and_options(self):
         config = RunConfig(n_electrons=3, alpha=0.5)

@@ -4,13 +4,22 @@ import ast
 import builtins
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncring
 from ncring.errors import InvalidRange
 from ncring.model import RingSystem
 from ncring.oracle import zone_flux_grid
-from ncring.pipeline import RunConfig, differentiate_trace, synthesize_trace
+from ncring.pipeline import (
+    CurrentTrace,
+    PowerLawFit,
+    RunConfig,
+    VerdictKind,
+    differentiate_trace,
+    estimate_theta_tilde,
+    synthesize_trace,
+)
 
 BUILTIN_EXCEPTIONS = {
     name for name, obj in vars(builtins).items()
@@ -63,4 +72,25 @@ RING = RingSystem.from_f_nc(n_electrons=3, f_nc=1e-3)
 )
 def test_bool_is_not_an_integer(name, call):
     with pytest.raises(InvalidRange, match=f"^{name} must be an integer, got True$"):
+        call()
+
+
+FIT = PowerLawFit(amplitude=-1e-3, exponent=-2.0, r_squared=1.0, n_points_used=50,
+                  residual_floor=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    # numpy's untyped ValueError, and a ZeroDivisionError, before each was checked by name
+    [(lambda: CurrentTrace(["a"] * 8, np.ones(8)),
+      "^f must hold real numbers: could not convert string to float: 'a'$"),
+     (lambda: CurrentTrace(np.geomspace(1e-3, 0.4, 8), [[1.0], [2.0, 3.0]] * 4),
+      "^j must hold real numbers: "),
+     (lambda: estimate_theta_tilde(VerdictKind.ODD_NC_DETECTED, FIT, FIT, 0, radius=1e-6,
+                                   alpha=1.0),
+      "^n_electrons must be a positive integer, got 0$")],
+    ids=["text_flux", "ragged_current", "zero_electrons"],
+)
+def test_public_entry_points_refuse_by_name(call, message):
+    with pytest.raises(InvalidRange, match=message):
         call()

@@ -35,7 +35,7 @@ def versions(lines: list[str]) -> list[str]:
 
 
 def test_every_output_matches_the_golden_digest(tmp_path, script, mix):
-    # a trace's result must not depend on whose plan it holds: checked before
+    # a trace's result must not depend on whether it shares its grid: checked before
     # the golden file, so that no regeneration records the two grids apart
     (shared, _), (copied, _) = mix[0]
     assert shared == copied, "the mix's analyses differ between shared and copied grids"

@@ -27,7 +27,13 @@ from ncring.errors import (
     NotDetected,
     TooFewPoints,
 )
-from ncring.model import RingSystem, lambda_signature, persistent_current, sigma_signature
+from ncring.model import (
+    RingSystem,
+    lambda_signature,
+    persistent_current,
+    sigma_signature,
+    theta_tilde_from_f_nc,
+)
 from ncring.pipeline import (
     CurrentTrace,
     PowerLawFit,
@@ -35,10 +41,13 @@ from ncring.pipeline import (
     VerdictKind,
     _centre,
     _electron_number,
-    _GridPlan,
+    _grid,
     _line_fit,
     _noise_floor,
     _power_law,
+    _shared_term,
+    _stencil,
+    _window,
     analyze_trace,
     classify,
     differentiate_trace,
@@ -533,12 +542,11 @@ class TestFitKernel:
     def test_kernel_equals_fit_power_law(self, seed, n, grid, every_point_usable):
         rng = np.random.default_rng(seed)
         f_min = 10.0 ** rng.uniform(-4.0, -1.0)
-        plan = _GridPlan(flux_grid(f_min, f_min * 10.0 ** rng.uniform(0.3, 3.0), n, grid))
+        f = flux_grid(f_min, f_min * 10.0 ** rng.uniform(0.3, 3.0), n, grid)
         # two of: two grid points, and a bound near each end of the grid, on either side
-        candidates = np.concatenate((rng.choice(plan.f, 2),
-                                     rng.uniform(0.5, 2.0, 2) * plan.f[[0, -1]]))
+        candidates = np.concatenate((rng.choice(f, 2), rng.uniform(0.5, 2.0, 2) * f[[0, -1]]))
         lo, hi = np.sort(rng.choice(candidates, 2, replace=False))
-        window = plan.window(float(lo), float(hi))
+        window = _window(f, float(lo), float(hi))
         m = len(window.f)
         values = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 4.0)
                   * window.f ** rng.uniform(-3.0, 1.0) * (1.0 + 0.2 * rng.standard_normal(m)))
@@ -834,7 +842,7 @@ def test_retained_memory_per_verdict():
         return analyze_trace(trace).verdict
 
     inputs = batch_small_mix()
-    # build each grid's shared plan, and import numpy.random by one noisy trace,
+    # build each grid and its shared terms, and import numpy.random by one noisy trace,
     # first, so that what the traced pass holds is its verdicts
     for spec in {(spec[1], spec[2] > 0.0): spec for spec in inputs}.values():
         verdict(*spec)
@@ -882,6 +890,21 @@ class TestEstimateThetaTilde:
         )
         assert f_nc == 0.0
         assert theta_tilde == 0.0
+
+    @pytest.mark.parametrize("radius", [1e-7, 1e-6, 2e-6, 1e-4])
+    @pytest.mark.parametrize("f_nc", [1e-5, 1.5828e-5, 1e-3, 0.3])
+    def test_one_map_from_f_nc_to_theta_tilde(self, f_nc, radius):
+        # from_f_nc and the inversion share one map, with the bits of each one's own
+        # former formula: hbar * 1.0 is exact; N = 4 makes -A / (2N) give f_nc back exactly
+        for alpha in (1.0, 0.5, 0.3):
+            primary, theta_tilde, _, _ = estimate_theta_tilde(
+                VerdictKind.ODD_NC_DETECTED, _fit(-8.0 * f_nc, -2.0), _fit(4.0, -2.0), 4,
+                radius=radius, alpha=alpha)
+            assert primary == f_nc
+            assert bits(theta_tilde) == bits(f_nc * (CONSTANT_HBAR * alpha / radius) ** 2)
+        ring = RingSystem.from_f_nc(4, f_nc, radius=radius)
+        assert bits(ring.theta_tilde) == bits(f_nc * (CONSTANT_HBAR / radius) ** 2)
+        assert bits(ring.theta_tilde) == bits(theta_tilde_from_f_nc(f_nc, radius, 1.0))
 
     def test_not_detected_refused(self):
         with pytest.raises(NotDetected):
@@ -1104,11 +1127,10 @@ class TestExactness:
         f_window = (1e-3, f_hi)
         in_window = np.flatnonzero((f[1:-1] >= f_window[0]) & (f[1:-1] <= f_window[1]))
         assert in_window.size % 2 == parity
-        plan = _GridPlan(f)
-        floor = _noise_floor(plan.window(*f_window), 0.03, window)
+        floor = _noise_floor(_window(f, *f_window), 0.03, window)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, window, f_window))
         for sigma_j in (0.03, math.nan, math.inf):  # no point in the window, whatever the noise
-            assert _noise_floor(plan.window(0.5, 0.6), sigma_j, window) == 0.0
+            assert _noise_floor(_window(f, 0.5, 0.6), sigma_j, window) == 0.0
 
     def test_noise_floor_nan_amplitude(self):
         # at f ~ 1e-200 both f d2f and f^2 underflow to 0, so the per-point
@@ -1118,7 +1140,7 @@ class TestExactness:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             amp = 0.03 / (f[1:-1] * (f[2:] - f[:-2])) * f[1:-1] ** 2
         assert np.isnan(amp).sum() == 1
-        floor = _noise_floor(_GridPlan(f).window(1e-300, 1.0), 0.03, 1)  # every interior point
+        floor = _noise_floor(_window(f, 1e-300, 1.0), 0.03, 1)  # every interior point
         assert math.isfinite(floor)
         assert bits(floor) == bits(plain_noise_floor(f, 0.03, 1, (1e-300, 1.0)))
 
@@ -1142,23 +1164,24 @@ class TestExactness:
             assert bits(result.residual_floor) == bits(floor)
 
 
-class TestGridPlan:
-    """synthesize_trace hands each trace its grid's shared plan; any other trace builds its own."""
+class TestGridTerms:
+    """A synthesize_trace trace records its grid request, whose terms are memoized once;
+    any other trace copies its flux and computes each term for its own call."""
 
     @pytest.mark.parametrize("window", [1, 3, 5])
     @pytest.mark.parametrize("grid", ["log", "uniform"])
     def test_shared_copied_and_plain_agree(self, window, grid):
         # fit windows: the default, a narrower one with the same lower bound,
         # one above the grid (empty) and one wider than it; three rings on one
-        # grid each, so every trace after the first reuses its plan
+        # grid each, so every trace after the first reuses its terms
         for f_lo, f_hi in ((1e-3, 1e-1), (1e-3, 3e-2), (0.5, 0.6), (1e-4, 1.0)):
             config = RunConfig(smoothing_window=window, fit_f_lo=f_lo, fit_f_hi=f_hi)
             for n, f_nc, noise in ((3, 1e-3, 1e-4), (101, 0.0, 1e-2), (5, 1e-2, 0.0)):
                 shared = synthesize_trace(ring_with(n, f_nc), 1e-3, 0.4, 96, noise_sigma=noise,
                                           seed=n, grid=grid)
-                assert shared._plan is not None
+                assert shared._grid == (1e-3, 0.4, 96, grid)
                 copied = dataclasses.replace(shared, f=np.array(shared.f))
-                assert copied._plan is not shared._plan and copied._plan.f is copied.f
+                assert copied._grid is None
                 assert not np.shares_memory(copied.f, shared.f)
                 verdict, lam, sig, sigma_j, floor = plain_analysis(shared, config)
                 for trace in (shared, copied, shared):
@@ -1168,18 +1191,19 @@ class TestGridPlan:
                     assert bits(result.trace_noise_rms) == bits(sigma_j)
                     assert bits(result.residual_floor) == bits(floor)
 
-    def test_equal_grid_arguments_share_one_plan(self):
+    def test_equal_grid_arguments_share_one_grid(self):
         ring = ring_with(3, 1e-3)
         first = synthesize_trace(ring, 1e-3, 0.4, 64)
         second = synthesize_trace(ring, 1e-3, 0.4, 64, noise_sigma=1e-3, seed=1)
-        assert second._plan is first._plan and second.f is first.f
-        assert flux_grid(1e-3, 0.4, 64) is first.f
-        assert synthesize_trace(ring, 1e-3, 0.4, 64, grid="uniform")._plan is not first._plan
+        assert second._grid == first._grid and second.f is first.f
+        assert flux_grid(1e-3, 0.4, 64) is first.f is _grid(*first._grid)
+        uniform = synthesize_trace(ring, 1e-3, 0.4, 64, grid="uniform")
+        assert uniform._grid != first._grid and uniform.f is not first.f
 
-    def test_one_window_per_plan(self):
+    def test_one_term_per_request_and_window(self):
         trace = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 96, noise_sigma=1e-4, seed=3)
-        plan = trace._plan
-        for f_hi in np.geomspace(2e-3, 0.3, 50):
+        _shared_term.cache_clear()
+        for f_hi in np.geomspace(2e-3, 0.3, 20):
             config = RunConfig(fit_f_hi=float(f_hi))
             result = analyze_trace(trace, config)
             verdict, lam, sig, sigma_j, floor = plain_analysis(trace, config)
@@ -1187,75 +1211,103 @@ class TestGridPlan:
             assert bits(result.lam) == bits(lam) and bits(result.sig) == bits(sig)
             assert bits(result.trace_noise_rms) == bits(sigma_j)
             assert bits(result.residual_floor) == bits(floor)
-        # the plan keeps the last window asked for, and no other
-        assert set(vars(plan)) == {"f", "_window", "centring", "stencil"}
-        assert plan._window.bounds == (config.fit_f_lo, config.fit_f_hi)
+        # the centring and the stencil once for the grid, then one term per window
+        info = _shared_term.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (22, 38, 22)
+        window = _window(trace.f, 1e-3, float(f_hi))
+        held = _shared_term(_window, *trace._grid, 1e-3, float(f_hi))
+        assert all(bits(a) == bits(b) for a, b in zip(window[1:3], held[1:3]))
 
-    def test_one_plan_per_file_trace(self, monkeypatch, tmp_path):
+    def test_file_trace_computes_its_terms_per_call(self, monkeypatch, tmp_path):
         ring = ring_with(3, 1e-3)
         path = tmp_path / "trace.csv"
         write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 64, noise_sigma=1e-4, seed=1), path)
-        built = []
-
-        class Recorded(pipeline._GridPlan):
-            def __init__(self, f):
-                super().__init__(f)
-                built.append(weakref.ref(self))
-
-        monkeypatch.setattr(pipeline, "_GridPlan", Recorded)
         trace = read_trace_csv(path, ring=ring)
+        assert trace._grid is None
+        computed = []
+
+        def recorded(part):
+            def call(f, *args):
+                if f is trace.f:  # not the centring of a window's log10 f
+                    computed.append(part.__name__)
+                return part(f, *args)
+            return call
+
+        for name in ("_centre", "_stencil", "_window"):
+            monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
+        cache = _shared_term.cache_info()
         analyze_trace(trace)
         estimate_electron_number(trace)
         trace_noise_rms(trace)
         differentiate_trace(trace, 3)
-        assert len(built) == 1 and built[0]() is trace._plan  # built with the trace, read by all
-        assert trace._plan.f is trace.f and {"centring", "stencil"} <= set(vars(trace._plan))
-        del trace
-        gc.collect()
-        assert built[0]() is None  # the plan dies with its trace
+        # each stage computes what it reads, and nothing is memoized or kept on the trace
+        assert computed == ["_centre", "_stencil", "_window", "_centre", "_centre", "_stencil"]
+        assert _shared_term.cache_info() == cache
+        assert set(vars(trace)) == {f.name for f in dataclasses.fields(trace)}
 
-    def test_plan_dies_with_its_last_trace(self):
+    def test_terms_are_held_by_the_memo_not_the_trace(self):
         ring = ring_with(3, 1e-3)
         trace = synthesize_trace(ring, 1.25e-3, 0.3, 40)  # arguments no other test uses
-        other = synthesize_trace(ring, 1.25e-3, 0.3, 40, noise_sigma=1e-3, seed=2)
-        plan = weakref.ref(trace._plan)
-        # building a trace builds no part of the plan; only an analysis does
-        assert set(vars(plan())) == {"f", "_window"} and plan()._window is None
+        _shared_term.cache_clear()
+        synthesize_trace(ring, 1.25e-3, 0.3, 40, noise_sigma=1e-3, seed=2)
+        assert _shared_term.cache_info().currsize == 0  # building a trace computes no term
         analyze_trace(trace)
-        assert {"centring", "stencil"} <= set(vars(plan())) and plan()._window is not None
-        pipeline._shared_plan.cache_clear()
-        del other
+        assert _shared_term.cache_info().currsize == 3
+        stencil = weakref.ref(pipeline._term(trace, _stencil)[0])
+        assert stencil() is not None
+        _shared_term.cache_clear()
         gc.collect()
-        assert plan() is not None  # the last trace on it still holds it
-        del trace
+        assert stencil() is None  # the trace, still alive, holds none of its terms
+
+    def test_file_trace_holds_no_terms_after_analysis(self, tmp_path):
+        ring = ring_with(10001, 1.5828e-5)
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 64, noise_sigma=1e-6, seed=7), small)
+        write_trace_csv(synthesize_trace(ring, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=7),
+                        large)
+        analyze_trace(read_trace_csv(small, ring=ring))  # the lazy imports of both, first
         gc.collect()
-        assert plan() is None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = read_trace_csv(large, ring=ring)
+            analyze_trace(trace)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 1.6 MB of f and j; 6.2 MB when a file trace kept its grid's centring, stencil and window
+        assert len(trace) == 100_000 and held < 2e6
 
     def test_other_fluxes_are_copied(self):
-        grid = flux_grid(1e-3, 0.4, 64)
+        request = (1e-3, 0.4, 64, "log")
+        grid = flux_grid(*request)
         read_only = np.array(grid)
         read_only.flags.writeable = False
         for f in (grid, np.array(grid), read_only, grid[:], list(grid)):
-            trace = CurrentTrace(f=f, j=np.zeros(64))
-            assert trace._plan is not pipeline._shared_plan(1e-3, 0.4, 64, "log")
-            assert trace._plan.f is trace.f  # its own plan over its own copy
-            assert trace.f is not grid and not np.shares_memory(trace.f, grid)
-            assert bits(trace.f) == bits(grid)
+            # a trace shares a grid only when its flux is that request's array
+            for trace in (CurrentTrace(f=f, j=np.zeros(64)),
+                          CurrentTrace(f=f, j=np.zeros(64), _grid=request if f is not grid
+                                       else (1e-3, 0.4, 64, "uniform"))):
+                assert trace._grid is None
+                assert trace.f is not grid and not np.shares_memory(trace.f, grid)
+                assert bits(trace.f) == bits(grid)
             if isinstance(f, np.ndarray) and f.base is None and f is not grid:
                 f.flags.writeable = True  # the caller owns its array and may write it
                 f[0] = 5.0
                 assert trace.f[0] == grid[0]
-        # a replaced current keeps the shared plan; a replaced flux is copied with a plan of its own
+        assert CurrentTrace(f=grid, j=np.zeros(64), _grid=request).f is grid
+        # a replaced current keeps the shared grid; a replaced flux is copied, its request cleared
         shared = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 64)
-        assert dataclasses.replace(shared, j=np.zeros(64))._plan is shared._plan
+        kept = dataclasses.replace(shared, j=np.zeros(64))
+        assert kept._grid == shared._grid and kept.f is shared.f
         replaced = dataclasses.replace(shared, f=np.geomspace(2e-3, 0.4, 64))
-        assert replaced._plan is not shared._plan and replaced._plan.f is replaced.f
-        assert replaced.f[0] == 2e-3
+        assert replaced._grid is None and replaced.f[0] == 2e-3
 
     def test_grid_checked_once_when_built(self):
         with pytest.raises(NonMonotonicFlux, match="flux values must be strictly increasing"):
             flux_grid(1e-3, 1e-3 * (1.0 + 1e-15), 8)  # too narrow: repeated values
-        # a shared-plan trace still checks its current, after its shape
+        # a shared-grid trace still checks its current, after its shape
         shared = synthesize_trace(ring_with(3, 1e-3), 1e-3, 0.4, 16)
         with pytest.raises(InvalidRange, match="flux and current values must be finite"):
             dataclasses.replace(shared, j=np.full(16, np.nan))
