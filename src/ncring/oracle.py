@@ -1,23 +1,25 @@
 """Brute-force reference implementations used to validate the closed forms.
 
 Levels are enumerated and sorted explicitly, so no oracle calls a closed
-form.  One kernel, :func:`_fill`, fills a whole flux array for one ring.  It
-enumerates the levels of the fixed window |n| <= m, with m = N // 2 + 5, in
-the tie-break column order n = 0, -1, 1, -2, 2, ...; each level
+form.  One kernel, :func:`_fill`, fills a whole flux array for every N of
+the rings that share f_nc and that array, from one sort.  It enumerates the
+levels of the window |n| <= m of the largest N, m = N // 2 + 5, in the
+tie-break column order n = 0, -1, 1, -2, 2, ...; each level
 (n + x) * (n + x) - 0.75 f_nc^2 is squared as a correctly rounded product,
-and a stable sort along each row fills the N lowest.  It refuses a flux that
-is not finite or lies m or more from f_nc, and a filling that reaches
-|n| = m.  The scalar oracles are its one-point case; the two finite
-differences fill f - d and f + d as one block and refuse (NearDegeneracy) a
-point where the two occupations differ.  The three sweeps at the bottom, behind
-the `verify` CLI subcommand and on the rings and grids the module constants fix,
-compare each closed form with E, J = -dE/df or the two signatures, exact from
-the sums of n and n^2 of a :class:`Filling`: one row filled per point, a level
-crossing (the N-th and (N+1)-th levels of the row's one sort tie) dropped.  The
-closed form is called once per ring, the exact references once per block of
-4096 kept rows, which may span several N.  The ground-state and current sweeps
-of one `verify` share one fill, :func:`zone_filling`.  A sweep calls no model
-function but the closed form it checks.
+and a stable sort along each row orders them; each N fills the N lowest.
+For each N, with its own m, it refuses a flux that is not finite or lies m
+or more from f_nc, and a filling that reaches |n| = m.  The scalar oracles
+are its one-N case; the two finite differences fill f - d and f + d as one
+block and refuse (NearDegeneracy) a point where the two occupations differ.
+The three sweeps at the bottom, behind the `verify` CLI subcommand and on
+the rings and grids the module constants fix, compare each closed form with
+E, J = -dE/df or the two signatures, exact from the sums of n and n^2 of a
+:class:`Filling`: one row filled per point, a level crossing (the N-th and
+(N+1)-th levels of the row's sort tie) dropped.  The closed form is called
+once per ring, the exact references once per block of 4096 kept rows, which
+may span several N.  The ground-state and current sweeps of one `verify`
+share one fill, :func:`zone_filling`, which sorts once per f_nc.  A sweep
+calls no model function but the closed form it checks.
 """
 
 from __future__ import annotations
@@ -59,39 +61,49 @@ class LevelFilling:
     total_energy: float
 
 
-def _fill(ring: RingSystem, f: np.ndarray, spare: int = 0) -> tuple[np.ndarray, ...]:
-    """Occupy the N lowest levels among n in [-m, m], m = N // 2 + 5, at each flux of `f`.
+def _fill(f_nc: float, f: np.ndarray, n_values):
+    """Fill, for each N of `n_values` in turn, the N lowest levels among n in [-m, m],
+    m = N // 2 + 5, at each flux of `f`; a generator that yields once per N.
 
-    Returns (levels, order, n): `levels` is the (len(f), 2m + 1) block of
-    level energies, one row per flux, whose columns hold the quantum numbers
-    `n` in tie-break order 0, -1, 1, -2, 2, ...; row b of the (len(f), N + spare)
-    array `order` lists the columns filled at f[b], in filling order, and
-    then the `spare` lowest empty ones.  A stable sort along each row breaks
-    exact degeneracies by smaller |n|, then negative n.  Raises InvalidRange
-    for a non-finite flux, and WindowTooSmall if |f - f_nc| >= m or if a
-    filled level sits on the enumeration boundary.
+    The levels of the largest N's window, one row per flux, with columns in tie-break
+    order n = 0, -1, 1, -2, 2, ..., are sorted once, stably along each row, which breaks
+    exact degeneracies by smaller |n|, then negative n.  Each N gets what a sort of its
+    own window gives: a smaller window is a column prefix, which the stable sort keeps
+    in order, and its boundary check keeps the N + 1 lowest levels inside it.  Yields
+    (levels, occupied, sums): the (len(f), N + 1) lowest levels and their n in filling
+    order, the last one empty, and the (2, len(f)) integer S1 = sum n and S2 = sum n^2
+    over the N filled.  Before it yields for N it raises InvalidRange for a non-finite
+    flux, and WindowTooSmall if |f - f_nc| >= m or a filled level is on the boundary.
     """
-    n_el = ring.n_electrons
-    m = n_el // 2 + 5  # five levels past the filled shell on each side at f = f_nc
     if not np.isfinite(f).all():
         raise InvalidRange(f"flux must be finite, got {f[~np.isfinite(f)][0]}")
-    x = f - ring.f_nc  # the lowest level sits near n = -x, so |x| < m must hold
-    if (far := np.abs(x) >= m).any():
-        raise WindowTooSmall(
-            f"flux {f[far][0]} lies {m} or more from f_nc; shift it toward f_nc by whole quanta"
-        )
-    k = np.arange(2 * m + 1)
-    n = (k + 1) // 2 * (1 - 2 * (k % 2))  # tie-break order 0, -1, 1, -2, 2, ...
-    u = n + x[:, None]
-    # the product is the correctly rounded square, as in model.eigenenergy;
-    # libm pow (float_power, **) misrounds a few squares in ten thousand
-    levels = u * u - 0.75 * ring.f_nc**2
-    order = np.argsort(levels, axis=1, kind="stable")[:, :n_el + spare]
-    if order[:, :n_el].max(initial=0) >= 2 * m - 1:  # the last two columns: n = -m and +m
-        raise WindowTooSmall(
-            f"filling touches the enumeration boundary +-{m}; shift f toward f_nc by whole quanta"
-        )
-    return levels, order, n
+    x = f - f_nc  # the lowest level sits near n = -x, so |x| < m must hold
+    reach = None
+    for n_el in n_values:
+        m = n_el // 2 + 5  # five levels past the filled shell on each side at f = f_nc
+        if (far := np.abs(x) >= m).any():
+            raise WindowTooSmall(
+                f"flux {f[far][0]} lies {m} or more from f_nc; shift it toward f_nc by whole quanta"
+            )
+        if reach is None:  # sorted once |x| < m holds, so no level can overflow
+            top = max(n_values)
+            k = np.arange(2 * (top // 2 + 5) + 1)
+            n = (k + 1) // 2 * (1 - 2 * (k % 2))  # tie-break order 0, -1, 1, -2, 2, ...
+            u = n + x[:, None]
+            # the product is the correctly rounded square, as in model.eigenenergy;
+            # libm pow (float_power, **) misrounds a few squares in ten thousand
+            levels = u * u - 0.75 * f_nc**2
+            order = np.argsort(levels, axis=1, kind="stable")[:, :top + 1]
+            levels, occupied = np.take_along_axis(levels, order, axis=1), n[order]
+            sums = np.cumsum((occupied, occupied * occupied), axis=2)
+            # reach[N - 1]: the largest |n| among the N lowest levels of any row
+            reach = np.maximum.accumulate(np.abs(occupied), axis=1).max(axis=0, initial=0)
+            del u, order  # every N reads only the sorted blocks
+        if reach[n_el - 1] >= m:  # a filled level on the boundary n = -m, +m or beyond
+            raise WindowTooSmall(
+                f"filling touches the enumeration boundary +-{m}; shift f toward f_nc by whole quanta"
+            )
+        yield levels[:, :n_el + 1], occupied[:, :n_el + 1], sums[:, :, n_el - 1]
 
 
 def ground_state_by_filling(ring: RingSystem, f: float) -> LevelFilling:
@@ -103,8 +115,8 @@ def ground_state_by_filling(ring: RingSystem, f: float) -> LevelFilling:
     WindowTooSmall if f lies m or more from f_nc or if the filled set
     touches the enumeration boundary.
     """
-    levels, order, n = _fill(ring, np.array([float(f)]))
-    return LevelFilling(tuple(n[order[0]].tolist()), math.fsum(levels[0, order[0]].tolist()))
+    levels, occupied, _ = next(_fill(ring.f_nc, np.array([float(f)]), (ring.n_electrons,)))
+    return LevelFilling(tuple(occupied[0, :-1].tolist()), math.fsum(levels[0, :-1].tolist()))
 
 
 def _occupation_between(ring: RingSystem, f: np.ndarray, d, message: str) -> np.ndarray:
@@ -115,11 +127,11 @@ def _occupation_between(ring: RingSystem, f: np.ndarray, d, message: str) -> np.
     is raised.
     """
     b = len(f)
-    _, order, n = _fill(ring, np.concatenate((f + d, f - d)))
-    columns = np.sort(order, axis=1)
-    if np.any(columns[:b] != columns[b:]):
+    _, occupied, _ = next(_fill(ring.f_nc, np.concatenate((f + d, f - d)), (ring.n_electrons,)))
+    filled = np.sort(occupied[:, :-1], axis=1)
+    if np.any(filled[:b] != filled[b:]):
         raise NearDegeneracy(message)
-    return n[order[:b]]
+    return occupied[:b, :-1]
 
 
 def current_by_finite_difference(ring: RingSystem, f: float, h: float = 1e-6) -> float:
@@ -249,16 +261,6 @@ def _compensated_sum(terms):
     return _two_sum(s, c)
 
 
-def _occupation_sums(ring: RingSystem, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fluxes of `f` off a level crossing (their `_fill` row's N-th and (N+1)-th levels
-    differ), and rows S1 = sum n and S2 = sum n^2 over the levels filled at each of them."""
-    levels, order, n = _fill(ring, f, spare=1)
-    edge = levels[np.arange(len(f))[:, None], order[:, -2:]]  # the N-th and (N+1)-th levels
-    off = edge[:, 0] != edge[:, 1]
-    occupied = n[order[off, :-1]]
-    return f[off], np.stack((occupied.sum(axis=1), (occupied**2).sum(axis=1))).astype(float)
-
-
 def _exact_energy(n_el, f_nc, f, sums):
     """E = S2 + 2 S1 x + N x^2 - (3/4) N f_nc^2, x = f - f_nc, as a pair (hi, lo) within a
     few u^2 max(1, |E|): first-order products are split exactly, second-order ones rounded.
@@ -311,11 +313,27 @@ class Filling:
 
 
 def _filling(n_values, f_nc_values, points) -> Filling:
-    """Fill each ring's `points(ring)`; keep those off a crossing, where J is undefined."""
+    """Fill each ring's `points(ring)`; keep those off a crossing, where J is undefined.
+
+    The rings that share f_nc and fluxes are filled together, from one `_fill` and one
+    sort, group after group; of the rings that fail, the first in ring order raises."""
     rings = [RingSystem.from_f_nc(n_electrons=n, f_nc=f_nc)
              for n in n_values for f_nc in f_nc_values]
     fluxes = [points(ring) for ring in rings]
-    kept, sums = zip(*map(_occupation_sums, rings, fluxes))
+    groups = {}  # ring indices by (f_nc, fluxes), in ring order
+    for i, (ring, f) in enumerate(zip(rings, fluxes)):
+        groups.setdefault((ring.f_nc, f.tobytes()), []).append(i)
+    kept, sums, failed = [None] * len(rings), [None] * len(rings), []
+    for (f_nc, _), group in groups.items():
+        n_el = [rings[i].n_electrons for i in group]
+        try:
+            for i, (levels, _, occupation) in zip(group, _fill(f_nc, fluxes[group[0]], n_el)):
+                off = levels[:, -2] != levels[:, -1]  # the N-th and (N+1)-th levels
+                kept[i], sums[i] = fluxes[i][off], occupation[:, off].astype(float)
+        except (InvalidRange, WindowTooSmall) as exc:  # raised for the first ring not filled
+            failed.append((next(i for i in group if kept[i] is None), exc))
+    if failed:
+        raise min(failed, key=lambda pair: pair[0])[1]
     counts = [len(k) for k in kept]
     return Filling(tuple(zip(rings, kept)),
                    np.repeat([float(ring.n_electrons) for ring in rings], counts),

@@ -59,6 +59,11 @@ def reference_filling(ring: RingSystem, f: float, window: int | None = None) -> 
     )
 
 
+def fill_one(ring: RingSystem, f) -> tuple[np.ndarray, ...]:
+    """The kernel's one-N case, as the scalar oracles call it: (levels, occupied, sums)."""
+    return next(oracle._fill(ring.f_nc, np.asarray(f, dtype=float), (ring.n_electrons,)))
+
+
 def reference_current(ring: RingSystem, f: float, h: float = 1e-6) -> float:
     fill_p = reference_filling(ring, f + h)
     fill_m = reference_filling(ring, f - h)
@@ -217,11 +222,11 @@ class TestFillingKernelMatchesReference:
         f = np.array(fluxes)
         fills = [outcome(reference_filling, ring, v) for v in fluxes]
         if WindowTooSmall in fills:
-            assert outcome(oracle._fill, ring, f) is WindowTooSmall
+            assert outcome(fill_one, ring, f) is WindowTooSmall
         else:
-            levels, order, n = oracle._fill(ring, f)
-            rows = [(tuple(n[o].tolist()), math.fsum(e[o].tolist()).hex())
-                    for o, e in zip(order, levels)]
+            levels, occupied, _ = fill_one(ring, f)
+            rows = [(tuple(o[:-1].tolist()), math.fsum(e[:-1].tolist()).hex())
+                    for o, e in zip(occupied, levels)]
             assert rows == fills
 
     @given(case=filling_cases(reach=3.0))  # every flux within 3 of zero fills
@@ -230,8 +235,8 @@ class TestFillingKernelMatchesReference:
         # squares are correctly rounded products, so each level is the model's bit for bit
         ring, fluxes = case
         f = np.array(fluxes)
-        levels, _, n = oracle._fill(ring, f)
-        expected = eigenenergy(ring, n, f[:, None])
+        levels, occupied, _ = fill_one(ring, f)
+        expected = eigenenergy(ring, occupied, f[:, None])
         assert [v.hex() for v in levels.flat] == [v.hex() for v in expected.flat]
 
 
@@ -256,7 +261,7 @@ class TestOracleIndependence:
         assert len(fill.occupied) == 7
         assert current_by_finite_difference(ring, 0.13) == pytest.approx(-14 * 0.12, rel=1e-9)
         f = zone_flux_grid(31)
-        assert oracle._fill(ring, f)[1].shape == (31, 7)
+        assert fill_one(ring, f)[1][:, :-1].shape == (31, 7)
         lam, sig = signature_by_finite_difference(ring, 0.13)
         assert lam == pytest.approx(-14 * ring.f_nc / 0.13**2, rel=1e-6)
         assert sig == pytest.approx(7 * (1 - 2 * ring.f_nc) / 0.13**2, rel=1e-6)
@@ -269,7 +274,8 @@ class TestOracleIndependence:
         # the sweeps' reference side: fill, crossing test and occupation sums, then
         # exact E, J and signatures; 0.51 + f_nc is a level crossing and is dropped
         ring = ring_with(7, 0.01)
-        f, sums = oracle._occupation_sums(ring, np.array([0.13, 0.51, -0.2]))
+        filled = oracle._filling((7,), (0.01,), lambda ring: np.array([0.13, 0.51, -0.2]))
+        f, sums = filled.f, filled.sums
         assert f.tolist() == [0.13, -0.2]
         assert sums.tolist() == [[0.0, 0.0], [28.0, 28.0]]  # n = -3..3 at both points
         f_nc = np.full(2, ring.f_nc)
@@ -494,22 +500,178 @@ class TestSweeps:
 class TestZoneFilling:
     """The ground-state and current sweeps of one `verify` compare against one fill."""
 
-    def test_verify_fills_each_ring_once(self, monkeypatch, capsys):
-        # 240 zone rings, filled once for both sweeps, and the 6 signature rings
-        calls = []
-        fill = oracle._occupation_sums
+    def test_verify_sorts_once_per_f_nc_and_fluxes(self, monkeypatch, capsys):
+        # the 240 zone rings, filled once for both sweeps, sort once per f_nc; the 6
+        # signature rings sort 4 times, since at f_nc = 1e-2 the even ring's log grid
+        # leaves out the points at or below f_nc and the odd ring's does not
+        sorts, per_fill = [], []
+        argsort, filling = np.argsort, oracle._filling
 
-        def counted(ring, f):
-            calls.append(ring)
-            return fill(ring, f)
+        def counted(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return argsort(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_occupation_sums", counted)
+        def fill(*args):
+            before = len(sorts)
+            filled = filling(*args)
+            per_fill.append((len(filled.rings), len(sorts) - before))
+            return filled
+
+        monkeypatch.setattr(np, "argsort", counted)
+        monkeypatch.setattr(oracle, "_filling", fill)
         assert main(["verify"]) == 0
-        assert len(calls) == 246
+        assert per_fill == [(240, 4), (6, 4)]
+        assert sorts[:4] == [(oracle.FILLING_POINTS, 2 * (60 // 2 + 5) + 1)] * 4
 
     @pytest.mark.parametrize("sweep", [ground_state_sweep, current_sweep])
     def test_shared_filling_gives_the_sweep_result(self, sweep):
         assert sweep(filled=zone_filling()) == sweep()
+
+
+# ---------------------------------------------------------------------------
+# the per-ring fill, one sort over each ring's own window, kept as the reference for
+# the one sort per (f_nc, fluxes) group that `_filling` makes
+
+
+def reference_ring_fill(ring: RingSystem, f: np.ndarray, spare: int = 0) -> tuple:
+    """(levels, order, n): the ring's levels in its own window, m = N // 2 + 5, in
+    tie-break column order, the first N + spare columns of their stable argsort, and
+    the columns' quantum numbers."""
+    n_el = ring.n_electrons
+    m = n_el // 2 + 5
+    if not np.isfinite(f).all():
+        raise InvalidRange(f"flux must be finite, got {f[~np.isfinite(f)][0]}")
+    x = f - ring.f_nc
+    if (far := np.abs(x) >= m).any():
+        raise WindowTooSmall(
+            f"flux {f[far][0]} lies {m} or more from f_nc; shift it toward f_nc by whole quanta"
+        )
+    k = np.arange(2 * m + 1)
+    n = (k + 1) // 2 * (1 - 2 * (k % 2))
+    u = n + x[:, None]
+    levels = u * u - 0.75 * ring.f_nc**2
+    order = np.argsort(levels, axis=1, kind="stable")[:, :n_el + spare]
+    if order[:, :n_el].max(initial=0) >= 2 * m - 1:
+        raise WindowTooSmall(
+            f"filling touches the enumeration boundary +-{m}; shift f toward f_nc by whole quanta"
+        )
+    return levels, order, n
+
+
+def reference_occupation_sums(ring: RingSystem, f: np.ndarray) -> tuple:
+    """The fluxes of `f` off a level crossing and the (2, kept) S1, S2 filled at them."""
+    levels, order, n = reference_ring_fill(ring, f, spare=1)
+    edge = levels[np.arange(len(f))[:, None], order[:, -2:]]
+    off = edge[:, 0] != edge[:, 1]
+    occupied = n[order[off, :-1]]
+    return f[off], np.stack((occupied.sum(axis=1), (occupied**2).sum(axis=1))).astype(float)
+
+
+def reference_ring_filling(n_values, f_nc_values, points) -> oracle.Filling:
+    """`oracle._filling` with one fill per ring, in ring order."""
+    rings = [ring_with(n, f_nc) for n in n_values for f_nc in f_nc_values]
+    fluxes = [points(ring) for ring in rings]
+    kept, sums = zip(*map(reference_occupation_sums, rings, fluxes))
+    counts = [len(k) for k in kept]
+    return oracle.Filling(tuple(zip(rings, kept)),
+                          np.repeat([float(ring.n_electrons) for ring in rings], counts),
+                          np.repeat([ring.f_nc for ring in rings], counts),
+                          np.concatenate(kept), np.concatenate(sums, axis=1),
+                          sum(map(len, fluxes)))
+
+
+def assert_same_filling(filled: oracle.Filling, expected: oracle.Filling) -> None:
+    for name in ("n", "f_nc", "f", "sums"):
+        got, want = getattr(filled, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert filled.rows == expected.rows
+    assert len(filled.rings) == len(expected.rings)
+    for (ring, kept), (want_ring, want_kept) in zip(filled.rings, expected.rings):
+        assert ring == want_ring
+        assert kept.dtype == want_kept.dtype and np.array_equal(kept, want_kept)
+
+
+def filling_outcome(build, *args):
+    """The filling, or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except (InvalidRange, WindowTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def ring_sets(draw):
+    """`_filling` arguments: a set of N in 1..60, one to three f_nc in [0, 1/2), and
+    per ring drawn fluxes plus the exact crossing 1/2 + f_nc and, for even N, f_nc (-1/2
+    + f_nc for odd N), so an odd and an even ring of one f_nc sort apart on flux arrays
+    of one length.  At times a ring also gets a flux m or more from f_nc, m of the
+    smallest N of its parity, or a non-finite one; drawn fluxes out to 7, or from 4.3 to
+    5.3 where the odd and then the even fillings reach the window's edge, fail some
+    rings and not others."""
+    n_values = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True))
+    f_nc_values = draw(st.lists(
+        st.one_of(st.sampled_from(oracle.FILLING_F_NC), st.floats(0.0, 0.5, exclude_max=True)),
+        min_size=1, max_size=3, unique=True))
+    reach = draw(st.sampled_from([1.0, 7.0]))
+    edge = st.one_of(st.floats(4.3, 5.3), st.floats(-5.3, -4.3))
+    drawn = draw(st.lists(st.one_of(st.floats(-reach, reach), edge), max_size=8))
+    far = draw(st.one_of(st.none(), st.floats(0.0, 1.0), st.floats(0.0, 30.0),
+                         st.sampled_from([math.nan, math.inf])))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+
+    def points(ring):
+        even = ring.parity == "even"
+        f = [*drawn, 0.5 + ring.f_nc, ring.f_nc if even else -0.5 + ring.f_nc]
+        if far is not None:
+            m = min(n for n in n_values if n % 2 == ring.n_electrons % 2) // 2 + 5
+            f.append(ring.f_nc + side * (m + far))
+        return np.array(f)
+
+    return n_values, f_nc_values, points
+
+
+class TestSharedSort:
+    """`_filling` sorts the rings of one f_nc and one flux array once, over the window
+    of their largest N; every ring gets the per-ring fill's rows and sums."""
+
+    def test_zone_filling_matches_the_per_ring_fill(self):
+        grid = zone_flux_grid(oracle.FILLING_POINTS)
+        expected = reference_ring_filling(oracle.FILLING_N, oracle.FILLING_F_NC,
+                                          lambda ring: grid)
+        assert_same_filling(zone_filling(), expected)
+
+    def test_signature_fill_matches_the_per_ring_fill(self, monkeypatch):
+        made = []
+        filling = oracle._filling
+
+        def record(*args):
+            made.append((args, filling(*args)))
+            return made[-1][1]
+
+        monkeypatch.setattr(oracle, "_filling", record)
+        assert signature_sweep().passed
+        [(args, filled)] = made
+        assert_same_filling(filled, reference_ring_filling(*args))
+
+    def test_the_first_ring_to_fail_raises(self):
+        # filling stops at about 4.5 from f_nc for odd N, 5 for even N: at f = -4.8 ring
+        # (4, 0) fills, then (4, 0.3) and (3, 0) fail, in that ring order; the group of
+        # f_nc = 0 is filled first and fails at (3, 0), but (4, 0.3) raises
+        with pytest.raises(WindowTooSmall, match=r"^filling touches the enumeration boundary \+-7;"):
+            oracle._filling((4, 3), (0.0, 0.3), lambda ring: np.array([0.1, -4.8]))
+        with pytest.raises(WindowTooSmall, match=r"^filling touches the enumeration boundary \+-6;"):
+            oracle._filling((4, 3), (0.0,), lambda ring: np.array([0.1, -4.8]))
+
+    @given(case=ring_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_sort_matches_the_per_ring_fill(self, case):
+        # the same kept rows and sums, or the error of the first ring that fails
+        got, expected = (filling_outcome(build, *case)
+                         for build in (oracle._filling, reference_ring_filling))
+        if isinstance(expected, tuple) or isinstance(got, tuple):
+            assert got == expected
+        else:
+            assert_same_filling(got, expected)
 
 
 class TestCrossings:
@@ -528,22 +690,22 @@ class TestCrossings:
     ])
     def test_tie_test_keeps_the_fluxes_off_a_crossing(self, n_values, f_nc_values, grid,
                                                        dropped_points):
-        dropped = 0
-        for n in n_values:
-            for f_nc in f_nc_values:
-                ring = ring_with(n, f_nc)
-                f = grid
-                if grid is None:  # crossings at x = f - f_nc = +-1/2, +-3/2 (odd N) or 0, +-1
-                    x = np.array([-1.5, -0.5, 0.5, 1.5] if n % 2 else [-1.0, 0.0, 1.0])
-                    x = np.concatenate((x, x + 0.25))  # and points a quarter flux past them
-                    f = ring.f_nc + x
-                    f = f[f - ring.f_nc == x]  # where x is exact, the crossing is exact
-                kept, _ = oracle._occupation_sums(ring, f)
-                x = f - ring.f_nc
-                off = np.abs(x - np.rint(x)) < 0.5 if n % 2 else x - np.floor(x) > 0.0
-                assert kept.tolist() == f[off].tolist(), (n, f_nc)
-                dropped += len(f) - len(kept)
-        assert dropped == dropped_points
+        def points(ring):
+            if grid is not None:
+                return grid
+            # crossings at x = f - f_nc = +-1/2, +-3/2 (odd N) or 0, +-1 (even N)
+            x = np.array([-1.5, -0.5, 0.5, 1.5] if ring.parity == "odd" else [-1.0, 0.0, 1.0])
+            x = np.concatenate((x, x + 0.25))  # and points a quarter flux past them
+            f = ring.f_nc + x
+            return f[f - ring.f_nc == x]  # where x is exact, the crossing is exact
+
+        filled = oracle._filling(n_values, f_nc_values, points)
+        for ring, kept in filled.rings:
+            f = points(ring)
+            x = f - ring.f_nc
+            off = np.abs(x - np.rint(x)) < 0.5 if ring.parity == "odd" else x - np.floor(x) > 0.0
+            assert kept.tolist() == f[off].tolist(), (ring.n_electrons, ring.f_nc)
+        assert filled.rows - len(filled.f) == dropped_points
 
 
 def rational_reference(closed, n, f_nc, f, occupied):
@@ -586,10 +748,10 @@ class TestExactReferences:
         for group in np.unique(np.column_stack((n, f_nc)), axis=0):  # one (N, f_nc) ring each
             at = (n == group[0]) & (f_nc == group[1])
             ring = ring_with(int(group[0]), float(group[1]))
-            _, order, levels = oracle._fill(ring, f[at])
+            occupied = fill_one(ring, f[at])[1][:, :-1]
             columns = [np.reshape(part, (at.sum(), -1)).tolist()
                        for part in (hi[at], lo[at], closed(ring, f[at]))]
-            for fb, occupied, *row in zip(f[at].tolist(), levels[order].tolist(), *columns):
+            for fb, occupied, *row in zip(f[at].tolist(), occupied.tolist(), *columns):
                 truth = rational_reference(closed, ring.n_electrons, Fraction(ring.f_nc),
                                            Fraction(fb), occupied)
                 for t, h, l, c in zip(truth, *row, strict=True):
