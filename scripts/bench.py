@@ -1,11 +1,11 @@
-"""Time the oracle and pipeline layers of ncring in-process and write the medians as JSON.
+"""Time the layers of ncring in-process and write each timing's median and quartiles as JSON.
 
     python3 scripts/bench.py OUT.json
 
 Each performance change commits one such file at the repository root,
 ``BENCH_<n>.json``.  The script imports ncring from this checkout's ``src``,
-pins BLAS to one thread before numpy is imported, and times, as the median of
-REPEATS runs after one warm-up run:
+pins BLAS to one thread before numpy is imported, and times REPEATS runs after
+one warm-up run of each of:
 
 * ``oracle.zone_filling``: the fill of the ground-state and current sweeps;
 * ``oracle.ground_state_sweep`` and ``oracle.current_sweep``: the comparison
@@ -18,12 +18,20 @@ REPEATS runs after one warm-up run:
 * ``pipeline.copied_grid_128``: ``analyze_trace`` of that trace with its flux
   copied, so the analysis computes its grid terms itself;
 * ``pipeline.file_trace_1e5``: ``read_trace_csv`` plus ``analyze_trace`` of a
-  1e5-point N = 10001 log-grid trace, written beforehand to a temporary file.
+  1e5-point N = 10001 log-grid trace, written beforehand to a temporary file;
+* ``dataio.write_trace_csv_1e5``: ``write_trace_csv`` of that trace, as
+  ``ncring simulate`` writes it;
+* ``dataio.write_table_1e5x3`` and ``svgplot.emit_plot_1e5``: the derived
+  ``f,lambda,sigma`` table of its analysis and the plot of its two series
+  sharing ``f``, as ``ncring analyze`` writes them;
+* ``floor.float_repr_1e5x3``: ``repr`` of each float of those three columns
+  alone, the part of ``write_table`` that the bytes of the format fix.
 
 The file records the Python and numpy versions, the machine and its CPU
-count, and the BLAS thread settings, next to the medians in seconds, and
-``src_lines``: the line count of each module of ``src/ncring`` and their total,
-as ``wc -l`` counts them.  The other layers of ROADMAP aim 1 are not timed yet.
+count, and the BLAS thread settings, next to the medians and the quartiles
+(``[q1, q3]``, so a file shows its own noise) in seconds, and ``src_lines``:
+the line count of each module of ``src/ncring`` and their total, as ``wc -l``
+counts them.  The other layers of ROADMAP aim 1 are not timed yet.
 """
 
 from __future__ import annotations
@@ -51,22 +59,24 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from ncring import cli, oracle  # noqa: E402
-from ncring.dataio import read_trace_csv, write_trace_csv  # noqa: E402
+from ncring.dataio import read_trace_csv, write_table, write_trace_csv  # noqa: E402
 from ncring.model import RingSystem  # noqa: E402
 from ncring.pipeline import analyze_trace, synthesize_trace  # noqa: E402
+from ncring.svgplot import emit_plot  # noqa: E402
 
 REPEATS = 15
 
 
-def median_time(call, repeats: int = REPEATS) -> float:
-    """The median wall time of `repeats` calls, after one call that is not timed."""
+def quartile_times(call, repeats: int = REPEATS) -> tuple[float, float, float]:
+    """The quartiles (q1, median, q3) of the wall times of `repeats` calls,
+    after one call that is not timed."""
     call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return tuple(statistics.quantiles(times, n=4))
 
 
 def verify() -> None:
@@ -75,14 +85,19 @@ def verify() -> None:
             raise RuntimeError("ncring verify failed")
 
 
-def layers(work: Path) -> dict[str, float]:
+def layers(work: Path) -> dict[str, tuple[float, float, float]]:
     filled = oracle.zone_filling()
     ring = RingSystem.from_f_nc(3, 1e-3)
     short = synthesize_trace(ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1)
     copied = dataclasses.replace(short, f=short.f.copy())
     large = RingSystem(radius=1e-6, n_electrons=10001, theta_tilde=1.76e-61)
     path = work / "trace.csv"
-    write_trace_csv(synthesize_trace(large, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=1), path)
+    trace = synthesize_trace(large, 1e-3, 0.4, 100_000, noise_sigma=1e-6, seed=1)
+    write_trace_csv(trace, path)
+    f, result = trace.f, analyze_trace(read_trace_csv(path, ring=large))
+    derived = (f, result.lam, result.sig)
+    curves = [("|lambda|", np.transpose((f, np.abs(result.lam)))),
+              ("|sigma|", np.transpose((f, np.abs(result.sig))))]
     calls = {
         "oracle.zone_filling": oracle.zone_filling,
         "oracle.ground_state_sweep": lambda: oracle.ground_state_sweep(filled),
@@ -93,8 +108,13 @@ def layers(work: Path) -> dict[str, float]:
             synthesize_trace(ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1)),
         "pipeline.copied_grid_128": lambda: analyze_trace(copied),
         "pipeline.file_trace_1e5": lambda: analyze_trace(read_trace_csv(path, ring=large)),
+        "dataio.write_trace_csv_1e5": lambda: write_trace_csv(trace, work / "written.csv"),
+        "dataio.write_table_1e5x3": lambda: write_table(
+            work / "derived.csv", "f,lambda,sigma", derived, ("# method: central",)),
+        "svgplot.emit_plot_1e5": lambda: emit_plot(curves, work / "derived.svg"),
+        "floor.float_repr_1e5x3": lambda: [list(map(repr, c.tolist())) for c in derived],
     }
-    return {name: median_time(call) for name, call in calls.items()}
+    return {name: quartile_times(call) for name, call in calls.items()}
 
 
 def src_lines() -> dict[str, int]:
@@ -109,7 +129,7 @@ def main() -> None:
     parser.add_argument("out", type=Path, help="the JSON file to write")
     out = parser.parse_args().out
     with tempfile.TemporaryDirectory() as work:
-        medians = layers(Path(work))
+        timings = layers(Path(work))
     record = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -119,12 +139,13 @@ def main() -> None:
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "repeats": REPEATS,
         "unit": "s",
-        "median_s": medians,
+        "median_s": {name: median for name, (_, median, _) in timings.items()},
+        "quartiles_s": {name: [q1, q3] for name, (q1, _, q3) in timings.items()},
         "src_lines": src_lines(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    for name, value in record["median_s"].items():
-        print(f"{name:28s}  {value * 1e3:8.3f} ms")
+    for name, (q1, median, q3) in timings.items():
+        print(f"{name:28s}  {median * 1e3:8.3f} ms  (quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f})")
     print(f"{'src/ncring lines':28s}  {record['src_lines']['total']:8d}")
 
 

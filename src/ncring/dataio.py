@@ -4,10 +4,10 @@ All writers are deterministic functions of their inputs: no timestamps, no
 locale-dependent formatting, `.` as the decimal separator, LF endings.
 Every data CSV (traces and the CLI's tables, among them the table each
 plot is drawn from) is written by :func:`write_table`, the one row writer:
-comma-joined shortest round-trip floats, converted and written one block of
-`_BLOCK` rows at a time, so no whole column is held as a Python list (a
-3-column table peaks at about 1 MB under tracemalloc at any number of
-rows).  Human-facing reports use %.4e.  A trace's ring metadata lines are
+numeric columns only, each cell its `repr` (shortest round-trip for floats),
+comma-joined, one block of `_BLOCK` rows at a time, so no whole column is
+held as a Python list (a 3-column table peaks at about 1 MB under
+tracemalloc at any number of rows).  Human-facing reports use %.4e.  A trace's ring metadata lines are
 its writer's `ring`; its reader keeps their `n_electrons` on the trace.
 SI-to-reduced conversion happens here and nowhere else, and so do the
 parsing and serializing of :class:`ncring.pipeline.RunConfig`'s file form.
@@ -124,24 +124,28 @@ def write_table(path: str | Path, header: str, columns, comments=()) -> None:
     This is the one row writer for every data CSV.  `columns` are 1-D numpy
     arrays of one length; before the file is opened, InvalidRange names each
     column's shape or type when one is not, and the lengths when there are
-    none or they differ.  A row is its values `%s`-joined by commas; each
+    none or they differ, and the dtypes when one is not numeric (kind b, i, u
+    or f).  A row is the `repr` of each of its values, comma-joined; each
     block of `_BLOCK` rows of a column goes through `.tolist()` first, so
-    each float is written as a Python float, whose str is its shortest
-    round-trip repr (numpy 2's repr of its scalars is `np.float64(...)`).
+    each float is written as a Python float, whose repr is its shortest
+    round-trip form (numpy 2's repr of its scalars is `np.float64(...)`).
     """
     if not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns):
         got = [c.shape if isinstance(c, np.ndarray) else type(c).__name__ for c in columns]
         raise InvalidRange(f"write_table needs 1-D numpy array columns, got {got}")
+    if not all(c.dtype.kind in "biuf" for c in columns):  # only a number's repr is its cell
+        got = [str(c.dtype) for c in columns]
+        raise InvalidRange(f"write_table needs numeric 1-D numpy array columns, got dtypes {got}")
     lengths = [len(c) for c in columns]
     if len(set(lengths)) != 1:
         raise InvalidRange(f"write_table needs columns of one length, got lengths {lengths}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in (*comments, header)))
         for i in range(0, lengths[0], _BLOCK):  # bounded memory, few writes
-            fh.write("".join(map(row.__mod__, zip(*(c[i:i + _BLOCK].tolist() for c in columns)))))
+            cells = [map(repr, c[i:i + _BLOCK].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_trace_csv(

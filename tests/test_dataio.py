@@ -1,6 +1,7 @@
 """File formats: trace CSV, configuration, result reports, row bytes."""
 
 import dataclasses
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -646,7 +647,10 @@ class TestWriters:
         ((np.ones((3, 2)), np.ones(3)), r"\[\(3, 2\), \(3,\)\]"),
         (([1.0, 2.0], np.ones(2)), r"\['list', \(2,\)\]"),
         ((np.array(1.0),), r"\[\(\)\]"),
-    ], ids=["2d", "list", "0d"])
+        # the repr of a string is quoted: only numeric columns are written
+        ((np.array(["1.5", "2.5"]), np.ones(2)), r"dtypes \['<U3', 'float64'\]"),
+        ((np.array([1.5, "x"], dtype=object), np.ones(2)), r"dtypes \['object', 'float64'\]"),
+    ], ids=["2d", "list", "0d", "str", "object"])
     def test_write_table_refuses_columns_not_1d_arrays(self, tmp_path, columns, got):
         path = tmp_path / "t.csv"
         with pytest.raises(InvalidRange, match=f"1-D numpy array columns, got {got}"):
@@ -675,6 +679,23 @@ class TestWriters:
                   ("b", np.transpose((f, np.abs(rng.normal(size=f.size)))))]
         # about 6.5 MB; copies of each series and of both series' logs took 11 MB
         assert traced_peak(emit_plot, series, tmp_path / "p.svg") < 8e6
+
+    def test_emit_plot_logs_a_shared_x_column_once(self, tmp_path, monkeypatch):
+        n = 10_000  # more points than emit_plot converts per block
+        rng = np.random.default_rng(5)
+        f = np.geomspace(2e-3, 0.4, n)
+        ys = (f**-2 * (1.0 + 0.1 * rng.random(n)), np.abs(rng.normal(size=n)))
+        pairs = emit_plot([(str(i), list(zip(f.tolist(), y.tolist()))) for i, y in enumerate(ys)],
+                          tmp_path / "pairs.svg")
+        logged = []
+        log10 = math.log10
+        monkeypatch.setattr(math, "log10", lambda v: logged.append(v) or log10(v))
+        svg = emit_plot([(str(i), np.transpose((f, y))) for i, y in enumerate(ys)],
+                        tmp_path / "arrays.svg")
+        assert svg.read_bytes() == pairs.read_bytes()
+        # the axis ticks log powers of ten; no data value is one
+        ticks = {10.0**k for k in range(-20, 21)}
+        assert len([v for v in logged if v not in ticks]) == 3 * n
 
 
 def test_analysis_of_large_file_trace_memory(tmp_path):
