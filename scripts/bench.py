@@ -5,7 +5,8 @@
 Each performance change commits one such file at the repository root,
 ``BENCH_<n>.json``.  The script imports ncring from this checkout's ``src``,
 pins BLAS to one thread before numpy is imported, and times REPEATS runs after
-one warm-up run of each of:
+one warm-up run of each of the following; a run of one of the SHORT calls, each
+a few microseconds, is CALLS calls timed together, and its time is per call:
 
 * ``oracle.zone_filling``: the fill of the ground-state and current sweeps;
 * ``oracle.ground_state_sweep`` and ``oracle.current_sweep``: the comparison
@@ -13,8 +14,16 @@ one warm-up run of each of:
 * ``oracle.signature_sweep``: its own fill and comparison;
 * ``cli.verify``: ``ncring verify`` through ``cli.main``, standard output
   discarded;
+* ``model.persistent_current_128``: the closed-form current of an N = 3 ring
+  on a 128-point log grid;
+* ``pipeline.synthesize_trace_128`` and ``pipeline.synthesize_trace_128_noisy``:
+  ``synthesize_trace`` of that ring on that shared ``flux_grid`` grid,
+  noiseless and with seeded noise;
 * ``pipeline.shared_grid_128``: ``synthesize_trace`` plus ``analyze_trace`` of
   one 128-point noisy trace on a shared ``flux_grid`` grid;
+* ``pipeline.batch_600x128``: ``synthesize_trace`` plus ``analyze_trace`` of
+  each of the 600 128-point traces of one draw of the criterion 6/7 mix
+  (:func:`criterion_mix`);
 * ``pipeline.copied_grid_128``: ``analyze_trace`` of that trace with its flux
   copied, so the analysis computes its grid terms itself;
 * ``pipeline.file_trace_1e5``: ``read_trace_csv`` plus ``analyze_trace`` of a
@@ -47,6 +56,7 @@ import dataclasses
 import io
 import json
 import platform
+import random
 import statistics
 import sys
 import tempfile
@@ -60,22 +70,26 @@ import numpy as np  # noqa: E402
 
 from ncring import cli, oracle  # noqa: E402
 from ncring.dataio import read_trace_csv, write_table, write_trace_csv  # noqa: E402
-from ncring.model import RingSystem  # noqa: E402
-from ncring.pipeline import analyze_trace, synthesize_trace  # noqa: E402
+from ncring.model import RingSystem, persistent_current  # noqa: E402
+from ncring.pipeline import analyze_trace, flux_grid, synthesize_trace  # noqa: E402
 from ncring.svgplot import emit_plot  # noqa: E402
 
 REPEATS = 15
+CALLS = 200
+SHORT = ("model.persistent_current_128", "pipeline.synthesize_trace_128",
+         "pipeline.synthesize_trace_128_noisy")
 
 
-def quartile_times(call, repeats: int = REPEATS) -> tuple[float, float, float]:
-    """The quartiles (q1, median, q3) of the wall times of `repeats` calls,
-    after one call that is not timed."""
+def quartile_times(call, repeats: int = REPEATS, calls: int = 1) -> tuple[float, float, float]:
+    """The quartiles (q1, median, q3) of the wall time per call of `repeats` runs of
+    `calls` calls each, after one call that is not timed."""
     call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
+        for _ in range(calls):
+            call()
+        times.append((time.perf_counter() - start) / calls)
     return tuple(statistics.quantiles(times, n=4))
 
 
@@ -85,9 +99,34 @@ def verify() -> None:
             raise RuntimeError("ncring verify failed")
 
 
+def criterion_mix(seed: int = 1) -> list[tuple]:
+    """(ring, f_min, noise sigma, noise seed) of 600 traces, in an order shuffled by `seed`:
+    300 noisy commutative rings, which must not read as detections (N = 3, 4; sigma = 0,
+    0.01 N, 0.1 N; 50 seeds each), and 300 noiseless noncommutative rings, which must be
+    recovered (N = 3, 4, 101, 10000, 10001; f_nc = 1e-5, 1e-3, 1e-2; 20 each)."""
+    rng = random.Random(seed)
+    specs = [(n, 0.0, mult * n, rng.randrange(2**31))
+             for n in (3, 4) for mult in (0.0, 0.01, 0.1) for _ in range(50)]
+    specs += [(n, f_nc, 0.0, None)
+              for n in (3, 4, 101, 10000, 10001) for f_nc in (1e-5, 1e-3, 1e-2) for _ in range(20)]
+    rng.shuffle(specs)
+    rings = {}
+    return [(rings.setdefault((n, f_nc), RingSystem.from_f_nc(n, f_nc)),
+             max(1e-3, f_nc) if n % 2 == 0 else 1e-3, sigma, noise_seed)
+            for n, f_nc, sigma, noise_seed in specs]
+
+
+def batch(mix: list[tuple]) -> None:
+    """Synthesize and analyse each trace of `mix` on 128 points up to f = 0.4."""
+    for ring, f_min, sigma, seed in mix:
+        analyze_trace(synthesize_trace(ring, f_min, 0.4, 128, noise_sigma=sigma, seed=seed))
+
+
 def layers(work: Path) -> dict[str, tuple[float, float, float]]:
     filled = oracle.zone_filling()
     ring = RingSystem.from_f_nc(3, 1e-3)
+    grid = flux_grid(1e-3, 0.4, 128)
+    mix = criterion_mix()
     short = synthesize_trace(ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1)
     copied = dataclasses.replace(short, f=short.f.copy())
     large = RingSystem(radius=1e-6, n_electrons=10001, theta_tilde=1.76e-61)
@@ -104,8 +143,13 @@ def layers(work: Path) -> dict[str, tuple[float, float, float]]:
         "oracle.current_sweep": lambda: oracle.current_sweep(filled),
         "oracle.signature_sweep": oracle.signature_sweep,
         "cli.verify": verify,
+        "model.persistent_current_128": lambda: persistent_current(ring, grid),
+        "pipeline.synthesize_trace_128": lambda: synthesize_trace(ring, 1e-3, 0.4, 128),
+        "pipeline.synthesize_trace_128_noisy": lambda: synthesize_trace(
+            ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1),
         "pipeline.shared_grid_128": lambda: analyze_trace(
             synthesize_trace(ring, 1e-3, 0.4, 128, noise_sigma=1e-4, seed=1)),
+        "pipeline.batch_600x128": lambda: batch(mix),
         "pipeline.copied_grid_128": lambda: analyze_trace(copied),
         "pipeline.file_trace_1e5": lambda: analyze_trace(read_trace_csv(path, ring=large)),
         "dataio.write_trace_csv_1e5": lambda: write_trace_csv(trace, work / "written.csv"),
@@ -114,7 +158,8 @@ def layers(work: Path) -> dict[str, tuple[float, float, float]]:
         "svgplot.emit_plot_1e5": lambda: emit_plot(curves, work / "derived.svg"),
         "floor.float_repr_1e5x3": lambda: [list(map(repr, c.tolist())) for c in derived],
     }
-    return {name: quartile_times(call) for name, call in calls.items()}
+    return {name: quartile_times(call, calls=CALLS if name in SHORT else 1)
+            for name, call in calls.items()}
 
 
 def src_lines() -> dict[str, int]:
@@ -138,6 +183,7 @@ def main() -> None:
         "blas_threads": {var: os.environ[var] for var in
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "repeats": REPEATS,
+        "calls_per_run": {name: CALLS if name in SHORT else 1 for name in timings},
         "unit": "s",
         "median_s": {name: median for name, (_, median, _) in timings.items()},
         "quartiles_s": {name: [q1, q3] for name, (q1, _, q3) in timings.items()},
@@ -145,8 +191,8 @@ def main() -> None:
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, (q1, median, q3) in timings.items():
-        print(f"{name:28s}  {median * 1e3:8.3f} ms  (quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f})")
-    print(f"{'src/ncring lines':28s}  {record['src_lines']['total']:8d}")
+        print(f"{name:36s}  {median * 1e3:8.4f} ms  (quartiles {q1 * 1e3:.4f}-{q3 * 1e3:.4f})")
+    print(f"{'src/ncring lines':36s}  {record['src_lines']['total']:8d}")
 
 
 if __name__ == "__main__":

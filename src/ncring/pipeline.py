@@ -25,8 +25,10 @@ What stages 2-4 derive from the flux alone (the line fit's centring, the
 stencil weights, the fit window's points, their log10 f centring and the
 noise floor's scale) are pure functions of the flux; a trace's noise floor is
 its noise level times that scale.  They are memoized per :func:`flux_grid`
-request for the traces of :func:`synthesize_trace`, which share its grid; any
-other flux is copied into its trace, and each call computes and frees its own.
+request for the traces of :func:`synthesize_trace`, which share its grid, as is
+stage 1's closed-form current per request and ring, which each trace copies or
+adds its noise to; any other flux is copied into its trace, and each call
+computes and frees its own.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class CurrentTrace:
             raise InvalidRange("f and j must be 1D arrays of equal length")
         if not shared:
             _check_flux(self.f, self.j)
-        elif not np.isfinite(self.j).all():  # _grid checked the flux when it built it
+        elif not np.logical_and.reduce(np.isfinite(self.j)):  # _grid checked the flux
             raise InvalidRange("flux and current values must be finite")
 
     def __len__(self) -> int:
@@ -258,11 +260,20 @@ def _term(trace: CurrentTrace, part, *args):
     return part(trace.f, *args) if trace._grid is None else _shared_term(part, *trace._grid, *args)
 
 
-# batch_small's 2 grid requests and 1 fit window fill 6 entries (centring, stencil, window);
-# the digest's 2400-trace mix asks for 2769 (602 requests, 1565 windows) and hits 84 of 7200.
-@functools.lru_cache(maxsize=24, typed=True)  # a flat request: typed keys its bounds as _grid's
+# batch_small fills 23 entries: 6 grid terms (centring, stencil, window; 2 requests, 1 fit
+# window) and 17 currents, one per (ring, request).  A synthesized and analysed trace looks up
+# 4 (its current, then the 3 terms), and its grid twice in _grid.
+@functools.lru_cache(maxsize=32, typed=True)  # a flat request: typed keys its bounds as _grid's
 def _shared_term(part, f_min: float, f_max: float, n_points: int, grid: str, *args):
     return part(_grid(f_min, f_max, n_points, grid), *args)
+
+
+def _current(f: np.ndarray, ring: RingSystem) -> np.ndarray:
+    """persistent_current(ring, f), read-only; a miss calls this module's persistent_current,
+    so a wrapper of that name sees every evaluation."""
+    j = persistent_current(ring, f)
+    j.flags.writeable = False
+    return j
 
 
 def check_zone(ring: RingSystem, f_min: float, f_max: float) -> None:
@@ -308,7 +319,7 @@ def synthesize_trace(
         raise InvalidRange(f"noise_sigma = {noise_sigma} needs a seed, got seed=None")
     if seed is not None and check_integer("seed", seed) < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
-    j = persistent_current(ring, f)
+    j = _shared_term(_current, f_min, f_max, n_points, grid, ring)  # CurrentTrace copies it
     if noise_sigma > 0.0:
         j = j + np.random.default_rng(seed).normal(0.0, noise_sigma, n_points)
     return CurrentTrace(f=f, j=j, seed=seed, noise_sigma=noise_sigma,
@@ -317,7 +328,7 @@ def synthesize_trace(
 
 def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
     """The x side of a line fit: (mean, x - mean, sum of squares about the mean)."""
-    x_bar = float(x.sum()) / len(x)  # ndarray.mean's bits
+    x_bar = float(np.add.reduce(x)) / len(x)  # ndarray.mean's bits
     dx = x - x_bar
     return x_bar, dx, dx @ dx
 
@@ -325,7 +336,7 @@ def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
 def _log_centring(f: np.ndarray) -> tuple[float, np.ndarray, float] | None:
     """:func:`_centre` of log10 f, or None when f spans fewer than two distinct log10 f."""
     x = np.log10(f)
-    return _centre(x) if x.size and x.min() < x.max() else None
+    return _centre(x) if x.size and np.minimum.reduce(x) < np.maximum.reduce(x) else None
 
 
 def _line_fit(
@@ -338,7 +349,7 @@ def _line_fit(
     is ss_tot.  x needs two distinct values.
     """
     x_bar, dx, dx_dx = centred
-    y_bar = float(y.sum()) / len(y)
+    y_bar = float(np.add.reduce(y)) / len(y)
     dy = y - y_bar
     slope = float(dx @ dy / dx_dx)
     res = slope * dx
@@ -711,7 +722,7 @@ def analyze_trace(
     lam, sig, method = differentiate_trace(trace, n_est, smoothing_window=config.smoothing_window)
     # A noiseless trace can fit its line exactly (sigma_j = 0), yet the
     # signatures still carry the rounding of J; the floor never goes below it.
-    sigma_floor = max(sigma_j, float(_EPS * np.abs(trace.j).max()))
+    sigma_floor = max(sigma_j, float(_EPS * np.maximum.reduce(np.abs(trace.j))))
     # the fit window of the interior grid: the one-sided endpoints (see
     # differentiate_trace) are never fitted
     window = _term(trace, _window, config.fit_f_lo, config.fit_f_hi)

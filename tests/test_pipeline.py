@@ -633,6 +633,29 @@ class TestClassify:
         assert v.estimated_f_nc is None and v.f_nc_hat_cross is None
         assert v.diagnostics[-1] == "criterion case 1 contradicts the even parity"
 
+    @pytest.mark.parametrize("blind", [True, False])
+    @pytest.mark.parametrize("offset, f_nc_hat", [(0.06, 0.0098), (0.6, 0.1000)])
+    def test_a_current_offset_reads_as_f_nc(self, offset, f_nc_hat, blind):
+        # a confound, not a defect: in one zone J + d has intercept 2 N f_nc + d, so a
+        # commutative odd ring under an offset d is a detection of f_nc ~ d / (2N)
+        t = synthesize_trace(ring_with(3, 0.0), 1e-3, 0.4, 256, noise_sigma=3e-4, seed=1)
+        v = analyze_trace(CurrentTrace(t.f, t.j + offset, n_electrons=3), blind=blind).verdict
+        assert (v.kind, v.criterion) == (VerdictKind.ODD_NC_DETECTED, "case1")
+        assert (v.estimated_n, v.estimated_parity) == (3, "odd")
+        assert round(v.estimated_f_nc, 4) == f_nc_hat
+        assert v.estimated_f_nc == pytest.approx(offset / 6, rel=0.02)
+
+    @pytest.mark.parametrize("slope", [0.3, 1.0, -2.0])
+    def test_a_current_linear_in_f_keeps_f_nc(self, slope):
+        # e f cancels in d(J/f)/df, so with N given the estimate keeps its value to
+        # rounding; a blind N would move with the line's slope -2N + e
+        t = synthesize_trace(ring_with(3, 1e-2), 1e-3, 0.4, 256)
+        v = analyze_trace(CurrentTrace(t.f, t.j + slope * t.f, n_electrons=3),
+                          blind=False).verdict
+        assert (v.kind, v.estimated_n, v.estimated_parity) == (VerdictKind.ODD_NC_DETECTED, 3,
+                                                               "odd")
+        assert v.estimated_f_nc == pytest.approx(0.0100055208456622, rel=1e-13, abs=0.0)
+
     def test_even_case_on_an_odd_parity_is_inconclusive(self):
         # the parity compared is the one classify is given, not that of N
         v = classify(_fit(-4.08, -2.0), _fit(-8e-2, -2.0), 4, "odd")
@@ -1250,14 +1273,60 @@ class TestGridTerms:
         trace = synthesize_trace(ring, 1.25e-3, 0.3, 40)  # arguments no other test uses
         _shared_term.cache_clear()
         synthesize_trace(ring, 1.25e-3, 0.3, 40, noise_sigma=1e-3, seed=2)
-        assert _shared_term.cache_info().currsize == 0  # building a trace computes no term
+        # building a trace memoizes its ring's current on the request, and no grid term
+        info = _shared_term.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         analyze_trace(trace)
-        assert _shared_term.cache_info().currsize == 3
+        assert _shared_term.cache_info().currsize == 4
         stencil = weakref.ref(pipeline._term(trace, _stencil)[0])
-        assert stencil() is not None
+        current = weakref.ref(_shared_term(pipeline._current, *trace._grid, ring))
+        assert stencil() is not None and current() is not None
         _shared_term.cache_clear()
         gc.collect()
         assert stencil() is None  # the trace, still alive, holds none of its terms
+        assert current() is None  # nor the memo's current, of which it holds a copy
+
+    def test_current_is_evaluated_once_per_ring_and_request(self, monkeypatch):
+        evaluated = []
+
+        def counted(ring, f):
+            evaluated.append(ring)
+            return persistent_current(ring, f)
+
+        monkeypatch.setattr(pipeline, "persistent_current", counted)
+        ring = ring_with(5, 1e-3)
+        request = (1.5e-3, 0.3, 48, "log")  # arguments no other test uses
+        _shared_term.cache_clear()
+        traces = [synthesize_trace(ring, *request[:3], noise_sigma=sigma, seed=seed,
+                                   grid=request[3])
+                  for sigma, seed in ((0.0, None), (1e-3, 1), (0.0, 4), (2e-2, 2), (1e-3, 1))]
+        traces.append(synthesize_trace(ring_with(5, 1e-3), *request[:3]))  # an equal ring
+        assert evaluated == [ring] and _shared_term.cache_info().currsize == 1
+        f = flux_grid(*request)
+        plain = persistent_current(ring, f)
+        for trace in traces:
+            noise = (np.random.default_rng(trace.seed).normal(0.0, trace.noise_sigma, 48)
+                     if trace.noise_sigma > 0.0 else 0.0)
+            assert trace.f is f and bits(trace.j) == bits(plain + noise)
+        held = _shared_term(pipeline._current, *request, ring)
+        assert bits(held) == bits(plain) and not held.flags.writeable
+        assert not any(np.shares_memory(trace.j, held) for trace in traces)
+        assert bits(traces[1].j) == bits(traces[4].j) and traces[1].j is not traces[4].j
+
+    def test_each_ring_and_request_has_its_own_current(self):
+        odd, even = ring_with(5, 1e-3), ring_with(6, 1e-3)
+        _shared_term.cache_clear()
+        traces = [synthesize_trace(ring, 1.5e-3, 0.3, n, noise_sigma=1e-3, seed=3)
+                  for ring in (odd, even) for n in (48, 49)]
+        info = _shared_term.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        for trace, ring in zip(traces, (odd, odd, even, even)):
+            noise = np.random.default_rng(3).normal(0.0, 1e-3, len(trace))
+            assert bits(trace.j) == bits(persistent_current(ring, trace.f) + noise)
+            held = _shared_term(pipeline._current, *trace._grid, ring)
+            assert bits(held) == bits(persistent_current(ring, trace.f))
+        info = _shared_term.cache_info()
+        assert (info.hits, info.misses) == (4, 4)  # one entry each
 
     def test_file_trace_holds_no_terms_after_analysis(self, tmp_path):
         ring = ring_with(10001, 1.5828e-5)
